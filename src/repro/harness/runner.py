@@ -171,7 +171,6 @@ class Job:
         jitter: Optional[Callable[[], float]] = None,
         recorder_factory: Optional[Callable[[int, int], Any]] = None,
         pooling: bool = True,
-        bucketed: bool = True,
         shared_state: bool = True,
         interning: bool = True,
         arena_trim: bool = True,
@@ -215,10 +214,7 @@ class Job:
         self.rmap = shape.rmap
         self.cluster = shape.cluster
         self.placement: Placement = shape.placement
-        #: ``bucketed=False`` keeps every queue insertion on the kernel heap
-        #: (the seed-shaped reference mode) — the two-level-queue equivalence
-        #: suite proves the bucketed engine observationally identical to it.
-        self.sim = Simulator(bucketed=bucketed)
+        self.sim = Simulator()
         self.rng = RngRegistry(seed)
         #: ``pooling=False`` bypasses the Frame and Envelope arenas (every
         #: acquire constructs fresh) while keeping the ownership accounting
@@ -651,16 +647,15 @@ class Job:
         """Strand frames still sitting in the kernel queue at the horizon.
 
         A job stopped at ``until`` leaves undelivered frames (and their
-        envelopes) on the heap — nobody will ever release them, so the
+        envelopes) in the queue — nobody will ever release them, so the
         balance proof attributes them to the ``in_flight`` site.  Safe
         only once the run is over: a stranded frame must not fire.
         """
         sim = self.sim
         fab = self.fabric
-        for _t, _seq, ev in sim._queue:
-            if type(ev) is Frame and ev.fabric is not None:
-                fab.strand_frame(ev, "in_flight")
-        for ev in sim._bucket:
+        pending = [ev for cohort in sim._cohorts.values() for _seq, ev in cohort]
+        pending.extend(sim._bucket)
+        for ev in pending:
             if type(ev) is Frame and ev.fabric is not None:
                 fab.strand_frame(ev, "in_flight")
 

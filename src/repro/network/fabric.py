@@ -121,7 +121,7 @@ class Frame:
 
     A frame doubles as its own *delivery event*: :meth:`Fabric.inject`
     stamps the owning fabric and pushes the frame straight onto the kernel
-    heap; :meth:`fire` lands it in the destination inbox.  The seed engine
+    queue; :meth:`fire` lands it in the destination inbox.  The seed engine
     allocated a ``_deliver`` closure plus a ``_Callback`` wrapper per frame
     — this is zero extra allocations on the same event count.
 
@@ -256,15 +256,9 @@ class Endpoint:
         pwaiter = self._pwaiter
         if pwaiter is not None:
             # Wake the parked process exactly as a waiter event would: one
-            # queue entry at the current time (bucket append, or the
-            # seed-shaped heap push in heap-only mode).
+            # queue entry at the current time.
             self._pwaiter = None
-            sim = self.sim
-            if sim._bucketed:
-                sim._bucket.append(pwaiter)
-            else:
-                sim._seq += 1
-                heappush(sim._queue, (sim._now, sim._seq, pwaiter))
+            self.sim._bucket.append(pwaiter)
             return
         waiter = self._waiter
         if waiter is not None and not waiter.triggered:
@@ -702,9 +696,14 @@ class Fabric:
         by_kind[kind] = by_kind.get(kind, 0) + 1
         frame.fabric = self
         sim = self.sim
-        if arrival > now or not sim._bucketed:
+        if arrival > now:
             sim._seq += 1
-            heappush(sim._queue, (arrival, sim._seq, frame))
+            cohort = sim._cohorts.get(arrival)
+            if cohort is None:
+                sim._cohorts[arrival] = [(sim._seq, frame)]
+                heappush(sim._queue, arrival)
+            else:
+                cohort.append((sim._seq, frame))
         else:
             # Zero-cost model: the frame arrives at the current time.
             sim._bucket.append(frame)

@@ -1,54 +1,64 @@
-"""The event loop: virtual clock plus a deterministic two-level queue.
+"""The event loop: virtual clock plus a deterministic timestamp-cohort queue.
 
 Determinism contract
 --------------------
 Events scheduled for the same virtual time fire in the order they were
-scheduled (FIFO tie-breaking via a sequence counter).  Nothing in the kernel
-consults wall-clock time or unseeded randomness, so a simulation is a pure
-function of its inputs.  This property is load-bearing: the send-determinism
-checker (:mod:`repro.trace.determinism`) relies on being able to perturb
-*only* the knobs it intends to perturb.
+scheduled (FIFO tie-breaking).  Nothing in the kernel consults wall-clock
+time or unseeded randomness, so a simulation is a pure function of its
+inputs.  This property is load-bearing: the send-determinism checker
+(:mod:`repro.trace.determinism`) relies on being able to perturb *only*
+the knobs it intends to perturb.
 
-Two-level queue
----------------
-The queue has two levels keyed on the current virtual time:
+Timestamp cohorts
+-----------------
+Send-deterministic SPMD programs put thousands of processes on the *same*
+virtual timestamps (``coll-1k``: 176 events per distinct time), so the
+queue is keyed on the timestamp, not on the event:
 
-* the **near-horizon bucket** — a plain FIFO (`deque`) holding events
-  scheduled *at* the current timestamp.  Now-time insertions are the
-  majority of queue traffic in MPI simulations (zero-delay completions,
-  endpoint wake-ups, same-time follow-ups of a frame arrival), and a FIFO
-  append/popleft replaces an O(log n) heap push/pop pair whose depth grows
-  with rank count;
-* the **heap** — `heapq` of ``(time, seq, event)`` for strictly-future
-  timestamps only.
+* ``_queue`` — a ``heapq`` of the **distinct** strictly-future times;
+* ``_cohorts`` — ``{time: [(seq, event), ...]}``, each list in push order.
+  A future push is one dict probe and one list append; only the first
+  event of a new timestamp pays a heap push, and only one heap pop is paid
+  per timestamp.  ``seq`` is the global push counter: the dispatch loop
+  never compares it (list order *is* the order), it is the push-order
+  witness :mod:`repro.sim.shard` uses to place deferred frames;
+* ``_bucket`` — a FIFO (``deque``) of bare events scheduled *at* the
+  current time (zero-delay completions, wake-ups): no seq, no tuple.
 
-FIFO ``(time, seq)`` order is provably unchanged: every entry the heap
-holds for time *T* was pushed while ``now < T`` and therefore carries a
-lower sequence number than anything appended to the bucket once the clock
-reads *T* — so draining heap-at-now entries first, then the bucket (which
-preserves insertion order by construction), reproduces exactly the order
-the heap-only queue would have produced.  ``Simulator(bucketed=False)``
-keeps every insertion on the heap — the executable specification the
-equivalence suite (``tests/test_queue_equivalence.py``) compares against.
+Order proof.  Dispatch must equal the sort by ``(time, push index)``.
+Times: the heap yields distinct times in increasing order and the clock
+only moves to a popped time, so timestamps fire in order.  Within one time
+*T*: every cohort entry was pushed while ``now < T`` (a push *at* ``now``
+is routed to the bucket), hence before anything the bucket receives once
+the clock reads *T*; the cohort list preserves push order by construction
+(append-only) and the bucket is FIFO.  Firing the cohort in list order,
+then draining the bucket, is therefore exactly ``(time, push index)``
+order.  The cohort is popped from ``_cohorts`` *before* it is fired, so
+the one push the routing rule does not cover — embedding code putting an
+entry at the current time directly into ``_cohorts`` — opens a fresh
+cohort for *T*, fired once the bucket has drained, instead of growing the
+list under iteration.  A batch cut short (``StopSimulation``, a raising
+event) moves its unfired remainder to the *front* of the bucket: still
+pending, still in order, where :meth:`Simulator.step`, a resumed
+:meth:`Simulator.run` and the harness's in-flight audit all find it.
 
-Every now-time insertion site routes through this decision: the kernel's
+Every insertion site makes the same decision: the kernel's
 :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and the inlined
-hot paths in :mod:`repro.sim.sync` (zero-delay ``Event.succeed``,
-``Timeout``), :mod:`repro.sim.process` (zero CPU charges) and
-:mod:`repro.network.fabric` (endpoint wake-ups, zero-latency arrivals).
-Bucket entries carry no sequence number — the FIFO *is* the order — so
-the dominant insertion also skips the counter increment and tuple build.
+hot paths in :mod:`repro.sim.sync` (``Event.succeed``, ``Timeout``),
+:mod:`repro.sim.process` (CPU charges) and :mod:`repro.network.fabric`
+(endpoint wake-ups, frame arrivals).
 
 Hot-path notes
 --------------
-:meth:`Simulator.run` dispatches a specialized no-trace loop when no
-``trace_hook`` is installed (the overwhelmingly common case): no per-event
-hook branch, no ``getattr`` fallback for ``cancelled``, locals hoisted out
-of the loop, and events sharing a virtual timestamp dispatched as one
-batch (see :meth:`Simulator._run_fast`).  Every schedulable object
-therefore **must** carry a
-``cancelled`` attribute (see :class:`EventLike`); a class-level
-``cancelled = False`` is enough for events that are never revoked.
+One dispatch loop (:meth:`Simulator._dispatch`) serves :meth:`Simulator.run`
+bounded and unbounded, :meth:`Simulator.run_until_before` and the
+``trace_hook`` mode.  Per-timestamp work (deadline compare, ``on_advance``,
+clock store) is amortised over the cohort and the hook costs one
+``is not None`` test per event, so separate unbounded, exclusive-horizon
+and traced loops buy less than the 3 % that would earn them their place
+(``docs/performance.md``, "Timestamp cohorts").  Every schedulable object
+**must** carry a ``cancelled`` attribute (see :class:`EventLike`); a
+class-level ``cancelled = False`` is enough for events never revoked.
 Install ``trace_hook`` before calling :meth:`run` — mid-run installation
 is not observed until the next ``run`` call.
 """
@@ -57,10 +67,13 @@ from __future__ import annotations
 
 import gc
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "SimulationError", "StopSimulation"]
+
+_INF = math.inf
 
 
 class SimulationError(RuntimeError):
@@ -83,19 +96,14 @@ class Simulator:
     trace_hook:
         Optional callable invoked as ``trace_hook(time, event)`` just before
         each event fires; used by :mod:`repro.trace` for observability.
-        Running without a hook takes a faster specialized dispatch loop.
-    bucketed:
-        ``True`` (default) enables the near-horizon bucket for now-time
-        insertions; ``False`` keeps every insertion on the heap — the
-        seed-shaped reference mode the equivalence suite runs against.
     """
 
     __slots__ = (
         "_now",
         "_seq",
         "_queue",
+        "_cohorts",
         "_bucket",
-        "_bucketed",
         "_running",
         "_stopped",
         "trace_hook",
@@ -103,16 +111,12 @@ class Simulator:
         "events_dispatched",
     )
 
-    def __init__(
-        self,
-        trace_hook: Optional[Callable[[float, Any], None]] = None,
-        bucketed: bool = True,
-    ) -> None:
+    def __init__(self, trace_hook: Optional[Callable[[float, Any], None]] = None) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        self._queue: list = []  # heap of (time, seq, event) — future times
+        self._queue: list = []  # heap of the distinct future times
+        self._cohorts: dict = {}  # time -> [(seq, event), ...] in push order
         self._bucket: deque = deque()  # FIFO of events at the current time
-        self._bucketed = bucketed
         self._running = False
         self._stopped: Optional[StopSimulation] = None
         self.trace_hook = trace_hook
@@ -142,24 +146,24 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule event {delay} s in the past")
-        if delay or not self._bucketed:
-            self._seq += 1
-            heapq.heappush(self._queue, (self._now + delay, self._seq, event))
-        else:
-            self._bucket.append(event)
-        return event
+        return self.schedule_at(event, self._now + delay)
 
     def schedule_at(self, event: "EventLike", when: float) -> "EventLike":
         """Enqueue *event* to fire at absolute virtual time *when*."""
-        if when < self._now:
+        if when > self._now:
+            self._seq += 1
+            cohort = self._cohorts.get(when)
+            if cohort is None:
+                self._cohorts[when] = [(self._seq, event)]
+                heapq.heappush(self._queue, when)
+            else:
+                cohort.append((self._seq, event))
+        elif when == self._now:
+            self._bucket.append(event)
+        else:
             raise SimulationError(
                 f"cannot schedule event at t={when} (now t={self._now})"
             )
-        if when > self._now or not self._bucketed:
-            self._seq += 1
-            heapq.heappush(self._queue, (when, self._seq, event))
-        else:
-            self._bucket.append(event)
         return event
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
@@ -174,151 +178,13 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> Any:
         """Dispatch events until the queue drains or *until* is reached.
 
-        Returns the value carried by :class:`StopSimulation` if the
-        simulation was stopped explicitly, else ``None``.
+        Bounded runs are *inclusive* of events at ``until`` and leave the
+        clock there.  Returns the value carried by :class:`StopSimulation`
+        if the simulation was stopped explicitly, else ``None``.
         """
-        if self._running:
-            raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        self._stopped = None
-        # The dispatch loop allocates heavily (events, frames, generator
-        # frames) but creates almost no garbage cycles; pausing the cyclic
-        # collector for the duration avoids whole-heap scans mid-run.  It
-        # is restored whatever happens, and has no observable effect on
-        # simulation results.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if self.trace_hook is not None:
-                self._run_traced(until)
-            else:
-                self._run_fast(until)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._running = False
-        return self._stopped.value if self._stopped is not None else None
-
-    def _run_fast(self, until: Optional[float]) -> None:
-        """Specialized dispatch loop: no trace hook, no defensive getattr.
-
-        Events sharing the current virtual time are dispatched as one
-        *batch*: heap entries at the current time first (they were pushed
-        before the clock reached it and carry lower sequence numbers),
-        then the near-horizon bucket in FIFO order — anything a batch
-        member schedules *at* the current time lands at the bucket's tail,
-        which is exactly where the heap-only queue's higher sequence
-        number would have placed it.  One clock store and deadline check
-        per timestamp, not per event.  ``events_dispatched`` is
-        accumulated in a local and written back on exit (including the
-        StopSimulation path), never observable mid-run by events
-        themselves — nothing in-tree reads it before :meth:`run` returns.
-        """
-        queue = self._queue
-        bucket = self._bucket
-        heappop = heapq.heappop
-        popleft = bucket.popleft
-        dispatched = self.events_dispatched
-        try:
-            if until is None:
-                # Unbounded drain (the overwhelmingly common call): no
-                # deadline comparison per timestamp.  Each phase is its
-                # own tight loop: heap entries at the current time pay one
-                # top-of-heap compare per event (exactly the old batching
-                # loop), bucket entries pay one truthiness check — firing
-                # a bucket event can append to the bucket but never push
-                # a same-time heap entry (now-time insertions are routed),
-                # which is what makes the phase split safe.
-                while True:
-                    now = self._now
-                    while queue and queue[0][0] == now:
-                        event = heappop(queue)[2]
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    while bucket:
-                        event = popleft()
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    if queue:
-                        when = queue[0][0]
-                        if when == now:
-                            # Unrouted same-time push (direct heappush by
-                            # embedding code): defensive re-drain.
-                            continue
-                        advance = self.on_advance
-                        if advance is not None:
-                            advance()
-                        self._now = when
-                    else:
-                        return
-            while True:
-                now = self._now
-                if now <= until:
-                    while queue and queue[0][0] == now:
-                        event = heappop(queue)[2]
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                    while bucket:
-                        event = popleft()
-                        if not event.cancelled:
-                            dispatched += 1
-                            event.fire()
-                if not queue or queue[0][0] > until:
-                    self._now = until
-                    return
-                if queue[0][0] != now:
-                    advance = self.on_advance
-                    if advance is not None:
-                        advance()
-                    self._now = queue[0][0]
-        except StopSimulation as stop:
-            self._stopped = stop
-        finally:
-            self.events_dispatched = dispatched
-
-    def _run_traced(self, until: Optional[float]) -> None:
-        """Observability loop: invokes ``trace_hook`` before every event.
-
-        Same two-level drain order as :meth:`_run_fast`, one event at a
-        time so the hook observes each ``(time, event)`` pair.
-        """
-        queue = self._queue
-        bucket = self._bucket
-        while True:
-            now = self._now
-            if until is None or now <= until:
-                while True:
-                    if queue and queue[0][0] == now:
-                        event = heapq.heappop(queue)[2]
-                    elif bucket:
-                        event = bucket.popleft()
-                    else:
-                        break
-                    if getattr(event, "cancelled", False):
-                        continue
-                    self.trace_hook(self._now, event)
-                    self.events_dispatched += 1
-                    try:
-                        event.fire()
-                    except StopSimulation as stop:
-                        self._stopped = stop
-                        return
-            if not queue:
-                break
-            when = queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            advance = self.on_advance
-            if advance is not None:
-                advance()
-            self._now = when
-        if until is not None:
-            self._now = until
+        if until is None:
+            return self._dispatch(_INF, park=False)
+        return self._dispatch(until, park=True)
 
     def run_until_before(self, horizon: float) -> Any:
         """Dispatch every event with virtual time strictly below *horizon*.
@@ -331,50 +197,84 @@ class Simulator:
         window ``[W, W + lookahead)``, exchange cross-shard frames whose
         arrivals all land at ``>= W + lookahead``, and resume — without
         ever firing an event whose inputs a peer shard could still
-        change.  Kept as its own loop so the :meth:`_run_fast` hot path
-        stays branch-free.
+        change.  ``t < horizon`` is ``t <= pred(horizon)`` on floats, so
+        this is the inclusive loop bounded one ulp earlier.
+        """
+        return self._dispatch(math.nextafter(horizon, -_INF), park=False)
+
+    def _dispatch(self, until: float, park: bool) -> Any:
+        """The dispatch loop: fire every event with ``time <= until``.
+
+        Drain the now-time bucket, pop the next timestamp and fire its
+        cohort in list (= push) order, repeat (module docstring has the
+        order proof): one heap pop, one deadline compare, one
+        ``on_advance`` and one clock store per timestamp, not per event.
+        *park* moves the clock to *until* after a normal drain (the
+        bounded :meth:`run` contract).
+
+        ``events_dispatched`` is accumulated in a local and written back
+        on exit (including the StopSimulation path), never observable
+        mid-run by events themselves — nothing in-tree reads it before
+        the run returns.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
         self._stopped = None
-        queue = self._queue
+        times = self._queue
         bucket = self._bucket
         heappop = heapq.heappop
+        pop_cohort = self._cohorts.pop
         popleft = bucket.popleft
+        hook = self.trace_hook
         dispatched = self.events_dispatched
+        # The dispatch loop allocates heavily (events, frames, generator
+        # frames) but creates almost no garbage cycles; pausing the cyclic
+        # collector for the duration avoids whole-heap scans mid-run.  It
+        # is restored whatever happens, and has no observable effect on
+        # simulation results.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
+        cohort: list = []  # the cohort being fired (see the finally clause)
+        seq = 0
         try:
-            while True:
-                now = self._now
-                if now >= horizon:
-                    break
-                while queue and queue[0][0] == now:
-                    event = heappop(queue)[2]
-                    if not event.cancelled:
-                        dispatched += 1
-                        event.fire()
-                while bucket:
-                    event = popleft()
-                    if not event.cancelled:
-                        dispatched += 1
-                        event.fire()
-                if not queue:
-                    break
-                when = queue[0][0]
-                if when == now:
-                    continue
-                if when >= horizon:
-                    break
-                advance = self.on_advance
-                if advance is not None:
-                    advance()
-                self._now = when
+            now = self._now
+            if now <= until:
+                while True:
+                    while bucket:
+                        event = popleft()
+                        if not event.cancelled:
+                            if hook is not None:
+                                hook(now, event)
+                            dispatched += 1
+                            event.fire()
+                    if not times:
+                        break
+                    when = times[0]
+                    if when > until:
+                        break
+                    if when != now:  # else: unrouted same-time push
+                        advance = self.on_advance
+                        if advance is not None:
+                            advance()
+                        self._now = now = when
+                    cohort = pop_cohort(heappop(times))
+                    for seq, event in cohort:
+                        if not event.cancelled:
+                            if hook is not None:
+                                hook(now, event)
+                            dispatched += 1
+                            event.fire()
+                if park:
+                    self._now = until
         except StopSimulation as stop:
             self._stopped = stop
         finally:
+            # An interrupted batch keeps its place, ahead of the bucket:
+            # seqs ascend along a cohort and ``seq`` is the last one fired
+            # (the cohort's last, i.e. no remainder, after a full pass).
+            bucket.extendleft(reversed([ev for s, ev in cohort if s > seq]))
             self.events_dispatched = dispatched
             if gc_was_enabled:
                 gc.enable()
@@ -382,22 +282,19 @@ class Simulator:
         return self._stopped.value if self._stopped is not None else None
 
     def step(self) -> bool:
-        """Dispatch a single event.  Returns False when the queue is empty."""
-        queue = self._queue
+        """Dispatch a single event.  Returns False when the queue is empty.
+
+        A new timestamp's cohort moves into the (then empty) bucket whole,
+        so the rest of it stays ahead of whatever the stepped event
+        schedules at the current time.
+        """
         bucket = self._bucket
-        if bucket:
-            # Heap entries at the current time (pushed before the clock
-            # reached it, hence lower seq) fire before bucket entries.
-            if queue and queue[0][0] <= self._now:
-                when, _seq, event = heapq.heappop(queue)
-                self._now = when
-            else:
-                event = bucket.popleft()
-        elif queue:
-            when, _seq, event = heapq.heappop(queue)
-            self._now = when
-        else:
-            return False
+        if not bucket:
+            if not self._queue:
+                return False
+            self._now = when = heapq.heappop(self._queue)
+            bucket.extend([event for _seq, event in self._cohorts.pop(when)])
+        event = bucket.popleft()
         if event.cancelled:
             return True
         self.events_dispatched += 1
@@ -410,13 +307,14 @@ class Simulator:
 
     @property
     def queue_size(self) -> int:
-        return len(self._queue) + len(self._bucket)
+        """Pending entries (cancelled ones included until they surface)."""
+        return len(self._bucket) + sum(map(len, self._cohorts.values()))
 
     def peek(self) -> Optional[float]:
         """Virtual time of the next pending event, or None if idle."""
         if self._bucket:
             return self._now
-        return self._queue[0][0] if self._queue else None
+        return self._queue[0] if self._queue else None
 
 
 class _Callback:
@@ -438,7 +336,7 @@ class EventLike:
     Anything with a ``fire()`` method and a ``cancelled`` attribute
     qualifies; :class:`repro.sim.sync.Event` is the canonical
     implementation.  ``cancelled`` is **required** (a class attribute
-    ``cancelled = False`` suffices): the no-trace dispatch loop reads it
+    ``cancelled = False`` suffices): the dispatch loop reads it
     directly instead of paying a per-event ``getattr`` fallback.
     """
 

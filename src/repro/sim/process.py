@@ -8,17 +8,17 @@ facade exposes blocking calls.
 
 A process may also yield a bare non-negative ``float``/``int``: a *CPU
 charge*.  The process is then scheduled directly on the kernel queue
-(heap for positive charges, the near-horizon bucket for zero charges) and
-resumed (with ``None``) that many virtual seconds later — observationally
-identical to yielding ``Timeout(sim, seconds)``, including the dispatched
-event count and FIFO sequencing, but without allocating an event or
-running the callback machinery.  CPU-overhead charges are the single most
+(its timestamp's cohort for positive charges, the now-time bucket for zero
+charges) and resumed (with ``None``) that many virtual seconds later —
+observationally identical to yielding ``Timeout(sim, seconds)``, including
+the dispatched event count and FIFO sequencing, but without allocating an
+event or running the callback machinery.  CPU-overhead charges are the single most
 common event in MPI-heavy workloads, which makes this fast path worth its
 special case.
 
 Crash injection: :meth:`Process.crash` throws :class:`ProcessCrashed` into
 the generator at the *current* simulation time, modelling fail-stop
-behaviour.  A crashed process never runs again.  A charge-scheduled heap
+behaviour.  A crashed process never runs again.  A charge-scheduled queue
 entry for a crashed process fires as a no-op (and is still counted, just
 as a dead process's pending Timeout would be).
 """
@@ -130,7 +130,7 @@ class Process:
         start.add_callback(self._resume_cb)
         start.succeed(None)
 
-    #: charge heap entries are never revoked (fire() guards on alive)
+    #: charge queue entries are never revoked (fire() guards on alive)
     cancelled = False
 
     # ------------------------------------------------------------- stepping
@@ -170,9 +170,15 @@ class Process:
         cls = type(target)
         if (cls is float or cls is int) and target >= 0:
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
-                heappush(sim._queue, (sim._now + target, sim._seq, self))
+                when = sim._now + target
+                cohort = sim._cohorts.get(when)
+                if cohort is None:
+                    sim._cohorts[when] = [(sim._seq, self)]
+                    heappush(sim._queue, when)
+                else:
+                    cohort.append((sim._seq, self))
             else:
                 sim._bucket.append(self)
             self._waiting_on = _CHARGING
@@ -214,9 +220,15 @@ class Process:
         cls = type(target)
         if (cls is float or cls is int) and target >= 0:
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
-                heappush(sim._queue, (sim._now + target, sim._seq, self))
+                when = sim._now + target
+                cohort = sim._cohorts.get(when)
+                if cohort is None:
+                    sim._cohorts[when] = [(sim._seq, self)]
+                    heappush(sim._queue, when)
+                else:
+                    cohort.append((sim._seq, self))
             else:
                 sim._bucket.append(self)
             self._waiting_on = _CHARGING
@@ -243,9 +255,15 @@ class Process:
         if (cls is float or cls is int) and target >= 0:
             # CPU charge: schedule this process directly (see module docs).
             sim = self.sim
-            if target or not sim._bucketed:
+            if target:
                 sim._seq += 1
-                heappush(sim._queue, (sim._now + target, sim._seq, self))
+                when = sim._now + target
+                cohort = sim._cohorts.get(when)
+                if cohort is None:
+                    sim._cohorts[when] = [(sim._seq, self)]
+                    heappush(sim._queue, when)
+                else:
+                    cohort.append((sim._seq, self))
             else:
                 sim._bucket.append(self)
             self._waiting_on = _CHARGING

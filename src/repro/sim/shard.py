@@ -59,7 +59,7 @@ import multiprocessing as mp
 import traceback
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappush
+from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -285,10 +285,10 @@ class _ShardRouter:
     monotone counter: within one source process it preserves inject
     order, and the canonical merge key ``(inject_time, src_proc, seq)``
     never compares seqs from different shards (a proc injects in exactly
-    one shard).  ``sim_seq`` snapshots the kernel's heap-seq counter at
-    the defer — the serial engine heappushes the arrival at this exact
+    one shard).  ``sim_seq`` snapshots the kernel's push-seq counter at
+    the defer — the serial engine pushes the arrival at this exact
     moment, so the snapshot is the frame's push-order position among
-    locally-kept same-timestamp heap entries (imported frames lose it at
+    locally-kept same-timestamp cohort entries (imported frames lose it at
     the wire: counters from different shards do not compare).
     """
 
@@ -372,7 +372,7 @@ class _ShardTaint(Exception):
 
 
 def _push_vt(marks: list, seq: int, sim) -> float:
-    """Virtual time at which pending heap entry *seq* was pushed.
+    """Virtual time at which pending cohort entry *seq* was pushed.
 
     *marks* is the worker's ``(seq_counter, vtime)`` checkpoint list,
     appended from ``on_advance`` each time a timestamp closes: every seq
@@ -410,21 +410,21 @@ def _merge_deferred(
     destination node's downlink, and that case raises
     :class:`_ShardTaint` (serial fallback) instead of guessing.
 
-    Heap placement must be serial-true, not merely time-true.  Serial
-    dispatch breaks arrival-time ties by heap seq — i.e. by *push order*,
-    and a frame is pushed at its inject dispatch.  A deferred frame
+    Queue placement must be serial-true, not merely time-true.  Serial
+    dispatch breaks arrival-time ties by cohort position — i.e. by *push
+    order*, and a frame is pushed at its inject dispatch.  A deferred frame
     pushed here, at the barrier, would sort after every same-arrival
     local entry pushed during past windows, even ones the serial engine
     pushed *after* the frame's inject (observable: the destination
     process resumes before the frame lands, takes the wait-then-wake
     path, and ``events_dispatched`` drifts).  So each deferred frame is
     compared, via the worker's push-time checkpoints (*marks*), against
-    the pending entries sharing its arrival time, and the whole
-    same-time cohort is *renumbered* with fresh consecutive integer
-    seqs in serial push order.  Renumbering (rather than fractional
-    interpolation between neighbouring seqs) survives any insertion
-    volume — repeated midpoints exhaust double precision on large
-    tiers.  Renumbered non-frame entries lose their mark mapping, so
+    the pending entries sharing its arrival time (one ``_cohorts``
+    lookup), and the whole same-time cohort is rewritten in place, in
+    serial push order, *renumbered* with fresh consecutive integer
+    seqs.  Renumbering (rather than fractional interpolation between
+    neighbouring seqs) survives any insertion volume — repeated
+    midpoints exhaust double precision on large tiers.  Renumbered non-frame entries lose their mark mapping, so
     their true push time is remembered in *reseq* (new seq -> push
     time), consulted before the marks at later merges.  Entries pushed
     at the exact inject instant by another shard are the one genuinely
@@ -455,51 +455,38 @@ def _merge_deferred(
     if not entries:
         return
     entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    queue = sim._queue
+    times = sim._queue
+    cohorts = sim._cohorts
     # Pass 1 — canonical-order pricing: downlink occupancy must evolve in
-    # serial inject order regardless of where each frame lands in the heap.
-    priced: List[Tuple[float, float, Any, Any]] = []
+    # serial inject order regardless of where each frame lands in the queue.
+    by_arrival: Dict[float, list] = {}
     for inject_time, _sh, _seq, (frame, t_head, ser, extra_delay, sim_seq) in entries:
         arrival = fab.price_deferred(frame.src, frame.dst, t_head, ser, extra_delay)
         # Serial inject stamps sent_at at dispatch; imported frames must
         # carry it too — it is the push-order witness for later merges.
         frame.sent_at = inject_time
-        priced.append((arrival, inject_time, sim_seq, frame))
-    # Pass 2 — serial-true heap placement.  One queue scan collects the
-    # pending entries sharing any of our arrival times (and the minimum
-    # pending seq, which bounds how far back push-time checkpoints can
-    # still be queried — everything older is pruned).
-    arrival_times = {p[0] for p in priced}
-    colliders: Dict[float, list] = {}
-    min_pending: Optional[float] = None
-    for t, seq_e, _ev in queue:
-        if min_pending is None or seq_e < min_pending:
-            min_pending = seq_e
-        if t in arrival_times:
-            colliders.setdefault(t, []).append((seq_e, _ev))
-    if min_pending is not None:
+        by_arrival.setdefault(arrival, []).append((inject_time, sim_seq, frame))
+    # Pass 2 — serial-true placement inside each arrival time's cohort.
+    # Cohort lists are seq-ascending, so the oldest pending seq is the
+    # smallest list head; it bounds how far back push-time checkpoints can
+    # still be queried — everything older is pruned.
+    if cohorts:
+        min_pending = min(cohort[0][0] for cohort in cohorts.values())
         if marks is not None:
             del marks[: bisect_left(marks, (min_pending,))]
         if reseq:
             for k in [k for k in reseq if k < min_pending]:
                 del reseq[k]
-    by_arrival: Dict[float, list] = {}
-    for arrival, inject_time, defer_seq, frame in priced:
-        by_arrival.setdefault(arrival, []).append((inject_time, defer_seq, frame))
     for arrival, news in by_arrival.items():
-        row = colliders.get(arrival)
+        row = cohorts.get(arrival)
         if row is None:
             # Lookahead guarantees arrival >= window end > sim._now:
             # always a strict-future push, exactly where serial put it.
-            for _inject, _dseq, frame in news:
-                sim._seq += 1
-                heappush(queue, (arrival, sim._seq, frame))
-            continue
-        # Existing entries in push (= seq) order, each with its recovered
-        # virtual push time.  Seqs in a same-time cohort are push-ordered,
-        # so push times are monotone along this list.
-        row.sort()
-        merged: List[Tuple[float, Any, Optional[float], bool]] = []
+            row = cohorts[arrival] = []
+            heappush(times, arrival)
+        # Pending entries in push (= list) order, each with its recovered
+        # virtual push time; push times are monotone along the cohort.
+        merged: List[Tuple[float, Any, Optional[int], bool]] = []
         for seq_e, ev in row:
             pushed_at = getattr(ev, "sent_at", None)
             if pushed_at is None and reseq is not None:
@@ -528,7 +515,7 @@ def _merge_deferred(
                         raise _ShardTaint("same-instant push tie at shared arrival time")
                     # Locally-held frame: the defer snapshotted the kernel
                     # seq counter at the inject dispatch, which is exactly
-                    # where the serial engine would have heappushed us —
+                    # where the serial engine would have pushed us —
                     # entries with a higher seq were pushed after.
                     if seq_e <= defer_seq:
                         continue
@@ -537,34 +524,24 @@ def _merge_deferred(
             if pos != len(merged):
                 appended_only = False
             merged.insert(pos, (inject_time, frame, None, True))
+        first = sim._seq + 1
         if appended_only:
-            # Every deferred frame lands after all pending entries: fresh
-            # counter seqs already sort correctly.
-            for _pushed, frame, _seq, _new in merged[n_existing:]:
-                sim._seq += 1
-                heappush(queue, (arrival, sim._seq, frame))
+            # Every deferred frame lands after all pending entries (or the
+            # cohort is new): fresh counter seqs at the tail sort correctly.
+            sim._seq += len(news)
+            row.extend((seq, m[1]) for seq, m in enumerate(merged[n_existing:], first))
             continue
-        # Renumber the whole same-time cohort with fresh consecutive
-        # integers in serial order.  Seqs only ever compare within one
-        # timestamp, and the new seqs stay below every future push, so
-        # this is invisible outside the cohort.
-        base = sim._seq
+        # Rewrite the cohort in serial order under fresh consecutive seqs.
+        # Seqs only ever compare within one timestamp, and the new seqs
+        # stay below every future push, so this is invisible outside it.
         sim._seq += len(merged)
-        remap: Dict[float, float] = {}
-        for i, (pushed_at, obj, seq_e, is_new) in enumerate(merged):
-            nseq = base + 1 + i
-            if is_new:
-                queue.append((arrival, nseq, obj))
-            else:
-                remap[seq_e] = nseq
-                if getattr(obj, "sent_at", None) is None and reseq is not None:
+        if reseq is not None:
+            for seq, (pushed_at, obj, _seq_e, is_new) in enumerate(merged, first):
+                if not is_new and getattr(obj, "sent_at", None) is None:
                     # Non-frame entries carry no sent_at; keep their true
                     # push time reachable under the new seq.
-                    reseq[nseq] = pushed_at
-        for k, item in enumerate(queue):
-            if item[0] == arrival and item[1] in remap:
-                queue[k] = (arrival, remap[item[1]], item[2])
-        heapify(queue)
+                    reseq[seq] = pushed_at
+        row[:] = [(seq, m[1]) for seq, m in enumerate(merged, first)]
 
 
 def _drain_router(job, plan: ShardPlan, shard_id: int):
@@ -663,7 +640,7 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
     fab.on_crash.append(lambda p: crash_times.__setitem__(p, sim.now))
     # Push-time checkpoints for serial-true merge placement: each clock
     # advance closes a timestamp, so (seq counter, vtime) pairs let the
-    # merge recover the exact virtual time any pending heap entry was
+    # merge recover the exact virtual time any pending cohort entry was
     # pushed at (see _push_vt).  Chains the inherited hook (arena trimmer).
     marks: List[Tuple[int, float]] = []
     # Push times of renumbered non-frame entries (new seq -> virtual push

@@ -15,10 +15,8 @@ Events are the unit of simulation work — every frame delivery, CPU charge
 and process wake-up allocates one — so the class is kept deliberately lean:
 ``__slots__`` everywhere, the callback list allocated lazily on first
 ``add_callback``, and zero-delay completion appended straight to the
-simulator's near-horizon bucket (one FIFO append — no sequence counter,
-no tuple, no heap sift) without going through :meth:`Simulator.schedule`.
-In heap-only mode (``Simulator(bucketed=False)``) the same sites push the
-seed-shaped ``(now, seq, event)`` heap entry instead.
+simulator's now-time bucket (one FIFO append — no sequence counter, no
+tuple, no heap sift) without going through :meth:`Simulator.schedule`.
 """
 
 from __future__ import annotations
@@ -93,12 +91,7 @@ class Event:
         self._value = value
         self._ok = True
         if delay == 0.0:
-            sim = self.sim
-            if sim._bucketed:
-                sim._bucket.append(self)
-            else:
-                sim._seq += 1
-                heappush(sim._queue, (sim._now, sim._seq, self))
+            self.sim._bucket.append(self)
         else:
             self.sim.schedule(self, delay)
         return self
@@ -160,7 +153,7 @@ class Timeout(Event):
 
     Construction is the PML's per-frame CPU-charge path, so the generic
     ``Event.__init__`` + ``succeed`` pair is inlined into direct slot
-    writes plus one heap push.
+    writes plus one queue push.
     """
 
     __slots__ = ("delay",)
@@ -175,9 +168,15 @@ class Timeout(Event):
         self._fired = False
         self.cancelled = False
         self.delay = delay
-        if delay or not sim._bucketed:
+        if delay:
             sim._seq += 1
-            heappush(sim._queue, (sim._now + delay, sim._seq, self))
+            when = sim._now + delay
+            cohort = sim._cohorts.get(when)
+            if cohort is None:
+                sim._cohorts[when] = [(sim._seq, self)]
+                heappush(sim._queue, when)
+            else:
+                cohort.append((sim._seq, self))
         else:
             sim._bucket.append(self)
 

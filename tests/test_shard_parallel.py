@@ -27,6 +27,9 @@ Three layers pinned here:
 
 from __future__ import annotations
 
+import math
+import multiprocessing as mp
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -237,6 +240,99 @@ def test_zero_leak_balance_holds_globally_after_merge():
     assert fab["envs_exported"] == fab["envs_imported"]
     # Same stranded attribution as serial (empty on a clean run).
     assert res.stranded_by_site == _run("sdr", 16, iters=2, nbytes=256).stranded_by_site
+
+
+def _charge_until(mpi, when):
+    """One CPU charge whose queue entry lands *exactly* on *when*."""
+    now = mpi.sim.now
+    charge = when - now
+    while now + charge < when:
+        charge = math.nextafter(charge, math.inf)
+    while now + charge > when:
+        charge = math.nextafter(charge, -math.inf)
+    yield charge
+
+
+def _collision_app(mpi, pairs, arrival=None, late_at=None):
+    """Two senders each put one inter-node frame on the wire at the same
+    instant; both arrive at *arrival*.  The first receiver's charge to
+    *arrival* is pushed long **before** the inject, the second's just
+    **after** it (at *late_at*), so the destination shard's cohort for
+    *arrival* must read ``[charge, frame, frame, charge]`` — and each
+    receiver checks its inbox the instant its charge fires, so a frame
+    placed on the wrong side of either charge moves ``events``."""
+    rank, dsts = mpi.rank, list(pairs.values())
+    if rank in pairs:
+        yield 3e-6
+        yield from mpi.send(rank, dest=pairs[rank], tag=1)
+    elif rank in dsts:
+        req = yield from mpi.irecv(source=list(pairs)[dsts.index(rank)], tag=1)
+        if arrival is not None:
+            if rank == dsts[1]:
+                yield from _charge_until(mpi, late_at)
+            yield from _charge_until(mpi, arrival)
+        yield from mpi.wait(req)
+    else:
+        yield 1e-5  # keep the collision window free of collective traffic
+    return (yield from mpi.allreduce(rank, op="sum"))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [{3: 40, 11: 48}, {35: 40, 59: 48}],
+    ids=["imported-frames", "locally-held-frames"],
+)
+def test_merge_rewrites_cohort_around_deferred_frames(pairs, monkeypatch):
+    """64 ranks on 2 workers, built to take ``_merge_deferred``'s cohort
+    *rewrite* (not the append) path: deferred frames land in a pending
+    same-arrival cohort between an entry pushed before their inject and
+    one pushed after it.  A spy proves the path was taken; the fingerprint
+    proves the placement is the serial one."""
+    from repro.network.fabric import Frame
+    from repro.sim import shard
+
+    def job(workers=0, **kwargs):
+        cfg = ReplicationConfig(degree=1, protocol="native")
+        job = Job(
+            64,
+            cfg=cfg,
+            cluster=cluster_for(64, 1),
+            parallel=ParallelConfig(workers=workers) if workers else None,
+        )
+        return job.launch(_collision_app, pairs=pairs, **kwargs)
+
+    # Calibrate on the serial engine: when the two frames inject and land.
+    flights = []
+
+    def record(t, ev):
+        if type(ev) is Frame and pairs.get(ev.src) == ev.dst:
+            flights.append((ev.sent_at, t))
+
+    probe = job()
+    probe.sim.trace_hook = record
+    probe.run()
+    assert len(flights) == 2 and flights[0] == flights[1]
+    inject, arrival = flights[0]
+    timing = dict(arrival=arrival, late_at=inject + 1e-9)
+
+    interior = mp.Value("i", 0)  # shared with the forked workers
+    merge = shard._merge_deferred
+
+    def spy(job, *args):
+        cohorts = job.sim._cohorts
+        before = {t: {id(ev) for _seq, ev in cohort} for t, cohort in cohorts.items()}
+        merge(job, *args)
+        for t, old in before.items():
+            kept = [id(ev) in old for _seq, ev in cohorts[t]]
+            if False in kept and kept[0] and kept[-1]:
+                interior.value += 1
+
+    monkeypatch.setattr(shard, "_merge_deferred", spy)
+    serial = job(**timing).run()
+    parallel = job(workers=2, **timing).run()
+    assert parallel.parallel["fallback"] == [] and parallel.parallel["shards"] == 2
+    assert interior.value == 1
+    assert fingerprint(parallel) == fingerprint(serial)
 
 
 # ----------------------------------------------------------- shard planner

@@ -82,6 +82,26 @@ class TestRun:
         sim.call_at(2.0, lambda: pytest.fail("should not run"))
         assert sim.run() == "done"
 
+    def test_stop_mid_timestamp_keeps_the_rest_pending(self, sim):
+        """A batch interrupted by StopSimulation loses nothing: the rest of
+        the timestamp's cohort stays queued, ahead of same-time follow-ups,
+        and a second run resumes in order."""
+        seen = []
+
+        def first():
+            seen.append("a")
+            sim.call_in(0.0, lambda: seen.append("a.0"))
+            raise StopSimulation("halt")
+
+        sim.call_at(1.0, first)
+        sim.call_at(1.0, lambda: seen.append("b"))
+        sim.call_at(2.0, lambda: seen.append("c"))
+        assert sim.run() == "halt"
+        assert seen == ["a"] and sim.now == 1.0
+        assert sim.queue_size == 3 and sim.peek() == 1.0
+        sim.run()
+        assert seen == ["a", "b", "a.0", "c"]
+
     def test_events_dispatched_counter(self, sim):
         for t in range(5):
             sim.call_at(float(t), lambda: None)

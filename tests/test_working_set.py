@@ -137,7 +137,7 @@ class TestFlagEquivalence:
             spec = _run_flagged(
                 protocol, 4, 2,
                 interning=False, arena_trim=False, matching="linear",
-                pooling=False, bucketed=False, shared_state=False,
+                pooling=False, shared_state=False,
             )
             assert fast == spec, f"optimized stack diverged from full spec ({protocol})"
 

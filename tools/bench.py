@@ -101,6 +101,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
 import sys
 import time
@@ -154,6 +155,12 @@ class _FloorResult:
 
     def stat_total(self, key: str) -> int:
         return 0
+
+
+def _host_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _machinery_floor(n_procs: int = 64, charges: int = 4000) -> _FloorResult:
@@ -359,9 +366,7 @@ def measure(fn: Callable[[], Any], repeats: int = 3) -> Dict[str, Any]:
             # only beat serial when the host actually grants them cores.
             # On a 1-core host the @wN row measures the pure sharding tax
             # (window sync + relay pickling), not parallel speedup.
-            "host_cores": len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity")
-            else (os.cpu_count() or 1),
+            "host_cores": _host_cores(),
         }
     return row
 
@@ -493,6 +498,14 @@ def main(argv=None) -> int:
     if args.update:
         snap = record.setdefault("current", {"label": "committed engine", "modes": {}})
         snap.setdefault("modes", {})[mode] = results
+        # Tiers are refreshed at different times on different machines: say
+        # per mode which host (and how many usable cores) produced the row.
+        snap.setdefault("hosts", {})[mode] = {
+            "machine": platform.machine(),
+            "system": platform.system(),
+            "python": platform.python_version(),
+            "cores": _host_cores(),
+        }
         base = record.get("baseline", {}).get("modes", {}).get(mode, {})
         if base:
             record.setdefault("speedup_vs_baseline", {})[mode] = {

@@ -30,7 +30,7 @@
 #                 at the same tolerance.
 #
 # On an intentional engine change, refresh the snapshots with
-#   for t in "" --quick --paper --scale --scale4k --scale8k; do
+#   for t in "" --quick --floor --paper --scale --scale4k --scale8k; do
 #     python tools/bench.py $t --update
 #   done
 # and commit the result — the perf trajectory is part of the repo's

@@ -242,7 +242,7 @@ class Job:
                 f"matching must be 'indexed' or 'linear', got {matching!r}"
             )
         #: ``matching="linear"`` runs every PML on :class:`LinearMatchEngine`
-        #: (the executable matching spec) instead of the indexed SoA engine
+        #: (the matching-order oracle) instead of the indexed live-only engine
         self.matching = matching
         self.fabric = Fabric(self.sim, self.placement, jitter=jitter, cost_table=shape.cost_table)
         self.fabric.pool_frames = pooling

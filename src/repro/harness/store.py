@@ -3,12 +3,14 @@
 A sweep streams every audited run record as it completes — append-only
 JSONL for grep/jq-ability, plus a SQLite index over the axis and outcome
 columns so reports can query thousands of runs without re-parsing the
-stream.  Both artifacts are written to ``*.partial`` paths while the
-sweep runs and moved to their final names in :meth:`SweepStore.finalize`
-via :func:`atomic_replace` — an interrupted nightly job leaves only
-``.partial`` droppings, never a truncated final artifact that would
-poison the next consumer.  ``sdr-mpi campaign --json`` shares the same
-helper (:func:`atomic_write_text`) for its single-shot artifact.
+stream.  The JSONL is flushed line by line to a ``*.partial`` path while
+the sweep runs; the index, which nobody can open before then, is built
+from the buffered rows in one transaction in :meth:`SweepStore.finalize`,
+and both are moved to their final names there via :func:`atomic_replace` —
+an interrupted nightly job leaves only ``.partial`` droppings, never a
+truncated final artifact that would poison the next consumer.  ``sdr-mpi
+campaign --json`` shares the same helper (:func:`atomic_write_text`) for
+its single-shot artifact.
 
 Schema (``runs`` table; ``record`` holds the full JSON line)::
 
@@ -82,13 +84,16 @@ class SweepStore:
     :meth:`open` → :meth:`records` / :meth:`sql` / :attr:`summary`.
     """
 
-    def __init__(self, base: str, *, _writable: bool, _conn: sqlite3.Connection) -> None:
+    def __init__(
+        self, base: str, *, _writable: bool, _conn: Optional[sqlite3.Connection] = None
+    ) -> None:
         self.base = base
         self.jsonl_path = base + ".jsonl"
         self.db_path = base + ".sqlite"
         self._writable = _writable
-        self._conn = _conn
+        self._conn = _conn  # read side only: the index is written in finalize()
         self._jsonl_fh = None
+        self._rows: List[Tuple] = []
         self._finalized = False
 
     # ------------------------------------------------------------- creation
@@ -108,23 +113,20 @@ class SweepStore:
         for stale in (jsonl + ".partial", db + ".partial"):
             if os.path.exists(stale):
                 os.remove(stale)
-        conn = sqlite3.connect(db + ".partial")
-        conn.executescript(_SCHEMA)
-        store = cls(base, _writable=True, _conn=conn)
+        store = cls(base, _writable=True)
         store._jsonl_fh = open(jsonl + ".partial", "w")
         return store
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Stream one run record: a JSONL line plus an index row."""
+        """Stream one run record: a flushed JSONL line now, its index row
+        buffered for :meth:`finalize`."""
         if not self._writable or self._finalized:
             raise StoreError("append() on a read-only or finalized store")
         line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
         self._jsonl_fh.write(line + "\n")
         self._jsonl_fh.flush()
         metrics = record.get("metrics") or {}
-        self._conn.execute(
-            f"INSERT INTO runs ({', '.join(_COLUMNS)}) VALUES "
-            f"({', '.join('?' * len(_COLUMNS))})",
+        self._rows.append(
             (
                 record["index"],
                 record["protocol"],
@@ -142,20 +144,29 @@ class SweepStore:
                 metrics.get("stranded_envs", 0),
                 record.get("fingerprint", ""),
                 line,
-            ),
+            )
         )
-        self._conn.commit()
 
     def finalize(self, summary: Optional[Dict[str, Any]] = None) -> None:
-        """Promote both ``.partial`` artifacts to their final names."""
+        """Write the index in one transaction, then promote both
+        ``.partial`` artifacts to their final names."""
         if not self._writable or self._finalized:
             raise StoreError("finalize() on a read-only or finalized store")
-        self._conn.execute(
-            "INSERT INTO meta (summary) VALUES (?)",
-            (json.dumps(summary or {}, sort_keys=True, default=str),),
-        )
-        self._conn.commit()
-        self._conn.close()
+        conn = sqlite3.connect(self.db_path + ".partial")
+        try:
+            conn.executescript(_SCHEMA)
+            conn.executemany(
+                f"INSERT INTO runs ({', '.join(_COLUMNS)}) VALUES "
+                f"({', '.join('?' * len(_COLUMNS))})",
+                self._rows,
+            )
+            conn.execute(
+                "INSERT INTO meta (summary) VALUES (?)",
+                (json.dumps(summary or {}, sort_keys=True, default=str),),
+            )
+            conn.commit()
+        finally:
+            conn.close()
         self._jsonl_fh.flush()
         os.fsync(self._jsonl_fh.fileno())
         self._jsonl_fh.close()
@@ -167,7 +178,6 @@ class SweepStore:
         """Drop the ``.partial`` artifacts (nothing final is ever touched)."""
         if self._finalized or not self._writable:
             return
-        self._conn.close()
         if self._jsonl_fh is not None:
             self._jsonl_fh.close()
         for p in (self.jsonl_path + ".partial", self.db_path + ".partial"):

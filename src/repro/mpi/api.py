@@ -635,48 +635,51 @@ class MpiProcess:
             yield from self.pml.progress_step()
 
     # ------------------------------------------------------------ collectives
+    # These (and the communicator constructors below) hand back the
+    # algorithm's own generator: callers ``yield from`` it directly, so a
+    # collective wake does not traverse a pass-through frame here.
     def barrier(self, comm: Optional[Communicator] = None) -> Generator:
-        yield from coll.barrier(self, comm or self.world)
+        return coll.barrier(self, comm or self.world)
 
     def bcast(self, data: Any, root: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.bcast(self, comm or self.world, data, root))
+        return coll.bcast(self, comm or self.world, data, root)
 
     def reduce(
         self, data: Any, op: str = "sum", root: int = 0, comm: Optional[Communicator] = None
     ) -> Generator:
-        return (yield from coll.reduce(self, comm or self.world, data, op, root))
+        return coll.reduce(self, comm or self.world, data, op, root)
 
     def allreduce(self, data: Any, op: str = "sum", comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.allreduce(self, comm or self.world, data, op))
+        return coll.allreduce(self, comm or self.world, data, op)
 
     def gather(self, data: Any, root: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.gather(self, comm or self.world, data, root))
+        return coll.gather(self, comm or self.world, data, root)
 
     def scatter(
         self, chunks: Optional[List[Any]], root: int = 0, comm: Optional[Communicator] = None
     ) -> Generator:
-        return (yield from coll.scatter(self, comm or self.world, chunks, root))
+        return coll.scatter(self, comm or self.world, chunks, root)
 
     def allgather(self, data: Any, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.allgather(self, comm or self.world, data))
+        return coll.allgather(self, comm or self.world, data)
 
     def alltoall(self, chunks: List[Any], comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.alltoall(self, comm or self.world, chunks))
+        return coll.alltoall(self, comm or self.world, chunks)
 
     def reduce_scatter(
         self, chunks: List[Any], op: str = "sum", comm: Optional[Communicator] = None
     ) -> Generator:
-        return (yield from coll.reduce_scatter_block(self, comm or self.world, chunks, op))
+        return coll.reduce_scatter_block(self, comm or self.world, chunks, op)
 
     def scan(self, data: Any, op: str = "sum", comm: Optional[Communicator] = None) -> Generator:
-        return (yield from coll.scan(self, comm or self.world, data, op))
+        return coll.scan(self, comm or self.world, data, op)
 
     # ---------------------------------------------------------- communicators
     def comm_dup(self, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from (comm or self.world).dup())
+        return (comm or self.world).dup()
 
     def comm_split(self, color: int, key: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from (comm or self.world).split(color, key))
+        return (comm or self.world).split(color, key)
 
     def comm_create(self, group, comm: Optional[Communicator] = None) -> Generator:
-        return (yield from (comm or self.world).create(group))
+        return (comm or self.world).create(group)

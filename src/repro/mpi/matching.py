@@ -15,34 +15,39 @@ MPI matching rules implemented here:
 Two implementations share that contract:
 
 :class:`MatchEngine` (the default) indexes both queues by
-``(ctx, source, tag)`` *pattern lanes*.  A posted receive lives in exactly
-one lane — the lane of its own pattern, wildcards included.  An arriving
-envelope can be claimed by at most four patterns (``(ctx, src, tag)``,
-``(ctx, src, ANY)``, ``(ctx, ANY, tag)``, ``(ctx, ANY, ANY)``), so
-``arrive`` peeks four lane heads and takes the earliest-posted candidate —
-which is exactly the "first compatible receive in posting order" rule.
-Symmetrically, an unexpected envelope is registered under all four of its
-pattern lanes; ``post`` looks up the single lane of the receive's own
-pattern and claims the head.
+``(ctx, source, tag)`` *pattern lanes* and holds state for pending entries
+only.  The pending receives and the parked envelopes each live in one dict
+keyed by their posting/arrival sequence number (dict order is queue order);
+a lane is a list ``[head, seq, seq, ...]`` of the live entries of one
+pattern, element 0 being the head cursor.  A posted receive is in exactly
+one lane, that of its own pattern, wildcards included.  An envelope falls
+under four pattern *classes* (``(ctx, src, tag)``, ``(ctx, src, ANY)``,
+``(ctx, ANY, tag)``, ``(ctx, ANY, ANY)``), but a class is indexed on an
+engine only from the first receive (or probe) of that class: that first
+use backfills the class's lanes from the parked envelopes in arrival
+order, and from then on ``arrive`` peeks the posted lane of each indexed
+class — taking the earliest-posted head, which is exactly the "first
+compatible receive in posting order" rule — and registers an unexpected
+envelope under each indexed class, so ``post`` finds "first compatible
+envelope in arrival order" at the head of the single lane of its own
+pattern.  A send-deterministic SPMD process only ever indexes the exact
+class: one dict operation per post and per arrival.
 
-Structure-of-arrays layout (the run-time working-set pass): entries live
-in parallel slot arrays (``seq``/``item`` for posted, ``seq``/``env``/
-``refs`` for unexpected) with a free-slot stack, and a lane is a plain
-list of slot indices whose element 0 is the head cursor — ``[head, s0,
-s1, ...]``.  The previous layout kept one ``deque`` per pattern lane
-holding a 3-element list per entry; at 8192+ processes those per-lane
-deques (~760 B each, ~tens of lanes per PML) were the single largest
-run-time working-set term the profiler found.  A lane list costs ~64 B
-and an entry costs two array cells plus one lane int.  Claimed/cancelled
-entries are tombstoned in place (``item``/``env`` cell cleared — which
-frees the payload immediately) and their slots recycled when they surface
-at a lane head, keeping every operation amortized O(1); an unexpected
-slot is recycled once all four lanes have dropped their reference
-(``refs`` cell).  Drained lanes are truncated back to ``[1]`` and long
-dead prefixes compacted, so lane lists cannot grow without bound.
+Nothing dead is kept.  A claim removes the envelope from every lane that
+holds it (it is the head of the claiming lane and of every narrower one;
+in a wider lane it may sit behind older envelopes, where removal costs a
+scan of that lane), a cancel removes the receive from its lane, and a lane
+whose last entry goes leaves its dict at once, key tuple and all.  Lane
+heads advance by cursor and a dead prefix longer than the live remainder
+is cut, so every operation on the head of a lane is amortized O(1) and the
+engine's footprint is proportional to what is pending — the earlier
+layout bounded the lane *lists* but kept a lane-dict entry for every
+pattern ever seen and slot-array cells for every envelope whose sibling
+lanes were never visited again, which on fresh-tag-per-round collectives
+grew without bound (``docs/performance.md``, "Live-only matching").
 
 :class:`LinearMatchEngine` is the seed engine's O(n)-scan implementation,
-kept as the executable specification: the property tests in
+kept as the matching-order oracle: the property tests in
 ``tests/test_matching_equivalence.py`` drive both engines with randomized
 post/arrive/cancel/probe streams (including wildcards) and require
 identical pairing decisions, and ``Job(matching="linear")`` runs entire
@@ -61,7 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["MatchEngine", "LinearMatchEngine"]
 
-#: compact a lane's dead prefix once the head cursor passes this depth
+#: cut a lane's dead prefix once the head cursor passes this depth (and
+#: the prefix outweighs the live remainder)
 _COMPACT_AT = 32
 
 
@@ -76,52 +82,35 @@ def _compatible(recv: "PmlRecvRequest", env: "Envelope") -> bool:
 
 
 class MatchEngine:
-    """Per-process matching state: (ctx, source, tag) lanes over slot arrays."""
+    """Per-process matching state: (ctx, source, tag) lanes over the
+    pending receives and parked envelopes only."""
 
     __slots__ = (
+        "_classes",
+        "_posted",
         "_posted_lanes",
-        "_posted_entry",
         "_posted_seq",
-        "_posted_pending",
-        "_p_seq",
-        "_p_item",
-        "_p_free",
+        "_unexpected",
         "_unexpected_lanes",
-        "_unexpected_seq",
-        "_unexpected_pending",
-        "_u_seq",
-        "_u_env",
-        "_u_refs",
-        "_u_free",
         "unexpected_count",
         "unexpected_peak",
     )
 
     def __init__(self) -> None:
-        #: posting-order lanes: pattern key -> [head, slot, slot, ...]
+        #: indexed pattern classes, as (source is ANY, tag is ANY) pairs in
+        #: order of first use
+        self._classes: Tuple[Tuple[bool, bool], ...] = ()
+        #: pending receives by posting seq (dict order = posting order)
+        self._posted: Dict[int, "PmlRecvRequest"] = {}
+        #: receive pattern -> [head, seq, ...] of the receives posted with it
         self._posted_lanes: Dict[Tuple, list] = {}
-        #: recv identity -> its slot index (for O(1) cancel)
-        self._posted_entry: Dict[int, int] = {}
         self._posted_seq = 0
-        self._posted_pending = 0
-        # posted slot arrays (parallel): posting seq + the request itself;
-        # a cleared item cell is a tombstone, recycled via the free stack
-        self._p_seq: List[int] = []
-        self._p_item: List[Optional["PmlRecvRequest"]] = []
-        self._p_free: List[int] = []
-        #: arrival-order lanes: pattern key -> [head, slot, slot, ...];
-        #: each envelope's slot appears in all four patterns that could
-        #: claim it
+        #: parked envelopes by arrival seq — ``unexpected_count`` at arrival
+        #: (dict order = arrival order)
+        self._unexpected: Dict[int, "Envelope"] = {}
+        #: pattern -> [head, seq, ...] of the parked envelopes it covers,
+        #: for the patterns of indexed classes only
         self._unexpected_lanes: Dict[Tuple, list] = {}
-        self._unexpected_seq = 0
-        self._unexpected_pending = 0
-        # unexpected slot arrays (parallel): arrival seq, the envelope
-        # (cleared on claim — frees payload while tombstones linger), and
-        # the number of lanes still referencing the slot (recycle at 0)
-        self._u_seq: List[int] = []
-        self._u_env: List[Optional["Envelope"]] = []
-        self._u_refs: List[int] = []
-        self._u_free: List[int] = []
         #: number of messages that arrived before their receive was posted
         self.unexpected_count = 0
         #: high-water mark of the unexpected queue
@@ -131,97 +120,102 @@ class MatchEngine:
     @property
     def posted(self) -> List["PmlRecvRequest"]:
         """Pending posted receives in posting order (diagnostics/tests)."""
-        seqs = self._p_seq
-        live = [
-            (seqs[slot], item)
-            for slot, item in enumerate(self._p_item)
-            if item is not None
-        ]
-        live.sort(key=lambda e: e[0])
-        return [item for _s, item in live]
+        return list(self._posted.values())
 
     @property
     def unexpected(self) -> List["Envelope"]:
         """Pending unexpected envelopes in arrival order (diagnostics/tests)."""
-        seqs = self._u_seq
-        live = [
-            (seqs[slot], env)
-            for slot, env in enumerate(self._u_env)
-            if env is not None
-        ]
-        live.sort(key=lambda e: e[0])
-        return [env for _s, env in live]
+        return list(self._unexpected.values())
+
+    def footprint(self) -> Tuple[int, int]:
+        """``(lanes, cells)`` held right now: lane-dict entries, and queue
+        entries plus lane-list elements (the boundedness tests' measure)."""
+        lanes = list(self._posted_lanes.values()) + list(self._unexpected_lanes.values())
+        cells = len(self._posted) + len(self._unexpected) + sum(map(len, lanes))
+        return len(lanes), cells
 
     # ----------------------------------------------------------- post side
+    def _index_class(self, any_src: bool, any_tag: bool) -> None:
+        """Start indexing a pattern class, at its first receive or probe on
+        this engine: backfill its lanes from the parked envelopes in
+        arrival order; every later arrival registers under it."""
+        self._classes += ((any_src, any_tag),)
+        lanes = self._unexpected_lanes
+        for seq, env in self._unexpected.items():
+            key = (
+                env.ctx,
+                ANY_SOURCE if any_src else env.src_rank,
+                ANY_TAG if any_tag else env.tag,
+            )
+            lane = lanes.get(key)
+            if lane is None:
+                lanes[key] = [1, seq]
+            else:
+                lane.append(seq)
+
     def post(self, recv: "PmlRecvRequest") -> Optional["Envelope"]:
         """Register a receive; returns an unexpected envelope if one matches."""
-        key = (recv.ctx, recv.source, recv.tag)
-        lane = self._unexpected_lanes.get(key)
+        source = recv.source
+        tag = recv.tag
+        key = (recv.ctx, source, tag)
+        lanes = self._unexpected_lanes
+        lane = lanes.get(key)
+        if lane is None and (source == ANY_SOURCE, tag == ANY_TAG) not in self._classes:
+            self._index_class(source == ANY_SOURCE, tag == ANY_TAG)
+            lane = lanes.get(key)
         if lane is not None:
-            u_env = self._u_env
-            u_refs = self._u_refs
-            u_free = self._u_free
-            h = lane[0]
-            n = len(lane)
-            claimed = None
-            while h < n:
-                slot = lane[h]
+            # Claim the head: it leaves every lane that holds it.  It heads
+            # the claiming lane and every narrower one; in a wider lane it
+            # may sit behind older envelopes, which then stay (that lane
+            # cannot drain here).
+            seq = lane[lane[0]]
+            env = self._unexpected.pop(seq)
+            ctx = env.ctx
+            for any_src, any_tag in self._classes:
+                k = (ctx, ANY_SOURCE if any_src else env.src_rank, ANY_TAG if any_tag else env.tag)
+                sibling = lanes[k]
+                h = sibling[0]
+                if sibling[h] != seq:
+                    del sibling[sibling.index(seq, h)]
+                    continue
+                # Pop the head: a drained lane leaves the dict; a consumed
+                # prefix longer than the live remainder is cut.
                 h += 1
-                env = u_env[slot]
-                # This lane drops its reference whether the slot is a
-                # tombstone being compacted or the live head being claimed.
-                r = u_refs[slot] - 1
-                u_refs[slot] = r
-                if env is not None:
-                    # Clearing the env cell frees the envelope's payload
-                    # now, even though the other three lanes only drop
-                    # their tombstones when they surface at a head.
-                    u_env[slot] = None
-                    if r == 0:
-                        u_free.append(slot)
-                    claimed = env
-                    break
-                if r == 0:
-                    u_free.append(slot)
-            if h >= n:
-                del lane[1:]
-                lane[0] = 1
-            elif h > _COMPACT_AT:
-                del lane[1:h]
-                lane[0] = 1
-            else:
-                lane[0] = h
-            if claimed is not None:
-                self._unexpected_pending -= 1
-                return claimed
-        self._posted_seq += 1
-        p_free = self._p_free
-        if p_free:
-            slot = p_free.pop()
-            self._p_seq[slot] = self._posted_seq
-            self._p_item[slot] = recv
+                n = len(sibling)
+                if h == n:
+                    del lanes[k]
+                elif h > _COMPACT_AT and h + h > n:
+                    del sibling[1:h]
+                    sibling[0] = 1
+                else:
+                    sibling[0] = h
+            return env
+        self._posted_seq = seq = self._posted_seq + 1
+        self._posted[seq] = recv
+        lane = self._posted_lanes.get(key)
+        if lane is None:
+            self._posted_lanes[key] = [1, seq]
         else:
-            slot = len(self._p_seq)
-            self._p_seq.append(self._posted_seq)
-            self._p_item.append(recv)
-        posted_lane = self._posted_lanes.get(key)
-        if posted_lane is None:
-            posted_lane = self._posted_lanes[key] = [1]
-        posted_lane.append(slot)
-        self._posted_entry[id(recv)] = slot
-        self._posted_pending += 1
+            lane.append(seq)
         return None
 
     def cancel(self, recv: "PmlRecvRequest") -> bool:
         """Remove a posted receive; False if it already matched."""
-        slot = self._posted_entry.pop(id(recv), None)
-        if slot is None:
+        key = (recv.ctx, recv.source, recv.tag)
+        lane = self._posted_lanes.get(key)
+        if lane is None:
             return False
-        # Tombstone in place; the slot recycles when it surfaces at its
-        # lane's head (arrive/post head-compaction).
-        self._p_item[slot] = None
-        self._posted_pending -= 1
-        return True
+        posted = self._posted
+        head = lane[0]
+        for i in range(head, len(lane)):
+            seq = lane[i]
+            if posted[seq] is recv:
+                del posted[seq]
+                del lane[i]
+                if len(lane) == head:
+                    del self._posted_lanes[key]
+                return True
+        return False
 
     # -------------------------------------------------------- arrival side
     def arrive(self, env: "Envelope") -> Optional["PmlRecvRequest"]:
@@ -230,143 +224,75 @@ class MatchEngine:
         ctx = env.ctx
         src = env.src_rank
         tag = env.tag
+        classes = self._classes
         lanes = self._posted_lanes
-        p_item = self._p_item
-        p_seq = self._p_seq
-        p_free = self._p_free
+        best = None
+        best_key = None
         best_seq = 0
-        best_lane = None
-        best_slot = -1
-        for key in (
-            (ctx, src, tag),
-            (ctx, src, ANY_TAG),
-            (ctx, ANY_SOURCE, tag),
-            (ctx, ANY_SOURCE, ANY_TAG),
-        ):
+        # A class nobody posted a receive of has no posted lanes: peek one
+        # lane head per indexed class, the earliest-posted wins.
+        for any_src, any_tag in classes:
+            key = (ctx, ANY_SOURCE if any_src else src, ANY_TAG if any_tag else tag)
+            lane = lanes.get(key)
+            if lane is not None:
+                seq = lane[lane[0]]
+                if best is None or seq < best_seq:
+                    best = lane
+                    best_key = key
+                    best_seq = seq
+        if best is not None:
+            # Pop the head, as in post().
+            h = best[0] + 1
+            n = len(best)
+            if h == n:
+                del lanes[best_key]
+            elif h > _COMPACT_AT and h + h > n:
+                del best[1:h]
+                best[0] = 1
+            else:
+                best[0] = h
+            return self._posted.pop(best_seq)
+        self.unexpected_count = seq = self.unexpected_count + 1
+        parked = self._unexpected
+        parked[seq] = env
+        if len(parked) > self.unexpected_peak:
+            self.unexpected_peak = len(parked)
+        lanes = self._unexpected_lanes
+        for any_src, any_tag in classes:
+            key = (ctx, ANY_SOURCE if any_src else src, ANY_TAG if any_tag else tag)
             lane = lanes.get(key)
             if lane is None:
-                continue
-            h = lane[0]
-            n = len(lane)
-            # Drop tombstones (matched or cancelled receives) at the head,
-            # recycling their slots.
-            while h < n:
-                slot = lane[h]
-                if p_item[slot] is not None:
-                    break
-                p_free.append(slot)
-                h += 1
-            if h >= n:
-                if n > 1:
-                    del lane[1:]
-                lane[0] = 1
-                continue
-            if h > _COMPACT_AT:
-                del lane[1:h]
-                lane[0] = 1
+                lanes[key] = [1, seq]
             else:
-                lane[0] = h
-            slot = lane[lane[0]]
-            s = p_seq[slot]
-            if best_lane is None or s < best_seq:
-                best_seq = s
-                best_lane = lane
-                best_slot = slot
-        if best_lane is not None:
-            recv = p_item[best_slot]
-            p_item[best_slot] = None
-            p_free.append(best_slot)
-            h = best_lane[0] + 1
-            if h >= len(best_lane):
-                del best_lane[1:]
-                best_lane[0] = 1
-            else:
-                best_lane[0] = h
-            del self._posted_entry[id(recv)]
-            self._posted_pending -= 1
-            return recv
-        # Unexpected: register the slot under every pattern that could
-        # later claim it (four lane references).
-        self._unexpected_seq += 1
-        u_free = self._u_free
-        if u_free:
-            slot = u_free.pop()
-            self._u_seq[slot] = self._unexpected_seq
-            self._u_env[slot] = env
-            self._u_refs[slot] = 4
-        else:
-            slot = len(self._u_seq)
-            self._u_seq.append(self._unexpected_seq)
-            self._u_env.append(env)
-            self._u_refs.append(4)
-        ulanes = self._unexpected_lanes
-        for key in (
-            (ctx, src, tag),
-            (ctx, src, ANY_TAG),
-            (ctx, ANY_SOURCE, tag),
-            (ctx, ANY_SOURCE, ANY_TAG),
-        ):
-            lane = ulanes.get(key)
-            if lane is None:
-                lane = ulanes[key] = [1]
-            lane.append(slot)
-        self._unexpected_pending += 1
-        self.unexpected_count += 1
-        if self._unexpected_pending > self.unexpected_peak:
-            self.unexpected_peak = self._unexpected_pending
+                lane.append(seq)
         return None
 
     # ------------------------------------------------------------- queries
     def probe(self, ctx, source: int, tag: int) -> Optional["Envelope"]:
         """First unexpected envelope compatible with (ctx, source, tag)."""
-        lane = self._unexpected_lanes.get((ctx, source, tag))
+        key = (ctx, source, tag)
+        lane = self._unexpected_lanes.get(key)
+        if lane is None and (source == ANY_SOURCE, tag == ANY_TAG) not in self._classes:
+            self._index_class(source == ANY_SOURCE, tag == ANY_TAG)
+            lane = self._unexpected_lanes.get(key)
         if lane is None:
             return None
-        u_env = self._u_env
-        u_refs = self._u_refs
-        u_free = self._u_free
-        h = lane[0]
-        n = len(lane)
-        # Non-destructive for live entries, but dead heads can be dropped.
-        while h < n:
-            slot = lane[h]
-            env = u_env[slot]
-            if env is not None:
-                lane[0] = h
-                return env
-            r = u_refs[slot] - 1
-            u_refs[slot] = r
-            if r == 0:
-                u_free.append(slot)
-            h += 1
-        del lane[1:]
-        lane[0] = 1
-        return None
+        return self._unexpected[lane[lane[0]]]
 
     def drain_unexpected(self) -> List["Envelope"]:
         """Remove and return every pending unexpected envelope, in arrival
         order (end-of-run teardown: the PML returns them to its arena)."""
-        u_env = self._u_env
-        u_seq = self._u_seq
-        live = [
-            (u_seq[slot], env) for slot, env in enumerate(u_env) if env is not None
-        ]
-        live.sort(key=lambda e: e[0])
-        out = [env for _s, env in live]
+        out = list(self._unexpected.values())
+        self._unexpected.clear()
         self._unexpected_lanes.clear()
-        del u_env[:]
-        del u_seq[:]
-        del self._u_refs[:]
-        del self._u_free[:]
-        self._unexpected_pending = 0
         return out
 
     def stats(self) -> dict:
         return {
             "unexpected_count": self.unexpected_count,
             "unexpected_peak": self.unexpected_peak,
-            "posted_pending": self._posted_pending,
-            "unexpected_pending": self._unexpected_pending,
+            "posted_pending": len(self._posted),
+            "unexpected_pending": len(self._unexpected),
         }
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.sim.rng import RngRegistry
@@ -184,7 +185,15 @@ def build_plans(cfg: TrafficConfig, n_ranks: int, seed: int) -> List[ClientPlan]
     candidate but consumes the same draw, so the three profiles share one
     draw discipline.  Per-client RNG streams keep one client's plan
     independent of every other's.
+
+    Memoised on its (frozen) arguments: a sweep binds the same population
+    once per protocol and fault mix, and the plans are immutable.
     """
+    return list(_sample_plans(cfg, n_ranks, seed))
+
+
+@lru_cache(maxsize=32)
+def _sample_plans(cfg: TrafficConfig, n_ranks: int, seed: int) -> Tuple[ClientPlan, ...]:
     cfg.validate()
     if n_ranks < 1:
         raise TrafficError(f"n_ranks must be >= 1, got {n_ranks}")
@@ -213,7 +222,7 @@ def build_plans(cfg: TrafficConfig, n_ranks: int, seed: int) -> List[ClientPlan]
                 rejected=tuple(rejected),
             )
         )
-    return plans
+    return tuple(plans)
 
 
 class TrafficBook:

@@ -7,9 +7,7 @@ by trace analyses and their tests.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
-
-import networkx as nx
+from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 __all__ = ["LamportClock", "happened_before", "causal_order_violations"]
 
@@ -42,10 +40,24 @@ def happened_before(
 ) -> bool:
     """True iff a →* b in the event graph given program-order and
     message-order *edges* (each edge is (earlier, later))."""
-    graph = nx.DiGraph(edges)
-    if a not in graph or b not in graph:
+    succ: Dict[Hashable, List[Hashable]] = {}
+    for earlier, later in edges:
+        succ.setdefault(earlier, []).append(later)
+        succ.setdefault(later, [])
+    if a not in succ or b not in succ:
         return False
-    return nx.has_path(graph, a, b)
+    # a →* a holds for any known event (the empty path).
+    seen: Set[Hashable] = {a}
+    frontier = [a]
+    while frontier:
+        node = frontier.pop()
+        if node == b:
+            return True
+        for nxt in succ[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
 
 
 def causal_order_violations(

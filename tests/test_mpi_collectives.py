@@ -190,3 +190,24 @@ def test_collectives_work_under_replication():
     res = run_app(app, 6, protocol="sdr")
     for proc, (s, g) in res.app_results.items():
         assert s == 15.0 and g == list(range(6))
+
+
+def test_entry_points_hand_back_the_algorithm_generator():
+    """``MpiProcess.<collective>`` returns the algorithm's own generator, so
+    a wake inside a collective resumes one frame fewer (``yield from
+    mpi.allreduce(...)`` in applications is unchanged)."""
+    from repro.harness.runner import Job
+
+    mpi = Job(2).mpis[0]
+    calls = {
+        "barrier": (), "bcast": (1,), "reduce": (1,), "allreduce": (1,), "gather": (1,),
+        "scatter": ([1, 2],), "allgather": (1,), "alltoall": ([1, 2],),
+        "reduce_scatter": ([1, 2],), "scan": (1,),
+        "comm_dup": (), "comm_split": (0,), "comm_create": (mpi.world.group,),
+    }  # fmt: skip
+    for name, args in calls.items():
+        gen = getattr(mpi, name)(*args)
+        try:
+            assert not gen.gi_code.co_filename.endswith("api.py"), name
+        finally:
+            gen.close()

@@ -9,6 +9,7 @@ the pooled test pins serial-vs-pool equivalence over a whole matrix; the
 crash test pins that a dying worker costs one config, not the sweep.
 """
 
+import json
 import os
 
 import pytest
@@ -243,6 +244,43 @@ class TestStore:
         with pytest.raises(StoreError, match="never finalized"):
             SweepStore.open(base)
         store.abandon()
+
+    def test_interrupted_sweep_leaves_only_partials(self, tmp_path):
+        """A sweep killed mid-run (no finalize, no abandon) leaves nothing
+        under a final name, and every record streamed so far is on disk."""
+        base = str(tmp_path / "sweep")
+        store = SweepStore.create(base)
+        for i in (2, 0, 1):
+            store.append(self._record(i))
+        del store  # the process dies here
+        left = os.listdir(tmp_path)
+        assert left and all(name.endswith(".partial") for name in left)
+        with open(base + ".jsonl.partial") as fh:
+            assert [json.loads(line)["index"] for line in fh] == [2, 0, 1]
+        with pytest.raises(StoreError, match="never finalized"):
+            SweepStore.open(base)
+        # the next sweep over the same base starts clean
+        SweepStore.create(base).finalize()
+        with SweepStore.open(base) as ro:
+            assert ro.records() == []
+
+    def test_finalized_index_returns_every_row_in_idx_order(self, tmp_path):
+        base = str(tmp_path / "sweep")
+        store = SweepStore.create(base)
+        order = [(7 * i) % 60 for i in range(60)]  # a permutation of 0..59
+        for i in order:
+            store.append(self._record(i, fingerprint=f"fp{i}"))
+        assert not os.path.exists(base + ".sqlite")  # the index is written at finalize
+        store.finalize({"n": 60})
+        assert sorted(os.listdir(tmp_path)) == ["sweep.jsonl", "sweep.sqlite"]
+        with SweepStore.open(base) as ro:
+            assert [r["index"] for r in ro.records()] == list(range(60))
+            assert ro.sql("SELECT idx, fingerprint FROM runs ORDER BY idx") == [
+                (i, f"fp{i}") for i in range(60)
+            ]
+            assert ro.sql("SELECT COUNT(*) FROM runs WHERE outcome = 'completed'") == [(60,)]
+        with open(base + ".jsonl") as fh:  # the stream keeps completion order
+            assert [json.loads(line)["index"] for line in fh] == order
 
     def test_missing_parent_dir_rejected(self, tmp_path):
         with pytest.raises(StoreError, match="directory does not exist"):

@@ -28,6 +28,15 @@ class TestLamport:
         assert not happened_before(edges, "c", "a")
         assert not happened_before(edges, "a", "y")
 
+    def test_happened_before_reflexive_on_known_events_and_cycle_safe(self):
+        edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]  # a cycle on the way
+        assert happened_before(edges, "a", "a")  # the empty path
+        assert happened_before(edges, "d", "d")  # ... for a sink too
+        assert happened_before(edges, "b", "d")
+        assert not happened_before(edges, "d", "a")
+        assert not happened_before(edges, "z", "z")  # unknown event
+        assert not happened_before(iter(edges), "a", "z")
+
     def test_clock_condition_holds_for_simulated_run(self):
         """Run a real exchange, stamp events with Lamport clocks, verify
         C(a) < C(b) along every program-order and message edge."""

@@ -76,6 +76,21 @@ def test_plans_are_seed_deterministic_and_balanced(seed, n_ranks, process, capac
             assert rej >= 0
 
 
+def test_build_plans_memo_hands_out_private_lists():
+    """The memo keys on the frozen arguments; callers get their own list
+    (of shared immutable plans), so none can corrupt another's."""
+    cfg = TrafficConfig(epochs=6)
+    a = build_plans(cfg, 3, seed=5)
+    a.pop()
+    b = build_plans(TrafficConfig(epochs=6), 3, seed=5)  # equal key, other object
+    assert len(b) == 3 and b[0] is a[0]
+    assert build_plans(cfg, 3, seed=6) != b
+    with pytest.raises(TrafficError):
+        build_plans(cfg, 0, seed=5)
+    with pytest.raises(TrafficError):  # an error is not cached as a result
+        build_plans(cfg, 0, seed=5)
+
+
 def test_adding_clients_never_shifts_existing_plans():
     """Per-client RNG streams: rank r's plan is independent of world size."""
     cfg = TrafficConfig(epochs=6)

@@ -10,9 +10,10 @@ keeping the previous implementation as its executable spec:
 * **high-water-trimmed arenas** (``arena_trim``) — the Frame/Envelope
   free lists are capped at a windowed high-water bound by a trimmer
   running from the kernel's quiescent-point ``on_advance`` hook;
-* **SoA match lanes** (the default :class:`~repro.mpi.matching.MatchEngine`,
-  with ``matching="linear"`` keeping the seed engine) — parallel slot
-  arrays + int-list lanes instead of a deque of entry lists per pattern.
+* **live-only match lanes** (the default
+  :class:`~repro.mpi.matching.MatchEngine`, with ``matching="linear"``
+  keeping the seed engine) — int-list lanes over the pending entries
+  only, so match state is O(pending), not O(messages ever seen).
 
 All three are host-side memory policy and must be *observationally
 invisible*: every randomized configuration here runs the same program
@@ -34,6 +35,7 @@ from repro.harness.report import render_table, working_set_rows
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.datatypes import PayloadInterner, Phantom
 from repro.mpi.errors import DeadlockError
+from repro.scenarios.ablation import anysource_fanin, ring_collectives
 
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
@@ -127,7 +129,7 @@ class TestFlagEquivalence:
     def test_soa_engine_matches_linear_spec(self, protocol, n, rounds):
         indexed = _run_flagged(protocol, n, rounds, matching="indexed")
         linear = _run_flagged(protocol, n, rounds, matching="linear")
-        assert indexed == linear, f"SoA engine diverged from linear spec ({protocol})"
+        assert indexed == linear, f"indexed engine diverged from linear spec ({protocol})"
 
     def test_all_flags_off_together(self):
         """The fully seed-shaped stack (every spec mode at once) agrees
@@ -174,7 +176,7 @@ class TestFlagEquivalenceUnderFailover:
     def test_soa_engine_matches_linear_spec_on_crashes(self, protocol, crash_at):
         indexed = _run_flagged(protocol, 4, 3, crash_at=crash_at, matching="indexed")
         linear = _run_flagged(protocol, 4, 3, crash_at=crash_at, matching="linear")
-        assert indexed == linear, f"SoA engine diverged under failover ({protocol})"
+        assert indexed == linear, f"indexed engine diverged under failover ({protocol})"
 
 
 # -------------------------------------------------------------- arena trimming
@@ -320,6 +322,64 @@ class TestPayloadInterning:
         parked = receiver.matching.unexpected
         assert len(parked) == 4
         assert all(env.data is parked[0].data for env in parked)
+
+
+# ---------------------------------------------------------- live-only matching
+class TestLiveOnlyMatching:
+    """Match state follows what is pending, not the run length (deterministic
+    and RSS-free: the measure is :meth:`MatchEngine.footprint`)."""
+
+    @staticmethod
+    def _run_sampled(protocol, n, app, **kwargs):
+        """Run *app*; returns (job, result, per-proc high-water (lanes, cells))
+        sampled at every quiescent point of the kernel."""
+        job = _job(protocol, n=n).launch(app, **kwargs)
+        engines = {proc: pml.matching for proc, pml in job.pmls.items()}
+        high = {proc: (0, 0) for proc in engines}
+        trim = job.sim.on_advance
+
+        def sample():
+            for proc, engine in engines.items():
+                lanes, cells = engine.footprint()
+                high[proc] = (max(high[proc][0], lanes), max(high[proc][1], cells))
+            if trim is not None:
+                trim()
+
+        job.sim.on_advance = sample
+        return job, job.run(), high
+
+    @pytest.mark.parametrize("protocol", ["native", "sdr", "leader"])
+    def test_ring_collectives_state_is_flat_in_iterations(self, protocol):
+        """A fresh tag per collective round must not leave a lane behind:
+        20 and 60 iterations peak at the same footprint on every engine and
+        end with none."""
+        runs = [
+            self._run_sampled(protocol, 8, ring_collectives, iters=iters, nbytes=4096)
+            for iters in (20, 60)
+        ]
+        (_j20, _r20, high20), (job60, _r60, high60) = runs
+        assert high20 == high60
+        assert max(lanes for lanes, _cells in high60.values()) > 0  # the sampler saw work
+        for pml in job60.pmls.values():
+            assert pml.matching.footprint() == (0, 0)
+
+    @pytest.mark.parametrize("protocol", ["sdr", "leader"])
+    def test_anysource_root_state_is_bounded_by_unexpected_peak(self, protocol):
+        """The fan-in root parks up to n-1 envelopes per round under one
+        wildcard pattern: one queue entry and one lane element each, plus
+        the lane's cursor — whatever the number of rounds."""
+        (_j20, _r20, high20), (job60, res60, high60) = [
+            self._run_sampled(protocol, 16, anysource_fanin, rounds=rounds) for rounds in (20, 60)
+        ]
+        assert high20 == high60
+        root = job60.rmap.phys(0, 0)
+        peak = res60.stats[root]["unexpected_peak"]
+        assert peak > 1
+        lanes, cells = high60[root]
+        assert lanes == 1
+        assert cells <= 2 * peak + 1
+        for pml in job60.pmls.values():
+            assert pml.matching.footprint() == (0, 0)
 
 
 # ------------------------------------------------------------- high-water marks

@@ -44,7 +44,7 @@ event count), ``scale4k`` at **4096 logical ranks** (8192 processes,
 ``scale8k`` at **8192 logical ranks** (16384 processes, ~2.3M events —
 affordable only since the flyweight footprint pass), ``scale16k`` at
 **16384 logical ranks** (32768 processes, ~5M events — affordable only
-since the run-time working-set pass: SoA match lanes, payload interning,
+since the run-time working-set pass: int-list match lanes, payload interning,
 high-water-trimmed arenas) — all too heavy per-PR, so the scheduled
 nightly job in ``.github/workflows/ci.yml`` owns them.  ``scale64k``
 (65536 logical ranks, 131072 processes, ~23M events) is the stretch
@@ -218,7 +218,7 @@ def _workloads(mode: str, workers: int = 0) -> Dict[str, Callable[[], Any]]:
         }
     if mode == "scale16k":
         # 16384 logical ranks / 32768 simulated processes, ~5M events —
-        # the tier the run-time working-set pass (SoA match lanes, payload
+        # the tier the run-time working-set pass (int-list match lanes, payload
         # interning, high-water-trimmed arenas) made affordable: before
         # it, per-PML match-lane deques alone held ~15 KB/proc at steady
         # state.  Nightly-only.

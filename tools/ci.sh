@@ -13,6 +13,9 @@
 #                 format --check.  Skipped with a notice when ruff is not
 #                 installed — the GitHub workflow always installs it, so
 #                 the skip only applies to bare local environments.
+#   imports       `import repro` must not load networkx (dropped for a
+#                 12-line BFS: it cost 15.8 MB RSS and 158 ms in every
+#                 process, sweep and shard workers included)
 #   tests         the tier-1 pytest suite (ROADMAP.md contract)
 #   campaign      a quick seeded fault-campaign smoke (sdr-mpi campaign
 #                 --seeds 3): every run is audited for the zero-leak arena
@@ -118,6 +121,10 @@ if (( RUN_TESTS )); then
         echo "   ruff not installed — lint gate SKIPPED (the CI workflow installs it;"
         echo "   'pip install ruff' to run it locally)"
     fi
+    end_stage
+
+    begin_stage imports "import hygiene (import repro must not load networkx)"
+    python -c 'import sys, repro; sys.exit("import repro loaded networkx" if "networkx" in sys.modules else 0)'
     end_stage
 
     begin_stage tests "tier-1 tests"

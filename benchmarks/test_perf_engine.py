@@ -21,6 +21,7 @@ from benchmarks.conftest import record, run_once
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
+import bench  # noqa: E402
 from bench import BENCH_PATH, _workloads  # noqa: E402
 
 
@@ -73,3 +74,26 @@ def test_speedup_trajectory_recorded():
                 f"{mode}/{name}: committed speedup {speedup}x vs the seed "
                 "engine fell below 1.5x — the fast-path work has regressed"
             )
+
+
+def test_update_without_workers_keeps_committed_parallel_rows(tmp_path, monkeypatch, capsys):
+    """``--update`` without ``--workers`` measures no '@wN' row; it used to
+    replace the whole mode and silently delete the committed ones."""
+    path = tmp_path / "BENCH_engine.json"
+    old = {"sdr-anysource": {"events_per_sec": 1.0}, "sdr-anysource@w4": {"events_per_sec": 2.0}}
+    path.write_text(json.dumps({"schema": 1, "current": {"modes": {"quick": old, "full": dict(old)}}}))
+    monkeypatch.setattr(bench, "BENCH_PATH", str(path))
+    fresh = {"sdr-anysource": {"events_per_sec": 3.0}}
+    monkeypatch.setattr(bench, "run_suite", lambda mode, repeats, workers: dict(fresh))
+
+    assert bench.main(["--quick", "--update"]) == 0
+    modes = json.loads(path.read_text())["current"]["modes"]
+    assert modes["quick"] == {**fresh, "sdr-anysource@w4": old["sdr-anysource@w4"]}
+    assert modes["full"] == old  # other modes untouched
+    assert "kept committed parallel rows (no --workers): sdr-anysource@w4" in capsys.readouterr().out
+
+    # With --workers the run's own rows are the whole truth.
+    both = {**fresh, "sdr-anysource@w2": {"events_per_sec": 4.0}}
+    monkeypatch.setattr(bench, "run_suite", lambda mode, repeats, workers: dict(both))
+    assert bench.main(["--quick", "--workers", "2", "--update"]) == 0
+    assert json.loads(path.read_text())["current"]["modes"]["quick"] == both

@@ -35,7 +35,11 @@ def test_table1_row(benchmark, app):
         paper_overhead_pct=PAPER_TABLE1[app][2],
         acks=result["acks"],
     )
-    # the paper's claim: replication overhead stays below 5 % (leave a
-    # little margin for the scaled-down configuration)
-    assert 0.0 <= result["overhead_pct"] < 6.5
+    # The paper's claim: replication overhead stays below 5 %.  The model is
+    # deterministic: BT 2.17, CG 2.04, FT 4.08, MG 1.84, SP 2.22 at the
+    # default scale and BT 2.46, CG 1.65, FT 3.84, MG 2.16, SP 3.26 at
+    # REPRO_SCALE=paper.  Only REPRO_SCALE=small keeps a margin: class A on
+    # 16 ranks capped at 5 iterations computes so little per message that
+    # the fixed ack cost outweighs anything the paper measured (FT 5.35).
+    assert 0.0 <= result["overhead_pct"] < (6.5 if scale.name == "small" else 5.0)
     assert result["acks"] > 0

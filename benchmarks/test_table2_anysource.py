@@ -35,6 +35,7 @@ def test_table2_row(benchmark, app):
         paper_overhead_pct=PAPER_TABLE2[app][2],
         unexpected_messages=result["unexpected"],
     )
-    # the claim: no degradation from ANY_SOURCE — overhead stays in the
-    # same below-5% band as the deterministic NAS codes
-    assert 0.0 <= result["overhead_pct"] < 6.5
+    # The claim: no degradation from ANY_SOURCE — overhead stays in the
+    # same below-5 % band as the deterministic NAS codes, at every scale
+    # (HPCCG / CM1: 1.75 / 2.03 default, 3.54 / 4.66 small, 1.74 / 1.87 paper).
+    assert 0.0 <= result["overhead_pct"] < 5.0

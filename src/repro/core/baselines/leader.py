@@ -183,8 +183,8 @@ class LeaderProtocol(LeaderDecideMixin, SdrProtocol):
 
     __slots__ = LeaderDecideMixin.DECIDER_SLOTS
 
-    def __init__(self, pml, rmap, membership, cfg, shared=None) -> None:
-        SdrProtocol.__init__(self, pml, rmap, membership, cfg, shared=shared)
+    def __init__(self, pml, rmap, membership, cfg, shared) -> None:
+        SdrProtocol.__init__(self, pml, rmap, membership, cfg, shared)
         self._init_decider()
 
     def app_irecv(self, ctx, source, tag, buf=None) -> Generator[Any, Any, RecvHandle]:

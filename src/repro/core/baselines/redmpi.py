@@ -76,8 +76,8 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
         "_corrupt_pending",
     )
 
-    def __init__(self, pml, rmap, membership, cfg, shared=None) -> None:
-        ReplicatedBase.__init__(self, pml, rmap, membership, cfg, shared=shared)
+    def __init__(self, pml, rmap, membership, cfg, shared) -> None:
+        ReplicatedBase.__init__(self, pml, rmap, membership, cfg, shared)
         self._init_decider()
         #: (src_rank, seq) -> digest of my own received copy
         self._own_digests: Dict[Tuple[int, int], int] = {}

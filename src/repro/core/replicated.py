@@ -43,10 +43,6 @@ class ProtocolShared:
     instance per :class:`~repro.harness.runner.Job` is built and every
     stack references it; the protocol instances keep only their mutable
     residue (cursors, retention, counters) in ``__slots__``.
-
-    Protocols constructed without a shared object (``shared=None``) build
-    a private one — the seed-shaped per-process construction the
-    equivalence suite compares against (``Job(shared_state=False)``).
     """
 
     __slots__ = (
@@ -116,12 +112,10 @@ class ReplicatedBase(BaseProtocol):
         rmap: ReplicaMap,
         membership: MembershipService,
         cfg: ReplicationConfig,
-        shared: Optional[ProtocolShared] = None,
+        shared: ProtocolShared,
     ) -> None:
         rank = rmap.rank_of(pml.proc)
         super().__init__(pml, world_rank=rank)
-        if shared is None:
-            shared = ProtocolShared(rmap, membership, cfg)
         self.shared = shared
         # Hot aliases (the same objects the shared table references).
         self.rmap = rmap

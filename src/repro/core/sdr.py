@@ -39,7 +39,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 from repro.core.config import ReplicationConfig
 from repro.core.interpose import SendHandle, RecvHandle
 from repro.core.membership import MembershipService
-from repro.core.replicated import ReplicatedBase
+from repro.core.replicated import ProtocolShared, ReplicatedBase
 from repro.core.worlds import ReplicaMap
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.pml import Envelope, Pml, PmlRecvRequest
@@ -109,9 +109,9 @@ class SdrProtocol(ReplicatedBase):
         rmap: ReplicaMap,
         membership: MembershipService,
         cfg: ReplicationConfig,
-        shared: Optional[Any] = None,
+        shared: ProtocolShared,
     ) -> None:
-        super().__init__(pml, rmap, membership, cfg, shared=shared)
+        super().__init__(pml, rmap, membership, cfg, shared)
         #: physicalDests_p[rank]: replicas of `rank` I send application
         #: messages to (Algorithm 1 line 1); lazily defaulted to my pair.
         self.physical_dests: Dict[int, List[int]] = {}

@@ -127,9 +127,9 @@ class JobResult:
     fabric: dict
     #: kernel events dispatched (simulation effort metric)
     events: int
-    #: job-wide payload-intern accounting (Job ``interning`` flag): how
-    #: many payload snapshots collapsed onto a canonical object vs passed
-    #: through (uninternable type, first sighting, or table full)
+    #: job-wide payload-intern accounting: how many payload snapshots
+    #: collapsed onto a canonical object vs passed through (uninternable
+    #: type, first sighting, or table full)
     payload_interned: int = 0
     payload_misses: int = 0
     #: open-loop traffic accounting (Job ``traffic`` ledger; all zero for
@@ -170,11 +170,6 @@ class Job:
         seed: int = 0,
         jitter: Optional[Callable[[], float]] = None,
         recorder_factory: Optional[Callable[[int, int], Any]] = None,
-        pooling: bool = True,
-        shared_state: bool = True,
-        interning: bool = True,
-        arena_trim: bool = True,
-        matching: str = "indexed",
         detector: Optional[DetectorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         shape: Optional[JobShape] = None,
@@ -196,11 +191,6 @@ class Job:
             # Reusing a cached shape is only sound when the job would have
             # built the very same values — enforce it instead of trusting
             # the sweep executor's keying.
-            if not shared_state:
-                raise ValueError(
-                    "Job(shape=...) requires shared_state=True — the seed-shaped "
-                    "private construction cannot reuse a shared shape"
-                )
             if shape.n_ranks != n_ranks or shape.cfg != self.cfg:
                 raise ValueError(
                     f"shape mismatch: shape is ({shape.n_ranks} ranks, {shape.cfg}), "
@@ -216,36 +206,9 @@ class Job:
         self.placement: Placement = shape.placement
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        #: ``pooling=False`` bypasses the Frame and Envelope arenas (every
-        #: acquire constructs fresh) while keeping the ownership accounting
-        #: intact — the equivalence suite proves the pooled engine
-        #: observationally identical to this mode.
-        self.pooling = pooling
-        #: ``shared_state=False`` gives every stack seed-shaped *private*
-        #: copies of the flyweight state (cost rows, protocol config, world
-        #: communicator members) — the executable spec the shared-state
-        #: equivalence suite compares against.  Values are identical either
-        #: way; only the sharing differs.
-        self.shared_state = shared_state
-        self._world_shared = shape.world_shared if shared_state else None
-        #: ``interning=False`` disables the job-wide payload intern table
-        #: (every snapshot stays a distinct object — the seed-shaped spec
-        #: mode the interning equivalence suite compares against)
-        self.interning = interning
-        self.interner: Optional[PayloadInterner] = PayloadInterner() if interning else None
-        #: ``arena_trim=False`` keeps the free lists growing to their
-        #: all-time peak (the historical behaviour); the trim is pure
-        #: memory policy — both modes are fingerprint-identical
-        self.arena_trim = arena_trim
-        if matching not in ("indexed", "linear"):
-            raise ValueError(
-                f"matching must be 'indexed' or 'linear', got {matching!r}"
-            )
-        #: ``matching="linear"`` runs every PML on :class:`LinearMatchEngine`
-        #: (the matching-order oracle) instead of the indexed live-only engine
-        self.matching = matching
+        #: job-wide payload intern table, shared by every PML
+        self.interner = PayloadInterner()
         self.fabric = Fabric(self.sim, self.placement, jitter=jitter, cost_table=shape.cost_table)
-        self.fabric.pool_frames = pooling
         if fault_plan is not None:
             # Seeded network adversary (drops/dups/delay windows/partitions);
             # a dedicated rng stream keeps fault draws independent of jitter
@@ -260,17 +223,12 @@ class Job:
             detector=detector,
             rng=self.rng.stream("membership") if detector is not None else None,
         )
-        #: one read-only protocol config shared by every replica stack
-        #: (``shared_state=False`` → None → each protocol builds its own)
+        #: one read-only protocol config shared by every replica stack:
+        #: the shape carries a membership-less template shared across
+        #: same-shape jobs; only the membership binding is per-job
         self._proto_shared: Optional[ProtocolShared] = None
-        if shared_state and self.cfg.protocol != "native":
-            # The shape carries a membership-less template shared across
-            # same-shape jobs; only the membership binding is per-job.
-            self._proto_shared = (
-                shape.proto_shared.rebound(self.membership)
-                if shape.proto_shared is not None
-                else ProtocolShared(self.rmap, self.membership, self.cfg)
-            )
+        if shape.proto_shared is not None:
+            self._proto_shared = shape.proto_shared.rebound(self.membership)
         self.vfs = VirtualFileSystem(self.sim)
         self.pmls: Dict[int, Pml] = {}
         self.protocols: Dict[int, Any] = {}
@@ -319,8 +277,7 @@ class Job:
                         self.fabric.endpoints[proc].alive = False
         for proc in range(self.rmap.n_procs):
             self._build_stack(proc)
-        if arena_trim:
-            self._install_trimmer()
+        self._install_trimmer()
         for absent_proc in sorted(self.absent):
             for proc, proto in self.protocols.items():
                 if proc in self.absent:
@@ -375,30 +332,15 @@ class Job:
         old_pml = self.pmls.get(proc)
         if old_pml is not None:
             self._retired_stacks.append((old_pml, self.protocols[proc]))
-        pml = Pml(
-            self.sim,
-            self.fabric,
-            proc,
-            shared_costs=self.shared_state,
-            interner=self.interner,
-            linear_matching=self.matching == "linear",
-        )
-        pml.pool_envelopes = self.pooling
+        pml = Pml(self.sim, self.fabric, proc, self.interner)
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
         else:
             protocol = _PROTOCOL_CLASSES[self.cfg.protocol](
-                pml, self.rmap, self.membership, self.cfg, shared=self._proto_shared
+                pml, self.rmap, self.membership, self.cfg, self._proto_shared
             )
         rank = self.rmap.rank_of(proc)
-        mpi = MpiProcess(
-            self.sim,
-            pml,
-            protocol,
-            world_rank=rank,
-            world_size=self.n_ranks,
-            world_shared=self._world_shared,
-        )
+        mpi = MpiProcess(self.sim, pml, protocol, rank, self.n_ranks, self.shape.world_shared)
         if self.cluster.compute_noise > 0:
             # Stream keyed by (rank, replica): replica 0 sees the same noise
             # as the native run's rank, replica 1 sees independent noise —
@@ -622,8 +564,8 @@ class Job:
                 **self.fabric.stats(),
             },
             events=self.sim.events_dispatched,
-            payload_interned=self.interner.hits if self.interner is not None else 0,
-            payload_misses=self.interner.misses if self.interner is not None else 0,
+            payload_interned=self.interner.hits,
+            payload_misses=self.interner.misses,
             requests_offered=requests.get("requests_offered", 0),
             requests_admitted=requests.get("requests_admitted", 0),
             requests_rejected=requests.get("requests_rejected", 0),

@@ -73,20 +73,15 @@ class MpiProcess:
         protocol: "BaseProtocol",
         world_rank: int,
         world_size: int,
-        world_shared: Optional[Tuple[Tuple[int, ...], Any]] = None,
+        world_shared: Tuple[Tuple[int, ...], Any],
     ) -> None:
         self.sim = sim
         self.pml = pml
         self.protocol = protocol
         self.world_rank = world_rank
         self.world_size = world_size
-        if world_shared is not None:
-            members, rank_map = world_shared
-            self.world: Communicator = Communicator(self, ("w",), members, rank_map=rank_map)
-        else:
-            # Seed-shaped private construction (direct API users, tests,
-            # Job(shared_state=False)).
-            self.world = Communicator(self, ("w",), range(world_size))
+        members, rank_map = world_shared
+        self.world: Communicator = Communicator(self, ("w",), members, rank_map=rank_map)
         #: optional event recorder installed by :mod:`repro.trace`
         self.recorder = None
         #: set by workloads that support §3.4 recovery (fork/restore)
@@ -223,9 +218,10 @@ class MpiProcess:
         plain :class:`RecvHandle`, or a handle with the stock
         ``SendHandle.done`` predicate and no per-iteration ``advance()``
         work.  Anything else (e.g. a leader-protocol deferred receive)
-        falls back to :meth:`wait_handles_generic` — the executable
-        specification, proven equivalent by
-        ``tests/test_wait_equivalence.py``.
+        takes :meth:`wait_handles_generic`, the loop for non-stock
+        handles — the choice is made by handle type, and
+        ``tests/test_wait_equivalence.py`` proves the two loops agree
+        wherever both apply.
         """
         rpend: List[Any] = []  # PML receive requests still incomplete
         spend: List[Any] = []  # send handles still incomplete
@@ -275,9 +271,10 @@ class MpiProcess:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
     def wait_handles_generic(self, handles: Sequence[Any]) -> Generator[Any, Any, List[Optional[Status]]]:
-        """Generic MPI_Waitall loop: drives ``advance()`` on every handle
-        each progress iteration.  The executable specification of
-        :meth:`wait_handles` — and the path non-stock handles take.
+        """MPI_Waitall for non-stock handles: drives ``advance()`` on every
+        handle each progress iteration (a leader-protocol
+        ``DeferredRecvHandle`` does real work there).  Correct for any
+        handle; :meth:`wait_handles` is its specialization for stock ones.
 
         Handle ``advance()`` may return ``None`` (no work, the common case)
         or a generator to drive; skipping the no-work generators keeps this
@@ -330,7 +327,7 @@ class MpiProcess:
         stock ``SendHandle.done`` predicate.  A single non-stock handle
         (e.g. a leader-protocol deferred receive, which does real work in
         ``advance()``) disqualifies the whole set — the callers then take
-        their ``*_generic`` loop, the executable specification.
+        their ``*_generic`` loop, the one for non-stock handles.
         """
         polls: List[Tuple[bool, Any]] = []
         for h in handles:
@@ -350,8 +347,8 @@ class MpiProcess:
         Specialized per-handle for all-stock handle sets: the underlying
         request objects are resolved once, each scan reads ``done`` slots
         instead of calling ``advance()`` plus two property descriptors per
-        handle, and the progress step is inlined.  Non-stock sets fall
-        back to :meth:`waitsome_generic` (proven equivalent by
+        handle, and the progress step is inlined.  Non-stock sets take
+        :meth:`waitsome_generic` (the two agree wherever both apply:
         ``tests/test_wait_equivalence.py``).
         """
         if not handles:
@@ -382,7 +379,7 @@ class MpiProcess:
     def waitsome_generic(
         self, handles: Sequence[Any]
     ) -> Generator[Any, Any, List[Tuple[int, Optional[Status]]]]:
-        """Generic MPI_Waitsome loop (executable spec of :meth:`waitsome`)."""
+        """MPI_Waitsome for non-stock handles (``advance()`` driven per scan)."""
         if not handles:
             raise MpiError("waitsome requires at least one handle")
         while True:
@@ -427,7 +424,7 @@ class MpiProcess:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
     def waitany_generic(self, handles: Sequence[Any]) -> Generator[Any, Any, Tuple[int, Optional[Status]]]:
-        """Generic MPI_Waitany loop (executable spec of :meth:`waitany`)."""
+        """MPI_Waitany for non-stock handles (``advance()`` driven per scan)."""
         if not handles:
             raise MpiError("waitany requires at least one handle")
         while True:

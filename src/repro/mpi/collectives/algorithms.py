@@ -21,24 +21,20 @@ Determinism note: combine order is fixed by the tree/ring structure, never
 by arrival order — reductions are bitwise reproducible, a precondition for
 using these inside send-deterministic applications.
 
-Two implementations per collective
-----------------------------------
-The public names (``bcast``, ``reduce``, ...) are *flattened* fast paths:
-the posting preamble (recorder + ``protocol.app_isend``/``app_irecv``) and
-the blocking wait loops are inlined into the collective body, exactly the
-way :meth:`repro.mpi.api.MpiProcess.send`/``recv`` inline them for blocking
-point-to-point.  The seed shape — each tree step delegating through
-``_send``/``_recv`` → ``isend_on``/``irecv_on`` → ``wait_handles`` — costs
-3–4 generator frames per resumed event, and a collective at rank count *n*
-resumes O(n log n) times; the flat versions cut that to 1–2 frames.
-
-The original generator towers survive as the ``*_spec`` functions: the
-executable specification.  ``tests/test_collectives_equivalence.py`` proves
-— per collective, across ranks, roots, ops and protocols — that both
-implementations produce identical results *and* identical engine behaviour
-(virtual times, event counts, frame counts).  Modify a schedule in one and
-the equivalence suite (plus the golden fingerprints in
-``tests/test_determinism_regression.py``) will catch the other.
+One schedule per collective
+---------------------------
+Each schedule is written once, over five module-level plumbing primitives
+(``_sendrecv``, ``_post_send``, ``_post_recv``, ``_send_wait``,
+``_recv_wait``).  The primitives are *flat*: the posting preamble
+(recorder + ``protocol.app_isend``/``app_irecv``) and the blocking wait
+loop are fused into one generator frame, the way
+:meth:`repro.mpi.api.MpiProcess.send`/``recv`` fuse them for blocking
+point-to-point — a collective at rank count *n* resumes O(n log n) times
+and every delegation frame is paid on each resume.  What each primitive
+must be observationally equal to is three lines over ``isend_on`` /
+``irecv_on`` / ``wait_handles``; ``tests/test_collectives_equivalence.py``
+holds those reference primitives and runs every schedule over both sets
+in real jobs (results, virtual times, event and frame counts).
 """
 
 from __future__ import annotations
@@ -63,16 +59,6 @@ __all__ = [
     "alltoall",
     "reduce_scatter_block",
     "scan",
-    "barrier_spec",
-    "bcast_spec",
-    "reduce_spec",
-    "allreduce_spec",
-    "gather_spec",
-    "scatter_spec",
-    "allgather_spec",
-    "alltoall_spec",
-    "reduce_scatter_block_spec",
-    "scan_spec",
 ]
 
 #: rounds per collective are encoded into the tag; 4096 rounds is plenty
@@ -91,8 +77,9 @@ def _base_tag(comm: "Communicator") -> int:
 # Each helper is ONE generator frame wrapping the protocol entry points
 # directly; the wait loops replicate the blocking fast paths of
 # repro.mpi.api (same completion predicates, same pop-one-frame-or-block
-# progress step), so the dispatched event stream is identical to the spec
-# path's ``wait_handles`` — only host-side frame traversals are saved.
+# progress step), so the dispatched event stream is identical to posting
+# through ``isend_on``/``irecv_on`` and waiting in ``wait_handles`` — only
+# host-side frame traversals are saved.
 # ---------------------------------------------------------------------------
 def _send_done(shandle) -> bool:
     """Stock SendHandle completion predicate, inlined (see api.send)."""
@@ -108,8 +95,8 @@ def _sendrecv(api: "MpiProcess", comm: "Communicator", send_peer: int,
               recv_peer: int, tag: int, data: Any) -> Generator:
     """Flat sendrecv: post both sides, drive both to completion inline.
 
-    Observationally identical to ``_sendrecv_spec`` (post recv, post send,
-    ``wait_handles([sreq, rreq])``) — posting order, recorder calls and the
+    Observationally identical to post recv, post send,
+    ``wait_handles([sreq, rreq])`` — posting order, recorder calls and the
     progress step are the same; only the delegation tower is gone.
     """
     ctx = comm.ctx_coll
@@ -165,6 +152,12 @@ def _post_send(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, dat
     return handle
 
 
+def _post_recv(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> Generator:
+    """Flat posting preamble of ``irecv_on`` on the collective context."""
+    handle = yield from api.protocol.app_irecv(ctx=comm.ctx_coll, source=peer, tag=tag, buf=None)
+    return handle
+
+
 def _send_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, data: Any) -> Generator:
     """Fused blocking send on the collective context (one frame)."""
     handle = yield from _post_send(api, comm, peer, tag, data)
@@ -211,26 +204,6 @@ def _recv_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> 
             yield from pml.handle_frame(ep.inbox.popleft())
         else:
             yield ep
-
-
-def _wait_all(api: "MpiProcess", handles: List[Any]) -> Generator:
-    """Flat MPI_Waitall core (mirrors api.wait_handles, sans status list)."""
-    pml = api.pml
-    ep = pml.endpoint
-    while True:
-        for h in handles:
-            gen = h.advance()
-            if gen is not None:
-                yield from gen
-        for h in handles:
-            if not h.done:
-                break
-        else:
-            return
-        if ep.inbox:
-            yield from pml.handle_frame(ep.inbox.popleft())
-        else:
-            yield ep  # block on the endpoint (allocation-free waiter)
 
 
 # --------------------------------------------------------------------- sync
@@ -331,15 +304,13 @@ def gather(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Gen
     if comm.rank == root:
         out: List[Any] = [None] * n
         out[root] = data
-        protocol = api.protocol
-        ctx = comm.ctx_coll
         handles = []
         for r in range(n):
             if r == root:
                 continue
-            handle = yield from protocol.app_irecv(ctx=ctx, source=r, tag=tag0, buf=None)
+            handle = yield from _post_recv(api, comm, r, tag0)
             handles.append((r, handle))
-        yield from _wait_all(api, [h for _r, h in handles])
+        yield from api.wait_handles([h for _r, h in handles])
         for r, handle in handles:
             out[r] = handle.data
         return out
@@ -360,7 +331,7 @@ def scatter(api: "MpiProcess", comm: "Communicator", chunks: Optional[List[Any]]
                 continue
             handle = yield from _post_send(api, comm, r, tag0, chunks[r])
             handles.append(handle)
-        yield from _wait_all(api, handles)
+        yield from api.wait_handles(handles)
         return chunks[root]
     return (yield from _recv_wait(api, comm, root, tag0))
 
@@ -428,239 +399,4 @@ def scan(api: "MpiProcess", comm: "Communicator", data: Any, op: str) -> Generat
         acc = combine(op, got, acc)
     if me < n - 1:
         yield from _send_wait(api, comm, me + 1, tag0, acc)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Executable specification: the seed-shaped generator towers.
-#
-# Each *_spec function delegates through the nonblocking API exactly the
-# way the seed engine's collectives did.  They are kept runnable — the
-# equivalence suite executes them in real jobs — and are the reference any
-# schedule change must be made against first.
-# ---------------------------------------------------------------------------
-def _send(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, data: Any) -> Generator:
-    req = yield from api.isend_on(comm, comm.ctx_coll, peer, tag, data)
-    return req
-
-
-def _recv(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> Generator:
-    req = yield from api.irecv_on(comm, comm.ctx_coll, peer, tag)
-    return req
-
-
-def _sendrecv_spec(api, comm, send_peer, recv_peer, tag, data) -> Generator:
-    """Post both sides, then progress both to completion (deadlock-free)."""
-    rreq = yield from _recv(api, comm, recv_peer, tag)
-    sreq = yield from _send(api, comm, send_peer, tag, data)
-    yield from api.wait_handles([sreq, rreq])
-    return rreq.data
-
-
-def barrier_spec(api: "MpiProcess", comm: "Communicator") -> Generator:
-    """Dissemination barrier: round k talks to rank ± 2^k."""
-    n = comm.size
-    if n == 1:
-        return
-    me = comm.rank
-    tag0 = _base_tag(comm)
-    k = 0
-    dist = 1
-    while dist < n:
-        to = (me + dist) % n
-        frm = (me - dist) % n
-        yield from _sendrecv_spec(api, comm, to, frm, tag0 + k, _TOKEN)
-        dist <<= 1
-        k += 1
-
-
-def bcast_spec(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Generator:
-    """Binomial-tree broadcast; returns the payload on every rank."""
-    n = comm.size
-    if n == 1:
-        return data
-    me = (comm.rank - root) % n  # virtual rank: root becomes 0
-    tag0 = _base_tag(comm)
-    # Receive phase: my parent clears my lowest set bit.
-    if me != 0:
-        mask = me & (-me)
-        parent = (me - mask + root) % n
-        req = yield from _recv(api, comm, parent, tag0)
-        yield from api.wait_handles([req])
-        data = req.data
-        mask >>= 1
-    else:
-        mask = 1 << ((n - 1).bit_length() - 1)
-    # Send phase: forward to children below my lowest set bit.
-    while mask >= 1:
-        child = me + mask
-        if child < n:
-            peer = (child + root) % n
-            req = yield from _send(api, comm, peer, tag0, data)
-            yield from api.wait_handles([req])
-        mask >>= 1
-    return data
-
-
-def reduce_spec(api: "MpiProcess", comm: "Communicator", data: Any, op: str, root: int) -> Generator:
-    """Binomial-tree reduction; result only meaningful at *root*."""
-    n = comm.size
-    if n == 1:
-        return data
-    me = (comm.rank - root) % n
-    tag0 = _base_tag(comm)
-    acc = data
-    mask = 1
-    while mask < n:
-        if me & mask:
-            parent = ((me & ~mask) + root) % n
-            req = yield from _send(api, comm, parent, tag0, acc)
-            yield from api.wait_handles([req])
-            break
-        child = me | mask
-        if child < n:
-            peer = (child + root) % n
-            req = yield from _recv(api, comm, peer, tag0)
-            yield from api.wait_handles([req])
-            acc = combine(op, acc, req.data)
-        mask <<= 1
-    return acc if comm.rank == root else None
-
-
-def allreduce_spec(api: "MpiProcess", comm: "Communicator", data: Any, op: str) -> Generator:
-    """Recursive doubling for power-of-two sizes, reduce+bcast otherwise."""
-    n = comm.size
-    if n == 1:
-        return data
-    if n & (n - 1):  # not a power of two
-        acc = yield from reduce_spec(api, comm, data, op, root=0)
-        acc = yield from bcast_spec(api, comm, acc, root=0)
-        return acc
-    me = comm.rank
-    tag0 = _base_tag(comm)
-    acc = data
-    mask = 1
-    k = 0
-    while mask < n:
-        peer = me ^ mask
-        other = yield from _sendrecv_spec(api, comm, peer, peer, tag0 + k, acc)
-        # Fixed combine order (lower rank's contribution first) so every
-        # rank computes bitwise-identical results.
-        acc = combine(op, acc, other) if peer > me else combine(op, other, acc)
-        mask <<= 1
-        k += 1
-    return acc
-
-
-def gather_spec(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Generator:
-    """Linear gather; returns the rank-ordered list at root, None elsewhere."""
-    n = comm.size
-    tag0 = _base_tag(comm)
-    if comm.rank == root:
-        out: List[Any] = [None] * n
-        out[root] = data
-        reqs = []
-        for r in range(n):
-            if r == root:
-                continue
-            req = yield from _recv(api, comm, r, tag0)
-            reqs.append((r, req))
-        yield from api.wait_handles([req for _r, req in reqs])
-        for r, req in reqs:
-            out[r] = req.data
-        return out
-    req = yield from _send(api, comm, root, tag0, data)
-    yield from api.wait_handles([req])
-    return None
-
-
-def scatter_spec(
-    api: "MpiProcess", comm: "Communicator", chunks: Optional[List[Any]], root: int
-) -> Generator:
-    """Linear scatter of a rank-indexed list from root."""
-    n = comm.size
-    tag0 = _base_tag(comm)
-    if comm.rank == root:
-        if chunks is None or len(chunks) != n:
-            raise ValueError(f"scatter at root requires a list of {n} chunks")
-        reqs = []
-        for r in range(n):
-            if r == root:
-                continue
-            req = yield from _send(api, comm, r, tag0, chunks[r])
-            reqs.append(req)
-        yield from api.wait_handles(reqs)
-        return chunks[root]
-    req = yield from _recv(api, comm, root, tag0)
-    yield from api.wait_handles([req])
-    return req.data
-
-
-def allgather_spec(api: "MpiProcess", comm: "Communicator", data: Any) -> Generator:
-    """Ring allgather: n-1 rounds, each forwarding the next slice."""
-    n = comm.size
-    me = comm.rank
-    out: List[Any] = [None] * n
-    out[me] = data
-    if n == 1:
-        return out
-    tag0 = _base_tag(comm)
-    right = (me + 1) % n
-    left = (me - 1) % n
-    carry = data
-    for k in range(n - 1):
-        carry = yield from _sendrecv_spec(api, comm, right, left, tag0 + k, carry)
-        out[(me - 1 - k) % n] = carry
-    return out
-
-
-def alltoall_spec(api: "MpiProcess", comm: "Communicator", chunks: List[Any]) -> Generator:
-    """Pairwise-exchange alltoall (XOR schedule for power-of-two sizes)."""
-    n = comm.size
-    me = comm.rank
-    if chunks is None or len(chunks) != n:
-        raise ValueError(f"alltoall requires a list of {n} chunks")
-    out: List[Any] = [None] * n
-    out[me] = chunks[me]
-    tag0 = _base_tag(comm)
-    pow2 = n & (n - 1) == 0
-    for k in range(1, n):
-        if pow2:
-            peer = me ^ k
-            send_peer = recv_peer = peer
-        else:
-            send_peer = (me + k) % n
-            recv_peer = (me - k) % n
-        got = yield from _sendrecv_spec(api, comm, send_peer, recv_peer, tag0 + k, chunks[send_peer])
-        out[recv_peer] = got
-    return out
-
-
-def reduce_scatter_block_spec(
-    api: "MpiProcess", comm: "Communicator", chunks: List[Any], op: str
-) -> Generator:
-    """Block reduce-scatter: elementwise reduce of rank-indexed chunk lists,
-    each rank keeping its own chunk.  Implemented as reduce + scatter."""
-    n = comm.size
-    if chunks is None or len(chunks) != n:
-        raise ValueError(f"reduce_scatter requires a list of {n} chunks")
-    # combine() is elementwise over lists, so a plain tree reduce of the
-    # chunk lists followed by a scatter implements the block variant.
-    reduced = yield from reduce_spec(api, comm, list(chunks), op=op, root=0)
-    return (yield from scatter_spec(api, comm, reduced, root=0))
-
-
-def scan_spec(api: "MpiProcess", comm: "Communicator", data: Any, op: str) -> Generator:
-    """Inclusive prefix scan along the rank order (linear chain)."""
-    me = comm.rank
-    n = comm.size
-    tag0 = _base_tag(comm)
-    acc = data
-    if me > 0:
-        req = yield from _recv(api, comm, me - 1, tag0)
-        yield from api.wait_handles([req])
-        acc = combine(op, req.data, acc)
-    if me < n - 1:
-        req = yield from _send(api, comm, me + 1, tag0, acc)
-        yield from api.wait_handles([req])
     return acc

@@ -50,8 +50,9 @@ grew without bound (``docs/performance.md``, "Live-only matching").
 kept as the matching-order oracle: the property tests in
 ``tests/test_matching_equivalence.py`` drive both engines with randomized
 post/arrive/cancel/probe streams (including wildcards) and require
-identical pairing decisions, and ``Job(matching="linear")`` runs entire
-jobs on it for the fingerprint-equivalence suite.
+identical pairing decisions, and ``tests/test_working_set.py`` runs entire
+jobs on it (patched over ``repro.mpi.pml.MatchEngine``, no production
+seam) for the fingerprint comparison.
 """
 
 from __future__ import annotations

@@ -50,11 +50,12 @@ arena and has **exactly one owner** at every point in its lifetime:
 Payloads are *not* part of the recycling: ``env.data`` refers to the
 copy-on-write snapshot machinery of :mod:`repro.mpi.datatypes`, and
 ``Pml._complete_recv`` hands that reference to the receive request before
-the shell is recycled.  ``tests/test_pooling_equivalence.py`` proves the
-arena observationally equivalent to plain allocation (``pool_envelopes``
-bypass flag), and the harness asserts the arenas balance — every acquire
-matched by a release or an accounted strand — at the end of every run,
-crashes included.  Fail-stop teardown is what makes crashy runs provable:
+the shell is recycled.  ``tests/test_pooling_equivalence.py`` pins the
+arena to the fingerprints plain allocation left behind (its last run,
+recorded in ``tests/data/spec_fingerprints.jsonl``), and the harness
+asserts the arenas balance — every acquire matched by a release or an
+accounted strand — at the end of every run, crashes included.
+Fail-stop teardown is what makes crashy runs provable:
 every receive-pipeline span that owns an envelope across a yield carries a
 guard routing the abandoned reference to :meth:`Pml.strand_env`, and the
 fabric counts the frames (and their envelopes) dropped at its own fail-stop
@@ -69,7 +70,7 @@ import numpy as np
 
 from repro.mpi.datatypes import PayloadInterner, copy_payload, nbytes_of
 from repro.mpi.errors import MpiError, TruncationError
-from repro.mpi.matching import LinearMatchEngine, MatchEngine
+from repro.mpi.matching import MatchEngine
 from repro.mpi.status import ANY_SOURCE, Status
 from repro.network.fabric import Fabric, Frame
 from repro.sim.kernel import Simulator
@@ -343,7 +344,6 @@ class Pml:
         "ctrl_handlers",
         "svc_handlers",
         "_env_pool",
-        "pool_envelopes",
         "env_acquired",
         "env_allocated",
         "env_released",
@@ -370,17 +370,13 @@ class Pml:
         sim: Simulator,
         fabric: Fabric,
         proc: int,
-        shared_costs: bool = True,
-        interner: Optional[PayloadInterner] = None,
-        linear_matching: bool = False,
+        interner: PayloadInterner,
     ) -> None:
         self.sim = sim
         self.fabric = fabric
         self.proc = proc
         self.endpoint = fabric.endpoint(proc)
-        # linear_matching keeps the seed engine (the executable matching
-        # spec) for whole-job equivalence runs: Job(matching="linear")
-        self.matching = LinearMatchEngine() if linear_matching else MatchEngine()
+        self.matching = MatchEngine()
         self._msg_id = 0
         # outstanding rendezvous state, lazily allocated: eager-only
         # workloads (every small-message tier) never touch it
@@ -397,11 +393,8 @@ class Pml:
         #: (``env.retain()``/``env.copy()`` are the escape hatches)
         self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
         self.svc_handlers: Dict[str, Callable[[Any], Generator]] = {}
-        #: free list shared by every envelope kind (see module docstring);
-        #: ``pool_envelopes = False`` bypasses recycling (equivalence tests)
-        #: while keeping the acquire/release accounting intact
+        #: free list shared by every envelope kind (see module docstring)
         self._env_pool: List[Envelope] = []
-        self.pool_envelopes = True
         #: arena accounting: every acquire must be matched by a release or
         #: an accounted strand (checked at end-of-run by the harness —
         #: crashy runs included, via the strand counters)
@@ -420,17 +413,11 @@ class Pml:
         # are immutable for a job's lifetime and identical per node pair,
         # so the rows are shared by every PML on this node and keyed by
         # peer *node* (one list index + one dict probe per frame).
-        # shared_costs=False keeps seed-shaped private dicts (equivalence
-        # spec — same code path, unshared containers).
         table = fabric.cost_table
         self._node_of = table.node_of
         my_node = self._node_of[proc]
-        if shared_costs:
-            self._send_row: Dict[int, Tuple[float, int]] = table.send_row(my_node)
-            self._recv_row: Dict[int, float] = table.recv_row(my_node)
-        else:
-            self._send_row = {}
-            self._recv_row = {}
+        self._send_row: Dict[int, Tuple[float, int]] = table.send_row(my_node)
+        self._recv_row: Dict[int, float] = table.recv_row(my_node)
         #: bound-method cache: one attribute chase per handled frame saved
         self._release_frame = fabric.release_frame
         #: filter-guard bookkeeping (see the ``incoming_filter`` property);
@@ -453,8 +440,7 @@ class Pml:
         #: depends on same-timestamp dispatch interleaving that
         #: shard-local seq assignment cannot reproduce)
         self.any_source_posts = 0
-        #: job-wide payload intern table (shared by every PML of a Job;
-        #: ``None`` disables — Job(interning=False) equivalence spec)
+        #: job-wide payload intern table (shared by every PML of a Job)
         self._interner = interner
         # Arena high-water tracking, windowed so the hot path stays one
         # compare: acquire sites bump ``env_hw_window`` from the current
@@ -537,9 +523,8 @@ class Pml:
         returned envelope until it injects it (ownership travels with the
         frame) or releases it.
         """
-        interner = self._interner
-        if interner is not None and data is not None:
-            data = interner.intern(data)
+        if data is not None:
+            data = self._interner.intern(data)
         acquired = self.env_acquired + 1
         self.env_acquired = acquired
         outstanding = acquired - self.env_released - self.env_stranded
@@ -602,7 +587,7 @@ class Pml:
         env.ctx = None
         env.data = None
         pool = self._env_pool
-        if self.pool_envelopes and len(pool) < 4096:
+        if len(pool) < 4096:
             pool.append(env)
 
     def strand_env(self, env: Envelope, site: str = "abandoned_pipeline") -> None:
@@ -908,7 +893,7 @@ class Pml:
         frame.payload = None
         frame.fabric = None
         fpool = fabric._frame_pool
-        if fabric.pool_frames and len(fpool) < 4096:
+        if len(fpool) < 4096:
             fpool.append(frame)
         if kind == "svc":
             key, svc_payload = payload
@@ -957,7 +942,7 @@ class Pml:
                 env.ctx = None
                 env.data = None
                 pool = self._env_pool
-                if self.pool_envelopes and len(pool) < 4096:
+                if len(pool) < 4096:
                     pool.append(env)
         elif env.kind == "cts":
             yield from self._handle_cts(env)
@@ -1030,7 +1015,7 @@ class Pml:
                     env.ctx = None
                     env.data = None
                     pool = self._env_pool
-                    if self.pool_envelopes and len(pool) < 4096:
+                    if len(pool) < 4096:
                         pool.append(env)
             else:
                 yield from self._matched(recv, env, from_unexpected=False)
@@ -1082,7 +1067,7 @@ class Pml:
                 env.ctx = None
                 env.data = None
                 pool = self._env_pool
-                if self.pool_envelopes and len(pool) < 4096:
+                if len(pool) < 4096:
                     pool.append(env)
         elif env.kind == "rts":
             try:

@@ -71,10 +71,6 @@ class CostTable:
       for all of them (values are deterministic, so fill order is
       irrelevant);
     * :attr:`node_of` is the one proc → node list every hot path indexes.
-
-    ``Job(shared_state=False)`` keeps the seed-shaped private-dicts
-    construction as the executable spec the equivalence suite compares
-    against.
     """
 
     __slots__ = ("placement", "node_of", "_models", "_send_rows", "_recv_rows")
@@ -340,9 +336,6 @@ class Fabric:
         #: free list of recycled Frame instances (see Frame docstring);
         #: bounded so pathological bursts cannot pin memory forever
         self._frame_pool: List[Frame] = []
-        #: ``False`` bypasses frame recycling (arena-equivalence tests)
-        #: while keeping the acquire/release accounting intact
-        self.pool_frames = True
         #: free-list accounting: every acquired frame must be released
         #: (checked at end-of-run by the harness on crash-free jobs)
         self.frames_acquired = 0
@@ -526,7 +519,7 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if self.pool_frames and len(pool) < 4096:
+        if len(pool) < 4096:
             pool.append(frame)
 
     # Same cushion rationale as Pml.TRIM_SLACK.
@@ -797,7 +790,7 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if self.pool_frames and len(pool) < 4096:
+        if len(pool) < 4096:
             pool.append(frame)
 
     def import_frame(self, src: int, dst: int, size: int, payload: Any, kind: str) -> Frame:

@@ -126,7 +126,7 @@ class Simulator:
         #: touches ``events_dispatched`` or the queue order, so enabling it
         #: is unobservable to determinism goldens.  The callee must not
         #: schedule events or raise; the harness uses it to trim arena
-        #: free lists between timestamp batches (Job ``arena_trim``).
+        #: free lists between timestamp batches (``Job._install_trimmer``).
         self.on_advance: Optional[Callable[[], None]] = None
         #: number of events dispatched so far (observability/bench metric)
         self.events_dispatched: int = 0

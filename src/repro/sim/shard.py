@@ -795,7 +795,6 @@ def _finalize_shard(
         blocked = {}
         exceptions = []
     local_procs = plan.local_procs[shard_id]
-    interner = job.interner
     return {
         "shard": shard_id,
         "error": error,
@@ -812,9 +811,7 @@ def _finalize_shard(
         "events": sim.events_dispatched,
         "crash_fired": job._crash_fired,
         "now": sim.now,
-        "interned": (
-            (interner.hits, interner.misses) if interner is not None else (0, 0)
-        ),
+        "interned": (job.interner.hits, job.interner.misses),
         "traffic_committed": (
             dict(job.traffic._committed) if job.traffic is not None else None
         ),

@@ -7,9 +7,11 @@ world communicator's member tuple and rank map, the fabric's
 :class:`~repro.core.replicated.ProtocolShared` config — while the
 per-process residue is slotted and lazy.  These tests pin three things:
 
-* **equivalence** — ``Job(shared_state=False)`` keeps the seed-shaped
-  private-copies construction as the executable spec, and the shared
-  engine must produce bit-identical fingerprints across all five
+* **equivalence** — until PR 16 ``Job(shared_state=False)`` kept the
+  seed-shaped private-copies construction; the shared engine must keep
+  producing the fingerprints that mode left behind on its last run
+  (``tests/data/spec_fingerprints.jsonl``, recorded at commit 0e78e89 —
+  provenance in ``test_pooling_equivalence``'s docstring) across all five
   protocols, crash-free and crashy;
 * **budget** — a tracemalloc-measured bytes-per-process ceiling at the
   paper tier, with generous headroom (the seed construction was ~42 KB
@@ -23,6 +25,7 @@ per-process residue is slotted and lazy.  These tests pin three things:
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -33,98 +36,39 @@ from repro.core.interpose import set_filter_guard
 from repro.core.recovery import RecoveryManager
 from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, _PROTOCOL_CLASSES, cluster_for
-from repro.mpi.datatypes import Phantom
-from repro.mpi.errors import DeadlockError
+from tests.conftest import PROTOCOLS, assert_matches_corpus, load_corpus, make_job
 
-PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
-
-
-def _job(protocol="native", n=2, **kwargs):
-    if protocol == "native":
-        cfg = ReplicationConfig(degree=1, protocol="native")
-    else:
-        cfg = ReplicationConfig(degree=2, protocol=protocol)
-    return Job(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
+CORPUS = load_corpus("spec_fingerprints.jsonl")
+SPEC = "per-proc-state spec"
 
 
-def mixed_traffic(mpi, rounds=4, nbytes=65536):
-    """Eager p2p + ANY_SOURCE + rendezvous + collectives: every path the
-    shared state could possibly influence."""
-    right = (mpi.rank + 1) % mpi.size
-    left = (mpi.rank - 1) % mpi.size
-    acc = 0.0
-    for r in range(rounds):
-        yield from mpi.sendrecv(Phantom(nbytes), dest=right, source=left, sendtag=1)
-        if mpi.rank == 0:
-            for _ in range(mpi.size - 1):
-                d, _st = yield from mpi.recv(source=mpi.ANY_SOURCE, tag=2)
-                acc += float(d[0])
-        else:
-            yield from mpi.send(np.array([float(mpi.rank + r)]), dest=0, tag=2)
-        acc += float((yield from mpi.allreduce(float(mpi.rank), op="sum")))
-        yield from mpi.compute(1e-6)
-    return acc
-
-
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-        "stranded": dict(sorted(res.stranded_by_site.items())),
-    }
+_job = functools.partial(make_job, n=2)
 
 
 class TestSharedStateEquivalence:
-    """Shared-config stacks ≡ seed-shaped per-proc construction."""
+    """Shared-config stacks ≡ the recorded seed-shaped per-proc construction."""
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_crash_free_fingerprints_identical(self, protocol):
-        def run(shared):
-            job = _job(protocol, n=4, shared_state=shared)
-            return job.launch(mixed_traffic, rounds=3).run()
-
-        assert _fingerprint(run(True)) == _fingerprint(run(False)), (
-            f"shared-state engine diverged from per-proc spec ({protocol})"
+        assert_matches_corpus(
+            CORPUS, "traffic", SPEC,
+            lambda c: (c["protocol"], c["n"]) == (protocol, 4)
+            and c["params"] == {"rounds": 3, "crash_at": None},
         )
 
     @pytest.mark.parametrize("protocol", ["sdr", "mirror", "leader"])
     @pytest.mark.parametrize("crash_at", [2e-5, 9e-5])
     def test_failover_fingerprints_identical(self, protocol, crash_at):
         """Failover exercises the lazily-materialized scratch (substitute
-        maps, early acks, reorder buffers) — shared and private stacks
-        must still agree bit-for-bit.  Some (protocol, crash-time) pairs
-        legitimately wedge (a mirror crash mid-rendezvous has no failover
-        resend); a deadlock is then the *outcome* both modes must agree
-        on, down to the blocked-process set — and the arenas must still
-        balance once survivors are abandoned."""
-
-        def run(shared):
-            job = _job(protocol, n=4, shared_state=shared)
-            job.launch(mixed_traffic, rounds=3)
-            job.crash(1, 1, at=crash_at)
-            try:
-                return _fingerprint(job.run())
-            except DeadlockError as err:
-                job._assert_arenas_balanced()
-                return ("deadlock", sorted(err.blocked.items()))
-
-        assert run(True) == run(False), (
-            f"shared-state engine diverged under failover ({protocol})"
+        maps, early acks, reorder buffers) — the shared stacks must still
+        agree bit-for-bit with what the private ones did.  Some (protocol,
+        crash-time) pairs legitimately wedge (a mirror crash
+        mid-rendezvous has no failover resend); a deadlock is then the
+        *outcome* to reproduce, down to the blocked-process set — and the
+        arenas must still balance once survivors are abandoned."""
+        assert_matches_corpus(
+            CORPUS, "traffic", SPEC,
+            lambda c: c["protocol"] == protocol and c["params"]["crash_at"] == crash_at,
         )
 
     def test_shared_objects_are_actually_shared(self):
@@ -145,21 +89,15 @@ class TestSharedStateEquivalence:
             assert all(p._send_row is first._send_row for p in node_pmls)
             assert all(p._recv_row is first._recv_row for p in node_pmls)
 
-    def test_seed_shaped_objects_are_private(self):
-        job = _job("sdr", n=4, shared_state=False)
-        protos = list(job.protocols.values())
-        assert len({id(p.shared) for p in protos}) == len(protos)
-        pmls = list(job.pmls.values())
-        assert len({id(p._send_row) for p in pmls}) == len(pmls)
-
 
 class TestFootprintBudget:
     """tracemalloc-based bytes-per-process ceilings."""
 
     #: 2x headroom over the measured ~3.8 KB/proc — tight enough that the
     #: fully-unshared seed-shaped construction (~15.4 KB/proc at this
-    #: tier) *fails* it, so a silent slide back toward per-proc copies is
-    #: caught, while allocator noise is not
+    #: tier, measured until PR 16 removed it) *failed* it, so a silent
+    #: slide back toward per-proc copies is caught, while allocator noise
+    #: is not
     BYTES_PER_PROC_BUDGET = 8 * 1024
 
     def test_paper_tier_construction_budget(self):
@@ -175,20 +113,6 @@ class TestFootprintBudget:
             f"(budget {self.BYTES_PER_PROC_BUDGET}) — per-proc copies of "
             "shared state have crept back in"
         )
-
-    def test_shared_construction_beats_seed_shaped(self):
-        """The flyweight engine must stay well under the per-proc spec —
-        a 3x floor on an ~11x measured gap."""
-        cfg = ReplicationConfig(degree=2, protocol="sdr")
-
-        def measure(shared):
-            tracemalloc.start()
-            Job(256, cfg=cfg, cluster=cluster_for(256, 2), shared_state=shared)
-            current, _peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return current
-
-        assert measure(True) * 3 < measure(False)
 
 
 class TestStrandAttribution:

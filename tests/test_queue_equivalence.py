@@ -20,147 +20,34 @@ The kernel's own order law needs no twin: it is checked as a property of
 from __future__ import annotations
 
 import heapq
-import json
-from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ReplicationConfig
-from repro.harness.runner import Job, cluster_for
-from repro.mpi.datatypes import Phantom
 from repro.sim.kernel import Simulator
+from tests.conftest import assert_matches_corpus, load_corpus
 
-CORPUS = [
-    json.loads(line)
-    for line in (Path(__file__).parent / "data" / "queue_fingerprints.jsonl").open()
-]
-
-
-def _job(protocol: str, n_ranks: int) -> Job:
-    if protocol == "native":
-        cfg = ReplicationConfig(degree=1, protocol="native")
-    else:
-        cfg = ReplicationConfig(degree=2, protocol=protocol)
-    return Job(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, cfg.degree))
-
-
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-    }
-
-
-def _assert_matches_corpus(kind, run):
-    """Every recorded *kind* line: ``run(job, **params)`` must reproduce the
-    heap-only engine's fingerprint (compared in the corpus's JSON form)."""
-    cases = [c for c in CORPUS if c["kind"] == kind]
-    assert cases, f"no {kind} lines in the corpus"
-    for case in cases:
-        res = run(_job(case["protocol"], case["n"]), **case["params"])
-        got = json.loads(json.dumps(_fingerprint(res)))
-        assert got == case["fingerprint"], (
-            f"queue diverged from the recorded heap-only spec "
-            f"({kind}, {case['protocol']}, n={case['n']}, {case['params']})"
-        )
-
-
-# ------------------------------------------------------------ applications
-def mixed_p2p(mpi, rounds, anonymous, tagset):
-    """Eager p2p with optional wildcards: matched, unexpected and reorder
-    paths — dense same-timestamp batches of completions and wake-ups."""
-    acc = 0.0
-    if mpi.rank == 0:
-        for r in range(rounds):
-            for _ in range(mpi.size - 1):
-                src = mpi.ANY_SOURCE if anonymous else (_ % (mpi.size - 1)) + 1
-                d, st_ = yield from mpi.recv(source=src, tag=tagset[r % len(tagset)])
-                acc += float(d[0])
-            for dst in range(1, mpi.size):
-                yield from mpi.send(np.array([acc]), dest=dst, tag=tagset[r % len(tagset)])
-    else:
-        for r in range(rounds):
-            yield from mpi.send(
-                np.array([float(mpi.rank + r)]), dest=0, tag=tagset[r % len(tagset)]
-            )
-            d, _ = yield from mpi.recv(source=0, tag=tagset[r % len(tagset)])
-            acc = float(d[0])
-    return acc
-
-
-def rendezvous_ring(mpi, iters, nbytes):
-    """Modeled large payloads force the rts/cts/data handshake + a collective."""
-    right = (mpi.rank + 1) % mpi.size
-    left = (mpi.rank - 1) % mpi.size
-    acc = 0.0
-    for _ in range(iters):
-        yield from mpi.sendrecv(Phantom(nbytes), dest=right, source=left, sendtag=5)
-        acc += float((yield from mpi.allreduce(float(mpi.rank), op="sum")))
-    return acc
-
-
-def collective_mix(mpi, iters):
-    acc = 0.0
-    for it in range(iters):
-        root = it % mpi.size
-        data = yield from mpi.bcast(np.arange(4, dtype=np.float64) + it, root=root)
-        acc += float(data[0])
-        acc += float((yield from mpi.allreduce(float(mpi.rank + it), op="max")))
-        gathered = yield from mpi.gather(mpi.rank + it, root=root)
-        acc += float((yield from mpi.scatter(gathered if mpi.rank == root else None, root=root)))
-    return acc
+CORPUS = load_corpus("queue_fingerprints.jsonl")
+SPEC = "heap-only queue"
 
 
 # ------------------------------------------------------- the recorded law
 def test_p2p_queue_equivalence():
-    _assert_matches_corpus(
-        "p2p",
-        lambda job, rounds, anonymous, tagset: job.launch(
-            mixed_p2p, rounds=rounds, anonymous=anonymous, tagset=tuple(tagset)
-        ).run(),
-    )
+    assert_matches_corpus(CORPUS, "p2p", SPEC)
 
 
 def test_rendezvous_queue_equivalence():
-    _assert_matches_corpus(
-        "rendezvous",
-        lambda job, iters, nbytes: job.launch(rendezvous_ring, iters=iters, nbytes=nbytes).run(),
-    )
+    assert_matches_corpus(CORPUS, "rendezvous", SPEC)
 
 
 def test_collective_queue_equivalence():
-    _assert_matches_corpus(
-        "collectives", lambda job, iters: job.launch(collective_mix, iters=iters).run()
-    )
+    assert_matches_corpus(CORPUS, "collectives", SPEC)
 
 
 def test_failover_queue_equivalence():
     """Crash handling (detector fan-out, failover resends, duplicate
     suppression) schedules bursts of now-time events — the fingerprint
     must hold through a fail-stop too."""
-
-    def run(job, crash_us):
-        job.launch(mixed_p2p, rounds=3, anonymous=True, tagset=(1, 2))
-        job.crash(1, 1, at=crash_us * 1e-6)
-        return job.run(allow_lost_ranks=True)
-
-    _assert_matches_corpus("failover", run)
+    assert_matches_corpus(CORPUS, "failover", SPEC)
 
 
 # ------------------------------------------------------- kernel-level laws
@@ -202,10 +89,13 @@ class _World:
 
     def __init__(self):
         self.sim, self.probes, self.fired, self.surfaced = Simulator(), [], [], 0
+        self.last = (-1.0, 0, 0)  # key of the last entry check() saw surfaced
 
     def push(self, how, delay, follow, parent_round=None):
         sim, probe = self.sim, _Probe(self, follow)
-        last = self.fired[-1].key if self.fired else (None, 0)
+        # The queue's position: the entry firing right now, or — between
+        # ops — the last one surfaced (a cancelled entry surfaces unfired).
+        last = max([self.last] + [p.key for p in self.fired[-1:]])
         rnd = last[1] if last[0] == sim.now else 0
         if how == "raw" and parent_round is not None:
             sim._seq += 1
@@ -226,6 +116,8 @@ class _World:
         whatever *surfaced_if* admits (never shrinking)."""
         sim, order = self.sim, sorted(self.probes, key=lambda p: p.key)
         self.surfaced = max(self.surfaced, sum(1 for p in order if surfaced_if(p.key[0])))
+        if self.surfaced:
+            self.last = order[self.surfaced - 1].key
         assert self.fired == [p for p in order[: self.surfaced] if not p.cancelled]
         assert sim.queue_size == len(order) - self.surfaced
         rest = order[self.surfaced :]

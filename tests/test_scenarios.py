@@ -24,6 +24,7 @@ from repro.scenarios import (
     scenarios,
 )
 from repro.scenarios.nas import CAMPAIGN_FLOPS_PER_CORE
+from repro.trace.determinism import check_send_determinism
 
 
 # ----------------------------------------------------------------- registry
@@ -153,3 +154,24 @@ def test_nas_envelopes_enforced_at_build_time():
     cfg = CampaignConfig(workload="mg", n_ranks=4)
     with pytest.raises(ScenarioError, match="needs >= 8 ranks"):
         run_case("sdr", 0, cfg)
+
+
+# -------------------------------------------------------- send-determinism
+@pytest.mark.parametrize(
+    "name", [s.name for s in scenarios() if isinstance(s, ClosedLoopScenario)]
+)
+def test_closed_loop_scenarios_are_send_deterministic(name):
+    """Definition 1, sampled, over the whole closed-loop registry at each
+    scenario's smallest legal shape: the paper's protocol is only correct
+    for send-deterministic programs, so every workload the campaigns and
+    sweeps run it on must be one (jittered replays may reorder receptions,
+    never a rank's send sequence)."""
+    scenario = get_scenario(name)
+    n = scenario.min_ranks
+    if scenario.pow2_ranks:
+        n = 1 << (n - 1).bit_length()
+    cfg = CampaignConfig(workload=name, n_ranks=n, steps=3)
+    scenario.check(n, cfg.degree)
+    bound = scenario.bind(cfg, seed=0)
+    report = check_send_determinism(bound.factory, n, replays=3, **bound.kwargs)
+    assert report.send_deterministic, report.divergences

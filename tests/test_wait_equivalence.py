@@ -4,12 +4,13 @@ PR 4 specialized the remaining generic completion loops per-handle
 (:meth:`MpiProcess.wait_handles` — the NAS ``waitall`` towers — plus
 ``waitsome``/``waitany``): stock handles resolve to their underlying PML
 requests once, completed requests drop out of the pending scan, and the
-progress step is inlined.  The generic loops survive as
-``wait_handles_generic``/``waitsome_generic``/``waitany_generic`` — the
-executable specification — and every randomized configuration here runs
-the same program through both and compares results, statuses, completion
-orders, bit-identical virtual times and dispatched-event counts, under
-completion orders randomized by per-sender compute delays.
+progress step is inlined.  The generic loops
+(``wait_handles_generic``/``waitsome_generic``/``waitany_generic``) are
+production code — *the* loops for non-stock handles, selected by handle
+type — and correct for any handle, so every randomized configuration here
+runs the same program through both and compares results, statuses,
+completion orders, bit-identical virtual times and dispatched-event
+counts, under completion orders randomized by per-sender compute delays.
 
 The leader protocol is included deliberately: its ``DeferredRecvHandle``
 does real work in ``advance()``, is *not* stock, and must route the whole
@@ -22,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ReplicationConfig
-from repro.harness.runner import Job, cluster_for
+from tests.conftest import fingerprint, make_job
 
 PROTOCOLS = ["native", "sdr", "leader"]
 
@@ -76,25 +76,10 @@ def waiter_fanin(mpi, which, use_generic, delays, per_peer):
 
 
 def _run(protocol, n, which, use_generic, delays, per_peer):
-    if protocol == "native":
-        cfg = ReplicationConfig(degree=1, protocol="native")
-    else:
-        cfg = ReplicationConfig(degree=2, protocol=protocol)
-    job = Job(n, cfg=cfg, cluster=cluster_for(n, cfg.degree))
-    res = job.launch(
-        waiter_fanin,
-        which=which,
-        use_generic=use_generic,
-        delays=delays,
-        per_peer=per_peer,
-    ).run()
-    return {
-        "results": {p: v for p, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-    }
+    job = make_job(protocol, n).launch(
+        waiter_fanin, which=which, use_generic=use_generic, delays=delays, per_peer=per_peer
+    )
+    return fingerprint(job.run())
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,8 +105,7 @@ def test_stock_dispatch_decision():
     from repro.mpi.handles import RecvHandle, SendHandle
     from repro.mpi.pml import PmlRecvRequest
 
-    cfg = ReplicationConfig(degree=1, protocol="native")
-    job = Job(2, cfg=cfg, cluster=cluster_for(2, 1))
+    job = make_job("native", 2)
     mpi = job.mpis[0]
     recv = RecvHandle(PmlRecvRequest(("w",), 1, 7))
     send = SendHandle([], world_dst=1, seq=0)
@@ -135,8 +119,7 @@ def test_specialized_waitall_drops_completed_handles():
     """The whole point: completed requests leave the pending scan.  Proven
     indirectly by equivalence; pinned here via the public result so a
     refactor cannot quietly turn the compaction into a no-op."""
-    cfg = ReplicationConfig(degree=2, protocol="sdr")
-    job = Job(3, cfg=cfg, cluster=cluster_for(3, 2))
+    job = make_job("sdr", 3)
     res = job.launch(
         waiter_fanin, which="waitall", use_generic=False, delays=[5, 25], per_peer=3
     ).run()

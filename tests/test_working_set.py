@@ -1,124 +1,76 @@
 """The run-time working-set contract (PR 8).
 
-Three coordinated memory layers landed behind ``Job(...)`` flags, each
-keeping the previous implementation as its executable spec:
+Three coordinated memory layers, each of which replaced — and until PR 16
+kept behind a ``Job(...)`` flag — the implementation before it:
 
-* **payload interning** (``interning``) — a job-wide
+* **payload interning** — a job-wide
   :class:`~repro.mpi.datatypes.PayloadInterner` collapses the millions of
   size-only ``Phantom`` snapshots (and small immutable bytes/str
   payloads) to one object per distinct value;
-* **high-water-trimmed arenas** (``arena_trim``) — the Frame/Envelope
-  free lists are capped at a windowed high-water bound by a trimmer
-  running from the kernel's quiescent-point ``on_advance`` hook;
-* **live-only match lanes** (the default
-  :class:`~repro.mpi.matching.MatchEngine`, with ``matching="linear"``
-  keeping the seed engine) — int-list lanes over the pending entries
-  only, so match state is O(pending), not O(messages ever seen).
+* **high-water-trimmed arenas** — the Frame/Envelope free lists are
+  capped at a windowed high-water bound by a trimmer running from the
+  kernel's quiescent-point ``on_advance`` hook;
+* **live-only match lanes** (:class:`~repro.mpi.matching.MatchEngine`) —
+  int-list lanes over the pending entries only, so match state is
+  O(pending), not O(messages ever seen).
 
 All three are host-side memory policy and must be *observationally
-invisible*: every randomized configuration here runs the same program
-with the flag on and off and compares the full engine fingerprint —
-per-rank results, bit-identical virtual times, dispatched-event and
-frame counts — across all five protocols, crash-free and crashy.  The
-zero-leak balance (``acquired == released + stranded``) must keep
-holding while trims drop pooled shells.
+invisible* — per-rank results, bit-identical virtual times, dispatched-
+event and frame counts — across all five protocols, crash-free and crashy.
+Interning has lost its second side: it is asserted against
+``tests/data/spec_fingerprints.jsonl``, the answers ``interning=False`` and
+``arena_trim=False`` (alone, and inside the full spec stack) gave on their
+last run at commit 0e78e89 — provenance in ``test_pooling_equivalence``'s
+docstring.  The other two still have one, with no production seam: the
+:class:`~repro.mpi.matching.LinearMatchEngine` oracle drives whole jobs
+patched over ``repro.mpi.pml.MatchEngine``, and trim policy is compared
+through ``Job.TRIM_INTERVAL`` (10⁹ = never, 1 = always).  The zero-leak
+balance (``acquired == released + stranded``) must keep holding while
+trims drop pooled shells.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ReplicationConfig
 from repro.harness.report import render_table, working_set_rows
-from repro.harness.runner import Job, cluster_for
+from repro.harness.runner import Job
 from repro.mpi.datatypes import PayloadInterner, Phantom
 from repro.mpi.errors import DeadlockError
+from repro.mpi.matching import LinearMatchEngine
+from repro.mpi.pml import Pml
+from repro.network.fabric import Fabric
 from repro.scenarios.ablation import anysource_fanin, ring_collectives
+from tests.conftest import (
+    PROTOCOLS,
+    assert_matches_corpus,
+    load_corpus,
+    make_job as _job,
+    mixed_traffic,
+    run_traffic,
+)
 
-PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
-
-
-def _job(protocol="native", n=4, **kwargs):
-    if protocol == "native":
-        cfg = ReplicationConfig(degree=1, protocol="native")
-    else:
-        cfg = ReplicationConfig(degree=2, protocol=protocol)
-    return Job(n, cfg=cfg, cluster=cluster_for(n, cfg.degree), **kwargs)
-
-
-def mixed_traffic(mpi, rounds=3, nbytes=65536):
-    """Eager p2p + ANY_SOURCE + rendezvous Phantoms + collectives: every
-    path the working-set layers touch (interned Phantom payloads, bursty
-    arena use, wildcard match lanes)."""
-    right = (mpi.rank + 1) % mpi.size
-    left = (mpi.rank - 1) % mpi.size
-    acc = 0.0
-    for r in range(rounds):
-        yield from mpi.sendrecv(Phantom(nbytes), dest=right, source=left, sendtag=1)
-        if mpi.rank == 0:
-            for _ in range(mpi.size - 1):
-                d, _st = yield from mpi.recv(source=mpi.ANY_SOURCE, tag=2)
-                acc += float(d[0])
-        else:
-            yield from mpi.send(np.array([float(mpi.rank + r)]), dest=0, tag=2)
-        acc += float((yield from mpi.allreduce(float(mpi.rank), op="sum")))
-        yield from mpi.compute(1e-6)
-    return acc
+CORPUS = load_corpus("spec_fingerprints.jsonl")
+SPEC = "memory-flags-off spec"
 
 
-def _norm(value):
-    if isinstance(value, np.ndarray):
-        return ("ndarray", value.dtype.str, value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    return value
-
-
-def _fingerprint(res):
-    return {
-        "results": {proc: _norm(v) for proc, v in sorted(res.app_results.items())},
-        "runtime": repr(res.runtime),
-        "finish": {p: repr(t) for p, t in sorted(res.finish_times.items())},
-        "events": res.events,
-        "frames": res.fabric["frames"],
-        "bytes": res.fabric["bytes"],
-        "by_kind": dict(sorted(res.fabric["by_kind"].items())),
-        "unexpected": res.stat_total("unexpected_count"),
-        "acks": res.stat_total("acks_sent"),
-        "stranded": dict(sorted(res.stranded_by_site.items())),
-    }
-
-
-def _run_flagged(protocol, n, rounds, crash_at=None, **flags):
-    """One run under *flags*; wedged runs fingerprint as their blocked set."""
-    job = _job(protocol, n=n, **flags)
-    job.launch(mixed_traffic, rounds=rounds)
-    if crash_at is not None:
-        job.crash(1, 1, at=crash_at)
-    try:
-        return _fingerprint(job.run())
-    except DeadlockError as err:
-        job._assert_arenas_balanced()
-        return ("deadlock", sorted(err.blocked.items()))
+def _run_on_linear_oracle(protocol, n, rounds, crash_at=None):
+    """One ``mixed_traffic`` run with every PML on the matching-order oracle."""
+    with mock.patch("repro.mpi.pml.MatchEngine", LinearMatchEngine):
+        job = _job(protocol, n)
+    assert all(type(pml.matching) is LinearMatchEngine for pml in job.pmls.values())
+    return run_traffic(job, rounds, crash_at)
 
 
 # ------------------------------------------------- flag equivalence (crash-free)
 class TestFlagEquivalence:
-    """flag on ≡ flag off, bit for bit, across all five protocols."""
+    """Memory policy is unobservable, bit for bit, across all five protocols."""
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        protocol=st.sampled_from(PROTOCOLS),
-        n=st.sampled_from([2, 3, 4]),
-        rounds=st.integers(min_value=1, max_value=3),
-        flag=st.sampled_from(["interning", "arena_trim"]),
-    )
-    def test_memory_flags_unobservable(self, protocol, n, rounds, flag):
-        on = _run_flagged(protocol, n, rounds, **{flag: True})
-        off = _run_flagged(protocol, n, rounds, **{flag: False})
-        assert on == off, f"{flag} diverged ({protocol}, n={n})"
+    def test_memory_flags_unobservable(self):
+        assert_matches_corpus(CORPUS, "traffic", SPEC, lambda c: c["params"]["crash_at"] is None)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -127,25 +79,17 @@ class TestFlagEquivalence:
         rounds=st.integers(min_value=1, max_value=3),
     )
     def test_soa_engine_matches_linear_spec(self, protocol, n, rounds):
-        indexed = _run_flagged(protocol, n, rounds, matching="indexed")
-        linear = _run_flagged(protocol, n, rounds, matching="linear")
+        indexed = run_traffic(_job(protocol, n), rounds)
+        linear = _run_on_linear_oracle(protocol, n, rounds)
         assert indexed == linear, f"indexed engine diverged from linear spec ({protocol})"
 
     def test_all_flags_off_together(self):
-        """The fully seed-shaped stack (every spec mode at once) agrees
-        with the fully optimized one."""
-        for protocol in PROTOCOLS:
-            fast = _run_flagged(protocol, 4, 2)
-            spec = _run_flagged(
-                protocol, 4, 2,
-                interning=False, arena_trim=False, matching="linear",
-                pooling=False, shared_state=False,
-            )
-            assert fast == spec, f"optimized stack diverged from full spec ({protocol})"
-
-    def test_matching_flag_validated(self):
-        with pytest.raises(ValueError, match="indexed.*linear"):
-            _job("sdr", matching="soa")
+        """The fully seed-shaped stack (every spec mode at once) agreed
+        with the fully optimized one: its recorded answers still hold."""
+        assert_matches_corpus(
+            CORPUS, "traffic", "full spec stack",
+            lambda c: c["n"] == 4 and c["params"] == {"rounds": 2, "crash_at": None},
+        )
 
 
 # ---------------------------------------------------- flag equivalence (crashy)
@@ -153,20 +97,12 @@ class TestFlagEquivalenceUnderFailover:
     """Crashes and failover resends must not observe the memory policy.
 
     Some (protocol, crash-time) pairs legitimately wedge; the deadlock —
-    down to the blocked-process set — is then the outcome both modes must
+    down to the blocked-process set — is then the outcome both sides must
     agree on, and the arenas must still balance.
     """
 
-    @settings(max_examples=10, deadline=None)
-    @given(
-        protocol=st.sampled_from(["sdr", "mirror", "leader"]),
-        crash_at=st.sampled_from([2e-5, 9e-5]),
-        flag=st.sampled_from(["interning", "arena_trim"]),
-    )
-    def test_memory_flags_unobservable_on_crashes(self, protocol, crash_at, flag):
-        on = _run_flagged(protocol, 4, 3, crash_at=crash_at, **{flag: True})
-        off = _run_flagged(protocol, 4, 3, crash_at=crash_at, **{flag: False})
-        assert on == off, f"{flag} diverged under failover ({protocol})"
+    def test_memory_flags_unobservable_on_crashes(self):
+        assert_matches_corpus(CORPUS, "traffic", SPEC, lambda c: c["params"]["crash_at"] is not None)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -174,8 +110,8 @@ class TestFlagEquivalenceUnderFailover:
         crash_at=st.sampled_from([2e-5, 9e-5]),
     )
     def test_soa_engine_matches_linear_spec_on_crashes(self, protocol, crash_at):
-        indexed = _run_flagged(protocol, 4, 3, crash_at=crash_at, matching="indexed")
-        linear = _run_flagged(protocol, 4, 3, crash_at=crash_at, matching="linear")
+        indexed = run_traffic(_job(protocol, 4), 3, crash_at)
+        linear = _run_on_linear_oracle(protocol, 4, 3, crash_at)
         assert indexed == linear, f"indexed engine diverged under failover ({protocol})"
 
 
@@ -184,22 +120,27 @@ class TestArenaTrim:
     """The quiescent-point trimmer: pools shrink, books still balance."""
 
     def test_forced_trims_stay_unobservable_and_balanced(self, monkeypatch):
-        """Trim at *every* quiescent point (interval 1, full sweep): the
-        most aggressive policy possible must still be fingerprint-
-        identical to no trimming at all, crash-free and crashy."""
+        """Trim at *every* quiescent point (interval 1, full sweep, no
+        slack): the most aggressive policy possible must still be
+        fingerprint-identical to never trimming at all, crash-free and
+        crashy."""
+        monkeypatch.setattr(Job, "TRIM_PROCS", 10_000)
+        monkeypatch.setattr(Pml, "TRIM_SLACK", 0)
+        monkeypatch.setattr(Fabric, "TRIM_SLACK", 0)
         for crash_at in (None, 2e-5):
-            baseline = _run_flagged("sdr", 4, 3, crash_at=crash_at, arena_trim=False)
-            monkeypatch.setattr(Job, "TRIM_INTERVAL", 1)
-            monkeypatch.setattr(Job, "TRIM_PROCS", 10_000)
-            forced = _run_flagged("sdr", 4, 3, crash_at=crash_at, arena_trim=True)
-            monkeypatch.undo()
-            assert forced == baseline
+            runs = []
+            for interval in (10**9, 1):
+                monkeypatch.setattr(Job, "TRIM_INTERVAL", interval)
+                job = _job("sdr", 4)
+                runs.append(run_traffic(job, 3, crash_at))
+            assert job.fabric.frames_trimmed + sum(p.env_trimmed for p in job.pmls.values()) > 0
+            assert runs[0] == runs[1]
 
     def test_trim_caps_pool_and_counts_drops(self):
         """Unit-level policy check: a pool bloated past the windowed
         high-water is cut to ``window + TRIM_SLACK`` and the drop counted;
         the arena balance is untouched (trimmed shells were released)."""
-        job = _job("native", n=2, arena_trim=False)
+        job = _job("native", n=2)
         pml = job.pmls[0]
         # Warm the pool far beyond any real outstanding count.
         envs = [
@@ -222,7 +163,7 @@ class TestArenaTrim:
         assert pml.env_acquired == pml.env_released == 200
 
     def test_fabric_trim_mirrors_pml_policy(self):
-        job = _job("native", n=2, arena_trim=False)
+        job = _job("native", n=2)
         fab = job.fabric
         frames = [fab.acquire_frame(0, 1, 8, None) for _ in range(100)]
         for f in frames:
@@ -300,8 +241,6 @@ class TestPayloadInterning:
         res = _job("sdr", n=4).launch(mixed_traffic, rounds=3).run()
         assert res.payload_interned > 0
         assert res.payload_misses > 0
-        off = _job("sdr", n=4, interning=False).launch(mixed_traffic, rounds=3).run()
-        assert off.payload_interned == 0 and off.payload_misses == 0
 
     def test_unexpected_phantoms_share_one_snapshot(self):
         """The working-set win itself: distinct Phantom sends parked in an

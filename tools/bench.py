@@ -65,7 +65,8 @@ fallback reasons).  Because sharded execution is byte-identical to
 serial, the A/B doubles as an equivalence assertion: events, frames and
 virtual runtime must match the serial row exactly.  ``--check`` treats
 ``@wN`` rows *advisorily* (speedup is host-dependent; a slow row warns,
-never fails).
+never fails).  ``--update`` without ``--workers`` keeps the mode's
+committed ``@wN`` rows (and prints that it did) rather than dropping them.
 
 Every workload runs **once untimed** before the timed repeats: the first
 execution pays one-off lazy costs (per-channel pricing state, cost-model
@@ -497,7 +498,15 @@ def main(argv=None) -> int:
 
     if args.update:
         snap = record.setdefault("current", {"label": "committed engine", "modes": {}})
-        snap.setdefault("modes", {})[mode] = results
+        modes = snap.setdefault("modes", {})
+        if not args.workers:
+            # A run without --workers measures no '<name>@wN' row: keep the
+            # mode's committed ones instead of replacing them with nothing.
+            kept = {name: row for name, row in modes.get(mode, {}).items() if "@w" in name}
+            results.update(kept)
+            if kept:
+                print(f"kept committed parallel rows (no --workers): {', '.join(sorted(kept))}")
+        modes[mode] = results
         # Tiers are refreshed at different times on different machines: say
         # per mode which host (and how many usable cores) produced the row.
         snap.setdefault("hosts", {})[mode] = {

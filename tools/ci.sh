@@ -33,9 +33,11 @@
 #                 at the same tolerance.
 #
 # On an intentional engine change, refresh the snapshots with
-#   for t in "" --quick --floor --paper --scale --scale4k --scale8k; do
-#     python tools/bench.py $t --update
+#   for t in "" --quick --paper --scale --scale4k --scale8k; do
+#     python tools/bench.py $t --workers 4 --update
 #   done
+#   python tools/bench.py --floor --update      # no Job: takes no --workers
+# (--update without --workers keeps the committed '@wN' rows and says so)
 # and commit the result — the perf trajectory is part of the repo's
 # contract (see docs/performance.md).
 
@@ -103,6 +105,9 @@ print_stage_summary() {
         done
         printf '  %-24s %7s\n' "total" "$(( SECONDS - T0 ))"
     fi
+    # The number ROADMAP asks every PR to justify (net lines added to src/
+    # need a reason; net lines removed do not).
+    echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
 }
 trap print_stage_summary EXIT
 

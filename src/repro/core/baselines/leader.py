@@ -5,7 +5,12 @@ outcomes are **agreed** instead of resolved locally: the leader replica of
 a rank posts anonymous receives normally; when one matches (``pml_match`` —
 the source is now known), the leader sends the decided ``(source, tag)`` to
 its follower replicas.  A follower holds its anonymous receive *deferred*
-until the decision arrives, then posts a specific-source receive.
+— built but unposted, parked by anonymous-reception id — and the
+``ldr.decide`` ctrl handler posts it as a specific-source receive when the
+decision arrives (a decision that overtakes the follower's ``irecv`` is
+consumed at ``irecv`` time instead).  Either way the application holds a
+plain passive :class:`~repro.mpi.handles.RecvHandle`: no wait loop drives
+the protocol.
 
 Cost structure the paper predicts (Fig. 2, §3.1) and the ``abl-leader``
 experiment measures:
@@ -27,47 +32,10 @@ from repro.core.sdr import SdrProtocol
 from repro.mpi.pml import Envelope, PmlRecvRequest
 from repro.mpi.status import ANY_SOURCE
 
-__all__ = ["LeaderProtocol", "LeaderDecideMixin", "DeferredRecvHandle"]
+__all__ = ["LeaderProtocol", "LeaderDecideMixin"]
 
 #: ctrl key for leader decisions on anonymous receptions
 DECIDE = "ldr.decide"
-
-
-class DeferredRecvHandle(RecvHandle):
-    """A follower's anonymous receive, parked until the leader decides."""
-
-    __slots__ = ("proto", "anon_id", "ctx", "tag", "buf", "_posted")
-
-    #: deferred receives do real work in advance() (posting on decision)
-    needs_advance = True
-
-    def __init__(self, proto: "LeaderDecideMixin", anon_id: int, ctx: Any, tag: int, buf: Any) -> None:
-        super().__init__(PmlRecvRequest(ctx, ANY_SOURCE, tag, buf))  # placeholder
-        self.proto = proto
-        self.anon_id = anon_id
-        self.ctx = ctx
-        self.tag = tag
-        self.buf = buf
-        self._posted = False
-
-    @property
-    def done(self) -> bool:
-        return self._posted and self.pml_req.done
-
-    def advance(self) -> Optional[Generator]:
-        if self._posted:
-            return None
-        decision = self.proto.decisions.pop(self.anon_id, None)
-        if decision is None:
-            return None
-        return self._post_decided(decision)
-
-    def _post_decided(self, decision: Tuple[int, int]) -> Generator:
-        source, tag = decision
-        self.pml_req = yield from self.proto.pml.irecv(
-            ctx=self.ctx, source=source, tag=tag, buf=self.buf
-        )
-        self._posted = True
 
 
 class LeaderDecideMixin:
@@ -88,6 +56,7 @@ class LeaderDecideMixin:
     DECIDER_SLOTS = (
         "_anon_seq",
         "decisions",
+        "_deferred",
         "_anon_pending",
         "_arming_anon",
         "decisions_sent",
@@ -96,8 +65,11 @@ class LeaderDecideMixin:
 
     def _init_decider(self) -> None:
         self._anon_seq = 0
-        #: follower side: anon_id -> decided (source, tag)
+        #: follower side: anon_id -> decided (source, tag), for decisions
+        #: that arrived before the follower's own irecv
         self.decisions: Dict[int, Tuple[int, int]] = {}
+        #: follower side: anon_id -> the unposted receive awaiting its decision
+        self._deferred: Dict[int, PmlRecvRequest] = {}
         #: leader side: pml request -> anon_id, resolved at pml_match
         self._anon_pending: Dict[int, int] = {}
         #: anon_id being posted right now (an anonymous receive can match an
@@ -152,13 +124,17 @@ class LeaderDecideMixin:
                     yield overhead
                 pml.inject_ctrl(ph, DECIDE, (anon_id, env.src_rank, env.tag))
 
-    def _on_decide(self, env: Envelope) -> None:
-        # Plain ctrl handler (no charge, no yields): returning None lets
-        # the PML skip driving a generator per decision frame.  The
-        # decision tuple is unpacked out of the borrowed envelope here.
+    def _on_decide(self, env: Envelope) -> Optional[Generator]:
+        # The decision tuple is unpacked out of the borrowed envelope here;
+        # the returned generator (posting may match an unexpected message
+        # and, for rendezvous, clear the sender) is driven by the PML.
         anon_id, source, tag = env.data
-        self.decisions[anon_id] = (source, tag)
-        return None
+        req = self._deferred.pop(anon_id, None)
+        if req is None:
+            self.decisions[anon_id] = (source, tag)  # ahead of my irecv
+            return None
+        req.source, req.tag = source, tag
+        return self.pml.post_recv(req)
 
     def leader_irecv(self, ctx, source, tag, buf) -> Generator[Any, Any, RecvHandle]:
         """Anonymous-reception entry point used by app_irecv overrides."""
@@ -167,13 +143,20 @@ class LeaderDecideMixin:
         if self._is_leader():
             self._arming_anon = anon_id
             req = yield from self.pml.irecv(ctx=ctx, source=source, tag=tag, buf=buf)
-            if self._arming_anon is None:
-                # Decision already broadcast from the in-irecv match.
-                return RecvHandle(req)
-            self._arming_anon = None
-            self._anon_pending[id(req)] = anon_id
-            return RecvHandle(req)
-        return DeferredRecvHandle(self, anon_id, ctx, tag, buf)
+            if self._arming_anon is not None:
+                # Not matched inside irecv (that would have broadcast the
+                # decision already): decide at pml_match.
+                self._arming_anon = None
+                self._anon_pending[id(req)] = anon_id
+        else:
+            req = PmlRecvRequest(ctx, source, tag, buf)
+            decision = self.decisions.pop(anon_id, None)
+            if decision is None:
+                self._deferred[anon_id] = req  # posted by _on_decide
+            else:
+                req.source, req.tag = decision
+                yield from self.pml.post_recv(req)
+        return RecvHandle(req)
 
 
 class LeaderProtocol(LeaderDecideMixin, SdrProtocol):

@@ -6,7 +6,11 @@ without reimplementing it (§4.1): it adds pre/post-treatment around
 events.  :class:`BaseProtocol` is that surface here.  The API facade calls
 ``app_isend`` / ``app_irecv``; protocols return :class:`SendHandle` /
 :class:`RecvHandle` objects whose ``done`` predicate encodes any extra
-completion conditions (SDR-MPI: "all r-1 acks collected").
+completion conditions (SDR-MPI: "all r-1 acks collected").  Handles are
+passive (:mod:`repro.mpi.handles`): the wait loops only read them, so a
+protocol that must act later — post a follower's deferred receive, resend
+after a failover — does so from its own ctrl handler or hook, never from
+a wait loop.
 
 :class:`NativeProtocol` is the identity interposition — unmodified Open
 MPI — used for every "Native" column in the paper's tables.

@@ -315,6 +315,23 @@ class SdrProtocol(ReplicatedBase):
         yield from ()
 
     # -------------------------------------------------------------- failures
+    def _resend(self, handle: SdrSendHandle, world_dst: int, seq: int, dst_phys: int) -> Generator:
+        """Transmit a retained message to *dst_phys* (failover, cleared
+        suspicion, recovery): the new request joins the handle's own."""
+        self.resends += 1
+        req = yield from self.pml.isend(
+            ctx=handle.ctx,
+            src_rank=handle.src_rank,
+            tag=handle.tag,
+            data=handle.payload,
+            world_src=self.rank,
+            world_dst=world_dst,
+            seq=seq,
+            dst_phys=dst_phys,
+            already_copied=True,
+        )
+        handle.pml_reqs.append(req)
+
     def on_failure(self, failed: int) -> Generator:
         """Algorithm 1 lines 18-35."""
         rank_f = self.rmap.rank_of(failed)
@@ -343,19 +360,7 @@ class SdrProtocol(ReplicatedBase):
                         ph = self.rmap.phys(j, rep_l)
                         if ph in handle.needs_ack and self.membership.is_alive(ph):
                             handle.needs_ack.discard(ph)
-                            self.resends += 1
-                            req = yield from self.pml.isend(
-                                ctx=handle.ctx,
-                                src_rank=handle.src_rank,
-                                tag=handle.tag,
-                                data=handle.payload,
-                                world_src=self.rank,
-                                world_dst=j,
-                                seq=seq,
-                                dst_phys=ph,
-                                already_copied=True,
-                            )
-                            handle.pml_reqs.append(req)
+                            yield from self._resend(handle, j, seq, ph)
                             if not handle.needs_ack:
                                 del self.retention[(j, seq)]
             # Lines 26-27: whoever was covered by the failed replica is now
@@ -478,19 +483,7 @@ class SdrProtocol(ReplicatedBase):
         # in-order filter dedups whatever did get through before the
         # speculative cancel).
         for handle in snap["backlog"]:
-            self.resends += 1
-            req = yield from self.pml.isend(
-                ctx=handle.ctx,
-                src_rank=handle.src_rank,
-                tag=handle.tag,
-                data=handle.payload,
-                world_src=self.rank,
-                world_dst=handle.world_dst,
-                seq=handle.seq,
-                dst_phys=suspect,
-                already_copied=True,
-            )
-            handle.pml_reqs.append(req)
+            yield from self._resend(handle, handle.world_dst, handle.seq, suspect)
 
     # -------------------------------------------------------------- recovery
     def recovery_point(self) -> Generator:
@@ -543,19 +536,7 @@ class SdrProtocol(ReplicatedBase):
                     # (FIFO: the sub's acks for anything it received before
                     # the fork arrive before this notification), so the
                     # clone is missing it: transmit directly.
-                    self.resends += 1
-                    req = yield from self.pml.isend(
-                        ctx=handle.ctx,
-                        src_rank=handle.src_rank,
-                        tag=handle.tag,
-                        data=handle.payload,
-                        world_src=self.rank,
-                        world_dst=j,
-                        seq=seq,
-                        dst_phys=new_proc,
-                        already_copied=True,
-                    )
-                    handle.pml_reqs.append(req)
+                    yield from self._resend(handle, j, seq, new_proc)
                 # Either way the new replica owes us no ack: we have now
                 # transmitted to it ourselves, or its cloned state already
                 # contains the message (receivers never ack the physical

@@ -179,14 +179,16 @@ class MpiProcess:
         handle = yield from self.protocol.app_irecv(ctx=ctx, source=source, tag=tag, buf=buf)
         return handle
 
+    # The three below hand back the ``*_on`` generator itself (no
+    # pass-through frame on every wake of the caller's ``yield from``).
     def isend(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
         comm = comm or self.world
-        return (yield from self.isend_on(comm, comm.ctx_p2p, dest, tag, data))
+        return self.isend_on(comm, comm.ctx_p2p, dest, tag, data)
 
     def issend(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
         """MPI_Issend: completion additionally implies the receive matched."""
         comm = comm or self.world
-        return (yield from self.isend_on(comm, comm.ctx_p2p, dest, tag, data, synchronous=True))
+        return self.isend_on(comm, comm.ctx_p2p, dest, tag, data, synchronous=True)
 
     def irecv(
         self,
@@ -196,49 +198,38 @@ class MpiProcess:
         buf: Any = None,
     ) -> Generator:
         comm = comm or self.world
-        return (yield from self.irecv_on(comm, comm.ctx_p2p, source, tag, buf))
+        return self.irecv_on(comm, comm.ctx_p2p, source, tag, buf)
 
     # ------------------------------------------------------------ completion
+    # Handles are passive (see :mod:`repro.mpi.handles`): every loop below
+    # polls ``pml_req.done`` for a receive, ``needs_ack`` + ``pml_reqs`` for
+    # a send, and otherwise only progresses the PML — pop one inbound frame
+    # or block on the endpoint (:meth:`~repro.mpi.pml.Pml.progress_step`
+    # inlined).  Frames are handled nowhere else: the no-asynchronous-
+    # progress contract §3.3's deadlock-avoidance argument relies on.
     def wait_handles(self, handles: Sequence[Any]) -> Generator[Any, Any, List[Optional[Status]]]:
-        """Progress until every handle completes (MPI_Waitall core loop).
+        """Progress until every handle completes (MPI_Waitall).
 
-        While blocked, the PML keeps progressing: incoming messages match,
-        ``irecvComplete`` fires, acks flow — the behaviour §3.3's
-        deadlock-avoidance argument requires.
-
-        Specialized per-handle when every handle is *stock* (the NAS
-        ``waitall`` towers and every collective wait): the underlying PML
-        requests are collected once up front and each one is **dropped
-        from the pending list the moment it completes** — later progress
-        iterations re-scan only what is still outstanding, instead of
-        chasing ``advance()``/``done`` through every handle every frame.
-        Halo exchanges post 2k handles and complete them one frame at a
-        time, so the generic loop's re-scan was quadratic in the fan-out.
-        Stockness is decided exactly as the blocking fast paths do: a
-        plain :class:`RecvHandle`, or a handle with the stock
-        ``SendHandle.done`` predicate and no per-iteration ``advance()``
-        work.  Anything else (e.g. a leader-protocol deferred receive)
-        takes :meth:`wait_handles_generic`, the loop for non-stock
-        handles — the choice is made by handle type, and
-        ``tests/test_wait_equivalence.py`` proves the two loops agree
-        wherever both apply.
+        The underlying PML receive requests are collected once up front and
+        each one is **dropped from the pending list the moment it
+        completes** — later progress iterations re-scan only what is still
+        outstanding.  Halo exchanges post 2k handles and complete them one
+        frame at a time, so re-scanning every handle on every frame would
+        be quadratic in the fan-out.
         """
         rpend: List[Any] = []  # PML receive requests still incomplete
         spend: List[Any] = []  # send handles still incomplete
         for h in handles:
-            cls = type(h)
-            if cls is RecvHandle:
+            if type(h) is RecvHandle:
                 req = h.pml_req
                 if not req.done:
                     rpend.append(req)
-            elif cls.done is SendHandle.done and cls.needs_advance is False:
+            else:
                 # Kept whole (not flattened into its pml_reqs): a failover
                 # may append a resend request mid-wait, and the ack set
-                # shrinks as acks land — re-reading both through the handle
-                # each iteration matches the generic loop exactly.
+                # shrinks as acks land — both are re-read through the
+                # handle each iteration.
                 spend.append(h)
-            else:
-                return (yield from self.wait_handles_generic(handles))
         pml = self.pml
         ep = pml.endpoint
         while True:
@@ -270,92 +261,33 @@ class MpiProcess:
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
-    def wait_handles_generic(self, handles: Sequence[Any]) -> Generator[Any, Any, List[Optional[Status]]]:
-        """MPI_Waitall for non-stock handles: drives ``advance()`` on every
-        handle each progress iteration (a leader-protocol
-        ``DeferredRecvHandle`` does real work there).  Correct for any
-        handle; :meth:`wait_handles` is its specialization for stock ones.
-
-        Handle ``advance()`` may return ``None`` (no work, the common case)
-        or a generator to drive; skipping the no-work generators keeps this
-        loop allocation-free.  The progress step itself (pop one inbound
-        frame, or block on the endpoint) is inlined from
-        :meth:`~repro.mpi.pml.Pml.progress_step`: frames are still handled
-        only here, preserving the no-asynchronous-progress contract (§3.3).
-        """
-        pml = self.pml
-        ep = pml.endpoint
-        while True:
-            for h in handles:
-                gen = h.advance()
-                if gen is not None:
-                    yield from gen
-            for h in handles:
-                if not h.done:
-                    break
-            else:
-                break
-            if ep.inbox:
-                yield from pml.handle_frame(ep.inbox.popleft())
-            else:
-                yield ep  # block on the endpoint (allocation-free waiter)
-        return [h.status for h in handles]
+    #: MPI_Waitall *is* the loop above: an alias, not a wrapper frame
+    waitall = wait_handles
 
     def wait(self, handle: Any) -> Generator[Any, Any, Optional[Status]]:
-        """MPI_Wait: single-handle fast path of :meth:`wait_handles`."""
+        """MPI_Wait: single-handle form of :meth:`wait_handles`."""
         pml = self.pml
         ep = pml.endpoint
-        while True:
-            gen = handle.advance()
-            if gen is not None:
-                yield from gen
-            if handle.done:
-                return handle.status
+        while not handle.done:
             if ep.inbox:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
+        return handle.status
 
-    def waitall(self, handles: Sequence[Any]) -> Generator:
-        return (yield from self.wait_handles(handles))
-
-    def _stock_polls(self, handles: Sequence[Any]) -> Optional[List[Tuple[bool, Any]]]:
-        """Per-handle poll plan for all-stock handle sets, or None.
-
-        Each entry is ``(is_send, obj)``: receives poll their PML request's
-        ``done`` slot directly (no descriptor dispatch), sends inline the
-        stock ``SendHandle.done`` predicate.  A single non-stock handle
-        (e.g. a leader-protocol deferred receive, which does real work in
-        ``advance()``) disqualifies the whole set — the callers then take
-        their ``*_generic`` loop, the one for non-stock handles.
-        """
-        polls: List[Tuple[bool, Any]] = []
-        for h in handles:
-            cls = type(h)
-            if cls is RecvHandle:
-                polls.append((False, h.pml_req))
-            elif cls.done is SendHandle.done and cls.needs_advance is False:
-                polls.append((True, h))
-            else:
-                return None
-        return polls
+    @staticmethod
+    def _polls(handles: Sequence[Any]) -> List[Tuple[bool, Any]]:
+        """Per-handle poll plan ``(is_send, obj)``: receives poll their PML
+        request's ``done`` slot directly (no descriptor dispatch), sends
+        get the :class:`SendHandle` completion predicate inlined."""
+        return [(False, h.pml_req) if type(h) is RecvHandle else (True, h) for h in handles]
 
     def waitsome(self, handles: Sequence[Any]) -> Generator[Any, Any, List[Tuple[int, Optional[Status]]]]:
         """Progress until at least one handle completes; returns every
-        completed (index, status) pair (MPI_Waitsome).
-
-        Specialized per-handle for all-stock handle sets: the underlying
-        request objects are resolved once, each scan reads ``done`` slots
-        instead of calling ``advance()`` plus two property descriptors per
-        handle, and the progress step is inlined.  Non-stock sets take
-        :meth:`waitsome_generic` (the two agree wherever both apply:
-        ``tests/test_wait_equivalence.py``).
-        """
+        completed (index, status) pair (MPI_Waitsome)."""
         if not handles:
             raise MpiError("waitsome requires at least one handle")
-        polls = self._stock_polls(handles)
-        if polls is None:
-            return (yield from self.waitsome_generic(handles))
+        polls = self._polls(handles)
         pml = self.pml
         ep = pml.endpoint
         while True:
@@ -376,36 +308,17 @@ class MpiProcess:
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
-    def waitsome_generic(
-        self, handles: Sequence[Any]
-    ) -> Generator[Any, Any, List[Tuple[int, Optional[Status]]]]:
-        """MPI_Waitsome for non-stock handles (``advance()`` driven per scan)."""
-        if not handles:
-            raise MpiError("waitsome requires at least one handle")
-        while True:
-            for h in handles:
-                gen = h.advance()
-                if gen is not None:
-                    yield from gen
-            done = [(i, h.status) for i, h in enumerate(handles) if h.done]
-            if done:
-                return done
-            yield from self.pml.progress_step()
-
     def waitany(self, handles: Sequence[Any]) -> Generator[Any, Any, Tuple[int, Optional[Status]]]:
         """Progress until *some* handle completes; returns (index, status).
 
         The winning index depends on message timing — a non-deterministic
         outcome that send-deterministic applications may observe internally
-        without externally visible divergence (§2.2).  Index-order priority
-        matches :meth:`waitany_generic` exactly: the lowest completed index
-        wins each scan.  Specialized per-handle like :meth:`waitsome`.
+        without externally visible divergence (§2.2).  The lowest completed
+        index wins each scan.
         """
         if not handles:
             raise MpiError("waitany requires at least one handle")
-        polls = self._stock_polls(handles)
-        if polls is None:
-            return (yield from self.waitany_generic(handles))
+        polls = self._polls(handles)
         pml = self.pml
         ep = pml.endpoint
         while True:
@@ -423,33 +336,13 @@ class MpiProcess:
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
-    def waitany_generic(self, handles: Sequence[Any]) -> Generator[Any, Any, Tuple[int, Optional[Status]]]:
-        """MPI_Waitany for non-stock handles (``advance()`` driven per scan)."""
-        if not handles:
-            raise MpiError("waitany requires at least one handle")
-        while True:
-            for i, h in enumerate(handles):
-                gen = h.advance()
-                if gen is not None:
-                    yield from gen
-                if h.done:
-                    return i, h.status
-            yield from self.pml.progress_step()
-
     def test(self, handle: Any) -> Generator[Any, Any, bool]:
         """Nonblocking completion check (MPI_Test): drain, never block."""
         yield from self.pml.drain()
-        gen = handle.advance()
-        if gen is not None:
-            yield from gen
         return handle.done
 
     def testall(self, handles: Sequence[Any]) -> Generator[Any, Any, bool]:
         yield from self.pml.drain()
-        for h in handles:
-            gen = h.advance()
-            if gen is not None:
-                yield from gen
         return all(h.done for h in handles)
 
     # --------------------------------------------------------------- blocking
@@ -474,27 +367,16 @@ class MpiProcess:
         )
         pml = self.pml
         ep = pml.endpoint
-        # Specialize the completion test when the handle has the stock
-        # ``done`` predicate: the property call per progress iteration is
-        # measurable.  ``needs_advance`` is a class flag — stock handles
-        # have no per-iteration work.
-        fast_done = type(handle).done is SendHandle.done
-        needs_advance = getattr(handle, "needs_advance", True)
+        # ``SendHandle.done`` inlined: the property call per progress
+        # iteration is measurable.
         while True:
-            if needs_advance:
-                gen = handle.advance()
-                if gen is not None:
-                    yield from gen
-            if fast_done:
-                if not handle.needs_ack:
-                    reqs = handle.pml_reqs
-                    if len(reqs) == 1:
-                        if reqs[0].done:
-                            return
-                    elif all(r.done for r in reqs):
+            if not handle.needs_ack:
+                reqs = handle.pml_reqs
+                if len(reqs) == 1:
+                    if reqs[0].done:
                         return
-            elif handle.done:
-                return
+                elif all(r.done for r in reqs):
+                    return
             if ep.inbox:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:
@@ -521,24 +403,12 @@ class MpiProcess:
         )
         pml = self.pml
         ep = pml.endpoint
-        if type(handle) is RecvHandle:
-            # Stock handle: the wrapped PML request never changes, so poll
-            # it directly instead of going through three properties per
-            # progress iteration.
-            req = handle.pml_req
-            while True:
-                if req.done:
-                    return req.data, req.status
-                if ep.inbox:
-                    yield from pml.handle_frame(ep.inbox.popleft())
-                else:
-                    yield ep  # block on the endpoint (allocation-free waiter)
+        # The wrapped PML request never changes: poll it directly instead
+        # of going through three properties per progress iteration.
+        req = handle.pml_req
         while True:
-            gen = handle.advance()
-            if gen is not None:
-                yield from gen
-            if handle.done:
-                return handle.data, handle.status
+            if req.done:
+                return req.data, req.status
             if ep.inbox:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:
@@ -557,8 +427,7 @@ class MpiProcess:
 
         Posting order (receive first, then send), recorder calls and the
         progress step match the irecv + isend + ``wait_handles`` tower
-        exactly; only the delegation frames and the per-iteration
-        ``advance()`` calls on stock handles are gone.  Halo exchanges are
+        exactly; only the delegation frames are gone.  Halo exchanges are
         the dominant call shape of the paper-scale workloads, which is
         what earns this one its own flat body.
         """
@@ -578,33 +447,12 @@ class MpiProcess:
         )
         pml = self.pml
         ep = pml.endpoint
-        s_fast = type(shandle).done is SendHandle.done
-        s_adv = getattr(shandle, "needs_advance", True)
-        r_stock = type(rhandle) is RecvHandle
-        r_req = rhandle.pml_req if r_stock else None
+        r_req = rhandle.pml_req
         while True:
-            if s_adv:
-                gen = shandle.advance()
-                if gen is not None:
-                    yield from gen
-            if not r_stock:
-                gen = rhandle.advance()
-                if gen is not None:
-                    yield from gen
-            if s_fast:
-                if shandle.needs_ack:
-                    s_done = False
-                else:
-                    reqs = shandle.pml_reqs
-                    s_done = reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs)
-            else:
-                s_done = shandle.done
-            if s_done:
-                if r_stock:
-                    if r_req.done:
-                        return r_req.data, r_req.status
-                elif rhandle.done:
-                    return rhandle.data, rhandle.status
+            if r_req.done and not shandle.needs_ack:
+                reqs = shandle.pml_reqs
+                if reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs):
+                    return r_req.data, r_req.status
             if ep.inbox:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:

@@ -42,7 +42,6 @@ from __future__ import annotations
 from typing import Any, Generator, List, Optional, TYPE_CHECKING
 
 from repro.mpi.datatypes import combine, nbytes_of
-from repro.mpi.handles import RecvHandle, SendHandle
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.api import MpiProcess
@@ -76,21 +75,11 @@ def _base_tag(comm: "Communicator") -> int:
 #
 # Each helper is ONE generator frame wrapping the protocol entry points
 # directly; the wait loops replicate the blocking fast paths of
-# repro.mpi.api (same completion predicates, same pop-one-frame-or-block
+# repro.mpi.api (same passive-handle polls, same pop-one-frame-or-block
 # progress step), so the dispatched event stream is identical to posting
 # through ``isend_on``/``irecv_on`` and waiting in ``wait_handles`` — only
 # host-side frame traversals are saved.
 # ---------------------------------------------------------------------------
-def _send_done(shandle) -> bool:
-    """Stock SendHandle completion predicate, inlined (see api.send)."""
-    if shandle.needs_ack:
-        return False
-    reqs = shandle.pml_reqs
-    if len(reqs) == 1:
-        return reqs[0].done
-    return all(r.done for r in reqs)
-
-
 def _sendrecv(api: "MpiProcess", comm: "Communicator", send_peer: int,
               recv_peer: int, tag: int, data: Any) -> Generator:
     """Flat sendrecv: post both sides, drive both to completion inline.
@@ -110,31 +99,14 @@ def _sendrecv(api: "MpiProcess", comm: "Communicator", send_peer: int,
     )
     pml = api.pml
     ep = pml.endpoint
-    s_fast = type(shandle).done is SendHandle.done
-    s_adv = getattr(shandle, "needs_advance", True)
-    r_stock = type(rhandle) is RecvHandle
-    r_req = rhandle.pml_req if r_stock else None
+    r_req = rhandle.pml_req
     while True:
-        if s_adv:
-            gen = shandle.advance()
-            if gen is not None:
-                yield from gen
-        if not r_stock:
-            gen = rhandle.advance()
-            if gen is not None:
-                yield from gen
-        # _send_done inlined: one call per progress iteration of every
+        # SendHandle.done inlined: one call per progress iteration of every
         # collective exchange is measurable at paper scale.
-        if s_fast:
-            if shandle.needs_ack:
-                s_done = False
-            else:
-                reqs = shandle.pml_reqs
-                s_done = reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs)
-        else:
-            s_done = shandle.done
-        if s_done and (r_req.done if r_stock else rhandle.done):
-            return r_req.data if r_stock else rhandle.data
+        if r_req.done and not shandle.needs_ack:
+            reqs = shandle.pml_reqs
+            if reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs):
+                return r_req.data
         if ep.inbox:
             yield from pml.handle_frame(ep.inbox.popleft())
         else:
@@ -163,15 +135,7 @@ def _send_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, dat
     handle = yield from _post_send(api, comm, peer, tag, data)
     pml = api.pml
     ep = pml.endpoint
-    fast = type(handle).done is SendHandle.done
-    adv = getattr(handle, "needs_advance", True)
-    while True:
-        if adv:
-            gen = handle.advance()
-            if gen is not None:
-                yield from gen
-        if _send_done(handle) if fast else handle.done:
-            return
+    while not handle.done:
         if ep.inbox:
             yield from pml.handle_frame(ep.inbox.popleft())
         else:
@@ -185,25 +149,13 @@ def _recv_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> 
     )
     pml = api.pml
     ep = pml.endpoint
-    if type(handle) is RecvHandle:
-        req = handle.pml_req
-        while True:
-            if req.done:
-                return req.data
-            if ep.inbox:
-                yield from pml.handle_frame(ep.inbox.popleft())
-            else:
-                yield ep  # block on the endpoint (allocation-free waiter)
-    while True:
-        gen = handle.advance()
-        if gen is not None:
-            yield from gen
-        if handle.done:
-            return handle.data
+    req = handle.pml_req
+    while not req.done:
         if ep.inbox:
             yield from pml.handle_frame(ep.inbox.popleft())
         else:
-            yield ep
+            yield ep  # block on the endpoint (allocation-free waiter)
+    return req.data
 
 
 # --------------------------------------------------------------------- sync

@@ -1,28 +1,24 @@
-"""Stock application-level completion handles.
+"""Application-level completion handles.
 
 These are the request objects the MPI wait loops poll: a
 :class:`SendHandle` aggregates library-level send requests plus protocol
 completion conditions (SDR-MPI's "all r-1 acks collected"), a
 :class:`RecvHandle` wraps one PML receive request.  They live in
 :mod:`repro.mpi` (rather than with the protocol interposition contract in
-:mod:`repro.core.interpose`, which re-exports them) so the API facade's
-blocking fast paths can specialize on the stock types without creating an
-import cycle.
+:mod:`repro.core.interpose`, which re-exports them) so the API facade can
+poll their slots directly without creating an import cycle.
 
-Contract notes for subclasses:
-
-* ``advance()`` returns ``None`` when there is no per-iteration work (the
-  stock behaviour) or a generator the wait loop must drive;
-* ``needs_advance`` is a class flag mirroring that: the wait loops skip
-  the ``advance()`` call entirely when it is False;
-* the blocking fast paths inline the *stock* ``done`` predicate only when
-  ``type(handle).done is SendHandle.done`` — overriding ``done`` in a
-  subclass safely falls back to the generic loop.
+Contract: handles are **passive** completion records.  A wait loop reads
+``pml_req.done`` (receives) or ``needs_ack`` + ``pml_reqs`` (sends) and
+nothing else — it never calls into a handle.  A protocol that must act
+later (post a deferred receive, resend after a failover) does so from its
+own ctrl handler or hook and mutates the records the handle points at;
+subclasses may add slots (SDR's resend bookkeeping) but not behaviour.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.mpi.status import Status
 
@@ -41,9 +37,6 @@ class SendHandle:
     """
 
     __slots__ = ("pml_reqs", "needs_ack", "status", "world_dst", "seq", "payload", "nbytes")
-
-    #: class flag: no per-iteration advance work (wait loops skip the call)
-    needs_advance = False
 
     def __init__(
         self,
@@ -70,17 +63,11 @@ class SendHandle:
             return reqs[0].done
         return all(r.done for r in reqs)
 
-    def advance(self) -> Optional[Generator]:
-        return None
-
 
 class RecvHandle:
     """Application-level receive handle wrapping a PML receive request."""
 
     __slots__ = ("pml_req",)
-
-    #: class flag: no per-iteration advance work (wait loops skip the call)
-    needs_advance = False
 
     def __init__(self, pml_req: "PmlRecvRequest") -> None:
         self.pml_req = pml_req
@@ -96,6 +83,3 @@ class RecvHandle:
     @property
     def status(self) -> Optional[Status]:
         return self.pml_req.status
-
-    def advance(self) -> Optional[Generator]:
-        return None

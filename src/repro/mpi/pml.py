@@ -460,10 +460,6 @@ class Pml:
     def model_to(self, dst_phys: int):
         return self.fabric.model_for(self.proc, dst_phys)
 
-    def _charge(self, seconds: float) -> Generator:
-        if seconds > 0.0:
-            yield seconds
-
     def _send_cost_to(self, dst: int) -> Tuple[float, int]:
         """Row-fill slow path: price *dst* and publish it for every sharer."""
         model = self.fabric.model_for(self.proc, dst)
@@ -624,10 +620,9 @@ class Pml:
         """Charge sender overhead and put one frame on the wire.
 
         The zero-overhead case (LinearCostModel, teaching setups) yields
-        nothing; the charge is inlined rather than delegated to
-        :meth:`_charge` so the common path allocates no sub-generator.
-        The hottest send paths (:meth:`isend`, :meth:`send_ctrl`) inline
-        this body outright to skip the sub-generator entirely.
+        nothing.  The hot send paths skip this generator altogether: they
+        charge :meth:`send_cost` themselves, then :meth:`post_send` /
+        :meth:`inject_ctrl`.
         """
         dst = env.dst_phys
         cost = self._send_row.get(self._node_of[dst])
@@ -670,53 +665,12 @@ class Pml:
         payload = data if already_copied else copy_payload(data)
         if nbytes is None:
             nbytes = nbytes_of(payload)
-        msg_id = self._next_msg_id()
-        cost = self._send_row.get(self._node_of[dst_phys])
-        if cost is None:
-            cost = self._send_cost_to(dst_phys)
-        req = PmlSendRequest(dst_phys, nbytes, msg_id)
-        self.sends_posted += 1
-        # inject() inlined: one application send per call makes the extra
-        # sub-generator measurable.  Envelopes are acquired *after* the
-        # charge so an abandoned generator (crash mid-charge) strands
-        # nothing outside the arena.
-        overhead = cost[0]
-        if not synchronous and nbytes <= cost[1]:
-            if overhead > 0.0:
-                yield overhead
-            env = self.acquire_env(
-                "eager",
-                ctx,
-                src_rank,
-                tag,
-                world_src,
-                world_dst,
-                seq,
-                nbytes,
-                payload,
-                dst_phys,
-                msg_id=msg_id,
-            )
-            self.fabric.send(self.proc, dst_phys, nbytes, env, "eager")
-            req.done = True
-        else:
-            # Rendezvous: RTS now, DATA once the CTS comes back.  The
-            # payload-bearing envelope is retained in _rdv_sends (owned by
-            # this PML); the RTS on the wire carries no payload.
-            if overhead > 0.0:
-                yield overhead
-            env = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, payload, dst_phys, msg_id=msg_id
-            )
-            rdv = self._rdv_sends
-            if rdv is None:
-                rdv = self._rdv_sends = {}
-            rdv[msg_id] = (req, env)
-            rts = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, None, dst_phys, msg_id=msg_id
-            )
-            self.fabric.send(self.proc, dst_phys, RTS_BYTES, rts, "rts")
-        return req
+        overhead = self.send_cost(dst_phys)
+        if overhead > 0.0:
+            yield overhead
+        return self.post_send(
+            ctx, src_rank, tag, payload, world_src, world_dst, seq, dst_phys, nbytes, synchronous
+        )
 
     def send_cost(self, dst_phys: int) -> float:
         """Sender CPU overhead toward *dst* (hot-path split of send_ctrl:
@@ -740,12 +694,14 @@ class Pml:
         nbytes: int,
         synchronous: bool = False,
     ) -> PmlSendRequest:
-        """Non-generator core of :meth:`isend` for pre-charged callers.
+        """The one posting body of an application send (non-generator).
 
         The caller must have snapshotted *payload* (``copy_payload``) and
         charged :meth:`send_cost` already — the protocol fast paths do
-        charge-then-post to skip one sub-generator per application send.
-        Observationally identical to ``isend(..., already_copied=True)``.
+        charge-then-post to skip one sub-generator per application send;
+        :meth:`isend` is that sequence as a generator.  Nothing is counted
+        or acquired before the charge, so a process crashed mid-charge
+        leaves no trace here.
         """
         msg_id = self._next_msg_id()
         cost = self._send_row.get(self._node_of[dst_phys])
@@ -787,7 +743,7 @@ class Pml:
         """Put one control frame on the wire *without* charging CPU.
 
         The caller must charge :meth:`send_cost` first (yield the seconds)
-        — see :meth:`send_ctrl` for the composed generator form.  The
+        — :meth:`send_ctrl` is the composed generator form.  The
         envelope and frame both come from the recycling arenas: control
         traffic (acks, decisions) outnumbers application frames under
         replication, so this path is allocation-free at steady state
@@ -823,26 +779,24 @@ class Pml:
         self.fabric.send(self.proc, dst_phys, nbytes, env, "ctrl")
 
     def send_ctrl(self, dst_phys: int, ctrl_key: str, data: Any, nbytes: int = CTRL_BYTES) -> Generator:
-        """Send a protocol-private control frame (never enters matching)."""
-        # inject() inlined: ctrl frames (acks, decisions) outnumber
-        # application frames under replication.  The envelope is acquired
-        # *after* the charge so an abandoned generator leaks nothing.
-        cost = self._send_row.get(self._node_of[dst_phys])
-        if cost is None:
-            cost = self._send_cost_to(dst_phys)
-        if cost[0] > 0.0:
-            yield cost[0]
-        env = self.acquire_env(
-            "ctrl", None, -1, -1, -1, -1, -1, nbytes, data, dst_phys, ctrl_key=ctrl_key
-        )
-        self.fabric.send(self.proc, dst_phys, nbytes, env, "ctrl")
+        """Send a protocol-private control frame (never enters matching):
+        the :meth:`send_cost` charge, then :meth:`inject_ctrl`."""
+        overhead = self.send_cost(dst_phys)
+        if overhead > 0.0:
+            yield overhead
+        self.inject_ctrl(dst_phys, ctrl_key, data, nbytes)
 
     # ----------------------------------------------------------------- recv
     def irecv(self, ctx: Any, source: int, tag: int, buf: Any = None) -> Generator[Any, Any, PmlRecvRequest]:
         """Post a receive; may match an unexpected message immediately."""
-        req = PmlRecvRequest(ctx, source, tag, buf)
+        return self.post_recv(PmlRecvRequest(ctx, source, tag, buf))
+
+    def post_recv(self, req: PmlRecvRequest) -> Generator[Any, Any, PmlRecvRequest]:
+        """Posting half of :meth:`irecv`, for a request the caller built
+        earlier (the leader protocols park a follower's anonymous receive
+        unposted and narrow ``source``/``tag`` once the decision arrives)."""
         self.recvs_posted += 1
-        if source == ANY_SOURCE:
+        if req.source == ANY_SOURCE:
             self.any_source_posts += 1
         env = self.matching.post(req)
         if env is not None:

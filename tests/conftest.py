@@ -9,6 +9,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.config import ReplicationConfig
 from repro.harness.runner import Job, JobResult, cluster_for
@@ -16,7 +17,23 @@ from repro.mpi.datatypes import Phantom
 from repro.mpi.errors import DeadlockError
 from repro.network.topology import Cluster
 
+# One profile, no switch: every ``@given`` test draws the same examples on
+# every run, and no failing example persists in ``.hypothesis/`` between runs
+# — tier-1 is the same test each time.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
+
+#: (protocol, mix) cells with no envelope-leak violation on seeds 0-2399
+#: (perf/README.md, "A finding for a later correctness issue"): every
+#: protocol under clean/crash, native under all four mixes.  The replicated
+#: protocols under the wire-fault mixes leak on some seeds — pinned as
+#: strict xfails in ``test_traffic.py`` and ``test_campaign.py``.
+LEAK_FREE_CELLS = [(p, m) for p in PROTOCOLS for m in ("clean", "crash")] + [
+    ("native", "network"),
+    ("native", "full"),
+]
 
 
 def make_job(
@@ -173,6 +190,50 @@ def mixed_traffic(mpi, rounds=3, nbytes=65536):
     return acc
 
 
+def _status_obs(status):
+    return None if status is None else (status.source, status.tag, status.nbytes)
+
+
+def waiter_fanin(mpi, which, delays, per_peer):
+    """Rank 0 posts ANY_SOURCE receives (plus sends back), then completes
+    them through the wait call *which* names; peers send after per-sender
+    compute delays, which set the completion order rank 0 observes."""
+    if mpi.rank != 0:
+        d = delays[(mpi.rank - 1) % len(delays)]
+        for i in range(per_peer):
+            yield from mpi.compute(d * 1e-6)
+            yield from mpi.send(np.array([float(mpi.rank * 100 + i)]), dest=0, tag=7)
+        got, _st = yield from mpi.recv(source=0, tag=8)
+        return float(got[0])
+    handles = []
+    for _ in range(per_peer * (mpi.size - 1)):
+        h = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=7)
+        handles.append(h)
+    # Mixed handle kinds: the farewell sends complete through the same loop.
+    for dst in range(1, mpi.size):
+        s = yield from mpi.isend(np.array([float(dst)]), dest=dst, tag=8)
+        handles.append(s)
+    obs = []
+    if which == "waitall":
+        statuses = yield from mpi.waitall(handles)
+        obs.append([_status_obs(s) for s in statuses])
+    elif which == "waitsome":
+        pending = list(range(len(handles)))
+        while pending:
+            done = yield from mpi.waitsome([handles[i] for i in pending])
+            got = {i for i, _s in done}
+            obs.append(sorted((pending[i], _status_obs(s)) for i, s in done))
+            pending = [p for j, p in enumerate(pending) if j not in got]
+    else:  # waitany
+        pending = list(range(len(handles)))
+        while pending:
+            i, s = yield from mpi.waitany([handles[p] for p in pending])
+            obs.append((pending[i], _status_obs(s)))
+            pending.pop(i)
+    data = sorted(float(h.data[0]) for h in handles[: per_peer * (mpi.size - 1)])
+    return (obs, data)
+
+
 def run_traffic(job: Job, rounds: int = 3, crash_at: Optional[float] = None) -> Any:
     """``mixed_traffic`` with an optional fail-stop of replica 1 of rank 1."""
     job.launch(mixed_traffic, rounds=rounds)
@@ -198,6 +259,9 @@ CORPUS_RUNS: Dict[str, Callable[..., Any]] = {
     "collectives": lambda job, iters: run_fingerprint(job.launch(collective_mix, iters=iters)),
     "failover": _run_failover,
     "traffic": run_traffic,
+    "wait": lambda job, which, delays, per_peer: run_fingerprint(
+        job.launch(waiter_fanin, which=which, delays=delays, per_peer=per_peer)
+    ),
 }
 
 
@@ -205,8 +269,8 @@ CORPUS_RUNS: Dict[str, Callable[..., Any]] = {
 @functools.lru_cache(maxsize=None)
 def load_corpus(name: str) -> List[dict]:
     """``tests/data/<name>``: one ``{kind, protocol, n, params, fingerprint}``
-    line per configuration, recorded from a predecessor engine (parsed once
-    per session; read-only)."""
+    line (plus ``degree`` where it is not 2) per configuration, recorded
+    from a predecessor engine (parsed once per session; read-only)."""
     return [json.loads(line) for line in (Path(__file__).parent / "data" / name).open()]
 
 
@@ -219,13 +283,14 @@ def assert_matches_corpus(
     cases = [c for c in corpus if c["kind"] == kind and where(c)]
     assert cases, f"no such {kind} lines in the corpus"
     for case in cases:
-        got = CORPUS_RUNS[kind](make_job(case["protocol"], case["n"]), **case["params"])
+        job = make_job(case["protocol"], case["n"], degree=case.get("degree", 2))
+        got = CORPUS_RUNS[kind](job, **case["params"])
         got, want = json.loads(json.dumps(got)), case["fingerprint"]
         if isinstance(want, dict) and isinstance(got, dict):
             got = {key: got[key] for key in want}
         assert got == want, (
             f"engine diverged from the recorded {spec} "
-            f"({kind}, {case['protocol']}, n={case['n']}, {case['params']})"
+            f"({kind}, {case['protocol']}, n={case['n']}, degree={case.get('degree', 2)}, {case['params']})"
         )
 
 

@@ -14,7 +14,6 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.harness.campaign import (
-    DEFAULT_PROTOCOLS,
     OUTCOMES,
     CampaignConfig,
     RunRecord,
@@ -22,24 +21,32 @@ from repro.harness.campaign import (
     run_case,
     sample_faults,
 )
+from repro.harness.sweep import MIX_PROFILES
 from repro.scenarios import campaign_app, expected_results
 
 import pytest
 
 from repro.harness.runner import Job, cluster_for
+from tests.conftest import LEAK_FREE_CELLS
 
 
 # ----------------------------------------------------------- property suite
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    protocol=st.sampled_from(DEFAULT_PROTOCOLS),
-)
-def test_every_seeded_run_balances_and_classifies(seed, protocol):
-    rec = run_case(protocol, seed)
+def _audited_case(protocol, seed, cfg=None):
+    rec = run_case(protocol, seed, cfg)
     # leak balance + per-site sum consistency: run_case records any
     # discrepancy as an invariant error — there must never be one
     assert rec.invariant_error is None
+    return rec
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    cell=st.sampled_from(LEAK_FREE_CELLS),
+)
+def test_every_seeded_run_balances_and_classifies(seed, cell):
+    protocol, mix = cell
+    rec = _audited_case(protocol, seed, CampaignConfig(**MIX_PROFILES[mix]))
     # outcome taxonomy is exhaustive and exclusive
     assert rec.outcome in OUTCOMES
     # the strand attribution it reports sums back to the metrics
@@ -53,6 +60,18 @@ def test_every_seeded_run_balances_and_classifies(seed, protocol):
     payload = json.loads(rec.fingerprint)
     assert payload["outcome"] == rec.outcome
     assert payload["seed"] == seed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: replicated protocols leak envelopes under wire-fault "
+    "windows (mirror, default mix, ring, seed 44; 45 of 7,500 cases on seeds 0-1,499)",
+)
+def test_replicated_protocols_leak_envelopes_on_ring():
+    """The smallest known reproducer for the leak hunt — no traffic engine
+    involved; its sibling is ``test_traffic.py``'s seed 442.  The fix flips
+    both to XPASS(strict): delete the markers, widen ``LEAK_FREE_CELLS``."""
+    _audited_case("mirror", 44)
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -27,10 +27,10 @@ from tests.conftest import PROTOCOLS, fingerprint, make_job
 OPS = ["sum", "prod", "max", "min"]
 #: mixes power-of-two and odd sizes: allreduce/alltoall switch algorithms
 SIZES = [2, 3, 4, 5, 8]
-# PROTOCOLS is every shipped protocol: the flat wait loops specialize on
-# handle type (stock done predicate, needs_advance, needs_ack), and mirror's
+# PROTOCOLS is every shipped protocol: the flat wait loops inline the
+# SendHandle completion predicate (needs_ack, then pml_reqs), and mirror's
 # multi-request SendHandles, SDR's ack gating and redMPI's per-send hash
-# traffic each exercise a different branch of those guards
+# traffic each exercise a different branch of it
 
 
 # ----------------------------------------------------- reference primitives

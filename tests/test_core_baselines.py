@@ -181,3 +181,74 @@ class TestRedMpi:
 
         res = _job("redmpi").launch(phantom_stream).run()
         assert res.stat_total("sdc_detected") == 0
+
+
+def _deciders(mpi):
+    """(recvs_posted, parked receives, parked decisions) of this process."""
+    return (mpi.pml.recvs_posted, len(mpi.protocol._deferred), len(mpi.protocol.decisions))
+
+
+def decision_after_irecv(mpi):
+    """Rank 0 posts its anonymous receive long before rank 1 sends: every
+    follower's receive is parked when the leader's decision arrives."""
+    if mpi.rank == 1:
+        yield from mpi.compute(20e-6)
+        yield from mpi.send(np.array([7.0]), dest=0, tag=1)
+        return None
+    handle = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=1)
+    parked = _deciders(mpi)
+    yield from mpi.wait(handle)
+    return parked, _deciders(mpi), float(handle.data[0])
+
+
+def decision_before_irecv(mpi):
+    """Rank 0's followers dawdle, then drain their inbox in an unrelated
+    call: the decision is handled before their own ``irecv`` exists."""
+    if mpi.rank == 1:
+        yield from mpi.send(np.array([7.0]), dest=0, tag=1)
+        return None
+    if mpi.protocol.rep != 0:
+        yield from mpi.compute(50e-6)
+    yield from mpi.iprobe(source=1, tag=99)  # progress only: nothing matches
+    early = _deciders(mpi)
+    handle = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=1)
+    posted = _deciders(mpi)
+    yield from mpi.wait(handle)
+    return early, posted, float(handle.data[0])
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("protocol", ["leader", "redmpi"])
+class TestFollowerPostsAtDecisionTime:
+    """A follower's deferred receive is posted by the decision handler (or
+    by ``irecv`` itself when the decision got there first) — never by a
+    wait loop — and the application holds a plain ``RecvHandle`` throughout."""
+
+    def _run(self, protocol, degree, app):
+        job = _job(protocol, degree=degree)
+        res = job.launch(app).run()
+        followers = [p for p in job.protocols if job.rmap.rank_of(p) == 0 and job.rmap.rep_of(p) != 0]
+        assert len(followers) == degree - 1
+        for proto in job.protocols.values():
+            assert not proto._deferred and not proto.decisions
+        for p in followers:
+            assert job.pmls[p].any_source_posts == 0  # posted specific-source
+            assert job.pmls[p].recvs_posted == 1
+        assert job.pmls[job.rmap.phys(0, 0)].any_source_posts == 1
+        return res, followers
+
+    def test_decision_after_irecv(self, protocol, degree):
+        res, followers = self._run(protocol, degree, decision_after_irecv)
+        for p in followers:
+            parked, done, value = res.app_results[p]
+            assert parked == (0, 1, 0)  # built, parked, not posted
+            assert done == (1, 0, 0)  # posted while handling the decision
+            assert value == 7.0
+
+    def test_decision_before_irecv(self, protocol, degree):
+        res, followers = self._run(protocol, degree, decision_before_irecv)
+        for p in followers:
+            early, posted, value = res.app_results[p]
+            assert early == (0, 0, 1)  # decision parked, no receive yet
+            assert posted == (1, 0, 0)  # consumed and posted inside irecv
+            assert value == 7.0

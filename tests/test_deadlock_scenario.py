@@ -28,62 +28,17 @@ def exchange(mpi):
 
 
 class AckOnAppCompletionProtocol(SdrProtocol):
-    """The broken design the paper warns against: acks are only emitted
-    when the application completes the receive (never at irecvComplete)."""
+    """The broken design the paper warns against: acks are emitted when the
+    application completes the receive, never at irecvComplete.  In
+    ``exchange`` no process ever gets that far — each sits in MPI_Send,
+    which needs the ack — so unhooking SDR's irecvComplete ack is the whole
+    counterfactual."""
 
     name = "sdr-late-ack"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Undo SDR's irecvComplete hook; remember what to ack later.
         self.pml.on_recv_complete.remove(self._ack_on_recv_complete)
-        self.pml.on_recv_complete.append(self._remember_only)
-        self._unacked = []
-
-    def _remember_only(self, env, recv):
-        self._unacked.append(env)
-        yield from ()
-
-    def app_irecv(self, ctx, source, tag, buf=None):
-        handle = yield from super().app_irecv(ctx, source, tag, buf)
-        return _LateAckHandle(handle, self, ctx)
-
-
-class _LateAckHandle:
-    """Wrapper whose advance() acks only once the app waits the receive."""
-
-    def __init__(self, inner, proto, ctx):
-        self._inner = inner
-        self._proto = proto
-        self._ctx = ctx
-
-    @property
-    def done(self):
-        return self._inner.done
-
-    @property
-    def data(self):
-        return self._inner.data
-
-    @property
-    def status(self):
-        return self._inner.status
-
-    @property
-    def pml_req(self):
-        return self._inner.pml_req
-
-    def advance(self):
-        gen = self._inner.advance()
-        if gen is not None:
-            yield from gen
-        if self._inner.pml_req.done:
-            for env in list(self._proto._unacked):
-                if env.ctx == self._ctx:
-                    self._proto._unacked.remove(env)
-                    yield from self._proto._send_acks(
-                        env.world_src, self._proto.rmap.rep_of(env.src_phys), env.seq
-                    )
 
 
 def _job(protocol_cls):

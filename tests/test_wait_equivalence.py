@@ -1,118 +1,42 @@
-"""Property tests: specialized wait loops ≡ generic wait loops.
+"""The wait loops against their recorded predecessors.
 
-PR 4 specialized the remaining generic completion loops per-handle
-(:meth:`MpiProcess.wait_handles` — the NAS ``waitall`` towers — plus
-``waitsome``/``waitany``): stock handles resolve to their underlying PML
-requests once, completed requests drop out of the pending scan, and the
-progress step is inlined.  The generic loops
-(``wait_handles_generic``/``waitsome_generic``/``waitany_generic``) are
-production code — *the* loops for non-stock handles, selected by handle
-type — and correct for any handle, so every randomized configuration here
-runs the same program through both and compares results, statuses,
-completion orders, bit-identical virtual times and dispatched-event
-counts, under completion orders randomized by per-sender compute delays.
+Until PR 19 every completion call had two loops: a specialized one for
+stock handles and a ``*_generic`` one that drove ``advance()`` on every
+handle each progress iteration (the leader protocols' deferred receive did
+real work there).  Handles are passive now and each call has one loop; what
+the deleted ``wait_handles_generic`` / ``waitsome_generic`` /
+``waitany_generic`` computed on the parent commit is recorded in
+``tests/data/wait_fingerprints.jsonl`` — ``waiter_fanin`` × {waitall,
+waitsome, waitany} × five protocols (leader/redmpi at degree 2 and 3) ×
+n ∈ {3, 4, 5} × per_peer ∈ {1, 3} × four per-sender delay vectors, 504
+lines: results, statuses, completion orders, bit-identical virtual times,
+dispatched-event counts and every counter.  The corpus cannot be re-recorded
+from this engine (the loops are gone) and must not be.
 
-The leader protocol is included deliberately: its ``DeferredRecvHandle``
-does real work in ``advance()``, is *not* stock, and must route the whole
-handle set to the generic loop — the fallback dispatch is part of the
-contract.
+``test_wait_order_is_unobservable`` is the property the old design broke:
+which wait call completes a handle, and in what order, must not change the
+run.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
 
-from tests.conftest import fingerprint, make_job
-
-PROTOCOLS = ["native", "sdr", "leader"]
-
-
-def _status_obs(status):
-    return None if status is None else (status.source, status.tag, status.nbytes)
-
-
-def waiter_fanin(mpi, which, use_generic, delays, per_peer):
-    """Rank 0 posts ANY_SOURCE receives (plus sends back), then completes
-    them through the selected wait loop; peers send after hypothesis-drawn
-    compute delays, randomizing the completion order rank 0 observes."""
-    if mpi.rank != 0:
-        d = delays[(mpi.rank - 1) % len(delays)]
-        for i in range(per_peer):
-            yield from mpi.compute(d * 1e-6)
-            yield from mpi.send(np.array([float(mpi.rank * 100 + i)]), dest=0, tag=7)
-        got, _st = yield from mpi.recv(source=0, tag=8)
-        return float(got[0])
-    handles = []
-    for _ in range(per_peer * (mpi.size - 1)):
-        h = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=7)
-        handles.append(h)
-    # Mixed handle kinds: the farewell sends complete through the same loop.
-    for dst in range(1, mpi.size):
-        s = yield from mpi.isend(np.array([float(dst)]), dest=dst, tag=8)
-        handles.append(s)
-    obs = []
-    if which == "waitall":
-        loop = mpi.wait_handles_generic if use_generic else mpi.wait_handles
-        statuses = yield from loop(handles)
-        obs.append([_status_obs(s) for s in statuses])
-    elif which == "waitsome":
-        loop = mpi.waitsome_generic if use_generic else mpi.waitsome
-        pending = list(range(len(handles)))
-        while pending:
-            done = yield from loop([handles[i] for i in pending])
-            got = {i for i, _s in done}
-            obs.append(sorted((pending[i], _status_obs(s)) for i, s in done))
-            pending = [p for j, p in enumerate(pending) if j not in got]
-    else:  # waitany
-        loop = mpi.waitany_generic if use_generic else mpi.waitany
-        pending = list(range(len(handles)))
-        while pending:
-            i, s = yield from loop([handles[p] for p in pending])
-            obs.append((pending[i], _status_obs(s)))
-            pending.pop(i)
-    data = sorted(float(h.data[0]) for h in handles[: per_peer * (mpi.size - 1)])
-    return (obs, data)
-
-
-def _run(protocol, n, which, use_generic, delays, per_peer):
-    job = make_job(protocol, n).launch(
-        waiter_fanin, which=which, use_generic=use_generic, delays=delays, per_peer=per_peer
-    )
-    return fingerprint(job.run())
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    protocol=st.sampled_from(PROTOCOLS),
-    n=st.sampled_from([3, 4, 5]),
-    which=st.sampled_from(["waitall", "waitsome", "waitany"]),
-    per_peer=st.integers(1, 3),
-    delays=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+from repro.mpi.datatypes import Phantom
+from tests.conftest import (
+    PROTOCOLS,
+    assert_matches_corpus,
+    load_corpus,
+    make_job,
+    norm,
+    waiter_fanin,
 )
-def test_wait_loop_equivalence(protocol, n, which, per_peer, delays):
-    fast = _run(protocol, n, which, use_generic=False, delays=delays, per_peer=per_peer)
-    spec = _run(protocol, n, which, use_generic=True, delays=delays, per_peer=per_peer)
-    assert fast == spec, (
-        f"specialized {which} diverged from generic spec ({protocol}, n={n})"
-    )
 
 
-def test_stock_dispatch_decision():
-    """Stock handle sets get a poll plan; one non-stock handle (leader's
-    deferred receive) sends the whole set to the generic spec loop."""
-    from repro.core.baselines.leader import DeferredRecvHandle
-    from repro.mpi.handles import RecvHandle, SendHandle
-    from repro.mpi.pml import PmlRecvRequest
-
-    job = make_job("native", 2)
-    mpi = job.mpis[0]
-    recv = RecvHandle(PmlRecvRequest(("w",), 1, 7))
-    send = SendHandle([], world_dst=1, seq=0)
-    polls = mpi._stock_polls([recv, send])
-    assert polls == [(False, recv.pml_req), (True, send)]
-    deferred = DeferredRecvHandle(None, 0, ("w",), 7, None)
-    assert mpi._stock_polls([recv, deferred, send]) is None
+def test_wait_loop_equivalence():
+    corpus = load_corpus("wait_fingerprints.jsonl")
+    assert len(corpus) == 504
+    assert_matches_corpus(corpus, "wait", "*_generic wait loops")
 
 
 def test_specialized_waitall_drops_completed_handles():
@@ -120,9 +44,43 @@ def test_specialized_waitall_drops_completed_handles():
     indirectly by equivalence; pinned here via the public result so a
     refactor cannot quietly turn the compaction into a no-op."""
     job = make_job("sdr", 3)
-    res = job.launch(
-        waiter_fanin, which="waitall", use_generic=False, delays=[5, 25], per_peer=3
-    ).run()
+    res = job.launch(waiter_fanin, which="waitall", delays=[5, 25], per_peer=3).run()
     obs, data = res.app_results[0]
     assert len(obs[0]) == 3 * 2 + 2  # every status surfaced, sends included
     assert data == sorted(data) and len(data) == 6
+
+
+def halo(mpi, nbytes, piecemeal):
+    """Two anonymous receives and two sends to the ring neighbours, completed
+    one ``wait`` at a time (receive, both sends, the other receive) or by one
+    ``waitall`` — legal MPI either way."""
+    right = (mpi.rank + 1) % mpi.size
+    left = (mpi.rank - 1) % mpi.size
+    r_lo = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=1)
+    r_hi = yield from mpi.irecv(source=mpi.ANY_SOURCE, tag=1)
+    s1 = yield from mpi.isend(Phantom(nbytes), dest=left, tag=1)
+    s2 = yield from mpi.isend(Phantom(nbytes), dest=right, tag=1)
+    if piecemeal:
+        for handle in (r_lo, s1, s2, r_hi):
+            yield from mpi.wait(handle)
+    else:
+        yield from mpi.waitall([r_lo, s1, s2, r_hi])
+    return sorted((r.status.source, r.status.nbytes) for r in (r_lo, r_hi))
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("nbytes", [64, 200_000], ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_wait_order_is_unobservable(protocol, nbytes, degree):
+    """Piecemeal waits ≡ one waitall.  On the PR 16 engine the rendezvous
+    case raised ``DeadlockError`` under leader and redmpi: a follower posted
+    its second deferred receive only once ``wait`` reached that handle, so
+    its peer's clear-to-send never left."""
+    runs = [
+        make_job(protocol, 4, degree=degree).launch(halo, nbytes=nbytes, piecemeal=piecemeal).run()
+        for piecemeal in (True, False)
+    ]
+    piecemeal, waitall = runs
+    assert repr(piecemeal.runtime) == repr(waitall.runtime)
+    assert norm(sorted(piecemeal.app_results.items())) == norm(sorted(waitall.app_results.items()))
+    assert piecemeal.events == waitall.events

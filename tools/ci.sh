@@ -108,6 +108,10 @@ print_stage_summary() {
     # The number ROADMAP asks every PR to justify (net lines added to src/
     # need a reason; net lines removed do not).
     echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+    # Handles are passive (PR 19): nothing in src/ may drive one from a wait
+    # loop again, or keep a second loop for handles that want driving.
+    echo "active-handle residue in src/ (must be empty):"
+    grep -rnE "needs_advance|def advance|\.advance\(|_generic\b|DeferredRecvHandle|_stock_polls" src/ || true
 }
 trap print_stage_summary EXIT
 

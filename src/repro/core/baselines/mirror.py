@@ -25,6 +25,7 @@ __all__ = ["MirrorProtocol"]
 
 class MirrorProtocol(ReplicatedBase):
     name = "mirror"
+    replica_fanout = True  # the message goes to every replica of the receiver
 
     __slots__ = ()
 

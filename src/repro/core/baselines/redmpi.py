@@ -66,6 +66,7 @@ def payload_digest(payload: Any) -> int:
 
 class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
     name = "redmpi"
+    replica_fanout = True  # the hash goes to every *other* replica of the receiver
 
     __slots__ = LeaderDecideMixin.DECIDER_SLOTS + (
         "_own_digests",

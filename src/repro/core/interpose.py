@@ -211,6 +211,10 @@ class BaseProtocol:
     """
 
     name = "base"
+    #: a logical send reaches replicas of the receiver in *other* replica
+    #: sets too, so the sets' senders meet on one downlink at one instant —
+    #: a static hazard for :mod:`repro.sim.shard` (``classify_hazards``)
+    replica_fanout = False
 
     #: protocols are one-per-physical-process; slots keep the per-instance
     #: footprint to the mutable residue (see ``ProtocolShared`` in

@@ -798,6 +798,7 @@ class Pml:
         self.recvs_posted += 1
         if req.source == ANY_SOURCE:
             self.any_source_posts += 1
+            self.fabric.any_source_posts += 1
         env = self.matching.post(req)
         if env is not None:
             yield from self._matched(req, env, from_unexpected=True)

@@ -403,6 +403,10 @@ class Fabric:
         self.frames_imported = 0
         self.envs_exported = 0
         self.envs_imported = 0
+        #: wildcard receives posted by any PML on this fabric (the sum of
+        #: ``Pml.any_source_posts``): a shard worker's O(1) per-window
+        #: any-source taint check
+        self.any_source_posts = 0
 
     # ----------------------------------------------------------- attachment
     def endpoint(self, proc: int) -> Endpoint:

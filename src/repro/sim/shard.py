@@ -1,10 +1,11 @@
 """Conservative sharded-parallel execution (Chandy–Misra–Bryant lookahead).
 
 One :class:`~repro.harness.runner.Job` normally runs on one core.  This
-module shards its simulated processes **by node** across a self-managed
-fork worker pool and synchronizes the per-shard :class:`Simulator`
-instances on conservative lookahead windows, exploiting two facts the
-paper's system model fixes:
+module shards its simulated processes **by logical-rank range** (whole
+nodes, every replica of a rank together — see :class:`ShardPlan`) across a
+self-managed fork worker pool and synchronizes the per-shard
+:class:`Simulator` instances on conservative lookahead windows, exploiting
+two facts the paper's system model fixes:
 
 * topology and the cost model are immutable after setup, so the minimum
   inter-node wire latency ``L`` is a compile-time constant of the
@@ -23,7 +24,7 @@ The window protocol (one parent round-trip per window)::
                 (:attr:`Fabric.shard_router`), never delivered directly
     barrier k+1: deferred frames are routed to the shard owning the
                 destination node, merged in **canonical order**
-                ``(inject_time, src_proc, per-shard seq)``, downlink-priced
+                ``(inject_time, src_shard, per-shard seq)``, downlink-priced
                 (:meth:`Fabric.price_deferred` — FIFO clamp intact) and
                 scheduled; every arrival provably lands at ``>= T + L``,
                 strictly after anything the window already dispatched.
@@ -33,9 +34,10 @@ the executable spec, and the merged run must reproduce its per-run
 fingerprint byte-for-byte.  Every feature whose serial behaviour depends
 on *global* event interleaving that a shard cannot reconstruct — jitter
 draws, stochastic fault draws (drop/dup), the imperfect detector's rng
-stream, respawn recovery — is a **hazard**: :func:`classify_hazards`
-detects them statically and the job falls back to the serial path with
-the reasons recorded in ``JobResult.parallel["fallback"]``.  Delay-only
+stream, respawn recovery, a protocol whose sends fan out across replica
+sets — is a **hazard**: :func:`classify_hazards` detects them statically
+and the job falls back to the serial path, before any fork, with the
+reasons recorded in ``JobResult.parallel["fallback"]``.  Delay-only
 and partition fault windows draw no rng and stay shardable.
 
 Crash schedules are replayed in *every* shard (endpoint liveness and
@@ -54,13 +56,17 @@ merged ``acquired - imported`` equals the serial acquire count).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing as mp
 import traceback
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.mpi.pml import Envelope
 
 __all__ = [
     "ParallelConfig",
@@ -139,49 +145,62 @@ class ParallelConfig:
 class ShardPlan:
     """Immutable node → shard partition plus the derived lookahead.
 
-    Shards are contiguous node ranges balanced by process count, so the
-    paper's split-halves placement lands replica sets on distinct shards
-    when it can.  ``lookahead`` is the minimum wire latency between any
-    two *populated* nodes — the window width that makes deferral safe —
-    or ``None`` when the job occupies a single node (no inter-node
-    traffic exists to relay, but no safe window exists either: serial).
+    Shards are whole nodes cut by **logical-rank range**: the populated
+    nodes are ordered by the lowest logical rank they host (ties by node
+    id) and that order is cut into chunks balanced by process count.  The
+    heaviest edge of a replicated protocol runs between the replicas of
+    one rank (every SDR application message is acked to the sender's
+    other replica), and the paper's split-halves placement puts the
+    replica sets on disjoint node halves — so under this order the nodes
+    hosting one rank range are neighbours, a cut keeps all their replicas
+    in one shard (exactly, when the shard count divides the nodes per
+    replica set; otherwise each cut straddles at most one rank range),
+    acks stay off the relay, and every shard holds the leading *and* the
+    lagging replica set, so the shards are busy in the same windows.
+    Unreplicated jobs host each rank once: the order is node order.
+    ``lookahead`` is the minimum wire latency between any two *populated*
+    nodes — the window width that makes deferral safe — or ``None`` when
+    the job occupies a single node (no inter-node traffic exists to
+    relay, but no safe window exists either: serial).
     """
 
     n_shards: int
     #: proc id -> shard id (dense list, index by proc)
     shard_of_proc: Tuple[int, ...]
-    #: node id -> shard id (only populated nodes appear)
+    #: node id -> shard id, populated nodes only, in planning order
     shard_of_node: Dict[int, int]
     #: per shard, the sorted tuple of proc ids it owns
     local_procs: Tuple[Tuple[int, ...], ...]
     lookahead: Optional[float]
 
     @classmethod
-    def build(cls, placement, workers: int) -> "ShardPlan":
+    def build(cls, placement, rmap, workers: int) -> "ShardPlan":
         n_procs = len(placement)
         node_of = [placement.node_of(p) for p in range(n_procs)]
-        nodes = sorted(set(node_of))
+        n_ranks = rmap.n_ranks  # replica-major: proc = replica * n_ranks + rank
+        lowest_rank = [n_ranks] * placement.cluster.nodes
+        procs_per_node = [0] * placement.cluster.nodes
+        for proc, node in enumerate(node_of):
+            procs_per_node[node] += 1
+            if proc % n_ranks < lowest_rank[node]:
+                lowest_rank[node] = proc % n_ranks
+        # Planning order: populated nodes by lowest hosted rank, then node id.
+        by_rank = sorted(zip(lowest_rank, range(len(lowest_rank))))
+        nodes = [node for _rank, node in by_rank if procs_per_node[node]]
         n_shards = max(1, min(workers, len(nodes)))
-        # Contiguous chunks balanced by proc count: each node is cut into
-        # the shard its cumulative proc share falls in (the classic
+        # Chunks of the planning order balanced by proc count: each node is
+        # cut into the shard its cumulative proc share falls in (the classic
         # proportional partition — for the common equal-procs-per-node
         # placements this is exactly ``floor(i * n_shards / n_nodes)``).
         # A pathologically skewed placement can leave a shard empty;
         # compressing to dense ids keeps the partition contiguous.
-        procs_per_node = {n: 0 for n in nodes}
-        for n in node_of:
-            procs_per_node[n] += 1
         shard_of_node: Dict[int, int] = {}
+        dense: Dict[int, int] = {}
         acc = 0
         for node in nodes:
-            shard_of_node[node] = acc * n_shards // n_procs
+            sid = acc * n_shards // n_procs
+            shard_of_node[node] = dense.setdefault(sid, len(dense))
             acc += procs_per_node[node]
-        dense: Dict[int, int] = {}
-        for node in nodes:
-            sid = shard_of_node[node]
-            if sid not in dense:
-                dense[sid] = len(dense)
-            shard_of_node[node] = dense[sid]
         n_shards = len(dense)
         shard_of_proc = tuple(shard_of_node[n] for n in node_of)
         local: List[List[int]] = [[] for _ in range(n_shards)]
@@ -198,7 +217,7 @@ class ShardPlan:
 
     def validate(self) -> None:
         """Partition sanity: every proc in exactly one shard, shards
-        non-empty, node ranges contiguous and node-aligned."""
+        non-empty, node-aligned and contiguous in planning order."""
         seen = set()
         for sid, procs in enumerate(self.local_procs):
             if not procs:
@@ -212,8 +231,7 @@ class ShardPlan:
         if len(seen) != len(self.shard_of_proc):
             raise ValueError("some processes are unassigned")
         last = -1
-        for node in sorted(self.shard_of_node):
-            sid = self.shard_of_node[node]
+        for sid in self.shard_of_node.values():
             if sid < last:
                 raise ValueError("node → shard assignment is not contiguous")
             last = sid
@@ -272,6 +290,12 @@ def classify_hazards(job, plan: ShardPlan) -> List[str]:
         # Respawn recovery rebuilds stacks mid-run; the forked shards
         # cannot agree on the substitute's fork point without consensus.
         hazards.append("recovery")
+    if job.protocols[0].replica_fanout:
+        # (One class per job: every stack is built from `cfg.protocol`.)
+        # Each replica of a sender targets replicas of the receiver in the
+        # other replica sets too: the sets' frames reach one downlink at
+        # one instant by construction, the tie a merge can only taint on.
+        hazards.append("replica_fanout")
     if "fork" not in mp.get_all_start_methods():
         hazards.append("no_fork")
     return hazards
@@ -281,28 +305,41 @@ class _ShardRouter:
     """Per-window collector of deferred inter-node frames.
 
     :meth:`Fabric.inject` calls :meth:`defer` instead of downlink-pricing
-    when :attr:`Fabric.shard_router` is set.  ``seq`` is a shard-local
-    monotone counter: within one source process it preserves inject
-    order, and the canonical merge key ``(inject_time, src_proc, seq)``
-    never compares seqs from different shards (a proc injects in exactly
-    one shard).  ``sim_seq`` snapshots the kernel's push-seq counter at
-    the defer — the serial engine pushes the arrival at this exact
-    moment, so the snapshot is the frame's push-order position among
-    locally-kept same-timestamp cohort entries (imported frames lose it at
-    the wire: counters from different shards do not compare).
+    when :attr:`Fabric.shard_router` is set.  A record is the tuple
+    ``(inject_time, src_shard, seq, frame, t_head, ser, extra_delay,
+    sim_seq)``: it leads with the canonical merge key, so a record list
+    sorts as-is and reaches :func:`_merge_deferred` without re-packing.
+    ``src_shard`` is the collecting shard (a proc injects in exactly one
+    shard, its own).  ``seq`` is a shard-local monotone counter: within
+    one source process it preserves inject order, and the merge key never
+    compares seqs from different shards.  ``sim_seq`` snapshots the
+    kernel's push-seq counter at the defer — the serial engine pushes the
+    arrival at this exact moment, so the snapshot is the frame's push-order
+    position among locally-kept same-timestamp cohort entries (imported
+    frames lose it at the wire: counters of different shards do not compare).
     """
 
-    __slots__ = ("records", "seq")
+    __slots__ = ("records", "seq", "shard_id")
 
-    def __init__(self) -> None:
-        self.records: List[Tuple[Any, float, float, float, float, int, int]] = []
+    def __init__(self, shard_id: int) -> None:
+        self.records: List[tuple] = []
         self.seq = 0
+        self.shard_id = shard_id
 
     def defer(
         self, frame, inject_time: float, t_head: float, ser: float, extra_delay: float, sim_seq: int
     ) -> None:
         self.seq += 1
-        self.records.append((frame, inject_time, t_head, ser, extra_delay, self.seq, sim_seq))
+        self.records.append(
+            (inject_time, self.shard_id, self.seq, frame, t_head, ser, extra_delay, sim_seq)
+        )
+
+
+#: an envelope's constructor arguments, in order — its picklable wire form
+_ENVELOPE_FIELDS = attrgetter(
+    "kind", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
+    "nbytes", "data", "src_phys", "dst_phys", "msg_id", "ctrl_key",
+)  # fmt: skip
 
 
 def _encode_payload(payload) -> Optional[tuple]:
@@ -315,26 +352,8 @@ def _encode_payload(payload) -> Optional[tuple]:
     """
     if payload is None:
         return None
-    cls = _envelope_class()
-    if isinstance(payload, cls):
-        return (
-            "env",
-            (
-                payload.kind,
-                payload.ctx,
-                payload.src_rank,
-                payload.tag,
-                payload.world_src,
-                payload.world_dst,
-                payload.seq,
-                payload.nbytes,
-                payload.data,
-                payload.src_phys,
-                payload.dst_phys,
-                payload.msg_id,
-                payload.ctrl_key,
-            ),
-        )
+    if isinstance(payload, Envelope):
+        return ("env", _ENVELOPE_FIELDS(payload))
     return ("raw", payload)
 
 
@@ -342,21 +361,7 @@ def _decode_payload(enc: Optional[tuple]):
     if enc is None:
         return None
     tag, body = enc
-    if tag == "env":
-        return _envelope_class()(*body)
-    return body
-
-
-_ENVELOPE_CLASS: Optional[type] = None
-
-
-def _envelope_class() -> type:
-    global _ENVELOPE_CLASS
-    if _ENVELOPE_CLASS is None:
-        from repro.mpi.pml import Envelope
-
-        _ENVELOPE_CLASS = Envelope
-    return _ENVELOPE_CLASS
+    return Envelope(*body) if tag == "env" else body
 
 
 class _ShardTaint(Exception):
@@ -371,35 +376,32 @@ class _ShardTaint(Exception):
     """
 
 
-def _push_vt(marks: list, seq: int, sim) -> float:
-    """Virtual time at which pending cohort entry *seq* was pushed.
+def _pushed_at(seq: int, ev, marks: list, reseq: dict, sim) -> float:
+    """Virtual time at which pending cohort entry ``(seq, ev)`` was pushed.
 
-    *marks* is the worker's ``(seq_counter, vtime)`` checkpoint list,
-    appended from ``on_advance`` each time a timestamp closes: every seq
-    in ``(marks[k-1][0], marks[k][0]]`` was pushed exactly at
-    ``marks[k][1]``.  Seqs beyond the last mark were pushed during the
-    still-open current timestamp.
+    A frame carries it (``sent_at``); an entry a past merge renumbered has
+    it in *reseq*; anything else is recovered from *marks*, the worker's
+    ``(seq_counter, vtime)`` checkpoint list appended from ``on_advance``
+    each time a timestamp closes: every seq in ``(marks[k-1][0],
+    marks[k][0]]`` was pushed exactly at ``marks[k][1]``, and seqs beyond
+    the last mark during the still-open current timestamp.
     """
-    idx = bisect_left(marks, (seq,))
-    if idx == len(marks):
-        return sim._now
-    return marks[idx][1]
+    at = getattr(ev, "sent_at", None)
+    if at is None:
+        at = reseq.get(seq)
+    if at is None:
+        idx = bisect_left(marks, (seq,))
+        at = marks[idx][1] if idx < len(marks) else sim._now
+    return at
 
 
-def _merge_deferred(
-    job,
-    plan: "ShardPlan",
-    local: list,
-    imported: list,
-    marks: Optional[list] = None,
-    reseq: Optional[dict] = None,
-) -> None:
+def _merge_deferred(job, local: list, imported: list, marks: list, reseq: dict) -> None:
     """Window barrier: price and schedule every deferred frame.
 
-    *local* entries are ``(frame, inject_time, t_head, ser, extra_delay,
-    seq)`` with live frame objects; *imported* are wire records
-    ``(inject_time, src, seq, dst, size, kind, t_head, ser, extra_delay,
-    payload_enc)``.  Both sort under the canonical key
+    *local* holds this shard's own deferred records (see
+    :class:`_ShardRouter`) with live frame objects; *imported* are wire
+    records ``(inject_time, src_shard, seq, src, dst, size, kind, t_head,
+    ser, extra_delay, payload_enc)``.  Both sort under the canonical key
     ``(inject_time, src_shard, seq)``: for time-distinct injects this is
     the order the serial engine priced the shared downlink in, and for
     same-time injects from one shard the shard-local ``seq`` *is* the
@@ -410,6 +412,59 @@ def _merge_deferred(
     destination node's downlink, and that case raises
     :class:`_ShardTaint` (serial fallback) instead of guessing.
 
+    Pass 1 prices the downlinks in canonical order; pass 2
+    (:func:`_place_cohort`) puts each frame where the serial engine's
+    push would have put it among the entries sharing its arrival time.
+    """
+    fab = job.fabric
+    sim = job.sim
+    node_of = fab._node_of
+    # (inject_time, dst_node) -> src shard; a second distinct shard on the
+    # same key is the unorderable downlink tie the docstring describes.
+    tie_guard: Dict[Tuple[float, int], int] = {}
+    for rec in local:
+        if tie_guard.setdefault((rec[0], node_of[rec[3].dst]), rec[1]) != rec[1]:
+            raise _ShardTaint("tied cross-shard downlink contention")
+    entries = list(local)
+    for inject_time, src_shard, seq, src, dst, size, kind, t_head, ser, extra_delay, enc in imported:
+        if tie_guard.setdefault((inject_time, node_of[dst]), src_shard) != src_shard:
+            raise _ShardTaint("tied cross-shard downlink contention")
+        frame = fab.import_frame(src, dst, size, _decode_payload(enc), kind)
+        entries.append((inject_time, src_shard, seq, frame, t_head, ser, extra_delay, None))
+    if not entries:
+        return
+    # The key prefix is unique (seq is, per shard), so the tuple sort never
+    # reaches the frame; the input is a few sorted runs, which timsort
+    # merges in linear time.
+    entries.sort()
+    # Pass 1 — canonical-order pricing: downlink occupancy must evolve in
+    # serial inject order regardless of where each frame lands in the queue.
+    by_arrival: Dict[float, list] = {}
+    price = fab.price_deferred
+    for rec in entries:
+        frame = rec[3]
+        arrival = price(frame.src, frame.dst, rec[4], rec[5], rec[6])
+        # Serial inject stamps sent_at at dispatch; imported frames must
+        # carry it too — it is the push-order witness for later merges.
+        frame.sent_at = rec[0]
+        by_arrival.setdefault(arrival, []).append(rec)
+    # Cohort lists are seq-ascending, so the oldest pending seq is the
+    # smallest list head; it bounds how far back push-time checkpoints can
+    # still be queried — everything older is pruned.
+    cohorts = sim._cohorts
+    if cohorts:
+        min_pending = min(cohort[0][0] for cohort in cohorts.values())
+        del marks[: bisect_left(marks, (min_pending,))]
+        for k in [k for k in reseq if k < min_pending]:
+            del reseq[k]
+    for arrival, news in by_arrival.items():
+        _place_cohort(sim, arrival, news, marks, reseq)
+
+
+def _place_cohort(sim, arrival: float, news: list, marks: list, reseq: dict) -> None:
+    """Pass 2 of the merge for one arrival time: serial-true placement of
+    *news* (deferred records, canonical order) inside its pending cohort.
+
     Queue placement must be serial-true, not merely time-true.  Serial
     dispatch breaks arrival-time ties by cohort position — i.e. by *push
     order*, and a frame is pushed at its inject dispatch.  A deferred frame
@@ -417,161 +472,111 @@ def _merge_deferred(
     local entry pushed during past windows, even ones the serial engine
     pushed *after* the frame's inject (observable: the destination
     process resumes before the frame lands, takes the wait-then-wake
-    path, and ``events_dispatched`` drifts).  So each deferred frame is
-    compared, via the worker's push-time checkpoints (*marks*), against
-    the pending entries sharing its arrival time (one ``_cohorts``
-    lookup), and the whole same-time cohort is rewritten in place, in
-    serial push order, *renumbered* with fresh consecutive integer
-    seqs.  Renumbering (rather than fractional interpolation between
-    neighbouring seqs) survives any insertion volume — repeated
-    midpoints exhaust double precision on large tiers.  Renumbered non-frame entries lose their mark mapping, so
-    their true push time is remembered in *reseq* (new seq -> push
-    time), consulted before the marks at later merges.  Entries pushed
-    at the exact inject instant by another shard are the one genuinely
-    unorderable case (cross-shard same-timestamp interleave) and taint.
+    path, and ``events_dispatched`` drifts).  So each deferred frame goes
+    before the first pending entry of its arrival time that the serial
+    engine pushed after it (push times via :func:`_pushed_at`).  One
+    forward pass does it: whatever a frame passes, every canonically later
+    frame passes too (inject times and, at one instant, local defer seqs
+    are non-decreasing along *news*), so each scan resumes where the
+    previous one stopped.  Entries pushed at the exact inject instant of a
+    frame from another shard are the one genuinely unorderable case
+    (cross-shard same-timestamp interleave) and taint — including those an
+    earlier local frame of that instant already passed (*tied_at*).
+
+    When a frame lands before a pending entry the whole cohort is
+    rewritten in serial push order, *renumbered* with fresh consecutive
+    integer seqs.  Renumbering (rather than fractional interpolation
+    between neighbouring seqs) survives any insertion volume — repeated
+    midpoints exhaust double precision on large tiers.  Renumbered
+    non-frame entries lose their mark mapping, so their true push time is
+    remembered in *reseq* (new seq -> push time) for later merges.
     """
-    fab = job.fabric
-    sim = job.sim
-    node_of = fab._node_of
-    shard_of_proc = plan.shard_of_proc
-    entries: List[Tuple[float, int, int, Any]] = []
-    # (inject_time, dst_node) -> src shard; a second distinct shard on the
-    # same key is the unorderable downlink tie the docstring describes.
-    tie_guard: Dict[Tuple[float, int], int] = {}
-    for frame, inject_time, t_head, ser, extra_delay, seq, sim_seq in local:
-        src_shard = shard_of_proc[frame.src]
-        key = (inject_time, node_of[frame.dst])
-        if tie_guard.setdefault(key, src_shard) != src_shard:
-            raise _ShardTaint("tied cross-shard downlink contention")
-        entries.append((inject_time, src_shard, seq, (frame, t_head, ser, extra_delay, sim_seq)))
-    for rec in imported:
-        inject_time, src, seq, dst, size, kind, t_head, ser, extra_delay, enc = rec
-        src_shard = shard_of_proc[src]
-        key = (inject_time, node_of[dst])
-        if tie_guard.setdefault(key, src_shard) != src_shard:
-            raise _ShardTaint("tied cross-shard downlink contention")
-        frame = fab.import_frame(src, dst, size, _decode_payload(enc), kind)
-        entries.append((inject_time, src_shard, seq, (frame, t_head, ser, extra_delay, None)))
-    if not entries:
-        return
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    times = sim._queue
     cohorts = sim._cohorts
-    # Pass 1 — canonical-order pricing: downlink occupancy must evolve in
-    # serial inject order regardless of where each frame lands in the queue.
-    by_arrival: Dict[float, list] = {}
-    for inject_time, _sh, _seq, (frame, t_head, ser, extra_delay, sim_seq) in entries:
-        arrival = fab.price_deferred(frame.src, frame.dst, t_head, ser, extra_delay)
-        # Serial inject stamps sent_at at dispatch; imported frames must
-        # carry it too — it is the push-order witness for later merges.
-        frame.sent_at = inject_time
-        by_arrival.setdefault(arrival, []).append((inject_time, sim_seq, frame))
-    # Pass 2 — serial-true placement inside each arrival time's cohort.
-    # Cohort lists are seq-ascending, so the oldest pending seq is the
-    # smallest list head; it bounds how far back push-time checkpoints can
-    # still be queried — everything older is pruned.
-    if cohorts:
-        min_pending = min(cohort[0][0] for cohort in cohorts.values())
-        if marks is not None:
-            del marks[: bisect_left(marks, (min_pending,))]
-        if reseq:
-            for k in [k for k in reseq if k < min_pending]:
-                del reseq[k]
-    for arrival, news in by_arrival.items():
-        row = cohorts.get(arrival)
-        if row is None:
-            # Lookahead guarantees arrival >= window end > sim._now:
-            # always a strict-future push, exactly where serial put it.
-            row = cohorts[arrival] = []
-            heappush(times, arrival)
-        # Pending entries in push (= list) order, each with its recovered
-        # virtual push time; push times are monotone along the cohort.
-        merged: List[Tuple[float, Any, Optional[int], bool]] = []
-        for seq_e, ev in row:
-            pushed_at = getattr(ev, "sent_at", None)
-            if pushed_at is None and reseq is not None:
-                pushed_at = reseq.get(seq_e)
-            if pushed_at is None:
-                pushed_at = _push_vt(marks, seq_e, sim) if marks is not None else -1.0
-            merged.append((pushed_at, ev, seq_e, False))
-        n_existing = len(merged)
-        appended_only = True
-        for inject_time, defer_seq, frame in news:
-            # Serial-before elements form a prefix of *merged*: push times
-            # are monotone, and canonical-earlier frames this merge placed
-            # (is_new) are serial-before by construction.  Insert before
-            # the first existing entry the serial engine pushed after us.
-            pos = len(merged)
-            for j, (pushed_at, _ev, seq_e, is_new) in enumerate(merged):
-                if is_new:
-                    continue
-                if pushed_at < inject_time:
-                    continue
-                if pushed_at == inject_time:
-                    if defer_seq is None:
-                        # Pushed at the very instant of our inject, in
-                        # another shard: the cross-shard same-timestamp
-                        # interleave no shard-local record can reconstruct.
-                        raise _ShardTaint("same-instant push tie at shared arrival time")
-                    # Locally-held frame: the defer snapshotted the kernel
-                    # seq counter at the inject dispatch, which is exactly
-                    # where the serial engine would have pushed us —
-                    # entries with a higher seq were pushed after.
-                    if seq_e <= defer_seq:
-                        continue
-                pos = j
+    row = cohorts.get(arrival)
+    first = sim._seq + 1
+    if row is None:
+        # Lookahead guarantees arrival >= window end > sim._now: always a
+        # strict-future push, exactly where serial put it.
+        sim._seq += len(news)
+        cohorts[arrival] = [(seq, rec[3]) for seq, rec in enumerate(news, first)]
+        heappush(sim._queue, arrival)
+        return
+    n_old = len(row)
+    pushed: List[float] = []  # push times of row[: len(pushed)], recovered on demand
+    slots: List[int] = []  # per frame: how many pending entries serial pushed before it
+    i = 0
+    tied_at = None
+    for rec in news:
+        inject_time = rec[0]
+        defer_seq = rec[7]
+        if defer_seq is None and inject_time == tied_at:
+            raise _ShardTaint("same-instant push tie at shared arrival time")
+        while i < n_old:
+            seq_e, ev = row[i]
+            if i == len(pushed):
+                pushed.append(_pushed_at(seq_e, ev, marks, reseq, sim))
+            pushed_at = pushed[i]
+            if pushed_at > inject_time:
                 break
-            if pos != len(merged):
-                appended_only = False
-            merged.insert(pos, (inject_time, frame, None, True))
-        first = sim._seq + 1
-        if appended_only:
-            # Every deferred frame lands after all pending entries (or the
-            # cohort is new): fresh counter seqs at the tail sort correctly.
-            sim._seq += len(news)
-            row.extend((seq, m[1]) for seq, m in enumerate(merged[n_existing:], first))
-            continue
-        # Rewrite the cohort in serial order under fresh consecutive seqs.
-        # Seqs only ever compare within one timestamp, and the new seqs
-        # stay below every future push, so this is invisible outside it.
-        sim._seq += len(merged)
-        if reseq is not None:
-            for seq, (pushed_at, obj, _seq_e, is_new) in enumerate(merged, first):
-                if not is_new and getattr(obj, "sent_at", None) is None:
-                    # Non-frame entries carry no sent_at; keep their true
-                    # push time reachable under the new seq.
-                    reseq[seq] = pushed_at
-        row[:] = [(seq, m[1]) for seq, m in enumerate(merged, first)]
+            if pushed_at == inject_time:
+                if defer_seq is None:
+                    # Pushed at the very instant of our inject, in
+                    # another shard: the cross-shard same-timestamp
+                    # interleave no shard-local record can reconstruct.
+                    raise _ShardTaint("same-instant push tie at shared arrival time")
+                # Locally-held frame: the defer snapshotted the kernel
+                # seq counter at the inject dispatch, which is exactly
+                # where the serial engine would have pushed us —
+                # entries with a higher seq were pushed after.
+                if seq_e > defer_seq:
+                    break
+                tied_at = inject_time
+            i += 1
+        slots.append(i)
+    if slots[0] == n_old:
+        # Every deferred frame lands after all pending entries: fresh
+        # counter seqs at the tail sort correctly.
+        sim._seq += len(news)
+        row.extend((seq, rec[3]) for seq, rec in enumerate(news, first))
+        return
+    # Rewrite the cohort in serial order under fresh consecutive seqs.
+    # Seqs only ever compare within one timestamp, and the new seqs
+    # stay below every future push, so this is invisible outside it.
+    pushed.extend(_pushed_at(seq_e, ev, marks, reseq, sim) for seq_e, ev in row[len(pushed) :])
+    merged: list = []
+    k = 0
+    for j, (_seq_e, ev) in enumerate(row):
+        while k < len(slots) and slots[k] == j:
+            merged.append(news[k][3])
+            k += 1
+        if getattr(ev, "sent_at", None) is None:
+            # Non-frame entries carry no sent_at; keep their true push
+            # time reachable under the new seq.
+            reseq[first + len(merged)] = pushed[j]
+        merged.append(ev)
+    merged.extend(rec[3] for rec in news[k:])
+    sim._seq += len(merged)
+    row[:] = enumerate(merged, first)
 
 
 def _drain_router(job, plan: ShardPlan, shard_id: int):
-    """Split this window's deferred frames into locally-kept entries and
-    per-destination-shard wire records (exporting the latter)."""
+    """Split this window's deferred records into the locally-kept ones and
+    per-destination-shard wire records (exporting the latter's frames)."""
     fab = job.fabric
     router = fab.shard_router
-    node_of = fab._node_of
-    shard_of_node = plan.shard_of_node
+    shard_of_proc = plan.shard_of_proc
     local: list = []
     exports: Dict[int, list] = {}
-    for frame, inject_time, t_head, ser, extra_delay, seq, sim_seq in router.records:
-        dst_shard = shard_of_node[node_of[frame.dst]]
+    for rec in router.records:
+        frame = rec[3]
+        dst_shard = shard_of_proc[frame.dst]
         if dst_shard == shard_id:
-            local.append((frame, inject_time, t_head, ser, extra_delay, seq, sim_seq))
+            local.append(rec)
         else:
-            rec = (
-                inject_time,
-                frame.src,
-                seq,
-                frame.dst,
-                frame.size,
-                frame.kind,
-                t_head,
-                ser,
-                extra_delay,
-                _encode_payload(frame.payload),
-            )
+            enc = _encode_payload(frame.payload)
+            wire = (rec[0], shard_id, rec[2], frame.src, frame.dst, frame.size, frame.kind, *rec[4:7], enc)
             fab.export_frame(frame)
-            exports.setdefault(dst_shard, []).append(rec)
+            exports.setdefault(dst_shard, []).append(wire)
     router.records = []
     return local, exports
 
@@ -581,6 +586,12 @@ def _drain_router(job, plan: ShardPlan, shard_id: int):
 
 def _shard_worker_main(job, plan: ShardPlan, shard_id: int, conn) -> None:
     """Forked worker: own Simulator copy, window loop, audited finalize."""
+    # The inherited heap is the whole job (16k process stacks at the 8k-rank
+    # tier) and lives as long as the worker.  Dispatch runs collector-off
+    # anyway; the barrier phases allocate a tuple per deferred frame, which
+    # with it on buys a pass over that heap every few hundred frames.
+    gc.freeze()
+    gc.disable()
     try:
         _shard_worker_loop(job, plan, shard_id, conn)
     except BaseException as exc:  # noqa: BLE001 - report, never hang the pool
@@ -629,7 +640,7 @@ def _local_done_info(job, crash_times: Dict[int, float]):
 def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
     sim = job.sim
     fab = job.fabric
-    fab.shard_router = _ShardRouter()
+    fab.shard_router = _ShardRouter(shard_id)
     local_set = set(plan.local_procs[shard_id])
     job.membership.local_procs = local_set
     job._shard_mode = True
@@ -641,7 +652,7 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
     # Push-time checkpoints for serial-true merge placement: each clock
     # advance closes a timestamp, so (seq counter, vtime) pairs let the
     # merge recover the exact virtual time any pending cohort entry was
-    # pushed at (see _push_vt).  Chains the inherited hook (arena trimmer).
+    # pushed at (see _pushed_at).  Chains the inherited hook (arena trimmer).
     marks: List[Tuple[int, float]] = []
     # Push times of renumbered non-frame entries (new seq -> virtual push
     # time); renumbering moves them past the marks' seq range.
@@ -673,7 +684,7 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
         if op == "step":
             _horizon, until, imports = cmd[1], cmd[2], cmd[3]
             try:
-                _merge_deferred(job, plan, held, imports, marks, reseq)
+                _merge_deferred(job, held, imports, marks, reseq)
             except _ShardTaint as taint:
                 # Unorderable window: report instead of guessing.  The
                 # parent abandons the pool and reruns serially; this
@@ -688,11 +699,7 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
                 # clock parked at `until`, exactly like the serial path.
                 sim.run(until)
             held, exports = _drain_router(job, plan, shard_id)
-            if any(
-                job.pmls[p].any_source_posts
-                for p in plan.local_procs[shard_id]
-                if p in job.pmls
-            ):
+            if fab.any_source_posts:
                 # Wildcard matching is order-sensitive at equal
                 # timestamps: deferred-frame seqs are assigned at the
                 # merge, not at serial inject dispatch, so an ANY_SOURCE
@@ -845,26 +852,33 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     if audit is None:
         audit = until is None
     requested = job.parallel.workers
-    plan = ShardPlan.build(job.placement, requested)
+    plan = ShardPlan.build(job.placement, job.rmap, requested)
     plan.validate()
+    lookahead = plan.lookahead
+    windows = 0
+
+    def meta(shards: int, fallback: List[str]) -> dict:
+        return {
+            "workers": shards,
+            "requested": requested,
+            "shards": shards,
+            "fallback": fallback,
+            "lookahead": lookahead,
+            "windows": windows,
+        }
+
+    def serial_fallback(reasons: List[str]):
+        result = job._run_serial_fallback(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
+        result.parallel = meta(1, reasons)
+        return result
+
     hazards = classify_hazards(job, plan)
     if hazards:
-        result = job._run_serial_fallback(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
-        result.parallel = {
-            "workers": 1,
-            "requested": requested,
-            "shards": 1,
-            "fallback": hazards,
-            "lookahead": plan.lookahead,
-            "windows": 0,
-        }
-        return result
-    lookahead = plan.lookahead
+        return serial_fallback(hazards)
     n_shards = plan.n_shards
     ctx = mp.get_context("fork")
     conns = []
     workers = []
-    windows = 0
     released = False
     release_comp = 0
     tie_release = False
@@ -997,16 +1011,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         if tie_release and any(res["post_release_rx"] for res in shard_results):
             raise _DrainRace("post-release delivery under tied completion")
     except _DrainRace as race:
-        result = job._run_serial_fallback(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
-        result.parallel = {
-            "workers": 1,
-            "requested": requested,
-            "shards": 1,
-            "fallback": [f"drain_race: {race}"],
-            "lookahead": lookahead,
-            "windows": windows,
-        }
-        return result
+        return serial_fallback([f"drain_race: {race}"])
     finally:
         for conn in conns:
             try:
@@ -1018,16 +1023,8 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hung worker backstop
                 proc.terminate()
-    meta = {
-        "workers": n_shards,
-        "requested": requested,
-        "shards": n_shards,
-        "fallback": [],
-        "lookahead": lookahead,
-        "windows": windows,
-    }
     return _merge_results(
-        job, plan, shard_results, JobResult, meta,
+        job, plan, shard_results, JobResult, meta(n_shards, []),
         until=until, allow_lost_ranks=allow_lost_ranks,
         release_comp=release_comp,
     )

@@ -1,52 +1,72 @@
 """Conservative sharded-parallel execution: byte-identical to serial.
 
 The multi-core engine (:mod:`repro.sim.shard`) partitions processes by
-node into per-shard Simulators, synchronized by conservative windows on
-the minimum inter-shard wire latency.  Its entire contract is *byte
+logical-rank range (whole nodes, every replica of a rank together) into
+per-shard Simulators, synchronized by conservative windows on the
+minimum inter-shard wire latency.  Its entire contract is *byte
 identity*: :func:`repro.sim.shard.fingerprint` of a sharded run must
-equal the serial engine's for every protocol, worker count, crash
+equal the serial engine's for every protocol, degree, worker count, crash
 schedule and horizon — and whenever the shards cannot prove they can
 replay the serial interleaving (drain races, tied cross-shard downlink
 contention, hazard features), the run falls back to the serial engine
 with the reasons recorded in ``result.parallel["fallback"]``.
 
-Three layers pinned here:
+Four layers pinned here:
 
 * **fingerprint equivalence** — hypothesis-driven serial-vs-sharded runs
-  across all five protocols, plus crash/failover, run-until horizons,
-  delay-only fault plans, open-loop traffic, and the fault-campaign
-  fallback path;
+  across all five protocols at degree 2 and 3, plus crash/failover,
+  run-until horizons, delay-only fault plans, open-loop traffic, a
+  non-paper placement, and the fault-campaign fallback path; the jobs
+  the rank-range plan made shardable are pinned as *truly* sharded;
+* **merge placement** — the linear cohort placement against the
+  quadratic scan it replaced (kept here as the reference), on random
+  cohorts with local/imported mixes and same-instant ties;
 * **shard planner** — partition validity (every proc exactly once,
-  node-aligned, contiguous), lookahead = minimum inter-node latency,
-  and the single-shard degenerate case;
+  node-aligned, balanced, replicas of a rank together), unreplicated
+  plans equal to the recorded node-range plans, lookahead = minimum
+  inter-node latency, and the single-shard degenerate case;
 * **fallback honesty** — hazard features (jitter, stochastic faults,
-  detector) and single-node placements run serially with the reason
-  recorded, and the default ``Job`` path carries no parallel metadata
-  at all.
+  detector, replica fan-out) and single-node placements run serially
+  with the reason recorded and no worker forked, and the default ``Job``
+  path carries no parallel metadata at all.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+import json
 import math
 import multiprocessing as mp
+from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import ReplicationConfig
+from repro.core.worlds import ReplicaMap
 from repro.harness.campaign import CampaignConfig
-from repro.harness.runner import Job, cluster_for
+from repro.harness.runner import Job, JobShape, cluster_for
+from repro.network.fabric import CostTable
 from repro.network.model import FaultPlan, LinkFaultWindow
+from repro.network.topology import Cluster, round_robin_placement, split_halves_placement
 from repro.scenarios import get_scenario, ring_collectives
+from repro.sim.kernel import Simulator
 from repro.sim.shard import (
     ParallelConfig,
     ShardPlan,
+    _place_cohort,
+    _ShardTaint,
     classify_hazards,
     fingerprint,
     run_parallel,
 )
 
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
+#: protocols whose sends fan out across replica sets (``replica_fanout``)
+FANOUT_PROTOCOLS = ["mirror", "redmpi"]
+DATA = Path(__file__).parent / "data"
 
 
 def _run(
@@ -56,12 +76,13 @@ def _run(
     crash=(),
     until=None,
     fault_plan=None,
+    degree=2,
     **kwargs,
 ):
     if protocol == "native":
         cfg = ReplicationConfig(degree=1, protocol="native")
     else:
-        cfg = ReplicationConfig(degree=2, protocol=protocol)
+        cfg = ReplicationConfig(degree=degree, protocol=protocol)
     job = Job(
         n_ranks,
         cfg=cfg,
@@ -75,11 +96,11 @@ def _run(
     return job.run(until=until, allow_lost_ranks=bool(crash))
 
 
-def _plan_for(n_ranks: int, workers: int, protocol: str = "sdr"):
-    degree = 1 if protocol == "native" else 2
+def _plan_for(n_ranks: int, workers: int, protocol: str = "sdr", degree: int = 2):
+    degree = 1 if protocol == "native" else degree
     cfg = ReplicationConfig(degree=degree, protocol=protocol)
     job = Job(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, degree))
-    plan = ShardPlan.build(job.placement, workers)
+    plan = ShardPlan.build(job.placement, job.rmap, workers)
     plan.validate()
     return job, plan
 
@@ -91,15 +112,19 @@ def _plan_for(n_ranks: int, workers: int, protocol: str = "sdr"):
     n_ranks=st.sampled_from([8, 16]),
     workers=st.integers(min_value=2, max_value=4),
     iters=st.integers(min_value=1, max_value=2),
+    degree=st.sampled_from([2, 3]),
 )
-def test_sharded_fingerprint_equals_serial(protocol, n_ranks, workers, iters):
-    """The load-bearing property: any protocol, size, worker count and
-    iteration depth produces the exact serial fingerprint — whether the
-    run truly sharded or conservatively fell back."""
-    serial = _run(protocol, n_ranks, iters=iters, nbytes=256)
-    parallel = _run(protocol, n_ranks, workers=workers, iters=iters, nbytes=256)
+def test_sharded_fingerprint_equals_serial(protocol, n_ranks, workers, iters, degree):
+    """The load-bearing property: any protocol, size, degree, worker count
+    and iteration depth produces the exact serial fingerprint — whether
+    the run truly sharded or conservatively fell back."""
+    serial = _run(protocol, n_ranks, iters=iters, nbytes=256, degree=degree)
+    parallel = _run(protocol, n_ranks, workers=workers, iters=iters, nbytes=256, degree=degree)
     assert parallel.parallel is not None
     assert fingerprint(parallel) == fingerprint(serial)
+    if protocol in FANOUT_PROTOCOLS:
+        assert parallel.parallel["fallback"] == ["replica_fanout"]
+        assert parallel.parallel["windows"] == 0
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -126,6 +151,60 @@ def test_rendezvous_tied_arrivals_shard_byte_identical(workers):
     assert parallel.parallel["fallback"] == []
     assert parallel.parallel["shards"] == workers
     assert fingerprint(parallel) == fingerprint(serial)
+
+
+@pytest.mark.parametrize(
+    "protocol, degree, n_ranks, workers, nbytes",
+    [("sdr", 3, 64, 2, 256), ("sdr", 2, 128, 4, 4096), ("leader", 2, 128, 4, 4096)],
+)
+def test_rank_range_plan_shards_what_replica_set_shards_could_not(
+    protocol, degree, n_ranks, workers, nbytes
+):
+    """Pinned as *truly* sharded: all three tainted on a tied cross-shard
+    downlink under the node-range plan (whose shards were the replica
+    sets) and must not quietly start falling back again."""
+    serial = _run(protocol, n_ranks, iters=2, nbytes=nbytes, degree=degree)
+    parallel = _run(protocol, n_ranks, workers=workers, iters=2, nbytes=nbytes, degree=degree)
+    assert parallel.parallel["fallback"] == []
+    assert parallel.parallel["shards"] == workers
+    assert fingerprint(parallel) == fingerprint(serial)
+
+
+def test_acks_stay_off_the_relay():
+    """The traffic claim, exactly: SDR acks run between the replicas of one
+    rank, which the plan keeps in one shard — so the relay carries fewer
+    frames than there are acks (the node-range plan relayed every ack:
+    1,792 exports for 1,792 acks on this job)."""
+    res = _run("sdr", 64, workers=2, iters=2, nbytes=256)
+    assert res.parallel["fallback"] == []
+    assert res.fabric["frames_exported"] < res.stat_total("acks_sent")
+
+
+def test_non_paper_placement_shards_byte_identical():
+    """Cyclic placement on six nodes: the replicas of a rank sit four nodes
+    apart and the planning order (nodes by lowest hosted rank) is not node
+    order — the plan is still a valid partition and the run the serial
+    one."""
+    cfg = ReplicationConfig(degree=2, protocol="sdr")
+    cluster = Cluster(nodes=6, cores_per_node=8)
+    placement = round_robin_placement(cluster, 32, fill_node_first=False)
+    shape = dataclasses.replace(
+        JobShape.build(16, cfg, cluster), placement=placement, cost_table=CostTable(placement)
+    )
+
+    def run(workers):
+        job = Job(
+            16, cfg=cfg, shape=shape, parallel=ParallelConfig(workers=workers) if workers else None
+        )
+        return job.launch(ring_collectives, iters=2, nbytes=256).run()
+
+    plan = ShardPlan.build(placement, shape.rmap, 3)
+    plan.validate()
+    assert list(plan.shard_of_node) == [0, 4, 1, 5, 2, 3]
+    assert [len(procs) for procs in plan.local_procs] == [11, 11, 10]
+    parallel = run(3)
+    assert parallel.parallel["requested"] == 3
+    assert fingerprint(parallel) == fingerprint(run(0))
 
 
 def test_anysource_receives_fall_back_serial():
@@ -335,6 +414,166 @@ def test_merge_rewrites_cohort_around_deferred_frames(pairs, monkeypatch):
     assert fingerprint(parallel) == fingerprint(serial)
 
 
+# -------------------------------------------------------- merge placement
+def _place_cohort_reference(sim, arrival, news, marks, reseq):
+    """Pass 2 of ``_merge_deferred`` as it stood before PR 20 — every
+    frame rescans the cohort from its head, stepping over the frames
+    already placed: O(news x cohort) — kept as the placement oracle for
+    :func:`repro.sim.shard._place_cohort`."""
+    row = sim._cohorts.get(arrival)
+    if row is None:
+        row = sim._cohorts[arrival] = []
+        heapq.heappush(sim._queue, arrival)
+    merged = []
+    for seq_e, ev in row:
+        pushed_at = getattr(ev, "sent_at", None)
+        if pushed_at is None:
+            pushed_at = reseq.get(seq_e)
+        if pushed_at is None:
+            idx = bisect_left(marks, (seq_e,))
+            pushed_at = sim._now if idx == len(marks) else marks[idx][1]
+        merged.append((pushed_at, ev, seq_e, False))
+    n_existing = len(merged)
+    appended_only = True
+    for rec in news:
+        inject_time, frame, defer_seq = rec[0], rec[3], rec[7]
+        pos = len(merged)
+        for j, (pushed_at, _ev, seq_e, is_new) in enumerate(merged):
+            if is_new or pushed_at < inject_time:
+                continue
+            if pushed_at == inject_time:
+                if defer_seq is None:
+                    raise _ShardTaint("same-instant push tie at shared arrival time")
+                if seq_e <= defer_seq:
+                    continue
+            pos = j
+            break
+        if pos != len(merged):
+            appended_only = False
+        merged.insert(pos, (inject_time, frame, None, True))
+    first = sim._seq + 1
+    if appended_only:
+        sim._seq += len(news)
+        row.extend((seq, m[1]) for seq, m in enumerate(merged[n_existing:], first))
+        return
+    sim._seq += len(merged)
+    for seq, (pushed_at, obj, _seq_e, is_new) in enumerate(merged, first):
+        if not is_new and getattr(obj, "sent_at", None) is None:
+            reseq[seq] = pushed_at
+    row[:] = [(seq, m[1]) for seq, m in enumerate(merged, first)]
+
+
+class _Charge:
+    """A pending non-frame cohort entry: no ``sent_at``."""
+
+    def __init__(self, label):
+        self.label = label
+
+
+class _Wire(_Charge):
+    """A pending or deferred frame: carries its push time."""
+
+    def __init__(self, label, sent_at):
+        self.label = label
+        self.sent_at = sent_at
+
+
+ARRIVAL, NOW, MY_SHARD = 100.0, 5.0, 1
+
+
+def _placement_case(existing, news):
+    """Merge inputs from a drawn spec.  *existing* is a list of ``(dt,
+    seq_gap, kind)`` steps along a push-time-monotone cohort (kind: frame,
+    charge known by mark, or charge known by reseq); *news* a list of
+    ``(inject_time, src_shard, defer_gap)``.  Returns ``(sim, news, marks,
+    reseq)`` — fresh objects on every call, equal labels."""
+    sim = Simulator()
+    sim._now = NOW
+    marks, reseq, row = [], {}, []
+    t, seq = 0.0, 0
+    for i, (dt, gap, kind) in enumerate(existing):
+        if dt and seq:
+            marks.append((seq, t))  # closes timestamp t: seqs up to here were pushed at t
+        t = min(t + dt, NOW)
+        seq += gap
+        if kind == "frame":
+            row.append((seq, _Wire(f"old{i}", t)))
+        else:
+            row.append((seq, _Charge(f"old{i}")))
+            if kind == "reseq":
+                reseq[seq] = t
+    if t < NOW and seq:
+        marks.append((seq, t))
+    sim._seq = seq + 3
+    if row:
+        sim._cohorts[ARRIVAL] = row
+        sim._queue.append(ARRIVAL)
+    records, defer_seq = [], 0
+    ordered = sorted((t, shard, k) for k, (t, shard, _gap) in enumerate(news))
+    for n, (inject_time, shard, k) in enumerate(ordered):
+        defer_seq += news[k][2]  # local snapshots never decrease along canonical order
+        records.append(
+            (inject_time, shard, n, _Wire(f"new{n}", inject_time), 0.0, 0.0, 0.0,
+             defer_seq if shard == MY_SHARD else None)
+        )  # fmt: skip
+    return sim, records, marks, reseq
+
+
+def _placement_outcome(place, existing, news):
+    sim, records, marks, reseq = _placement_case(existing, news)
+    try:
+        place(sim, ARRIVAL, records, marks, reseq)
+    except _ShardTaint as taint:
+        return str(taint)
+    return [(seq, ev.label) for seq, ev in sim._cohorts[ARRIVAL]], sim._seq, reseq, sim._queue
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    existing=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.0, 1.0, 2.0]),
+            st.integers(min_value=1, max_value=3),
+            st.sampled_from(["frame", "mark", "reseq"]),
+        ),
+        max_size=8,
+    ),
+    news=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+            st.sampled_from([0, MY_SHARD, MY_SHARD, 2]),
+            st.integers(min_value=0, max_value=6),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_linear_cohort_placement_equals_quadratic_reference(existing, news):
+    """Same cohort list, same fresh seqs, same ``reseq`` updates and the
+    same taint/no-taint as the scan it replaced, on push-time-monotone
+    cohorts mixing frames and charges with local/imported news and
+    same-instant ties."""
+    assert _placement_outcome(_place_cohort, existing, news) == _placement_outcome(
+        _place_cohort_reference, existing, news
+    )
+
+
+def test_imported_frame_taints_on_a_tie_an_earlier_local_frame_passed():
+    """The case a naive two-pointer pass loses: a local frame passes a
+    pending entry pushed at its own inject instant (lower seq — serially
+    pushed first), consuming it; an imported frame of the same instant
+    must still taint on that entry, not start its scan behind it."""
+    existing = [(1.0, 1, "mark")]  # one charge, seq 1, pushed at t=1
+    news = [(1.0, MY_SHARD, 5), (1.0, 2, 0)]  # local (snapshot 5 > seq 1), then imported
+    for place in (_place_cohort, _place_cohort_reference):
+        assert _placement_outcome(place, existing, news) == (
+            "same-instant push tie at shared arrival time"
+        )
+    # without the imported frame the local one lands behind the charge
+    cohort, seq, reseq, _ = _placement_outcome(_place_cohort, existing, news[:1])
+    assert [label for _seq, label in cohort] == ["old0", "new0"] and reseq == {}
+
+
 # ----------------------------------------------------------- shard planner
 @settings(max_examples=20, deadline=None)
 @given(
@@ -354,6 +593,57 @@ def test_plan_partition_is_valid(n_ranks, workers):
     for p in range(n_procs):
         # Node alignment: a proc's shard is its node's shard.
         assert plan.shard_of_proc[p] == plan.shard_of_node[node_of[p]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    degree=st.sampled_from([2, 3]),
+    n_ranks=st.integers(min_value=8, max_value=256),
+    workers=st.integers(min_value=1, max_value=8),
+)
+def test_plan_keeps_replicas_together_and_shards_balanced(degree, n_ranks, workers):
+    """Over the paper's split-halves placement: an exact node-aligned
+    partition, every shard within one node's procs of the ideal share, at
+    most one rank range straddling each cut — and none at all (every
+    replica of every rank in one shard) when the nodes are evenly filled
+    and the shard count divides the nodes per replica set.  (Balance to a
+    node and co-location cannot both hold otherwise: 4 nodes per set on 3
+    shards has to cut 8 nodes 3/3/2.)"""
+    cluster = cluster_for(n_ranks, degree)
+    cores = cluster.cores_per_node
+    placement = split_halves_placement(cluster, n_ranks, degree)
+    rmap = ReplicaMap(n_ranks, degree)
+    plan = ShardPlan.build(placement, rmap, workers)
+    plan.validate()
+    assert sorted(p for procs in plan.local_procs for p in procs) == list(range(rmap.n_procs))
+    for p in range(rmap.n_procs):
+        assert plan.shard_of_proc[p] == plan.shard_of_node[placement.node_of(p)]
+    assert 1 <= plan.n_shards <= min(workers, cluster.nodes)
+    share = rmap.n_procs / plan.n_shards
+    assert all(abs(len(procs) - share) < cores for procs in plan.local_procs)
+    straddled = {
+        rank // cores
+        for rank in range(n_ranks)
+        if len({plan.shard_of_proc[p] for p in rmap.replicas_of(rank)}) > 1
+    }
+    assert len(straddled) < plan.n_shards
+    if n_ranks % cores == 0 and (cluster.nodes // degree) % plan.n_shards == 0:
+        assert not straddled
+
+
+def test_unreplicated_plans_equal_the_node_range_plans():
+    """Degree 1 hosts each rank once, so ordering nodes by lowest hosted
+    rank is node order: the plans are exactly the ones the node-range
+    planner produced (``shard_of_proc`` for 4..64 ranks x 1..8 workers,
+    recorded on the commit before PR 20)."""
+    recorded = json.loads((DATA / "shard_plans_degree1.json").read_text())
+    assert len(recorded) == 61 * 8
+    for key, digits in recorded.items():
+        n_ranks, workers = map(int, key.split("x"))
+        cluster = cluster_for(n_ranks, 1)
+        placement = round_robin_placement(cluster, n_ranks)
+        plan = ShardPlan.build(placement, ReplicaMap(n_ranks, 1), workers)
+        assert "".join(map(str, plan.shard_of_proc)) == digits, key
 
 
 def test_plan_lookahead_is_min_inter_node_latency():
@@ -404,6 +694,26 @@ def test_stochastic_faults_are_a_recorded_hazard():
 def test_classify_hazards_is_empty_for_a_clean_sharded_job():
     job, plan = _plan_for(16, 2)
     assert classify_hazards(job, plan) == []
+
+
+@pytest.mark.parametrize("protocol", FANOUT_PROTOCOLS)
+def test_replica_fanout_is_a_static_hazard_that_never_forks(protocol, monkeypatch):
+    """mirror and redmpi put frames from different replica sets on one
+    downlink at one instant by construction — every such run used to
+    fork, taint within 16 windows and rerun serially.  The hazard is a
+    protocol class attribute, decided before any worker exists."""
+    from repro.sim import shard
+
+    job, plan = _plan_for(16, 2, protocol=protocol)
+    assert classify_hazards(job, plan) == ["replica_fanout"]
+    monkeypatch.setattr(
+        shard.mp, "get_context", lambda *_: pytest.fail("a replica_fanout job forked workers")
+    )
+    serial = _run(protocol, 16, iters=2, nbytes=256)
+    parallel = _run(protocol, 16, workers=2, iters=2, nbytes=256)
+    assert parallel.parallel["fallback"] == ["replica_fanout"]
+    assert parallel.parallel["windows"] == 0
+    assert fingerprint(parallel) == fingerprint(serial)
 
 
 def test_default_job_path_carries_no_parallel_metadata():

@@ -108,6 +108,18 @@ print_stage_summary() {
     # The number ROADMAP asks every PR to justify (net lines added to src/
     # need a reason; net lines removed do not).
     echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+    # The sharding gate number (ROADMAP: sharding earns its place or shrinks),
+    # as committed — host cores beside it, since fork workers only beat
+    # serial on cores the host actually grants.
+    python - <<'PY' || true
+import json
+row = json.load(open("BENCH_engine.json"))["current"]["modes"].get("scale", {}).get("sdr-collectives-1024@w4")
+if row is None:
+    print("sdr-collectives-1024@w4 speedup_vs_serial: not recorded (tools/bench.py --scale --workers 4 --update)")
+else:
+    print(f"sdr-collectives-1024@w4 speedup_vs_serial: {row['speedup_vs_serial']}x "
+          f"on {row['parallel']['host_cores']} host cores (BENCH_engine.json)")
+PY
     # Handles are passive (PR 19): nothing in src/ may drive one from a wait
     # loop again, or keep a second loop for handles that want driving.
     echo "active-handle residue in src/ (must be empty):"

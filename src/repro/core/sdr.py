@@ -4,6 +4,8 @@ Protocol summary (§3.2, Algorithm 1):
 
 * **Parallel sends** — replica *k* of rank *i* sends each application
   message only to replica *k* of the destination rank (``physicalDests``).
+  That default is arithmetic (``rep_base + rank``), so ``physical_dests``
+  stores only the *exceptions* failover and recovery write.
 * **Receiver-side acks** — when a message is fully received at the library
   level (``pml_recv_complete``), the receiver sends an ack to every *other*
   alive replica of the sending rank.  Acking at ``irecvComplete`` rather
@@ -90,6 +92,7 @@ class SdrProtocol(ReplicatedBase):
 
     __slots__ = (
         "physical_dests",
+        "_seq_floor",
         "physical_src",
         "_substitute",
         "retention",
@@ -113,8 +116,12 @@ class SdrProtocol(ReplicatedBase):
     ) -> None:
         super().__init__(pml, rmap, membership, cfg, shared)
         #: physicalDests_p[rank]: replicas of `rank` I send application
-        #: messages to (Algorithm 1 line 1); lazily defaulted to my pair.
+        #: messages to (Algorithm 1 line 1) — *exceptions only*.  An absent
+        #: entry means "my pair, alive at my first send"; see :meth:`dests_for`.
         self.physical_dests: Dict[int, List[int]] = {}
+        #: send cursors a respawned replica inherited from its substitute
+        #: (:meth:`adopt_state`): where *its own* sends start counting
+        self._seq_floor: Optional[Dict[int, int]] = None
         #: physicalSrc_p[rank] (line 2) — informational under logical-rank
         #: matching, kept for introspection and tests.
         self.physical_src: Dict[int, int] = {}
@@ -153,15 +160,29 @@ class SdrProtocol(ReplicatedBase):
         return sub
 
     # ----------------------------------------------------------- destinations
-    def _default_dests(self, world_dst: int) -> List[int]:
-        pair = self.rmap.phys(world_dst, self.rep)
-        return [pair] if self.membership.is_alive(pair) else []
-
     def dests_for(self, world_dst: int) -> List[int]:
+        """physicalDests_p[world_dst] as a stored, mutable list (cold paths).
+
+        A crash-free run never calls this: :meth:`app_isend` routes an
+        absent entry to my pair by arithmetic.  Whoever must *read or
+        rewrite* the entry — failover, suspicion, recovery — materializes
+        here exactly what eager memoization at first use would hold.
+        Absence means "my pair, sampled alive at my first send" (a send
+        that finds the pair dead comes here before it counts), so once I
+        have sent, the pair is listed even if it has died since — its
+        failure notification removes it, and only ``RECOVERED`` re-admits
+        it: a respawned replica is sent nothing before its peers replayed
+        what its forked state lacks.  Never sent: sampled now.
+        """
         dests = self.physical_dests.get(world_dst)
         if dests is None:
-            dests = self._default_dests(world_dst)
-            self.physical_dests[world_dst] = dests
+            pair = self.pair_of(world_dst)
+            # my own sends: a respawned replica's inherited cursor is its zero
+            floor = self._seq_floor
+            sent = self._send_seq.get(world_dst, 0) > (floor.get(world_dst, 0) if floor else 0)
+            dests = self.physical_dests[world_dst] = (
+                [pair] if sent or self.membership.is_alive(pair) else []
+            )
         return dests
 
     # ------------------------------------------------------------------ send
@@ -169,6 +190,18 @@ class SdrProtocol(ReplicatedBase):
         self, ctx, src_rank, tag, data, world_dst, synchronous=False
     ) -> Generator[Any, Any, SdrSendHandle]:
         self.app_sends += 1
+        pml = self.pml
+        endpoints = pml.fabric.endpoints
+        shared = self.shared
+        rep_bases = shared.rep_bases
+        # physicalDests: a stored exception or, absent one (every send of a
+        # crash-free run), my pair by arithmetic.  A dead pair materializes
+        # the entry *before* this send counts as sent, so a first send
+        # samples it dead exactly as dests_for specifies.
+        pair = rep_bases[self.rep] + world_dst
+        dests = self.physical_dests.get(world_dst)
+        if dests is None and not endpoints[pair].alive:
+            dests = self.dests_for(world_dst)
         seq = self.next_seq(world_dst)
         payload = copy_payload(data)
         nbytes = nbytes_of(payload)
@@ -178,17 +211,10 @@ class SdrProtocol(ReplicatedBase):
         # replica of the destination rank.  Posting the ack receive costs
         # CPU (request management) — a real, measurable part of the
         # protocol's small-message overhead.
-        # dests_for inlined (one dict probe per application send)
-        dests = self.physical_dests.get(world_dst)
-        if dests is None:
-            dests = self.dests_for(world_dst)
-        pml = self.pml
-        endpoints = pml.fabric.endpoints
-        shared = self.shared
         ack_post = shared.ack_post_overhead
-        for base in shared.rep_bases:
+        for base in rep_bases:
             ph = base + world_dst  # rmap.phys, replica-major
-            if ph in dests:
+            if ph == pair if dests is None else ph in dests:
                 if not endpoints[ph].alive:
                     continue
                 # charge-then-post split of pml.isend (hot: one per
@@ -461,7 +487,7 @@ class SdrProtocol(ReplicatedBase):
                 # I adopted the suspect's receivers speculatively (lines
                 # 21-25) — hand them back, exactly as after a recovery.
                 for j in range(self.rmap.n_ranks):
-                    dests = self.physical_dests.get(j)
+                    dests = self.physical_dests.get(j)  # absent: nothing adopted
                     if not dests:
                         continue
                     my_pair = self.rmap.phys(j, self.rep)
@@ -507,7 +533,7 @@ class SdrProtocol(ReplicatedBase):
                 yield from self.pml.send_ctrl(p, RECOVERED, (self.rank, new_proc, rep_f))
         self.substitute[rep_f] = rep_f
         for j in range(self.rmap.n_ranks):
-            dests = self.physical_dests.get(j)
+            dests = self.physical_dests.get(j)  # absent: nothing adopted
             ph = self.rmap.phys(j, rep_f)
             if dests and ph in dests and ph != self.rmap.phys(j, self.rep):
                 dests.remove(ph)
@@ -567,7 +593,8 @@ class SdrProtocol(ReplicatedBase):
     def adopt_state(self, state: dict) -> None:
         """Install forked state on a freshly respawned replica."""
         self._expected = dict(state["expected"])
-        self._send_seq = dict(state["send_seq"])
+        self._seq_floor = state["send_seq"]
+        self._send_seq = dict(self._seq_floor)
         for (j, seq), (ctx, src_rank, tag, payload, needs) in state["retention"].items():
             handle = SdrSendHandle(j, seq, ctx, src_rank, tag, payload)
             handle.needs_ack = set(needs)

@@ -30,11 +30,16 @@ event (:class:`_Delivery`) instead of a per-frame closure wrapped in a
 kernel callback, and cost-model resolution goes through the job-level
 :class:`CostTable` (proc → node resolved once; models and cost rows
 memoized per *node pair* and shared by every PML) instead of chasing
-placement dictionaries per frame.  The per-channel FIFO clamp (``_last_arrival``) applies to *both*
-the intra-node path (keyed per channel) and the inter-node path (whose
-contention state is keyed per node uplink/downlink): with jitter enabled,
-arrivals on one ordered channel are clamped to be non-decreasing whatever
-path priced them.
+placement dictionaries per frame.
+
+Pricing state is O(nodes) + O(node pairs), never O(procs × peers): an
+inter-node frame indexes its node pair's memoized model and the two nodes'
+shared ``[uplink_free, downlink_free]`` cells (no key is allocated); only
+an intra-node channel owns mutable state (``_chan_free``).  The per-channel
+FIFO clamp (``_last_arrival``) fills lazily and is consulted only under
+perturbation (jitter, a fault plan), where it keeps arrivals on an ordered
+channel non-decreasing whichever path priced them; on the unperturbed wire
+it cannot fire — proof beside the table in :meth:`Fabric.__init__`.
 """
 
 from __future__ import annotations
@@ -64,7 +69,9 @@ class CostTable:
 
     One table per :class:`Fabric` (i.e. per job) replaces all of that:
 
-    * :meth:`model` memoizes ``cluster.model_for`` per (src_node, dst_node);
+    * :meth:`model` memoizes ``cluster.model_for`` per (src_node, dst_node)
+      in node-indexed rows (``_models[src_node][dst_node]``) that
+      :meth:`Fabric.inject` probes directly — no key tuple per frame;
     * :meth:`send_row` / :meth:`recv_row` hand out **shared, lazily filled**
       per-node dicts keyed by peer *node* — every PML on the node holds a
       reference to the same row, so the first PML to price a peer fills it
@@ -78,16 +85,15 @@ class CostTable:
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
         self.node_of: List[int] = [placement.node_of(p) for p in range(len(placement))]
-        self._models: Dict[Tuple[int, int], Any] = {}
+        self._models: List[Dict[int, Any]] = [{} for _ in range(max(self.node_of, default=-1) + 1)]
         self._send_rows: Dict[int, Dict[int, Tuple[float, int]]] = {}
         self._recv_rows: Dict[int, Dict[int, float]] = {}
 
     def model(self, src_node: int, dst_node: int):
-        key = (src_node, dst_node)
-        model = self._models.get(key)
+        row = self._models[src_node]
+        model = row.get(dst_node)
         if model is None:
-            model = self.placement.cluster.model_for(src_node, dst_node)
-            self._models[key] = model
+            model = row[dst_node] = self.placement.cluster.model_for(src_node, dst_node)
         return model
 
     def model_for(self, src: int, dst: int):
@@ -311,16 +317,6 @@ class Fabric:
         #: indexed by physical process id (ids are dense 0..n-1; a list
         #: makes the two lookups per frame cheaper than a dict)
         self.endpoints: List[Endpoint] = [Endpoint(sim, proc) for proc in range(n_procs)]
-        # Per ordered-channel pricing state, one dict lookup per inject:
-        #   [model, src_node_busy | None, dst_node_busy | None,
-        #    channel_free, last_arrival]
-        # Inter-node channels share per-node [uplink_free, downlink_free]
-        # cells (8 ranks per node share one HCA in the paper's testbed;
-        # cut-through: latency overlaps serialization); intra-node channels
-        # use the per-channel ``channel_free`` slot.  ``last_arrival`` is
-        # the per-channel FIFO clamp, initialized here rather than lazily.
-        self._chan: Dict[Tuple[int, int], list] = {}
-        self._node_busy: Dict[int, list] = {}
         self._jitter = jitter
         # Job-level shared pricing state: proc → node resolved once, cost
         # models memoized per *node pair* (see CostTable), and per-node
@@ -332,6 +328,25 @@ class Fabric:
             raise ValueError("cost_table was built for a different placement")
         self.cost_table = cost_table if cost_table is not None else CostTable(placement)
         self._node_of: List[int] = self.cost_table.node_of
+        # Inter-node frames are priced per *node*: one [uplink_free,
+        # downlink_free] cell each (8 ranks per node share one HCA in the
+        # paper's testbed; cut-through: latency overlaps serialization).
+        self._models = self.cost_table._models
+        self._node_busy: List[List[float]] = [[0.0, 0.0] for _ in self._models]
+        # Only an intra-node channel has mutable state of its own — the time
+        # it is next free: one lazily built {dst: free_at} row per source.
+        self._chan_free: List[Optional[Dict[int, float]]] = [None] * n_procs
+        # Per-channel FIFO clamp {(src, dst): last arrival}: consulted (and
+        # filled) only once ``_perturbed`` — a jitter callable, or a
+        # non-empty plan in install_faults; sticky, so _inject_duplicate's
+        # temporary ``_faults = None`` cannot skip it.  Unperturbed, it
+        # cannot fire.  Inter-node: arrival = max(t_down, dst_busy[1]) + ser,
+        # and dst_busy[1] never decreases and is >= the channel's previous
+        # arrival.  Intra-node: arrival = max(channel_free, now) + ser +
+        # latency, and channel_free *is* the previous arrival.  A missing
+        # entry later means "no perturbed frame yet": same bound.
+        self._last_arrival: Dict[Tuple[int, int], float] = {}
+        self._perturbed = jitter is not None
         self.on_crash: List[Callable[[int], None]] = []
         #: free list of recycled Frame instances (see Frame docstring);
         #: bounded so pathological bursts cannot pin memory forever
@@ -418,26 +433,6 @@ class Fabric:
 
     def is_alive(self, proc: int) -> bool:
         return self.endpoints[proc].alive
-
-    def _chan_state(self, key: Tuple[int, int]) -> list:
-        src, dst = key
-        node_of = self._node_of
-        src_node = node_of[src]
-        dst_node = node_of[dst]
-        model = self.cost_table.model(src_node, dst_node)
-        if src_node != dst_node:
-            node_busy = self._node_busy
-            src_busy = node_busy.get(src_node)
-            if src_busy is None:
-                src_busy = node_busy[src_node] = [0.0, 0.0]
-            dst_busy = node_busy.get(dst_node)
-            if dst_busy is None:
-                dst_busy = node_busy[dst_node] = [0.0, 0.0]
-            state = [model, src_busy, dst_busy, 0.0, 0.0]
-        else:
-            state = [model, None, None, 0.0, 0.0]
-        self._chan[key] = state
-        return state
 
     # ------------------------------------------------------------ transfers
     def acquire_frame(self, src: int, dst: int, size: int, payload: Any, kind: str = "data") -> Frame:
@@ -584,6 +579,7 @@ class Fabric:
         """
         plan.validate()
         self._faults = _FaultRuntime(plan, rng) if plan else None
+        self._perturbed = self._perturbed or bool(plan)  # sticky: arms the FIFO clamp
 
     def inject(self, frame: Frame) -> float:
         """Put *frame* on the wire now.  Returns the arrival time.
@@ -614,17 +610,18 @@ class Fabric:
         else:
             extra_delay = 0.0
             dup = False
-        key = (src, dst)
-        state = self._chan.get(key)
-        if state is None:
-            state = self._chan_state(key)
-        model = state[0]
+        node_of = self._node_of
+        src_node = node_of[src]
+        dst_node = node_of[dst]
+        model = self._models[src_node].get(dst_node)
+        if model is None:
+            model = self.cost_table.model(src_node, dst_node)
         now = self.sim._now
         size = frame.size
         ser = model.serialization(size)
-        src_busy = state[1]
-        if src_busy is not None:
+        if src_node != dst_node:
             # Uplink occupancy at the source node.
+            src_busy = self._node_busy[src_node]
             t_up = src_busy[0]
             if t_up < now:
                 t_up = now
@@ -656,33 +653,35 @@ class Fabric:
             # Head reaches the destination NIC after the wire latency;
             # the frame then drains through the shared downlink.
             t_down = t_up + model.latency
-            dst_busy = state[2]
+            dst_busy = self._node_busy[dst_node]
             if t_down < dst_busy[1]:
                 t_down = dst_busy[1]
             arrival = t_down + ser
             dst_busy[1] = arrival
         else:
-            depart = state[3]
+            row = self._chan_free[src]
+            if row is None:
+                row = self._chan_free[src] = {}
+            depart = row.get(dst, 0.0)
             if depart < now:
                 depart = now
             arrival = depart + ser + model.latency
-            state[3] = arrival
-        if self._jitter is not None:
-            jit = self._jitter()
-            if jit > 0.0:
-                arrival += jit
-        if extra_delay > 0.0:
-            # Delay spike: added before the FIFO clamp below, so a spiked
-            # frame pushes the channel's arrival floor instead of being
-            # overtaken — degradation never breaks per-channel ordering.
-            self.fault_delays += 1
-            arrival += extra_delay
-        # FIFO guarantee: serialization already enforces non-decreasing
-        # arrivals per channel when jitter is zero; with jitter, clamp —
-        # per ordered channel, covering the per-node-priced inter-node path.
-        if arrival < state[4]:
-            arrival = state[4]
-        state[4] = arrival
+            row[dst] = arrival
+        if self._perturbed:
+            if self._jitter is not None:
+                jit = self._jitter()
+                if jit > 0.0:
+                    arrival += jit
+            if extra_delay > 0.0:
+                # Delay spike: added before the FIFO clamp below, so a
+                # spiked frame pushes the channel's arrival floor instead of
+                # being overtaken — degradation never breaks channel order.
+                self.fault_delays += 1
+                arrival += extra_delay
+            # FIFO guarantee per ordered channel, covering the
+            # per-node-priced inter-node path.
+            key = (src, dst)
+            arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
         frame.sent_at = now
         src_ep.frames_sent += 1
         src_ep.bytes_sent += size
@@ -762,21 +761,17 @@ class Fabric:
         occupancy evolves exactly as the serial engine's inject-order
         pricing would.
         """
-        key = (src, dst)
-        state = self._chan.get(key)
-        if state is None:
-            state = self._chan_state(key)
-        dst_busy = state[2]
+        dst_busy = self._node_busy[self._node_of[dst]]
         t_down = t_head
         if t_down < dst_busy[1]:
             t_down = dst_busy[1]
         arrival = t_down + ser
         dst_busy[1] = arrival
-        if extra_delay > 0.0:
-            arrival += extra_delay
-        if arrival < state[4]:
-            arrival = state[4]
-        state[4] = arrival
+        if self._perturbed:
+            if extra_delay > 0.0:
+                arrival += extra_delay
+            key = (src, dst)
+            arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
         return arrival
 
     def export_frame(self, frame: Frame) -> None:

@@ -21,7 +21,7 @@ from repro.harness.campaign import (
     run_case,
     sample_faults,
 )
-from repro.harness.sweep import MIX_PROFILES
+from repro.harness.sweep import MIX_PROFILES, SweepSpec
 from repro.scenarios import campaign_app, expected_results
 
 import pytest
@@ -94,6 +94,26 @@ def test_same_seed_reproduces_the_run_byte_identically():
         assert first.fingerprint == again.fingerprint
         assert first.outcome == again.outcome
         assert first.metrics == again.metrics
+
+
+# The three cells of perf/'s sweep matrix where a respawned replica is sent
+# application frames before RECOVERED re-admits it if SDR's routing default
+# is recomputed from liveness at send time (two to four more frames, a
+# duplicate or two dropped).  Only perf/expected.json guarded that window
+# before; the values are the PR 20 engine's.
+@pytest.mark.parametrize(
+    "n_ranks,seed,frames,nbytes,events",
+    [(4, 2, 161, 3160, 871), (8, 2, 367, 7472, 1973), (8, 3, 373, 7616, 2005)],
+)
+def test_respawn_window_cells_are_pinned(n_ranks, seed, frames, nbytes, events):
+    (point,) = SweepSpec.explicit(
+        [{"protocol": "sdr", "n_ranks": n_ranks, "workload": "ring", "mix": "crash", "seed": seed}]
+    ).points()
+    rec = _audited_case(point.protocol, point.seed, point.campaign_config())
+    wire = json.loads(rec.fingerprint)
+    assert rec.outcome == "degraded"
+    assert (wire["frames"], wire["bytes"], rec.metrics["events"]) == (frames, nbytes, events)
+    assert rec.metrics["duplicates_dropped"] == 0
 
 
 # ------------------------------------------------------------ taxonomy edges

@@ -36,6 +36,7 @@ from repro.core.interpose import set_filter_guard
 from repro.core.recovery import RecoveryManager
 from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, _PROTOCOL_CLASSES, cluster_for
+from repro.scenarios import ring_collectives
 from tests.conftest import PROTOCOLS, assert_matches_corpus, load_corpus, make_job
 
 CORPUS = load_corpus("spec_fingerprints.jsonl")
@@ -113,6 +114,66 @@ class TestFootprintBudget:
             f"(budget {self.BYTES_PER_PROC_BUDGET}) — per-proc copies of "
             "shared state have crept back in"
         )
+
+
+class TestRunTimeFootprint:
+    """What a job holds once it has *run*: the tables that used to grow
+    with every peer a process talks to (PR 22) stay O(node pairs), lazy or
+    empty."""
+
+    #: 1.25x the 10,090 B/proc measured on the PR 22 engine (sdr r=2, 256
+    #: ranks, ``ring_collectives(iters=2, nbytes=4096)``, JobResult held);
+    #: the PR 20 engine read 14,602 — per-channel pricing state plus a
+    #: memoized physicalDests entry per destination — and fails this
+    RUN_BYTES_PER_PROC_BUDGET = 12_600
+
+    def _coll_job(self, n_ranks):
+        cfg = ReplicationConfig(degree=2, protocol="sdr")
+        job = Job(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, 2))
+        return job.launch(ring_collectives, iters=2, nbytes=4096)
+
+    def test_paper_tier_run_budget(self):
+        tracemalloc.start()
+        job = self._coll_job(256)
+        res = job.run()
+        current, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert res.events > 0
+        per_proc = current / job.rmap.n_procs
+        assert per_proc <= self.RUN_BYTES_PER_PROC_BUDGET, (
+            f"a finished job holds {per_proc:.0f} B/proc (budget "
+            f"{self.RUN_BYTES_PER_PROC_BUDGET}) — tools/footprint.py says where"
+        )
+
+    def test_wire_and_routing_state_is_per_node_pair_or_absent(self):
+        job = self._coll_job(64)
+        fab = job.fabric
+        channels, inject = set(), fab.inject
+
+        def recording_inject(frame):
+            channels.add((frame.src, frame.dst))
+            return inject(frame)
+
+        fab.inject = recording_inject
+        job.run()
+        node_of = fab.cost_table.node_of
+        intra = {c for c in channels if node_of[c[0]] == node_of[c[1]]}
+        assert len(intra) < len(channels)  # the job crosses nodes
+        # per-channel state exists for intra-node channels only ...
+        assert sum(len(row) for row in fab._chan_free if row) == len(intra)
+        # ... everything else is one memoized model per node pair used
+        pairs = {(node_of[s], node_of[d]) for s, d in channels}
+        assert sum(len(row) for row in fab.cost_table._models) <= len(pairs) < len(channels)
+        # the FIFO clamp has nothing to remember on an unperturbed wire
+        assert not fab._perturbed and fab._last_arrival == {}
+        # crash-free SDR routes by arithmetic: no physicalDests entry at all
+        assert sum(len(p.physical_dests) for p in job.protocols.values()) == 0
+
+    def test_failover_writes_routing_exceptions(self):
+        job = self._coll_job(8)
+        job.crash(3, 1, at=20e-6)
+        job.run()
+        assert sum(len(p.physical_dests) for p in job.protocols.values()) > 0
 
 
 class TestStrandAttribution:

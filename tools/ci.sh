@@ -113,7 +113,12 @@ print_stage_summary() {
     # serial on cores the host actually grants.
     python - <<'PY' || true
 import json
-row = json.load(open("BENCH_engine.json"))["current"]["modes"].get("scale", {}).get("sdr-collectives-1024@w4")
+scale = json.load(open("BENCH_engine.json"))["current"]["modes"].get("scale", {})
+# Run-time footprint beside the line count: bytes a process costs at the
+# traced peak of the 1024-rank tier (tools/footprint.py says which sites).
+print(f"sdr-collectives-1024 mem_bytes_per_proc: "
+      f"{scale.get('sdr-collectives-1024', {}).get('mem_bytes_per_proc', 'not recorded')} (BENCH_engine.json)")
+row = scale.get("sdr-collectives-1024@w4")
 if row is None:
     print("sdr-collectives-1024@w4 speedup_vs_serial: not recorded (tools/bench.py --scale --workers 4 --update)")
 else:

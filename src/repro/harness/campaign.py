@@ -44,7 +44,7 @@ result).  See ``docs/fault_model.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import ReplicationConfig
@@ -61,6 +61,7 @@ __all__ = [
     "DEFAULT_PROTOCOLS",
     "CampaignConfig",
     "RunRecord",
+    "RunMemo",
     "CampaignResult",
     "sample_faults",
     "run_case",
@@ -236,11 +237,39 @@ def _fingerprint(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class RunMemo:
+    """The sweep executor's memo of runs proven blind to their seed, keyed
+    ``(protocol, effective degree, CampaignConfig)`` — one entry per matrix
+    cell at most.  :func:`run_case` stores a run only when the fault sampler
+    drew nothing, the scenario binds seed-free and the run ended clean with
+    every rng stream untouched: a pure function of the key (``docs/sweeps.md``)."""
+
+    def __init__(self) -> None:
+        self.runs: Dict[Tuple[str, int, CampaignConfig], RunRecord] = {}
+        self.hits = 0
+
+    def serve(self, key: Tuple[str, int, CampaignConfig], seed: int) -> Optional[RunRecord]:
+        """The stored run re-labelled for *seed* (the field and the fingerprint's
+        ``"seed"``, nothing else), or None; mutable fields are rebuilt from the
+        fingerprint, so records share no state."""
+        rec = self.runs.get(key)
+        if rec is None:
+            return None
+        self.hits += 1
+        payload = json.loads(rec.fingerprint)
+        payload["seed"] = seed
+        return replace(
+            rec, seed=seed, mix={}, metrics=payload["metrics"],
+            stranded_by_site=payload["sites"], fingerprint=_fingerprint(payload),
+        )
+
+
 def run_case(
     protocol: str,
     seed: int,
     cfg: Optional[CampaignConfig] = None,
     shape: Optional[JobShape] = None,
+    memo: Optional[RunMemo] = None,
 ) -> RunRecord:
     """Run one seeded fault mix against *protocol* and audit the books.
 
@@ -249,18 +278,27 @@ def run_case(
     passes one so same-shape configs reuse the shared construction; the
     run is byte-identical with or without it (the cache only memoizes
     values that are pure functions of the shape).
+
+    *memo* is the executor's :class:`RunMemo`; like *shape*, it cannot
+    change the record, only whether a simulation is needed to produce it.
     """
     cfg = cfg or CampaignConfig()
     scenario = get_scenario(cfg.workload)  # raises ScenarioError (a ValueError)
     degree = 1 if protocol == "native" else cfg.degree
     scenario.check(cfg.n_ranks, degree)
+    sched, plan, mix = sample_faults(seed, cfg, protocol, respawnable=scenario.supports_respawn)
+    # Seed-blind so far: nothing sampled, and bind() will not read the seed.
+    nothing_sampled = not mix and plan is None and sched == FaultSchedule()
+    blind = memo is not None and nothing_sampled and scenario.seed_free_binding
+    key = (protocol, degree, cfg)
+    if blind:
+        served = memo.serve(key, seed)
+        if served is not None:
+            return served
     bound = scenario.bind(cfg, seed)
     rcfg = ReplicationConfig(degree=degree, protocol=protocol)
     if shape is None:
         shape = JobShape.build(cfg.n_ranks, rcfg, cluster_for(cfg.n_ranks, degree))
-    sched, plan, mix = sample_faults(
-        seed, cfg, protocol, respawnable=scenario.supports_respawn
-    )
     job = Job(
         cfg.n_ranks,
         cfg=rcfg,
@@ -380,7 +418,7 @@ def run_case(
             "bytes": fstats["total_bytes"],
         }
     )
-    return RunRecord(
+    rec = RunRecord(
         protocol=protocol,
         seed=seed,
         outcome=outcome,
@@ -391,6 +429,10 @@ def run_case(
         invariant_error=invariant_error,
         fingerprint=fingerprint,
     )
+    # ...and seed-blind to the end: no stream drew, nothing went wrong.
+    if blind and error is None and invariant_error is None and job.rng.untouched():
+        memo.runs[key] = rec
+    return rec
 
 
 # -------------------------------------------------------------- campaigns

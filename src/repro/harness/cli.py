@@ -201,7 +201,7 @@ def _cmd_sweep(args) -> int:
         print(f"{result.worker_crashes} config(s) lost to worker crashes", file=sys.stderr)
         rc = 1
     if args.verify:
-        mismatches = verify_sample(spec, result.records, args.verify)
+        mismatches = verify_sample(spec, result.records, args.verify, result.served)
         if mismatches:
             for m in mismatches:
                 print(f"VERIFY MISMATCH: {m}", file=sys.stderr)
@@ -209,7 +209,8 @@ def _cmd_sweep(args) -> int:
         else:
             print(
                 f"verified {min(args.verify, spec.n_configs)} sampled config(s) "
-                f"against serial re-execution",
+                f"against memo-less serial re-execution"
+                + (", a memo-served one among them" if result.served else ""),
                 file=sys.stderr,
             )
     if args.store:

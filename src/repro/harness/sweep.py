@@ -37,7 +37,8 @@ whether the sweep runs serially or on N workers, warm cache or cold —
 each worker's :class:`ShapeCache` only reuses construction that is a pure
 function of ``(protocol, degree, n_ranks)`` (shared world, cost table,
 protocol-shared template — the PR 5 flyweights), with hit/miss
-accounting so the reuse is observable.  Every run is audited by
+accounting so the reuse is observable, and its ``RunMemo`` only re-labels
+a run proven blind to its seed (``docs/sweeps.md``).  Every run is audited by
 ``run_case`` (``acquired == released + stranded``); an invariant
 violation is a nonzero sweep exit, never a taxonomy bucket.  A worker
 that *dies* (OOM-killed, segfaulted) marks its in-flight config failed
@@ -59,6 +60,7 @@ from repro.core.membership import DetectorConfig
 from repro.harness.campaign import (
     OUTCOMES,
     CampaignConfig,
+    RunMemo,
     run_case,
 )
 from repro.harness.report import (
@@ -547,12 +549,16 @@ class ShapeCache:
         return {"hits": self.hits, "misses": self.misses, "shapes": len(self._shapes)}
 
 
-def _execute_point(point: SweepPoint, cache: Optional[ShapeCache] = None) -> Dict[str, Any]:
-    """Run one config through the audited campaign machinery."""
+def _execute_point(
+    point: SweepPoint, cache: Optional[ShapeCache] = None, memo: Optional[RunMemo] = None
+) -> Dict[str, Any]:
+    """Run one config through the audited campaign machinery (which
+    answers from *memo* when its cell already ran seed-blind; the shape
+    lookup comes first, so the shape cache counts the same either way)."""
     cfg = point.campaign_config()
     degree = point.effective_degree
     shape = cache.get(point.protocol, degree, point.n_ranks) if cache is not None else None
-    rec = run_case(point.protocol, point.seed, cfg, shape=shape)
+    rec = run_case(point.protocol, point.seed, cfg, shape=shape, memo=memo)
     return {
         "index": point.index,
         "protocol": point.protocol,
@@ -597,15 +603,16 @@ def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
 
 
 def _worker_main(wid: int, task_q: Any, result_q: Any) -> None:
-    """Worker loop: one ShapeCache for the worker's lifetime, one audited
-    run per task.  ``start`` precedes execution so the parent can attribute
-    an in-flight config to a worker that dies mid-run."""
-    cache = ShapeCache()
+    """Worker loop: one ShapeCache and one RunMemo for the worker's
+    lifetime, one audited run per task.  ``start`` precedes execution so
+    the parent can attribute an in-flight config to a worker that dies
+    mid-run; ``done`` says whether the memo served the config."""
+    cache, memo = ShapeCache(), RunMemo()
     crash_at = os.environ.get(_TEST_CRASH_ENV)
     while True:
         item = task_q.get()
         if item is None:
-            result_q.put(("exit", wid, cache.stats()))
+            result_q.put(("exit", wid, {**cache.stats(), "memo_hits": memo.hits}))
             return
         idx, point = item
         result_q.put(("start", wid, idx))
@@ -618,11 +625,12 @@ def _worker_main(wid: int, task_q: Any, result_q: Any) -> None:
             result_q.close()
             result_q.join_thread()
             os._exit(43)
+        hits = memo.hits
         try:
-            rec = _execute_point(point, cache)
+            rec = _execute_point(point, cache, memo)
         except BaseException as exc:  # run_case absorbs run errors; this is executor-level
             rec = _error_record(point, f"{type(exc).__name__}: {exc}")
-        result_q.put(("done", wid, idx, rec))
+        result_q.put(("done", wid, idx, rec, memo.hits > hits))
 
 
 @dataclass
@@ -632,6 +640,9 @@ class SweepResult:
     spec: SweepSpec
     records: List[Dict[str, Any]] = field(default_factory=list)
     cache: Dict[str, int] = field(default_factory=dict)
+    #: indices a run memo served instead of simulating — telemetry only:
+    #: records (and so the store) are byte-identical to a memo-less sweep's
+    served: List[int] = field(default_factory=list)
     worker_crashes: int = 0
     workers: int = 1
     host_seconds: float = 0.0
@@ -689,16 +700,20 @@ def run_sweep(
 
 
 def _run_serial(spec, points, store, progress) -> SweepResult:
-    cache = ShapeCache()
-    records = []
+    cache, memo = ShapeCache(), RunMemo()
+    records, served = [], []
     for point in points:
-        rec = _execute_point(point, cache)
+        hits = memo.hits
+        rec = _execute_point(point, cache, memo)
+        if memo.hits > hits:
+            served.append(point.index)
         if store is not None:
             store.append(rec)
         if progress is not None:
             progress(rec)
         records.append(rec)
-    return SweepResult(spec=spec, records=records, cache=cache.stats(), workers=1)
+    stats = {**cache.stats(), "memo_hits": memo.hits}
+    return SweepResult(spec=spec, records=records, cache=stats, served=served, workers=1)
 
 
 def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
@@ -728,7 +743,8 @@ def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
 
     done: Dict[int, Dict[str, Any]] = {}
     in_flight: Dict[int, int] = {}  # wid -> config index
-    cache_totals = {"hits": 0, "misses": 0, "shapes": 0}
+    cache_totals = {"hits": 0, "misses": 0, "shapes": 0, "memo_hits": 0}
+    served: List[int] = []
     worker_crashes = 0
     respawns = 0
 
@@ -778,10 +794,12 @@ def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
         if kind == "start":
             in_flight[msg[1]] = msg[2]
         elif kind == "done":
-            _kind, wid, idx, rec = msg
+            _kind, wid, idx, rec, from_memo = msg
             in_flight.pop(wid, None)
             if idx not in done:
                 record(idx, rec)
+                if from_memo:
+                    served.append(idx)
         elif kind == "exit":
             _kind, wid, stats = msg
             for k in cache_totals:
@@ -819,33 +837,43 @@ def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
         spec=spec,
         records=records,
         cache=cache_totals,
+        served=sorted(served),
         worker_crashes=worker_crashes,
         workers=n_workers,
     )
 
 
-def verify_sample(spec: SweepSpec, records: List[Dict[str, Any]], k: int) -> List[str]:
+def verify_sample(
+    spec: SweepSpec, records: List[Dict[str, Any]], k: int, served: Sequence[int] = ()
+) -> List[str]:
     """Re-execute *k* evenly-spaced configs serially and compare
     fingerprints against the sweep's records — the production face of the
     serial-vs-pooled determinism contract.  Returns mismatch descriptions
     (empty means verified).  Records without a fingerprint (configs whose
     worker died) are skipped; they are already counted as worker crashes.
+
+    The re-execution uses a fresh shape cache and *no* run memo; when the
+    sweep *served* any config from one (``SweepResult.served``), the sample
+    includes at least one of them — re-proved against a real simulation.
     """
     points = spec.points()
     n = len(points)
     if k <= 0 or n == 0:
         return []
-    idxs = sorted({(i * n) // min(k, n) for i in range(min(k, n))})
+    idxs = {(i * n) // min(k, n) for i in range(min(k, n))}
+    if served and idxs.isdisjoint(served):
+        idxs.add(served[0])
     cache = ShapeCache()
     mismatches: List[str] = []
-    for idx in idxs:
+    for idx in sorted(idxs):
         rec = records[idx]
         if not rec.get("fingerprint"):
             continue
         fresh = _execute_point(points[idx], cache)
         if fresh["fingerprint"] != rec["fingerprint"]:
+            how = "served from the run memo; memo-less " if idx in served else ""
             mismatches.append(
-                f"config #{idx} ({points[idx].label()}): serial re-execution "
+                f"config #{idx} ({points[idx].label()}): {how}serial re-execution "
                 f"fingerprint differs from the sweep's record"
             )
     return mismatches
@@ -895,7 +923,7 @@ def render_sweep_report(
             f"{summary.get('workers', '?')} worker(s) in "
             f"{summary.get('host_seconds', '?')}s host time; shape cache: "
             f"{cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses "
-            f"({cache.get('shapes', 0)} shapes); "
+            f"({cache.get('shapes', 0)} shapes), {cache.get('memo_hits', 0)} memo hits; "
             f"{summary.get('worker_crashes', 0)} worker crashes, "
             f"{summary.get('violations', 0)} invariant violations"
         )

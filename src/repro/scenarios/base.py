@@ -62,8 +62,12 @@ class Scenario:
     Subclasses implement :meth:`bind`.  ``supports_respawn`` declares
     whether the factory accepts ``state=`` (recovery forks); the fault
     sampler gates respawn/churn draws on it so a scenario that cannot
-    fork is never asked to.
+    fork is never asked to.  ``seed_free_binding`` declares that
+    :meth:`bind` ignores its seed — one of the three conditions for the
+    sweep executor's run memo (``docs/sweeps.md``).
     """
+
+    seed_free_binding = False
 
     def __init__(
         self,
@@ -110,6 +114,8 @@ class Scenario:
 class ClosedLoopScenario(Scenario):
     """The classic SPMD shape: a factory taking ``steps=``, a closed-form
     ``expected_fn(cfg)``, no traffic ledger."""
+
+    seed_free_binding = True  # bind() below never reads its seed
 
     def __init__(
         self,

@@ -22,6 +22,7 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._reseeded = False
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for *name*, creating it on first use.
@@ -41,4 +42,15 @@ class RngRegistry:
         digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
         gen = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         self._streams[name] = gen
+        self._reseeded = True
         return gen
+
+    def untouched(self) -> bool:
+        """True when no stream has drawn or been reseeded (each bit generator is
+        still in the state a fresh registry derives for its name): the run never
+        read the seed.  Asked once, at end of run — streams and draws pay nothing."""
+        fresh = RngRegistry(self.seed)
+        return not self._reseeded and all(
+            gen.bit_generator.state == fresh.stream(name).bit_generator.state
+            for name, gen in self._streams.items()
+        )

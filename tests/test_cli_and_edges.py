@@ -99,7 +99,7 @@ class TestSweepCli:
         import repro.harness.sweep as sweep_mod
         from repro.harness.campaign import RunRecord
 
-        def bad_run_case(protocol, seed, cfg=None, shape=None):
+        def bad_run_case(protocol, seed, cfg=None, shape=None, memo=None):
             return RunRecord(
                 protocol=protocol, seed=seed, outcome="completed",
                 mix={}, metrics={}, stranded_by_site={},

@@ -50,3 +50,34 @@ def test_reseed_perturbs_one_stream_only():
     fresh = RngRegistry(seed=5)
     assert np.array_equal(base_other, fresh.stream("other").random(3))
     assert not np.array_equal(perturbed, fresh.stream("target").random(3))
+
+
+def test_untouched_fresh_and_opened_streams():
+    reg = RngRegistry(seed=5)
+    assert reg.untouched()  # no stream at all
+    reg.stream("membership")
+    reg.stream("net.faults")
+    assert reg.untouched()  # opened, never drawn from
+
+
+def test_untouched_is_false_after_any_draw():
+    for draw in (
+        lambda g: g.random(),
+        lambda g: g.integers(4),
+        lambda g: g.lognormal(mean=0.0, sigma=0.1),
+        lambda g: g.integers(4, dtype="uint32"),  # only moves the 32-bit half-word cache
+    ):
+        reg = RngRegistry(seed=5)
+        reg.stream("quiet")
+        draw(reg.stream("noisy"))
+        assert not reg.untouched()
+
+
+def test_untouched_is_false_after_reseed_even_to_the_same_seed():
+    reg = RngRegistry(seed=5)
+    reg.reseed("target", seed=5)
+    assert not reg.untouched()
+    late = RngRegistry(seed=5)
+    late.stream("target")
+    late.reseed("target", seed=999)
+    assert not late.untouched()

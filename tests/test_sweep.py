@@ -7,28 +7,39 @@ reuses construction that is a pure function of (protocol, degree,
 n_ranks).  The hypothesis suite pins warm-vs-cold equivalence per config;
 the pooled test pins serial-vs-pool equivalence over a whole matrix; the
 crash test pins that a dying worker costs one config, not the sweep.
+TestRunMemo pins the run memo's soundness: a served record equals a fresh
+simulation field by field, and nothing that could see its seed is ever
+stored or served.
 """
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.harness.campaign import OUTCOMES, CampaignConfig, run_case
+import repro.harness.campaign as campaign_mod
+from repro.core.config import PROTOCOLS, ReplicationConfig
+from repro.harness.campaign import OUTCOMES, CampaignConfig, RunMemo, run_case, sample_faults
 from repro.harness.report import render_table, sweep_outcome_rows
+from repro.harness.runner import Job, JobShape, cluster_for
 from repro.harness.store import StoreError, SweepStore, atomic_write_text
 from repro.harness.sweep import (
     DETECTOR_PROFILES,
     MIX_PROFILES,
     ShapeCache,
     SweepError,
+    SweepPoint,
     SweepSpec,
     _execute_point,
     render_sweep_report,
     run_sweep,
     verify_sample,
 )
+from repro.scenarios import ScenarioError, get_scenario, scenarios
+from repro.scenarios.base import _REGISTRY, ClosedLoopScenario
+from repro.scenarios.spmd import campaign_app, expected_results
 
 SMALL = SweepSpec(
     protocols=("native", "sdr"), degrees=(2,), ranks=(4,),
@@ -146,6 +157,15 @@ class TestPooledExecution:
         assert pooled.cache["hits"] > 0  # the flyweight reuse is real
         assert pooled.worker_crashes == 0
         assert [r["index"] for r in pooled.records] == list(range(SMALL.n_configs))
+        # The run memo: serial serves seed 1 of both clean cells; a pool
+        # serves whichever of them landed on the worker that ran seed 0 —
+        # and the records cannot tell (nor can a memo-less execution).
+        memoless = [_execute_point(p, ShapeCache()) for p in SMALL.points()]
+        assert serial.records == pooled.records == memoless
+        assert serial.served == [1, 5] and serial.cache["memo_hits"] == 2
+        assert set(pooled.served) <= {1, 5}
+        assert pooled.cache["memo_hits"] == len(pooled.served)
+        assert "memo_hits" in pooled.summary()["cache"]
 
     def test_worker_crash_marks_config_failed_and_keeps_draining(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "2")
@@ -169,12 +189,25 @@ class TestPooledExecution:
         tampered[0]["fingerprint"] = tampered[0]["fingerprint"] + "x"
         mismatches = verify_sample(SMALL, tampered, k=SMALL.n_configs)
         assert len(mismatches) == 1 and "config #0" in mismatches[0]
+        assert "memo" not in mismatches[0]  # config #0 was simulated
+
+    def test_verify_sample_always_reproves_a_memo_hit(self):
+        result = run_sweep(SMALL, workers=1)
+        assert result.served == [1, 5]
+        tampered = [dict(r) for r in result.records]
+        tampered[1]["fingerprint"] = tampered[1]["fingerprint"] + "x"
+        # k=1 samples config #0 alone; the served config joins the sample.
+        assert verify_sample(SMALL, tampered, k=1) == []
+        mismatches = verify_sample(SMALL, tampered, k=1, served=result.served)
+        assert len(mismatches) == 1
+        assert "config #1" in mismatches[0] and "run memo" in mismatches[0]
+        assert verify_sample(SMALL, result.records, k=1, served=result.served) == []
 
     def test_invariant_violation_surfaces_in_result(self, monkeypatch):
         import repro.harness.sweep as sweep_mod
         from repro.harness.campaign import RunRecord
 
-        def bad_run_case(protocol, seed, cfg=None, shape=None):
+        def bad_run_case(protocol, seed, cfg=None, shape=None, memo=None):
             return RunRecord(
                 protocol=protocol, seed=seed, outcome="completed",
                 mix={}, metrics={}, stranded_by_site={},
@@ -293,6 +326,19 @@ class TestStore:
             assert [r["fingerprint"] for r in ro.records()] == result.fingerprints
             assert ro.summary["cache"] == result.cache
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_store_cannot_tell_a_memo_sweep_from_a_memoless_one(self, tmp_path, workers):
+        base = str(tmp_path / "sweep")
+        result = run_sweep(SMALL, workers=workers, store_base=base)
+        memoless = [_execute_point(p, ShapeCache()) for p in SMALL.points()]
+        want = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in memoless]
+        with SweepStore.open(base) as ro:
+            assert ro.records() == [json.loads(line) for line in want]
+        with open(base + ".jsonl") as fh:  # completion order; index is the identity
+            lines = sorted(fh.read().splitlines(), key=lambda ln: json.loads(ln)["index"])
+        assert lines == want
+        assert result.records == memoless
+
     def test_atomic_write_text(self, tmp_path):
         target = tmp_path / "artifact.json"
         atomic_write_text(str(target), '{"ok": true}')
@@ -322,6 +368,7 @@ class TestReporting:
         assert "sdr/r2/n4/ring/full" in text
         assert "stranded frames/envs by mechanism" in text
         assert "hits" in text and "0 worker crashes" in text
+        assert "2 memo hits" in text
 
 
 class TestDetectorAndIntensityAxes:
@@ -442,3 +489,167 @@ class TestRunCaseWorkloads:
             rec = run_case(protocol, 0, cfg)
             assert rec.outcome == "completed", (protocol, rec.error)
             assert rec.invariant_error is None
+
+
+CLEAN = MIX_PROFILES["clean"]
+SEED_FREE = [s.name for s in scenarios() if s.seed_free_binding]
+
+
+def _first_seed(cfg, protocol, want_blind, respawnable=True):
+    """Lowest seed whose sampled mix is empty (or, for want_blind=False, not)."""
+    return next(
+        seed for seed in range(200)
+        if (not sample_faults(seed, cfg, protocol, respawnable)[2]) == want_blind
+    )
+
+
+class TestRunMemo:
+    """Soundness of the sweep executor's run memo (docs/sweeps.md)."""
+
+    @pytest.mark.parametrize("workload", SEED_FREE)
+    def test_hit_equals_fresh_run_field_by_field(self, workload):
+        scenario = get_scenario(workload)
+        cache = ShapeCache()
+        cells = 0
+        for protocol in PROTOCOLS:
+            for degree in (2, 3):
+                if protocol == "native" and degree == 3:
+                    continue  # native ignores the degree axis
+                for n_ranks in (4, 8):
+                    try:
+                        scenario.check(n_ranks, 1 if protocol == "native" else degree)
+                    except ScenarioError:
+                        continue  # outside the scenario's envelope
+                    for detector in ("default", "eager", "lossy-notify"):
+                        memo = RunMemo()
+                        for seed in (0, 1, 2):
+                            point = SweepPoint(
+                                index=seed, protocol=protocol, degree=degree,
+                                n_ranks=n_ranks, workload=workload, mix="clean",
+                                seed=seed, steps=2, detector=detector,
+                            )
+                            got = _execute_point(point, cache, memo)
+                            assert memo.hits == seed, point  # seed 0 simulates, 1 and 2 are served
+                            if seed:
+                                assert got == _execute_point(point, cache), point
+                        cells += 1
+        assert cells >= 27
+
+    def test_seed_free_declaration_matches_bind(self):
+        assert len(SEED_FREE) == 8
+        for scenario in scenarios():
+            n = max(4, scenario.min_ranks)
+            cfg = CampaignConfig(n_ranks=n, workload=scenario.name, **CLEAN)
+            a, b = scenario.bind(cfg, 0), scenario.bind(cfg, 1)
+            if scenario.seed_free_binding:
+                assert isinstance(scenario, ClosedLoopScenario)
+                assert (a.factory, a.kwargs, a.expected) == (b.factory, b.kwargs, b.expected)
+                assert a.traffic is None and b.traffic is None
+            else:
+                assert scenario.name.startswith("traffic-")
+                assert a.traffic is not None
+        assert sum(not s.seed_free_binding for s in scenarios()) == 3
+
+    def test_sampled_faults_are_never_served_or_stored(self):
+        # A crash-mix cell whose memo already holds a seed-blind run: the
+        # next seed that draws a crash must still simulate.
+        cfg = CampaignConfig(**MIX_PROFILES["crash"])
+        memo = RunMemo()
+        blind = _first_seed(cfg, "sdr", want_blind=True)
+        run_case("sdr", blind, cfg, memo=memo)
+        assert len(memo.runs) == 1 and memo.hits == 0
+        faulted = _first_seed(cfg, "sdr", want_blind=False)
+        stored = dict(memo.runs)
+        rec = run_case("sdr", faulted, cfg, memo=memo)
+        assert rec.mix and rec == run_case("sdr", faulted, cfg)
+        assert memo.hits == 0 and memo.runs == stored
+        # A wire-level plan with an empty process schedule, on a cold memo.
+        net = CampaignConfig(**MIX_PROFILES["network"])
+        seed = _first_seed(net, "native", want_blind=False)
+        sched, plan, _mix = sample_faults(seed, net, "native")
+        assert plan is not None and not sched.crashes
+        memo = RunMemo()
+        run_case("native", seed, net, memo=memo)
+        assert memo.runs == {} and memo.hits == 0
+
+    def test_traffic_scenarios_are_never_served_or_stored(self):
+        cfg = CampaignConfig(workload="traffic-poisson", **CLEAN)
+        memo = RunMemo()
+        a, b = (run_case("sdr", seed, cfg, memo=memo) for seed in (0, 1))
+        assert memo.runs == {} and memo.hits == 0
+        assert a.metrics != b.metrics  # the arrival plans really are seeded
+
+    def test_a_run_that_drew_is_not_stored(self, monkeypatch):
+        cfg = CampaignConfig(**CLEAN)
+
+        # Noise streams: the same config on a cluster with compute noise.
+        rcfg = ReplicationConfig(degree=2, protocol="sdr")
+        noisy = JobShape.build(4, rcfg, replace(cluster_for(4, 2), compute_noise=0.05))
+        memo = RunMemo()
+        recs = [run_case("sdr", seed, cfg, shape=noisy, memo=memo) for seed in (0, 1)]
+        assert memo.runs == {} and memo.hits == 0
+        assert recs[0].metrics["runtime"] != recs[1].metrics["runtime"]
+
+        # Detector stream: one draw from "membership" before the run.
+        class DetectorDraws(Job):
+            def run(self, *args, **kwargs):
+                self.rng.stream("membership").random()
+                return super().run(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_mod, "Job", DetectorDraws)
+        memo = RunMemo()
+        for seed in (0, 1):
+            run_case("sdr", seed, cfg, memo=memo)
+        assert memo.runs == {} and memo.hits == 0
+
+    def test_a_run_that_ended_badly_is_not_stored(self, monkeypatch):
+        cfg = CampaignConfig(**CLEAN)
+
+        class LeakyAudit(Job):
+            def audit(self):
+                super().audit()
+                raise AssertionError("envelope arena leak (injected)")
+
+        class Raises(Job):
+            def run(self, *args, **kwargs):
+                raise RuntimeError("injected")
+
+        for broken, field_name in ((LeakyAudit, "invariant_error"), (Raises, "error")):
+            monkeypatch.setattr(campaign_mod, "Job", broken)
+            memo = RunMemo()
+            for seed in (0, 1):
+                rec = run_case("sdr", seed, cfg, memo=memo)
+                assert "injected" in getattr(rec, field_name)
+            assert memo.runs == {} and memo.hits == 0
+
+    def test_mutation_an_app_that_draws_from_the_job_rng_always_simulates(self, monkeypatch):
+        jobs = []
+
+        class Recorded(Job):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                jobs.append(self)
+
+        def drawing_app(mpi, steps, state=None):
+            if mpi.rank == 0 and state is None:
+                jobs[-1].rng.stream("app.mutant").random()  # one draw, result unused
+            return campaign_app(mpi, steps, state=state)
+
+        monkeypatch.setattr(campaign_mod, "Job", Recorded)
+        monkeypatch.setitem(
+            _REGISTRY, "mutant",
+            ClosedLoopScenario("mutant", "ring that reads the job rng", drawing_app,
+                               expected_results, supports_respawn=True),
+        )
+        cfg = CampaignConfig(workload="mutant", **CLEAN)
+        memo = RunMemo()
+        for seed in (0, 1):
+            rec = run_case("native", seed, cfg, memo=memo)
+            assert rec.outcome == "completed"
+            assert not jobs[-1].rng.untouched()
+        assert len(jobs) == 2 and memo.runs == {} and memo.hits == 0
+        # The unmutated ring on the same memo: stored, then served.
+        ring = CampaignConfig(**CLEAN)
+        for seed in (0, 1):
+            run_case("native", seed, ring, memo=memo)
+        assert len(jobs) == 3 and memo.hits == 1

@@ -23,9 +23,10 @@
 #                 (docs/fault_model.md)
 #   sweep-smoke   (--sweep-smoke) a tiny 2-axis sweep matrix on a 2-worker
 #                 pool, round-tripping generate -> execute -> store ->
-#                 query -> table, with 2 configs re-verified against
-#                 serial execution (docs/sweeps.md).  Artifacts land in
-#                 .ci-sweep/ for the workflow to publish.
+#                 query -> table, with 2 configs — plus one the run memo
+#                 served — re-verified against memo-less serial execution
+#                 (docs/sweeps.md).  Artifacts land in .ci-sweep/ for the
+#                 workflow to publish; the summary repeats the cache line.
 #   bench         tools/bench.py --quick --check: fails with a per-workload
 #                 delta table when any workload's events/sec drops more
 #                 than 20% below the committed snapshot in BENCH_engine.json.
@@ -105,6 +106,10 @@ print_stage_summary() {
         done
         printf '  %-24s %7s\n' "total" "$(( SECONDS - T0 ))"
     fi
+    if (( RUN_SWEEP )) && [[ -s .ci-sweep/smoke-table.txt ]]; then
+        # shape-cache hits/misses and run-memo hits of the smoke sweep
+        echo "sweep-smoke: $(tail -n 1 .ci-sweep/smoke-table.txt)"
+    fi
     # The number ROADMAP asks every PR to justify (net lines added to src/
     # need a reason; net lines removed do not).
     echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
@@ -174,9 +179,11 @@ if (( RUN_SWEEP )); then
     # mismatch between the pooled run and serial re-execution.
     # The workload axis includes an open-loop traffic config so the
     # request-accounting audit and the traffic report table gate per-PR.
+    # Three seeds on two workers: some worker runs two seeds of each clean
+    # ring cell, so its run memo serves one and --verify re-proves it.
     python -m repro sweep \
         --protocols native sdr --ranks 4 --workloads ring traffic-poisson \
-        --mixes clean full --seeds 2 \
+        --mixes clean full --seeds 3 \
         --workers 2 --verify 2 --store .ci-sweep/smoke --overwrite \
         | tee .ci-sweep/smoke-table.txt
     # Query path: re-render the tables purely from the finalized store.

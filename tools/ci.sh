@@ -27,20 +27,19 @@
 #                 served — re-verified against memo-less serial execution
 #                 (docs/sweeps.md).  Artifacts land in .ci-sweep/ for the
 #                 workflow to publish; the summary repeats the cache line.
-#   bench         tools/bench.py --quick --check: fails with a per-workload
-#                 delta table when any workload's events/sec drops more
-#                 than 20% below the committed snapshot in BENCH_engine.json.
-#                 --paper adds the 256-logical-rank SDR collectives smoke
-#                 at the same tolerance.
+#   bench         tools/bench.py --tier quick --check: fails with a per-row
+#                 delta table when any row's host-corrected events/sec drops
+#                 more than 20% below the committed snapshot in
+#                 BENCH_engine.json.  --paper adds the 256-logical-rank tier
+#                 at the same tolerance (~15 s for both on a 2-core host).
 #
-# On an intentional engine change, refresh the snapshots with
-#   for t in "" --quick --paper --scale --scale4k --scale8k; do
-#     python tools/bench.py $t --workers 4 --update
+# On an intentional engine change, refresh the snapshot (one process per
+# tier, so each tier's peak RSS is its own) and commit it with the change:
+#   for t in full quick paper scale scale4k scale8k scale16k floor; do
+#     python tools/bench.py --tier $t --workers 4 --update
 #   done
-#   python tools/bench.py --floor --update      # no Job: takes no --workers
-# (--update without --workers keeps the committed '@wN' rows and says so)
-# and commit the result — the perf trajectory is part of the repo's
-# contract (see docs/performance.md).
+# (--update without --workers keeps the committed '@wN' rows and says so;
+# floor is not a Job and gets none; see docs/performance.md).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -125,7 +124,7 @@ print(f"sdr-collectives-1024 mem_bytes_per_proc: "
       f"{scale.get('sdr-collectives-1024', {}).get('mem_bytes_per_proc', 'not recorded')} (BENCH_engine.json)")
 row = scale.get("sdr-collectives-1024@w4")
 if row is None:
-    print("sdr-collectives-1024@w4 speedup_vs_serial: not recorded (tools/bench.py --scale --workers 4 --update)")
+    print("sdr-collectives-1024@w4 speedup_vs_serial: not recorded (tools/bench.py --tier scale --workers 4 --update)")
 else:
     print(f"sdr-collectives-1024@w4 speedup_vs_serial: {row['speedup_vs_serial']}x "
           f"on {row['parallel']['host_cores']} host cores (BENCH_engine.json)")
@@ -193,11 +192,11 @@ fi
 
 if (( RUN_BENCH )); then
     begin_stage bench-quick "engine bench smoke (quick, 20% events/sec regression gate)"
-    python tools/bench.py --quick --check --repeats 3
+    python tools/bench.py --tier quick --check
     end_stage
     if (( RUN_PAPER )); then
         begin_stage bench-paper "engine bench smoke (paper scale: 256 logical ranks)"
-        python tools/bench.py --paper --check --repeats 2
+        python tools/bench.py --tier paper --check
         end_stage
     fi
 fi

@@ -6,7 +6,7 @@
     python tools/footprint.py --protocol native
 
 Builds the ``ring_collectives(iters=2, nbytes=4096)`` job of ``coll-1k`` /
-``bench.py --scale`` under ``tracemalloc`` and prints bytes per physical
+``bench.py --tier scale`` under ``tracemalloc`` and prints bytes per physical
 process after construction, after ``launch()`` and after ``run()`` — in
 total and for the *--top* ``file:line`` sites still holding the most at
 the end.  A site whose run column grows with ``--ranks`` is a table that

@@ -18,7 +18,6 @@ __all__ = [
     "sweep_outcome_rows",
     "parallel_rows",
     "traffic_rows",
-    "working_set_rows",
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "PAPER_FIG7_POINTS",
@@ -109,39 +108,6 @@ def strand_site_rows(
             total_e += e
             cells.append(f"{f}/{e}" if (f or e) else "-")
         rows.append([label, *cells, f"{total_f}/{total_e}"])
-    return header, rows
-
-
-def working_set_rows(
-    labelled: Sequence[Tuple[str, object]],
-) -> Tuple[List[str], List[List[object]]]:
-    """Header + rows for the run-time working-set columns.
-
-    Takes ``(run label, JobResult)`` pairs (duck-typed, so this module
-    stays import-free of the harness) and reports, per run: the payload
-    intern table's hit/miss counts and hit rate, the envelope-arena
-    high-water summed over every PML, and the fabric's frame high-water —
-    the numbers the interning and trim policies are sized by.  Feed the
-    result to :func:`render_table`.
-    """
-    header = ["run", "interned", "misses", "hit%", "env hw", "frame hw"]
-    rows: List[List[object]] = []
-    for label, res in labelled:
-        hits = getattr(res, "payload_interned", 0)
-        misses = getattr(res, "payload_misses", 0)
-        total = hits + misses
-        env_hw = res.stat_total("env_high_water")  # type: ignore[attr-defined]
-        frame_hw = getattr(res, "fabric", {}).get("frame_high_water", 0)
-        rows.append(
-            [
-                label,
-                hits,
-                misses,
-                f"{100.0 * hits / total:.0f}" if total else "-",
-                env_hw,
-                frame_hw,
-            ]
-        )
     return header, rows
 
 

@@ -240,6 +240,9 @@ class Job:
         self._app_factory: Optional[Callable] = None
         self._app_kwargs: dict = {}
         self._app_all_done = False
+        #: started slots whose current process has neither finished its
+        #: application nor crashed: the all-done flip fires at zero
+        self._unfinished = 0
         self._drain_waiters: List[Any] = []
         #: sharded-parallel drain coordination (:mod:`repro.sim.shard`).
         #: In a shard worker `_maybe_all_done` must not flip on *local*
@@ -277,7 +280,6 @@ class Job:
                         self.fabric.endpoints[proc].alive = False
         for proc in range(self.rmap.n_procs):
             self._build_stack(proc)
-        self._install_trimmer()
         for absent_proc in sorted(self.absent):
             for proc, proto in self.protocols.items():
                 if proc in self.absent:
@@ -286,46 +288,6 @@ class Job:
                 if handler is not None:
                     for _ in handler(absent_proc):  # pragma: no cover - no yields at init
                         pass
-
-    #: trim cadence: every TRIM_INTERVAL timestamp advances, trim the
-    #: fabric frame pool plus the next TRIM_PROCS envelope pools
-    #: (round-robin — a full sweep per tick would be O(n_procs) at every
-    #: advance, which 16k-proc runs cannot afford)
-    TRIM_INTERVAL = 256
-    TRIM_PROCS = 64
-
-    def _install_trimmer(self) -> None:
-        """Arm the quiescent-point arena trimmer on the kernel.
-
-        Runs from :attr:`Simulator.on_advance` — between timestamp
-        batches, never mid-batch — so no in-flight owner can hold a shell
-        the trim would drop, and nothing about event order or
-        ``events_dispatched`` changes (the hook is not a scheduled event).
-        Respawns are covered for free: the closure indexes ``self.pmls``
-        live, which always maps every proc to its *current* stack.
-        """
-        pmls = self.pmls
-        fabric = self.fabric
-        n_procs = self.rmap.n_procs
-        interval = self.TRIM_INTERVAL
-        stride = min(self.TRIM_PROCS, n_procs)
-        tick = 0
-        cursor = 0
-
-        def trim() -> None:
-            nonlocal tick, cursor
-            tick += 1
-            if tick < interval:
-                return
-            tick = 0
-            fabric.trim_frame_pool()
-            for _ in range(stride):
-                pmls[cursor].trim_env_pool()
-                cursor += 1
-                if cursor == n_procs:
-                    cursor = 0
-
-        self.sim.on_advance = trim
 
     # ------------------------------------------------------------- plumbing
     def _build_stack(self, proc: int) -> None:
@@ -364,6 +326,8 @@ class Job:
 
         def body(gen=gen, proc=proc):
             result = yield from gen
+            if proc not in self.finish_times and not self.processes[proc].crashed:
+                self._unfinished -= 1
             self.finish_times[proc] = self.sim.now
             self.app_results[proc] = result
             self._maybe_all_done()
@@ -388,7 +352,21 @@ class Job:
                 yield from pml.drain()
             return result
 
-        self.processes[proc] = Process(self.sim, body(), name=name, on_exit=lambda p: self._maybe_all_done())
+        # The new process counts unless its slot already finished.  A respawn
+        # replaces a crashed process, which stopped counting when it crashed;
+        # a still-live predecessor's count carries over.
+        old = self.processes.get(proc)
+        if proc not in self.finish_times and (old is None or old.crashed):
+            self._unfinished += 1
+        self.processes[proc] = Process(self.sim, body(), name=name, on_exit=lambda p: self._on_exit(proc, p))
+
+    def _on_exit(self, proc: int, process: Process) -> None:
+        # Runs right after Process._finish set ``crashed``.  Only a crash of
+        # the slot's current, unfinished process moves the count; any other
+        # exit leaves the all-done answer as the last finish left it.
+        if process.crashed and self.processes.get(proc) is process and proc not in self.finish_times:
+            self._unfinished -= 1
+            self._maybe_all_done()
 
     def _maybe_all_done(self) -> None:
         if self._app_all_done:
@@ -398,11 +376,8 @@ class Job:
             # loop keeps progressing protocol traffic until the parent
             # establishes *global* completion and commands the release.
             return
-        for proc, process in self.processes.items():
-            if process.crashed:
-                continue
-            if proc not in self.finish_times:
-                return
+        if self._unfinished:
+            return
         self._app_all_done = True
         for ev in self._drain_waiters:
             if not ev.triggered:

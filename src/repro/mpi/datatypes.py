@@ -23,7 +23,6 @@ __all__ = [
     "copy_payload",
     "writable_copy",
     "combine",
-    "snapshot_stats",
 ]
 
 
@@ -120,13 +119,6 @@ class PayloadInterner:
         self.misses += 1
         return obj
 
-    def stats(self) -> dict:
-        return {
-            "payload_interned": self.hits,
-            "payload_misses": self.misses,
-            "intern_entries": len(self._phantoms) + len(self._small),
-        }
-
 
 def nbytes_of(obj: Any) -> int:
     """Byte size of a payload object for costing purposes."""
@@ -149,10 +141,6 @@ def nbytes_of(obj: Any) -> int:
     raise TypeError(f"cannot size payload of type {type(obj).__name__}")
 
 
-#: copy-on-write accounting: how often a snapshot was shared vs. deep-copied
-snapshot_stats = {"shared": 0, "copied": 0}
-
-
 def copy_payload(obj: Any) -> Any:
     """Snapshot a payload at send time (MPI send-buffer semantics).
 
@@ -171,11 +159,9 @@ def copy_payload(obj: Any) -> Any:
         return obj
     if isinstance(obj, np.ndarray):
         if not obj.flags.writeable:
-            snapshot_stats["shared"] += 1
             return obj
         snap = obj.copy()
         snap.flags.writeable = False
-        snapshot_stats["copied"] += 1
         return snap
     if isinstance(obj, bytearray):
         return bytes(obj)

@@ -72,7 +72,7 @@ from repro.mpi.datatypes import PayloadInterner, copy_payload, nbytes_of
 from repro.mpi.errors import MpiError, TruncationError
 from repro.mpi.matching import MatchEngine
 from repro.mpi.status import ANY_SOURCE, Status
-from repro.network.fabric import Fabric, Frame
+from repro.network.fabric import POOL_CAP, Fabric, Frame
 from repro.sim.kernel import Simulator
 
 __all__ = [
@@ -360,9 +360,7 @@ class Pml:
         "recvs_posted",
         "any_source_posts",
         "_interner",
-        "env_hw_window",
         "env_high_water",
-        "env_trimmed",
     )
 
     def __init__(
@@ -393,7 +391,8 @@ class Pml:
         #: (``env.retain()``/``env.copy()`` are the escape hatches)
         self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
         self.svc_handlers: Dict[str, Callable[[Any], Generator]] = {}
-        #: free list shared by every envelope kind (see module docstring)
+        #: free list shared by every envelope kind, bounded by POOL_CAP
+        #: (see module docstring)
         self._env_pool: List[Envelope] = []
         #: arena accounting: every acquire must be matched by a release or
         #: an accounted strand (checked at end-of-run by the harness —
@@ -442,15 +441,8 @@ class Pml:
         self.any_source_posts = 0
         #: job-wide payload intern table (shared by every PML of a Job)
         self._interner = interner
-        # Arena high-water tracking, windowed so the hot path stays one
-        # compare: acquire sites bump ``env_hw_window`` from the current
-        # outstanding count; :meth:`trim_env_pool` folds the window into
-        # ``env_high_water`` and resets it, so after a trim the free list
-        # re-sizes to the *recent* burst height, not the all-time peak.
-        self.env_hw_window = 0
+        #: most envelopes ever outstanding at an acquire
         self.env_high_water = 0
-        #: pooled shells dropped by quiescent-point trims
-        self.env_trimmed = 0
 
     # ------------------------------------------------------------ utilities
     def _next_msg_id(self) -> int:
@@ -524,8 +516,8 @@ class Pml:
         acquired = self.env_acquired + 1
         self.env_acquired = acquired
         outstanding = acquired - self.env_released - self.env_stranded
-        if outstanding > self.env_hw_window:
-            self.env_hw_window = outstanding
+        if outstanding > self.env_high_water:
+            self.env_high_water = outstanding
         pool = self._env_pool
         if pool:
             env = pool.pop()
@@ -583,7 +575,7 @@ class Pml:
         env.ctx = None
         env.data = None
         pool = self._env_pool
-        if len(pool) < 4096:
+        if len(pool) < POOL_CAP:
             pool.append(env)
 
     def strand_env(self, env: Envelope, site: str = "abandoned_pipeline") -> None:
@@ -752,8 +744,8 @@ class Pml:
         acquired = self.env_acquired + 1
         self.env_acquired = acquired
         outstanding = acquired - self.env_released - self.env_stranded
-        if outstanding > self.env_hw_window:
-            self.env_hw_window = outstanding
+        if outstanding > self.env_high_water:
+            self.env_high_water = outstanding
         pool = self._env_pool
         if pool:
             env = pool.pop()
@@ -848,7 +840,7 @@ class Pml:
         frame.payload = None
         frame.fabric = None
         fpool = fabric._frame_pool
-        if len(fpool) < 4096:
+        if len(fpool) < POOL_CAP:
             fpool.append(frame)
         if kind == "svc":
             key, svc_payload = payload
@@ -897,7 +889,7 @@ class Pml:
                 env.ctx = None
                 env.data = None
                 pool = self._env_pool
-                if len(pool) < 4096:
+                if len(pool) < POOL_CAP:
                     pool.append(env)
         elif env.kind == "cts":
             yield from self._handle_cts(env)
@@ -970,7 +962,7 @@ class Pml:
                     env.ctx = None
                     env.data = None
                     pool = self._env_pool
-                    if len(pool) < 4096:
+                    if len(pool) < POOL_CAP:
                         pool.append(env)
             else:
                 yield from self._matched(recv, env, from_unexpected=False)
@@ -1022,7 +1014,7 @@ class Pml:
                 env.ctx = None
                 env.data = None
                 pool = self._env_pool
-                if len(pool) < 4096:
+                if len(pool) < POOL_CAP:
                     pool.append(env)
         elif env.kind == "rts":
             try:
@@ -1152,39 +1144,9 @@ class Pml:
             "env_stranded": self.env_stranded,
             "env_stranded_by_site": dict(self.env_stranded_by_site or ()),
             "env_pool_size": len(self._env_pool),
-            "env_high_water": max(self.env_high_water, self.env_hw_window),
-            "env_trimmed": self.env_trimmed,
+            "env_high_water": self.env_high_water,
             **self.matching.stats(),
         }
-
-    # Retain a small cushion above the windowed high-water so a burst one
-    # envelope taller than the last window does not immediately re-allocate.
-    TRIM_SLACK = 32
-
-    def trim_env_pool(self) -> int:
-        """Quiescent-point arena trim: cap the free list at the recent burst.
-
-        Called by the harness trimmer from the kernel's ``on_advance`` hook
-        (between timestamp batches, never mid-batch), so no in-flight
-        owner can be holding a shell the trim would drop.  Folds the
-        acquire-side window into the run high-water, drops pooled shells
-        beyond ``window + TRIM_SLACK``, and restarts the window at the
-        currently outstanding count.  Without this, one peak burst sizes
-        the free list for the rest of the run.
-        """
-        window = self.env_hw_window
-        if window > self.env_high_water:
-            self.env_high_water = window
-        pool = self._env_pool
-        bound = window + self.TRIM_SLACK
-        dropped = len(pool) - bound
-        if dropped > 0:
-            del pool[bound:]
-            self.env_trimmed += dropped
-        else:
-            dropped = 0
-        self.env_hw_window = self.env_acquired - self.env_released - self.env_stranded
-        return dropped
 
     def reap(self) -> int:
         """End-of-run teardown: release everything still parked here.

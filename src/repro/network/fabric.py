@@ -52,7 +52,11 @@ from repro.network.topology import Placement
 from repro.sim.kernel import Simulator
 from repro.sim.sync import Event
 
-__all__ = ["Frame", "Endpoint", "Fabric", "CostTable"]
+__all__ = ["Frame", "Endpoint", "Fabric", "CostTable", "POOL_CAP"]
+
+#: the one bound on every recycling free list (this module's frame pool and
+#: each PML's envelope pool): a release into a full pool drops the shell
+POOL_CAP = 4096
 
 
 class CostTable:
@@ -349,21 +353,15 @@ class Fabric:
         self._perturbed = jitter is not None
         self.on_crash: List[Callable[[int], None]] = []
         #: free list of recycled Frame instances (see Frame docstring);
-        #: bounded so pathological bursts cannot pin memory forever
+        #: bounded by POOL_CAP so pathological bursts cannot pin memory forever
         self._frame_pool: List[Frame] = []
         #: free-list accounting: every acquired frame must be released
         #: (checked at end-of-run by the harness on crash-free jobs)
         self.frames_acquired = 0
         self.frames_allocated = 0  # pool misses (fresh constructions)
         self.frames_released = 0
-        # Frame-arena high-water tracking, windowed exactly like the PML
-        # envelope arena (see Pml.trim_env_pool): acquire sites bump the
-        # window, the quiescent-point trimmer folds it into the run
-        # high-water and caps the free list at the recent burst height.
-        self.frame_hw_window = 0
+        #: most frames ever outstanding at an acquire
         self.frame_high_water = 0
-        #: pooled frames dropped by quiescent-point trims
-        self.frames_trimmed = 0
         #: crashes ever injected (sticky; observability — since the strand
         #: accounting below, crashy runs keep the arena-balance proof)
         self.crashes = 0
@@ -442,8 +440,8 @@ class Fabric:
         acquired = self.frames_acquired + 1
         self.frames_acquired = acquired
         outstanding = acquired - self.frames_released - self.frames_stranded
-        if outstanding > self.frame_hw_window:
-            self.frame_hw_window = outstanding
+        if outstanding > self.frame_high_water:
+            self.frame_high_water = outstanding
         pool = self._frame_pool
         if pool:
             frame = pool.pop()
@@ -473,8 +471,8 @@ class Fabric:
         acquired = self.frames_acquired + 1
         self.frames_acquired = acquired
         outstanding = acquired - self.frames_released - self.frames_stranded
-        if outstanding > self.frame_hw_window:
-            self.frame_hw_window = outstanding
+        if outstanding > self.frame_high_water:
+            self.frame_high_water = outstanding
         pool = self._frame_pool
         if pool:
             frame = pool.pop()
@@ -518,29 +516,8 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if len(pool) < 4096:
+        if len(pool) < POOL_CAP:
             pool.append(frame)
-
-    # Same cushion rationale as Pml.TRIM_SLACK.
-    TRIM_SLACK = 32
-
-    def trim_frame_pool(self) -> int:
-        """Quiescent-point frame-arena trim (see :meth:`Pml.trim_env_pool`):
-        cap the free list at the recent windowed high-water plus slack,
-        fold the window into the run high-water, restart the window."""
-        window = self.frame_hw_window
-        if window > self.frame_high_water:
-            self.frame_high_water = window
-        pool = self._frame_pool
-        bound = window + self.TRIM_SLACK
-        dropped = len(pool) - bound
-        if dropped > 0:
-            del pool[bound:]
-            self.frames_trimmed += dropped
-        else:
-            dropped = 0
-        self.frame_hw_window = self.frames_acquired - self.frames_released - self.frames_stranded
-        return dropped
 
     def stats(self) -> dict:
         """Free-list accounting (the harness asserts acquired == released
@@ -561,8 +538,7 @@ class Fabric:
             "envs_exported": self.envs_exported,
             "envs_imported": self.envs_imported,
             "frame_pool_size": len(self._frame_pool),
-            "frame_high_water": max(self.frame_high_water, self.frame_hw_window),
-            "frames_trimmed": self.frames_trimmed,
+            "frame_high_water": self.frame_high_water,
             "total_frames": self.total_frames,
             "total_bytes": self.total_bytes,
         }
@@ -789,7 +765,7 @@ class Fabric:
         frame.payload = None
         frame.fabric = None
         pool = self._frame_pool
-        if len(pool) < 4096:
+        if len(pool) < POOL_CAP:
             pool.append(frame)
 
     def import_frame(self, src: int, dst: int, size: int, payload: Any, kind: str) -> Frame:

@@ -125,8 +125,9 @@ class Simulator:
         #: clock advances.  Deliberately *not* a scheduled event — it never
         #: touches ``events_dispatched`` or the queue order, so enabling it
         #: is unobservable to determinism goldens.  The callee must not
-        #: schedule events or raise; the harness uses it to trim arena
-        #: free lists between timestamp batches (``Job._install_trimmer``).
+        #: schedule events or raise.  A serial ``Job`` leaves it ``None``;
+        #: a shard worker records push-time marks from it
+        #: (:mod:`repro.sim.shard`).
         self.on_advance: Optional[Callable[[], None]] = None
         #: number of events dispatched so far (observability/bench metric)
         self.events_dispatched: int = 0

@@ -79,17 +79,16 @@ __all__ = [
 
 #: Observables that describe memory policy or the sharding machinery, not
 #: the simulated execution, and are legitimately engine-dependent: each
-#: shard owns a private frame pool and trimmer (high-water/pool/allocated/
-#: trimmed differ), the relay counters are zero by construction on the
-#: serial engine, and the payload interner's hit/miss *split* depends on
-#: which shard sees a payload first (the hit+miss total is preserved and
-#: fingerprinted as ``payload_lookups``).
+#: shard owns a private frame pool (high-water/pool/allocated differ), the
+#: relay counters are zero by construction on the serial engine, and the
+#: payload interner's hit/miss *split* depends on which shard sees a
+#: payload first (the hit+miss total is preserved and fingerprinted as
+#: ``payload_lookups``).
 _FINGERPRINT_EXCLUDED_FABRIC = frozenset(
     {
         "frame_high_water",
         "frame_pool_size",
         "frames_allocated",
-        "frames_trimmed",
         "frames_exported",
         "frames_imported",
         "envs_exported",
@@ -652,17 +651,14 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
     # Push-time checkpoints for serial-true merge placement: each clock
     # advance closes a timestamp, so (seq counter, vtime) pairs let the
     # merge recover the exact virtual time any pending cohort entry was
-    # pushed at (see _pushed_at).  Chains the inherited hook (arena trimmer).
+    # pushed at (see _pushed_at).
     marks: List[Tuple[int, float]] = []
     # Push times of renumbered non-frame entries (new seq -> virtual push
     # time); renumbering moves them past the marks' seq range.
     reseq: Dict[int, float] = {}
-    _prev_advance = sim.on_advance
 
-    def _mark_advance(_append=marks.append, _sim=sim, _prev=_prev_advance):
+    def _mark_advance(_append=marks.append, _sim=sim):
         _append((_sim._seq, _sim._now))
-        if _prev is not None:
-            _prev()
 
     sim.on_advance = _mark_advance
     # Start only this shard's processes, in proc order — the local t=0
@@ -1126,7 +1122,7 @@ def _merge_results(
         "frames_stranded", "envs_stranded", "envs_duplicated",
         "fault_drops", "fault_dups", "fault_delays",
         "frames_exported", "frames_imported", "envs_exported", "envs_imported",
-        "frame_pool_size", "frames_trimmed", "total_frames", "total_bytes",
+        "frame_pool_size", "total_frames", "total_bytes",
     )
     for key in sum_keys:
         merged_fab[key] = sum(s[key] for s in fstats)

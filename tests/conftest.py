@@ -73,7 +73,7 @@ def run_app(
 
 # ------------------------------------------------------- engine fingerprints
 #: arena-recycling counters: memory policy, not simulated behaviour
-_MEMORY_POLICY_STATS = frozenset({"env_allocated", "env_pool_size", "env_trimmed"})
+_MEMORY_POLICY_STATS = frozenset({"env_allocated", "env_pool_size"})
 _FABRIC_BALANCE = (
     "frames_acquired", "frames_released", "frames_stranded", "envs_stranded", "envs_duplicated",
 )  # fmt: skip

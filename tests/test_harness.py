@@ -86,6 +86,75 @@ class TestRunner:
         res = Job(2, cfg=cfg, cluster=cluster_for(2, 2)).launch(app).run()
         assert res.stat_total("app_sends") == 2  # one logical send per world
 
+    @pytest.mark.parametrize("order", ["proc-order", "reverse"])
+    def test_finish_detection_is_linear_in_procs(self, order):
+        """Every app finish asks whether all procs are done.  A scan of
+        ``processes`` from proc 0 answers that in O(procs) steps when procs
+        finish in proc order — O(procs²) per job; the live count answers
+        in O(1), leaving teardown's few linear passes."""
+
+        def staggered(mpi):
+            k = mpi.rank if order == "proc-order" else mpi.size - 1 - mpi.rank
+            yield from mpi.compute((k + 1) * 1e-6)
+            return k
+
+        n = 96
+        job = Job(n, cluster=cluster_for(n))
+        job.processes = counted = _CountingDict()
+        res = job.launch(staggered).run()
+        by_finish = sorted(res.finish_times, key=res.finish_times.get)
+        assert by_finish == (list(range(n)) if order == "proc-order" else list(range(n))[::-1])
+        assert counted.steps <= 4 * n
+
+    def test_live_count_matches_a_scan_through_crash_and_respawn(self, monkeypatch):
+        """At every all-done check the live count equals the scan it
+        replaced, through a crash (the slot stops counting) and a respawn
+        into that slot (it counts again until the new process finishes)."""
+        from repro.core.recovery import RecoveryManager
+        from tests.test_core_recovery import _job as recovery_job
+
+        checks = []
+        flip = Job._maybe_all_done
+
+        def checked(job):
+            # the scan the live count replaced: slots whose current process
+            # has neither finished nor crashed
+            scan = sum(not p.crashed and proc not in job.finish_times for proc, p in job.processes.items())
+            checks.append((job._unfinished, scan))
+            flip(job)
+
+        monkeypatch.setattr(Job, "_maybe_all_done", checked)
+        job = recovery_job()
+        manager = RecoveryManager(job)
+        job.crash(1, 1, at=60e-6)
+        job.sim.call_at(100e-6, lambda: manager.request_respawn(1))
+        job.run()
+        assert manager.respawns_done == [job.rmap.phys(1, 1)]
+        assert len(checks) > job.rmap.n_procs
+        assert all(count == scan for count, scan in checks)
+        assert checks[-1] == (0, 0) and job._app_all_done
+
+
+class _CountingDict(dict):
+    """``Job.processes`` stand-in counting every entry an iteration visits."""
+
+    steps = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.steps += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            self.steps += 1
+            yield item
+
+    def values(self):
+        for value in super().values():
+            self.steps += 1
+            yield value
+
 
 class TestMetrics:
     def test_overhead_pct(self):

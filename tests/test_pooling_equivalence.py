@@ -17,11 +17,12 @@ interning=False, arena_trim=False, matching="linear"``) and under each of
 those five flags alone.  The recorder checked, line by line before
 writing, that all six spec stacks and the commit's default stack produced
 the same fingerprint (``tests.conftest.fingerprint``: everything but the
-arena-recycling counters ``env_allocated``/``env_pool_size``/
-``env_trimmed`` and the intern-table lookup count, the only observables
-the modes moved).  The corpus records the specification's answers, so it
-is never re-recorded from the engine under test: a declared semantic
-change re-derives it together with the determinism goldens.
+arena-recycling counters ``env_allocated``/``env_pool_size`` — plus the
+trim count, whose trimmer is since deleted — and the intern-table lookup
+count, the only observables the modes moved).  The corpus records the
+specification's answers, so it is never re-recorded from the engine under
+test: a declared semantic change re-derives it together with the
+determinism goldens.
 
 All five protocols are exercised: native (no filter, no hooks), sdr (ack
 hooks + ctrl recycling), mirror (duplicate drops release borrowed

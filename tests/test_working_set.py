@@ -1,32 +1,32 @@
 """The run-time working-set contract (PR 8).
 
-Three coordinated memory layers, each of which replaced — and until PR 16
-kept behind a ``Job(...)`` flag — the implementation before it:
+Memory layers that replaced — and for a while kept behind a ``Job(...)``
+flag — the implementation before them:
 
 * **payload interning** — a job-wide
   :class:`~repro.mpi.datatypes.PayloadInterner` collapses the millions of
   size-only ``Phantom`` snapshots (and small immutable bytes/str
   payloads) to one object per distinct value;
-* **high-water-trimmed arenas** — the Frame/Envelope free lists are
-  capped at a windowed high-water bound by a trimmer running from the
-  kernel's quiescent-point ``on_advance`` hook;
+* **capped arenas** — the Frame/Envelope free lists are plain pools
+  bounded by ``repro.network.fabric.POOL_CAP``.  They were once also
+  trimmed to a windowed high-water from the kernel's ``on_advance`` hook;
+  that trimmer saved about 1 % of peak RSS once match state and pricing
+  tables stopped growing with messages and peers, and was deleted;
 * **live-only match lanes** (:class:`~repro.mpi.matching.MatchEngine`) —
   int-list lanes over the pending entries only, so match state is
   O(pending), not O(messages ever seen).
 
-All three are host-side memory policy and must be *observationally
-invisible* — per-rank results, bit-identical virtual times, dispatched-
-event and frame counts — across all five protocols, crash-free and crashy.
-Interning has lost its second side: it is asserted against
-``tests/data/spec_fingerprints.jsonl``, the answers ``interning=False`` and
-``arena_trim=False`` (alone, and inside the full spec stack) gave on their
-last run at commit 0e78e89 — provenance in ``test_pooling_equivalence``'s
-docstring.  The other two still have one, with no production seam: the
+All are host-side memory policy and must be *observationally invisible* —
+per-rank results, bit-identical virtual times, dispatched-event and frame
+counts — across all five protocols, crash-free and crashy.  Interning and
+the arenas are asserted against ``tests/data/spec_fingerprints.jsonl``,
+the answers ``interning=False`` and ``arena_trim=False`` (alone, and inside
+the full spec stack) gave on their last run at commit 0e78e89 — provenance
+in ``test_pooling_equivalence``'s docstring.  Matching still has a live
+second side with no production seam: the
 :class:`~repro.mpi.matching.LinearMatchEngine` oracle drives whole jobs
-patched over ``repro.mpi.pml.MatchEngine``, and trim policy is compared
-through ``Job.TRIM_INTERVAL`` (10⁹ = never, 1 = always).  The zero-leak
-balance (``acquired == released + stranded``) must keep holding while
-trims drop pooled shells.
+patched over ``repro.mpi.pml.MatchEngine``.  The zero-leak balance
+(``acquired == released + stranded``) must hold whatever the cap drops.
 """
 
 from __future__ import annotations
@@ -36,13 +36,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.report import render_table, working_set_rows
-from repro.harness.runner import Job
 from repro.mpi.datatypes import PayloadInterner, Phantom
-from repro.mpi.errors import DeadlockError
 from repro.mpi.matching import LinearMatchEngine
-from repro.mpi.pml import Pml
-from repro.network.fabric import Fabric
 from repro.scenarios.ablation import anysource_fanin, ring_collectives
 from tests.conftest import (
     PROTOCOLS,
@@ -115,79 +110,36 @@ class TestFlagEquivalenceUnderFailover:
         assert indexed == linear, f"indexed engine diverged under failover ({protocol})"
 
 
-# -------------------------------------------------------------- arena trimming
-class TestArenaTrim:
-    """The quiescent-point trimmer: pools shrink, books still balance."""
+# --------------------------------------------------------------- arena cap
+class TestPoolCap:
+    """``POOL_CAP`` is the free lists' only bound."""
 
-    def test_forced_trims_stay_unobservable_and_balanced(self, monkeypatch):
-        """Trim at *every* quiescent point (interval 1, full sweep, no
-        slack): the most aggressive policy possible must still be
-        fingerprint-identical to never trimming at all, crash-free and
-        crashy."""
-        monkeypatch.setattr(Job, "TRIM_PROCS", 10_000)
-        monkeypatch.setattr(Pml, "TRIM_SLACK", 0)
-        monkeypatch.setattr(Fabric, "TRIM_SLACK", 0)
-        for crash_at in (None, 2e-5):
-            runs = []
-            for interval in (10**9, 1):
-                monkeypatch.setattr(Job, "TRIM_INTERVAL", interval)
-                job = _job("sdr", 4)
-                runs.append(run_traffic(job, 3, crash_at))
-            assert job.fabric.frames_trimmed + sum(p.env_trimmed for p in job.pmls.values()) > 0
-            assert runs[0] == runs[1]
+    @staticmethod
+    def _fanin(cap, monkeypatch):
+        # pml imports the constant by name for its inlined release sites
+        monkeypatch.setattr("repro.network.fabric.POOL_CAP", cap)
+        monkeypatch.setattr("repro.mpi.pml.POOL_CAP", cap)
+        job = _job("leader", n=16)
+        return job, job.launch(anysource_fanin, rounds=20).run()  # run() audits the arenas
 
-    def test_trim_caps_pool_and_counts_drops(self):
-        """Unit-level policy check: a pool bloated past the windowed
-        high-water is cut to ``window + TRIM_SLACK`` and the drop counted;
-        the arena balance is untouched (trimmed shells were released)."""
-        job = _job("native", n=2)
-        pml = job.pmls[0]
-        # Warm the pool far beyond any real outstanding count.
-        envs = [
-            pml.acquire_env("eager", ("w",), 0, 1, 0, 1, i, 8, None, 1)
-            for i in range(200)
-        ]
-        for env in envs:
-            pml.release_env(env)
-        assert len(pml._env_pool) == 200
-        assert pml.env_hw_window == 200
-        dropped = pml.trim_env_pool()  # folds the window, no cut yet
-        assert dropped == 0 and pml.env_high_water == 200
-        assert pml.env_hw_window == 0  # nothing outstanding now
-        dropped = pml.trim_env_pool()  # second window saw no traffic: cut
-        assert dropped == 200 - pml.TRIM_SLACK
-        assert len(pml._env_pool) == pml.TRIM_SLACK
-        assert pml.env_trimmed == dropped
-        assert pml.stats()["env_high_water"] == 200
-        # books: acquired == released, trimming moved nothing
-        assert pml.env_acquired == pml.env_released == 200
+    def test_cap_bounds_every_pool_under_fan_in(self, monkeypatch):
+        """Leader fan-in recycles the senders' envelopes into the root's
+        pool, so it outgrows any one PML's own burst: capped at 8, every
+        pool stays at 8 or below and the books still balance."""
+        _, uncapped = self._fanin(4096, monkeypatch)
+        assert max(s["env_pool_size"] for s in uncapped.stats.values()) > 8
+        assert uncapped.fabric["frame_pool_size"] > 8
+        job, res = self._fanin(8, monkeypatch)
+        assert max(s["env_pool_size"] for s in res.stats.values()) <= 8
+        assert res.fabric["frame_pool_size"] <= 8
+        job._assert_arenas_balanced()
+        assert res.app_results == uncapped.app_results and res.events == uncapped.events
 
-    def test_fabric_trim_mirrors_pml_policy(self):
-        job = _job("native", n=2)
-        fab = job.fabric
-        frames = [fab.acquire_frame(0, 1, 8, None) for _ in range(100)]
-        for f in frames:
-            fab.release_frame(f)
-        assert len(fab._frame_pool) == 100
-        fab.trim_frame_pool()
-        dropped = fab.trim_frame_pool()
-        assert dropped == 100 - fab.TRIM_SLACK
-        assert fab.frames_trimmed == dropped
-        assert fab.stats()["frame_high_water"] == 100
-
-    def test_balance_holds_with_trimming_across_protocols(self, monkeypatch):
-        """Zero-leak proof under constant trimming, every protocol, with a
-        crash landing mid-traffic."""
-        monkeypatch.setattr(Job, "TRIM_INTERVAL", 1)
-        monkeypatch.setattr(Job, "TRIM_PROCS", 10_000)
-        for protocol in ["sdr", "mirror", "leader", "redmpi"]:
-            job = _job(protocol, n=4)
-            job.launch(mixed_traffic, rounds=3)
-            job.crash(1, 1, at=2e-5)
-            try:
-                job.run()  # run() audits on completion
-            except DeadlockError:
-                job._assert_arenas_balanced()
+    def test_serial_job_installs_no_advance_hook(self):
+        job = _job("sdr", n=4).launch(mixed_traffic, rounds=1)
+        assert job.sim.on_advance is None
+        job.run()
+        assert job.sim.on_advance is None
 
 
 # ------------------------------------------------------------------ interning
@@ -275,14 +227,11 @@ class TestLiveOnlyMatching:
         job = _job(protocol, n=n).launch(app, **kwargs)
         engines = {proc: pml.matching for proc, pml in job.pmls.items()}
         high = {proc: (0, 0) for proc in engines}
-        trim = job.sim.on_advance
 
         def sample():
             for proc, engine in engines.items():
                 lanes, cells = engine.footprint()
                 high[proc] = (max(high[proc][0], lanes), max(high[proc][1], cells))
-            if trim is not None:
-                trim()
 
         job.sim.on_advance = sample
         return job, job.run(), high
@@ -332,13 +281,6 @@ class TestHighWaterMarks:
             )
         assert res.fabric["frame_high_water"] >= 1
         assert res.fabric["frame_pool_size"] <= res.fabric["frame_high_water"]
-
-    def test_report_rows_render(self):
-        res = _job("sdr", n=4).launch(mixed_traffic, rounds=2).run()
-        header, rows = working_set_rows([("sdr/n4", res)])
-        table = render_table("working set", header, rows)
-        assert "interned" in table and "env hw" in table
-        assert rows[0][1] == res.payload_interned
 
 
 # ------------------------------------------------------------ kernel on_advance

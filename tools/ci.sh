@@ -112,6 +112,10 @@ print_stage_summary() {
     # The number ROADMAP asks every PR to justify (net lines added to src/
     # need a reason; net lines removed do not).
     echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+    # The free lists are plain pools bounded by POOL_CAP: no arena trimmer,
+    # windowed high-water or unread memory counter may creep back into src/.
+    echo "memory-policy residue in src/ (must be empty):"
+    grep -rnE "trim_env_pool|trim_frame_pool|TRIM_(INTERVAL|PROCS|SLACK)|_hw_window|env_trimmed|frames_trimmed|_install_trimmer|working_set_rows|snapshot_stats" src/ || true
     # The sharding gate number (ROADMAP: sharding earns its place or shrinks),
     # as committed — host cores beside it, since fork workers only beat
     # serial on cores the host actually grants.

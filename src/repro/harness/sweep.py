@@ -26,8 +26,8 @@ Non-cartesian matrices come from :meth:`SweepSpec.explicit`: a literal
 list of configs, validated entry-by-entry at build time, with config
 indices fixed by list order.
 
-— executed serially or across a ``multiprocessing`` worker pool, streamed
-to a :class:`~repro.harness.store.SweepStore`, and rendered as
+— executed serially or on a :class:`~repro.sim.pool.Pool` of workers,
+streamed to a :class:`~repro.harness.store.SweepStore`, and rendered as
 paper-style tables.  Like :class:`~repro.harness.faults.FaultSchedule`,
 the matrix is validated when it is built (:class:`SweepError` names the
 bad axis), not when config #1731 finally executes.
@@ -38,19 +38,19 @@ each worker's :class:`ShapeCache` only reuses construction that is a pure
 function of ``(protocol, degree, n_ranks)`` (shared world, cost table,
 protocol-shared template — the PR 5 flyweights), with hit/miss
 accounting so the reuse is observable, and its ``RunMemo`` only re-labels
-a run proven blind to its seed (``docs/sweeps.md``).  Every run is audited by
-``run_case`` (``acquired == released + stranded``); an invariant
-violation is a nonzero sweep exit, never a taxonomy bucket.  A worker
-that *dies* (OOM-killed, segfaulted) marks its in-flight config failed
-and the pool keeps draining — a sweep never hangs on a lost worker.
+a run proven blind to its seed (``docs/sweeps.md``).  The pool deals
+whole memo cells, so a worker's memo serves what the serial one would.
+Every run is audited by ``run_case`` (``acquired == released +
+stranded``); an invariant violation is a nonzero sweep exit, never a
+taxonomy bucket.  A worker that *dies* (``kill -9``, OOM kill, segfault)
+costs the config it was running, recorded ``failed`` with the exit code,
+and a replacement finishes its cell — a sweep never hangs on a lost worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue as queue_mod
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -61,6 +61,7 @@ from repro.harness.campaign import (
     OUTCOMES,
     CampaignConfig,
     RunMemo,
+    RunRecord,
     run_case,
 )
 from repro.harness.report import (
@@ -73,6 +74,7 @@ from repro.harness.report import (
 from repro.harness.runner import JobShape, cluster_for
 from repro.harness.store import SweepStore
 from repro.scenarios import ScenarioError, get_scenario, scenario_names
+from repro.sim.pool import Pool, WorkerDied
 
 __all__ = [
     "MIX_PROFILES",
@@ -144,11 +146,6 @@ _NETWORK_PROBS: Tuple[str, ...] = (
 )
 
 _DEFAULT_CFG = CampaignConfig()
-
-#: test seam: a worker whose task index equals this env var hard-exits,
-#: standing in for the OOM-kill/segfault class of failures the pool must
-#: survive (see tests/test_sweep.py::test_worker_crash_keeps_draining)
-_TEST_CRASH_ENV = "REPRO_SWEEP_TEST_CRASH"
 
 
 class SweepError(ValueError):
@@ -549,39 +546,8 @@ class ShapeCache:
         return {"hits": self.hits, "misses": self.misses, "shapes": len(self._shapes)}
 
 
-def _execute_point(
-    point: SweepPoint, cache: Optional[ShapeCache] = None, memo: Optional[RunMemo] = None
-) -> Dict[str, Any]:
-    """Run one config through the audited campaign machinery (which
-    answers from *memo* when its cell already ran seed-blind; the shape
-    lookup comes first, so the shape cache counts the same either way)."""
-    cfg = point.campaign_config()
-    degree = point.effective_degree
-    shape = cache.get(point.protocol, degree, point.n_ranks) if cache is not None else None
-    rec = run_case(point.protocol, point.seed, cfg, shape=shape, memo=memo)
-    return {
-        "index": point.index,
-        "protocol": point.protocol,
-        "degree": degree,
-        "n_ranks": point.n_ranks,
-        "workload": point.workload,
-        "mix": point.mix,
-        "detector": point.detector,
-        "intensity": point.intensity,
-        "seed": point.seed,
-        "outcome": rec.outcome,
-        "faults_drawn": {k: v for k, v in rec.mix.items()},
-        "metrics": rec.metrics,
-        "stranded_by_site": rec.stranded_by_site,
-        "error": rec.error,
-        "invariant_error": rec.invariant_error,
-        "fingerprint": rec.fingerprint,
-    }
-
-
-def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
-    """Executor-level failure record: no fingerprint (the config never ran
-    to a reproducible result), outcome ``failed``."""
+def _record(point: SweepPoint, rec: RunRecord) -> Dict[str, Any]:
+    """The sweep record of *point*: its axes, then the run's outcome."""
     return {
         "index": point.index,
         "protocol": point.protocol,
@@ -592,45 +558,57 @@ def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
         "detector": point.detector,
         "intensity": point.intensity,
         "seed": point.seed,
-        "outcome": "failed",
-        "faults_drawn": {},
-        "metrics": {},
-        "stranded_by_site": {},
-        "error": error,
-        "invariant_error": None,
-        "fingerprint": "",
+        "outcome": rec.outcome,
+        "faults_drawn": dict(rec.mix),
+        "metrics": rec.metrics,
+        "stranded_by_site": rec.stranded_by_site,
+        "error": rec.error,
+        "invariant_error": rec.invariant_error,
+        "fingerprint": rec.fingerprint,
     }
 
 
-def _worker_main(wid: int, task_q: Any, result_q: Any) -> None:
-    """Worker loop: one ShapeCache and one RunMemo for the worker's
-    lifetime, one audited run per task.  ``start`` precedes execution so
-    the parent can attribute an in-flight config to a worker that dies
-    mid-run; ``done`` says whether the memo served the config."""
+def _execute_point(
+    point: SweepPoint, cache: Optional[ShapeCache] = None, memo: Optional[RunMemo] = None
+) -> Dict[str, Any]:
+    """Run one config through the audited campaign machinery (which
+    answers from *memo* when its cell already ran seed-blind; the shape
+    lookup comes first, so the shape cache counts the same either way)."""
+    shape = cache.get(point.protocol, point.effective_degree, point.n_ranks) if cache is not None else None
+    return _record(point, run_case(point.protocol, point.seed, point.campaign_config(), shape, memo))
+
+
+def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
+    """Executor-level failure record: no fingerprint (the config never ran
+    to a reproducible result), outcome ``failed``."""
+    return _record(point, RunRecord(point.protocol, point.seed, "failed", {}, {}, {}, error=error))
+
+
+def _cell_groups(points: List[SweepPoint], workers: int) -> List[List[SweepPoint]]:
+    """The pool's unit of work: the configs of one run-memo cell
+    ``(protocol, effective degree, campaign_config())`` in first-index
+    order, cut at ``ceil(len(points) / workers)`` configs so a one-cell
+    matrix still spreads over the pool."""
+    cells: Dict[Tuple[str, int, CampaignConfig], List[SweepPoint]] = {}
+    for p in points:
+        cells.setdefault((p.protocol, p.effective_degree, p.campaign_config()), []).append(p)
+    cap = -(-len(points) // workers)
+    return [cell[i : i + cap] for cell in cells.values() for i in range(0, len(cell), cap)]
+
+
+def _sweep_worker(conn) -> None:
+    """Pool worker: one ShapeCache and one RunMemo for its lifetime; one
+    ``(record, served, stats)`` reply per config of each dealt group, the
+    stats cumulative so the last reply of a worker is its whole account."""
     cache, memo = ShapeCache(), RunMemo()
-    crash_at = os.environ.get(_TEST_CRASH_ENV)
-    while True:
-        item = task_q.get()
-        if item is None:
-            result_q.put(("exit", wid, {**cache.stats(), "memo_hits": memo.hits}))
-            return
-        idx, point = item
-        result_q.put(("start", wid, idx))
-        if crash_at is not None and int(crash_at) == idx:
-            # Test seam: simulated OOM-kill/segfault.  Flush the queue's
-            # feeder thread first so the "start" message survives and the
-            # parent attributes the in-flight config deterministically (a
-            # real crash may lose it — the bounded-respawn fallback then
-            # marks the lost config failed instead).
-            result_q.close()
-            result_q.join_thread()
-            os._exit(43)
-        hits = memo.hits
-        try:
-            rec = _execute_point(point, cache, memo)
-        except BaseException as exc:  # run_case absorbs run errors; this is executor-level
-            rec = _error_record(point, f"{type(exc).__name__}: {exc}")
-        result_q.put(("done", wid, idx, rec, memo.hits > hits))
+    while (msg := conn.recv())[0] == "run":
+        for point in msg[1]:
+            hits = memo.hits
+            try:
+                rec = _execute_point(point, cache, memo)
+            except Exception as exc:  # run_case absorbs run errors; this is executor-level
+                rec = _error_record(point, f"{type(exc).__name__}: {exc}")
+            conn.send((rec, memo.hits > hits, {**cache.stats(), "memo_hits": memo.hits}))
 
 
 @dataclass
@@ -676,8 +654,8 @@ def run_sweep(
 ) -> SweepResult:
     """Execute the matrix; stream records to the store as they complete.
 
-    ``workers <= 1`` runs serially in-process; ``workers > 1`` farms
-    configs over a ``multiprocessing`` pool (fork where available).  The
+    ``workers <= 1`` runs serially in-process; ``workers > 1`` deals
+    memo cells to a worker pool (fork where available).  The
     records list is always ordered by config index whatever the completion
     order was, and per-config fingerprints are byte-identical either way.
     """
@@ -717,126 +695,72 @@ def _run_serial(spec, points, store, progress) -> SweepResult:
 
 
 def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    task_q = ctx.Queue()
-    result_q = ctx.Queue()
-    for idx, point in enumerate(points):
-        task_q.put((idx, point))
-    for _ in range(n_workers):
-        task_q.put(None)
-
-    workers: Dict[int, Any] = {}
-    next_wid = 0
-
-    def spawn() -> None:
-        nonlocal next_wid
-        proc = ctx.Process(
-            target=_worker_main, args=(next_wid, task_q, result_q), daemon=True
-        )
-        proc.start()
-        workers[next_wid] = proc
-        next_wid += 1
-
-    for _ in range(n_workers):
-        spawn()
-
+    groups = deque(_cell_groups(points, n_workers))
+    owed: Dict[int, deque] = {}  # wid -> its group's unfinished configs
+    accounts: Dict[int, Dict[str, int]] = {}  # wid -> its latest cumulative stats
     done: Dict[int, Dict[str, Any]] = {}
-    in_flight: Dict[int, int] = {}  # wid -> config index
-    cache_totals = {"hits": 0, "misses": 0, "shapes": 0, "memo_hits": 0}
     served: List[int] = []
     worker_crashes = 0
-    respawns = 0
+    next_wid = min(n_workers, len(groups))
 
-    def record(idx: int, rec: Dict[str, Any]) -> None:
-        done[idx] = rec
+    def record(rec: Dict[str, Any]) -> None:
+        done[rec["index"]] = rec
         if store is not None:
             store.append(rec)
         if progress is not None:
             progress(rec)
 
-    def reap_dead() -> None:
-        """Mark the in-flight config of any dead worker failed; keep the
-        pool draining by respawning when every worker is gone."""
-        nonlocal worker_crashes, respawns
-        for wid, proc in list(workers.items()):
-            if proc.exitcode is None:
-                continue
-            proc.join()
-            del workers[wid]
-            idx = in_flight.pop(wid, None)
-            if idx is not None and idx not in done:
-                worker_crashes += 1
-                record(idx, _error_record(
-                    points[idx],
-                    f"worker {wid} died (exitcode {proc.exitcode}) while running this config",
-                ))
-        if len(done) < len(points) and not workers:
-            if respawns < len(points):
-                respawns += 1
-                task_q.put(None)  # the dead worker never consumed its sentinel
-                spawn()
-            else:
-                for idx, point in enumerate(points):
-                    if idx not in done:
-                        worker_crashes += 1
-                        record(idx, _error_record(
-                            point, "sweep executor exhausted its worker respawn budget"
-                        ))
-
-    while len(done) < len(points):
+    def deal(wid: int) -> None:
+        owed[wid] = deque(groups.popleft())
         try:
-            msg = result_q.get(timeout=0.25)
-        except queue_mod.Empty:
-            reap_dead()
-            continue
-        kind = msg[0]
-        if kind == "start":
-            in_flight[msg[1]] = msg[2]
-        elif kind == "done":
-            _kind, wid, idx, rec, from_memo = msg
-            in_flight.pop(wid, None)
-            if idx not in done:
-                record(idx, rec)
+            pool.send(wid, ("run", list(owed[wid])))
+        except WorkerDied as died:
+            # Dead between groups, it took no config; one that never replied
+            # is charged anyway, so a pool whose workers cannot start drains.
+            lost(wid, died, charged=wid not in accounts)
+
+    def lost(wid: int, died: WorkerDied, charged: bool = True) -> None:
+        """A death mid-group costs the first unfinished config of the
+        group; the rest goes to a replacement worker."""
+        nonlocal worker_crashes, next_wid
+        rest = owed.pop(wid)
+        worker_crashes += 1
+        if charged:
+            record(_error_record(rest.popleft(), f"{died} while running this config"))
+        if rest:
+            groups.appendleft(list(rest))
+        if groups:
+            next_wid += 1
+            pool.spawn(next_wid - 1)
+            deal(next_wid - 1)
+
+    with Pool(_sweep_worker) as pool:
+        for wid in range(next_wid):
+            pool.spawn(wid)
+            deal(wid)
+        while owed:
+            for wid in pool.ready():
+                try:
+                    rec, from_memo, accounts[wid] = pool.recv(wid)
+                except WorkerDied as died:
+                    lost(wid, died)
+                    continue
+                owed[wid].popleft()
+                record(rec)
                 if from_memo:
-                    served.append(idx)
-        elif kind == "exit":
-            _kind, wid, stats = msg
-            for k in cache_totals:
-                cache_totals[k] += stats.get(k, 0)
-            proc = workers.pop(wid, None)
-            if proc is not None:
-                proc.join()
+                    served.append(rec["index"])
+                if owed[wid]:
+                    continue
+                del owed[wid]
+                if groups:
+                    deal(wid)
+                else:
+                    pool.retire(wid)
 
-    # Drain the remaining clean exits so the cache accounting is complete
-    # (workers that died contribute nothing — their stats died with them).
-    deadline = time.monotonic() + 10.0
-    while workers and time.monotonic() < deadline:
-        try:
-            msg = result_q.get(timeout=0.5)
-        except queue_mod.Empty:
-            for wid, proc in list(workers.items()):
-                if proc.exitcode is not None:
-                    proc.join()
-                    del workers[wid]
-            continue
-        if msg[0] == "exit":
-            _kind, wid, stats = msg
-            for k in cache_totals:
-                cache_totals[k] += stats.get(k, 0)
-            proc = workers.pop(wid, None)
-            if proc is not None:
-                proc.join()
-    for proc in workers.values():  # hung workers: never block the sweep
-        proc.terminate()
-    task_q.close()
-    result_q.close()
-
-    records = [done[idx] for idx in range(len(points))]
     return SweepResult(
         spec=spec,
-        records=records,
-        cache=cache_totals,
+        records=[done[idx] for idx in range(len(points))],
+        cache={k: sum(a[k] for a in accounts.values()) for k in ("hits", "misses", "shapes", "memo_hits")},
         served=sorted(served),
         worker_crashes=worker_crashes,
         workers=n_workers,

@@ -2,10 +2,10 @@
 
 One :class:`~repro.harness.runner.Job` normally runs on one core.  This
 module shards its simulated processes **by logical-rank range** (whole
-nodes, every replica of a rank together — see :class:`ShardPlan`) across a
-self-managed fork worker pool and synchronizes the per-shard
-:class:`Simulator` instances on conservative lookahead windows, exploiting
-two facts the paper's system model fixes:
+nodes, every replica of a rank together — see :class:`ShardPlan`) across
+the fork workers of a :class:`~repro.sim.pool.Pool` and synchronizes the
+per-shard :class:`Simulator` instances on conservative lookahead windows,
+exploiting two facts the paper's system model fixes:
 
 * topology and the cost model are immutable after setup, so the minimum
   inter-node wire latency ``L`` is a compile-time constant of the
@@ -52,6 +52,11 @@ shard's custody (``frames_exported``), an imported one enters as a fresh
 acquire (``frames_imported``); each shard's audit proves the extended
 balance and the parent re-derives the global one (exports == imports,
 merged ``acquired - imported`` equals the serial acquire count).
+
+A worker that *dies* (killed, or raising outside the simulation) is
+neither a hazard nor a taint: :class:`~repro.sim.pool.WorkerDied` names
+the shard and leaves ``Job.run``.  Fingerprints exclude ``parallel``, so a
+serial rerun would hide the machinery bug from every equivalence test.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mpi.pml import Envelope
+from repro.sim.pool import Pool
 
 __all__ = [
     "ParallelConfig",
@@ -583,25 +589,6 @@ def _drain_router(job, plan: ShardPlan, shard_id: int):
 # ---------------------------------------------------------------- worker side
 
 
-def _shard_worker_main(job, plan: ShardPlan, shard_id: int, conn) -> None:
-    """Forked worker: own Simulator copy, window loop, audited finalize."""
-    # The inherited heap is the whole job (16k process stacks at the 8k-rank
-    # tier) and lives as long as the worker.  Dispatch runs collector-off
-    # anyway; the barrier phases allocate a tuple per deferred frame, which
-    # with it on buys a pass over that heap every few hundred frames.
-    gc.freeze()
-    gc.disable()
-    try:
-        _shard_worker_loop(job, plan, shard_id, conn)
-    except BaseException as exc:  # noqa: BLE001 - report, never hang the pool
-        try:
-            conn.send(("crash", type(exc).__name__, str(exc), traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
 def _local_done_info(job, crash_times: Dict[int, float]):
     """``(done_at, kind, last_proc)`` once every local process has finished
     or crashed, else ``None``.
@@ -636,7 +623,14 @@ def _local_done_info(job, crash_times: Dict[int, float]):
     return (done_at, kind, last_proc)
 
 
-def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
+def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
+    """Forked worker: own Simulator copy, window loop, audited finalize."""
+    # The inherited heap is the whole job (16k process stacks at the 8k-rank
+    # tier) and lives as long as the worker.  Dispatch runs collector-off
+    # anyway; the barrier phases allocate a tuple per deferred frame, which
+    # with it on buys a pass over that heap every few hundred frames.
+    gc.freeze()
+    gc.disable()
     sim = job.sim
     fab = job.fabric
     fab.shard_router = _ShardRouter(shard_id)
@@ -684,7 +678,7 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
             except _ShardTaint as taint:
                 # Unorderable window: report instead of guessing.  The
                 # parent abandons the pool and reruns serially; this
-                # worker just parks until the pipe closes.
+                # worker just parks until the pool ends it.
                 conn.send(("taint", str(taint)))
                 continue
             held = []
@@ -733,12 +727,6 @@ def _shard_worker_loop(job, plan: ShardPlan, shard_id: int, conn) -> None:
                 if p in job.finish_times
             )
             conn.send(("released", sim.peek()))
-        elif op == "exit":
-            # Teardown (taint/fallback paths): an explicit op rather than
-            # EOF, because sibling workers inherit this pipe's parent end
-            # across the sequential forks — closing it in the parent alone
-            # never EOFs a worker blocked in recv().
-            return
         elif op == "finish":
             until, audit, allow_lost = cmd[1], cmd[2], cmd[3]
             if held:  # pragma: no cover - parent drains deferrals first
@@ -872,9 +860,6 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     if hazards:
         return serial_fallback(hazards)
     n_shards = plan.n_shards
-    ctx = mp.get_context("fork")
-    conns = []
-    workers = []
     released = False
     release_comp = 0
     tie_release = False
@@ -884,9 +869,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
 
     def barrier_round() -> None:
         nonlocal peeks, held, max_wake, max_crash, windows
-        new_peeks, new_held, new_infos, wake, crash, got_exports = _collect_barrier(
-            conns, pending
-        )
+        new_peeks, new_held, new_infos, wake, crash, got_exports = _collect_barrier(pool, pending)
         peeks, held = new_peeks, new_held
         windows += 1
         for sid, info in enumerate(new_infos):
@@ -938,87 +921,68 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         if max_crash is not None and max_crash >= t_done:
             raise _DrainRace("crash at/after completion")
         for sid in range(n_shards):
-            conns[sid].send(("release", last_proc))
+            pool.send(sid, ("release", last_proc))
         for sid in range(n_shards):
-            peeks[sid] = _recv(conns[sid], "released")[1]
+            peeks[sid] = _recv(pool, sid, "released")[1]
         released = True
         release_comp = comp
         return True
 
-    try:
-        for sid in range(n_shards):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(job, plan, sid, child_conn),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            conns.append(parent_conn)
-            workers.append(proc)
-        peeks = [_recv(conns[s], "ready")[1] for s in range(n_shards)]
-        pending: List[List[Any]] = [[] for _ in range(n_shards)]
-        held = [False] * n_shards
-        last_horizon = 0.0
-        while True:
-            attempt_release()
-            live = [t for t in peeks if t is not None]
-            deferred = any(pending) or any(held)
-            if not live and not deferred:
-                final_t = None
-            else:
-                t = min(live) if live else last_horizon
-                if deferred and last_horizon < t:
-                    # Deferred arrivals (routed or still held in their
-                    # source shard) are only bounded below by the last
-                    # horizon; the true minimum may sit anywhere past it.
-                    t = last_horizon
-                final_t = t
-            if final_t is None or (until is not None and final_t + lookahead > until):
-                break
-            horizon = final_t + lookahead
+    try:  # a dead worker raises WorkerDied, never falls back
+        with Pool(_shard_worker) as pool:
             for sid in range(n_shards):
-                conns[sid].send(("step", horizon, None, pending[sid]))
-                pending[sid] = []
-            barrier_round()
-            last_horizon = max(last_horizon, horizon)
-        if until is not None:
-            # Inclusive epilogue: every shard runs `sim.run(until)` so its
-            # clock parks at the horizon exactly as the serial engine's.
-            # Repeats while anything at or below `until` remains — a late
-            # release wake, a deferred frame whose priced arrival lands
-            # inside the horizon — so the dispatched-event set matches the
-            # serial run's exactly; arrivals past `until` merge into the
-            # queue undispatched (the in-flight strand audit sees them).
+                pool.spawn(sid, job, plan, sid)
+            peeks = [_recv(pool, s, "ready")[1] for s in range(n_shards)]
+            pending: List[List[Any]] = [[] for _ in range(n_shards)]
+            held = [False] * n_shards
+            last_horizon = 0.0
             while True:
+                attempt_release()
+                live = [t for t in peeks if t is not None]
+                deferred = any(pending) or any(held)
+                if not live and not deferred:
+                    final_t = None
+                else:
+                    t = min(live) if live else last_horizon
+                    if deferred and last_horizon < t:
+                        # Deferred arrivals (routed or still held in their
+                        # source shard) are only bounded below by the last
+                        # horizon; the true minimum may sit anywhere past it.
+                        t = last_horizon
+                    final_t = t
+                if final_t is None or (until is not None and final_t + lookahead > until):
+                    break
+                horizon = final_t + lookahead
                 for sid in range(n_shards):
-                    conns[sid].send(("step", None, until, pending[sid]))
+                    pool.send(sid, ("step", horizon, None, pending[sid]))
                     pending[sid] = []
                 barrier_round()
-                if attempt_release():
-                    continue
-                live = [t for t in peeks if t is not None and t <= until]
-                if not live and not any(pending) and not any(held):
-                    break
-        for sid in range(n_shards):
-            conns[sid].send(("finish", until, audit, allow_lost_ranks))
-        shard_results = [_recv(conns[sid], "result")[1] for sid in range(n_shards)]
-        if tie_release and any(res["post_release_rx"] for res in shard_results):
-            raise _DrainRace("post-release delivery under tied completion")
+                last_horizon = max(last_horizon, horizon)
+            if until is not None:
+                # Inclusive epilogue: every shard runs `sim.run(until)` so its
+                # clock parks at the horizon exactly as the serial engine's.
+                # Repeats while anything at or below `until` remains — a late
+                # release wake, a deferred frame whose priced arrival lands
+                # inside the horizon — so the dispatched-event set matches the
+                # serial run's exactly; arrivals past `until` merge into the
+                # queue undispatched (the in-flight strand audit sees them).
+                while True:
+                    for sid in range(n_shards):
+                        pool.send(sid, ("step", None, until, pending[sid]))
+                        pending[sid] = []
+                    barrier_round()
+                    if attempt_release():
+                        continue
+                    live = [t for t in peeks if t is not None and t <= until]
+                    if not live and not any(pending) and not any(held):
+                        break
+            for sid in range(n_shards):
+                pool.send(sid, ("finish", until, audit, allow_lost_ranks))
+            shard_results = [_recv(pool, sid, "result")[1] for sid in range(n_shards)]
+            if tie_release and any(res["post_release_rx"] for res in shard_results):
+                raise _DrainRace("post-release delivery under tied completion")
     except _DrainRace as race:
         return serial_fallback([f"drain_race: {race}"])
-    finally:
-        for conn in conns:
-            try:
-                conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass  # worker already finished or died
-            conn.close()
-        for proc in workers:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker backstop
-                proc.terminate()
     return _merge_results(
         job, plan, shard_results, JobResult, meta(n_shards, []),
         until=until, allow_lost_ranks=allow_lost_ranks,
@@ -1026,30 +990,27 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     )
 
 
-def _recv(conn, expected: str, also: Tuple[str, ...] = ()):
-    msg = conn.recv()
-    if msg[0] == "crash":
-        _name, text, tb = msg[1], msg[2], msg[3]
-        raise RuntimeError(f"shard worker died: {_name}: {text}\n{tb}")
+def _recv(pool, sid: int, expected: str, also: Tuple[str, ...] = ()):
+    msg = pool.recv(sid)
     if msg[0] != expected and msg[0] not in also:  # pragma: no cover - protocol error
         raise RuntimeError(f"expected {expected!r} from shard, got {msg[0]!r}")
     return msg
 
 
-def _collect_barrier(conns, pending):
+def _collect_barrier(pool, pending):
     """Gather one barrier round: route every export to its destination
     shard's pending-import list; return the per-shard peeks, held-local
     flags, local-completion infos, the max drain-wake and crash times
     reported this round, and whether any shard exported anything."""
-    peeks: List[Optional[float]] = [None] * len(conns)
-    held = [False] * len(conns)
-    infos: List[Optional[tuple]] = [None] * len(conns)
+    peeks: List[Optional[float]] = [None] * len(pending)
+    held = [False] * len(pending)
+    infos: List[Optional[tuple]] = [None] * len(pending)
     max_wake: Optional[float] = None
     max_crash: Optional[float] = None
     got_exports = False
     taint: Optional[str] = None
-    for sid, conn in enumerate(conns):
-        msg = _recv(conn, "barrier", also=("taint",))
+    for sid in range(len(pending)):
+        msg = _recv(pool, sid, "barrier", also=("taint",))
         if msg[0] == "taint":
             # Collect the remaining replies before raising so no worker is
             # left blocked mid-send when the pool is torn down.

@@ -110,10 +110,29 @@ class TestSweepCli:
         assert main(self.ARGS) == 1
         assert "INVARIANT VIOLATION" in capsys.readouterr().err
 
-    def test_worker_crash_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "1")
-        assert main(self.ARGS + ["--workers", "2"]) == 1
-        assert "lost to worker crashes" in capsys.readouterr().err
+    def test_worker_crash_exits_1(self, capsys, monkeypatch, tmp_path):
+        import os
+        import signal
+
+        import repro.harness.sweep as sweep_mod
+        from repro.harness.store import SweepStore
+
+        real = sweep_mod._execute_point
+
+        def killed_at_1(point, *args):
+            if point.index == 1:  # only ever reached in a forked worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(point, *args)
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", killed_at_1)
+        base = str(tmp_path / "run")
+        assert main(self.ARGS + ["--workers", "2", "--store", base]) == 1
+        out = capsys.readouterr()
+        assert "lost to worker crashes" in out.err
+        assert "1 worker crashes" in out.out
+        with SweepStore.open(base) as store:
+            (lost,) = store.records("fingerprint = ''")
+        assert lost["index"] == 1 and "exit code -9" in lost["error"]
 
 
 class TestJobShapeGuards:

@@ -28,7 +28,8 @@ Four layers pinned here:
 * **fallback honesty** — hazard features (jitter, stochastic faults,
   detector, replica fan-out) and single-node placements run serially
   with the reason recorded and no worker forked, and the default ``Job``
-  path carries no parallel metadata at all.
+  path carries no parallel metadata at all; a *killed* worker is not a
+  fallback but a ``WorkerDied`` naming the shard.
 """
 
 from __future__ import annotations
@@ -706,9 +707,7 @@ def test_replica_fanout_is_a_static_hazard_that_never_forks(protocol, monkeypatc
 
     job, plan = _plan_for(16, 2, protocol=protocol)
     assert classify_hazards(job, plan) == ["replica_fanout"]
-    monkeypatch.setattr(
-        shard.mp, "get_context", lambda *_: pytest.fail("a replica_fanout job forked workers")
-    )
+    monkeypatch.setattr(shard, "Pool", lambda *_: pytest.fail("a replica_fanout job forked workers"))
     serial = _run(protocol, 16, iters=2, nbytes=256)
     parallel = _run(protocol, 16, workers=2, iters=2, nbytes=256)
     assert parallel.parallel["fallback"] == ["replica_fanout"]
@@ -728,6 +727,35 @@ def test_run_parallel_requires_launch():
     job = Job(8, cfg=cfg, cluster=cluster_for(8, 2), parallel=ParallelConfig(workers=2))
     with pytest.raises(RuntimeError, match="launch"):
         run_parallel(job)
+
+
+def test_killed_shard_worker_raises_worker_died(monkeypatch):
+    """A shard worker SIGKILLed mid-run (at its third barrier merge) ends
+    the run with WorkerDied naming the shard and its exit code — no hang,
+    no serial fallback, no live worker left behind."""
+    import os
+    import signal
+    import time
+
+    from repro.sim import shard
+    from repro.sim.pool import WorkerDied
+
+    merge = shard._merge_deferred
+    merges = [0]  # per worker: each fork gets its own copy
+
+    def killing_merge(job, *args):
+        merges[0] += 1
+        if job.fabric.shard_router.shard_id == 1 and merges[0] == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return merge(job, *args)
+
+    monkeypatch.setattr(shard, "_merge_deferred", killing_merge)
+    t0 = time.monotonic()
+    with pytest.raises(WorkerDied) as died:
+        _run("sdr", 16, workers=2, iters=2, nbytes=256)
+    assert time.monotonic() - t0 < 10
+    assert died.value.wid == 1 and died.value.reason == "exit code -9"
+    assert mp.active_children() == []
 
 
 def test_fingerprint_excludes_memory_policy_counters():

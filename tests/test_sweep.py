@@ -13,7 +13,10 @@ stored or served.
 """
 
 import json
+import multiprocessing as mp
 import os
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -157,30 +160,106 @@ class TestPooledExecution:
         assert pooled.cache["hits"] > 0  # the flyweight reuse is real
         assert pooled.worker_crashes == 0
         assert [r["index"] for r in pooled.records] == list(range(SMALL.n_configs))
-        # The run memo: serial serves seed 1 of both clean cells; a pool
-        # serves whichever of them landed on the worker that ran seed 0 —
-        # and the records cannot tell (nor can a memo-less execution).
+        # The run memo: the pool deals whole memo cells, so it serves what
+        # serial serves (seed 1 of both clean cells) — and the records
+        # cannot tell (nor can a memo-less execution).
         memoless = [_execute_point(p, ShapeCache()) for p in SMALL.points()]
         assert serial.records == pooled.records == memoless
         assert serial.served == [1, 5] and serial.cache["memo_hits"] == 2
-        assert set(pooled.served) <= {1, 5}
-        assert pooled.cache["memo_hits"] == len(pooled.served)
+        assert pooled.served == serial.served
+        assert pooled.cache["memo_hits"] == serial.cache["memo_hits"]
         assert "memo_hits" in pooled.summary()["cache"]
 
+    def test_one_cell_matrix_still_spreads_over_the_pool(self):
+        # One memo cell of 4 faulted seeds: cut into ceil(4 / 2) = 2-config
+        # groups, one per worker, so each worker builds the shape once.
+        spec = SweepSpec(protocols=("sdr",), mixes=("full",), seeds=(0, 1, 2, 3))
+        result = run_sweep(spec, workers=2)
+        assert result.cache["misses"] == 2 and result.cache["memo_hits"] == 0
+        assert result.records == run_sweep(spec, workers=1).records
+
     def test_worker_crash_marks_config_failed_and_keeps_draining(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TEST_CRASH", "2")
+        import repro.harness.sweep as sweep_mod
+
+        real = sweep_mod._execute_point
+
+        def killed_at_2(point, *args):
+            if point.index == 2:  # only ever reached in a forked worker
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(point, *args)
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", killed_at_2)
         spec = SweepSpec(
             protocols=("native", "sdr"), degrees=(2,), ranks=(4,),
             workloads=("ring",), mixes=("clean",), seeds=(0, 1, 2),
         )
+        t0 = time.monotonic()
         result = run_sweep(spec, workers=2)
+        assert time.monotonic() - t0 < 10  # no poll, no respawn budget to burn
         assert len(result.records) == spec.n_configs  # the sweep drained
         assert result.worker_crashes == 1
         dead = [r for r in result.records if not r["fingerprint"]]
         assert len(dead) == 1 and dead[0]["index"] == 2
-        assert dead[0]["outcome"] == "failed" and "worker" in dead[0]["error"]
+        assert dead[0]["outcome"] == "failed" and "exit code -9" in dead[0]["error"]
         # Every other config still carries a real audited fingerprint.
         assert all(r["fingerprint"] for r in result.records if r["index"] != 2)
+        assert mp.active_children() == []
+
+    def test_crash_mid_group_hands_the_rest_to_a_replacement(self, monkeypatch):
+        import repro.harness.sweep as sweep_mod
+
+        real = sweep_mod._execute_point
+        parent = os.getpid()
+
+        def killed_at_0(point, *args):
+            if point.index == 0 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(point, *args)
+
+        monkeypatch.setattr(sweep_mod, "_execute_point", killed_at_0)
+        # One cell dealt as [0, 1] and [2, 3]: config 1 outlives its worker.
+        spec = SweepSpec(protocols=("sdr",), mixes=("clean",), seeds=(0, 1, 2, 3))
+        result = run_sweep(spec, workers=2)
+        assert result.worker_crashes == 1
+        assert [r["index"] for r in result.records if not r["fingerprint"]] == [0]
+        assert result.records[1:] == run_sweep(spec, workers=1).records[1:]
+
+    def test_dead_between_groups_costs_no_config(self, monkeypatch):
+        # The first worker dealt a second group is killed (and reaped)
+        # right before that deal: the send breaks, the group goes whole to
+        # a replacement, and every record still matches serial.
+        from repro.sim.pool import Pool
+
+        real_send, dealt, killed = Pool.send, set(), []
+
+        def send(pool, wid, msg):
+            if wid in dealt and not killed:
+                killed.append(wid)
+                os.kill(pool._procs[wid].pid, signal.SIGKILL)
+                pool._procs[wid].join()
+            dealt.add(wid)
+            return real_send(pool, wid, msg)
+
+        monkeypatch.setattr(Pool, "send", send)
+        spec = replace(SMALL, seeds=(0, 1, 2, 3))  # four cells, two workers
+        result = run_sweep(spec, workers=2)
+        assert killed and result.worker_crashes == 1
+        assert result.records == run_sweep(spec, workers=1).records
+        assert mp.active_children() == []
+
+    def test_raising_progress_callback_leaves_no_live_worker(self):
+        # 1,000 memo-served seeds deal 500-config groups whose ~1 KB replies
+        # overfill the pipe: a worker blocked mid-group reads no exit ask,
+        # so leaving through an exception must not wait for one.
+        def progress(rec):
+            raise RuntimeError("interrupted")
+
+        spec = replace(SMALL, protocols=("sdr",), mixes=("clean",), seeds=tuple(range(1000)))
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_sweep(spec, workers=2, progress=progress)
+        assert time.monotonic() - t0 < 5
+        assert mp.active_children() == []
 
     def test_verify_sample_passes_and_catches_tampering(self):
         result = run_sweep(SMALL, workers=1)

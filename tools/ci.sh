@@ -116,6 +116,11 @@ print_stage_summary() {
     # windowed high-water or unread memory counter may creep back into src/.
     echo "memory-policy residue in src/ (must be empty):"
     grep -rnE "trim_env_pool|trim_frame_pool|TRIM_(INTERVAL|PROCS|SLACK)|_hw_window|env_trimmed|frames_trimmed|_install_trimmer|working_set_rows|snapshot_stats" src/ || true
+    # sim/pool.py is the one module that starts worker processes: the sweep
+    # and the shard runner share it (the bracket keeps this line from
+    # matching the retired test-seam name it searches for).
+    echo "process-management residue outside sim/pool.py (must be empty):"
+    grep -rnE "get_context|\.Process\(|\.Pipe\(|\.Queue\(|REPRO_SWEEP_TEST_CRAS[H]" src/ --exclude=pool.py || true
     # The sharding gate number (ROADMAP: sharding earns its place or shrinks),
     # as committed — host cores beside it, since fork workers only beat
     # serial on cores the host actually grants.
@@ -182,11 +187,12 @@ if (( RUN_SWEEP )); then
     # mismatch between the pooled run and serial re-execution.
     # The workload axis includes an open-loop traffic config so the
     # request-accounting audit and the traffic report table gate per-PR.
-    # Three seeds on two workers: some worker runs two seeds of each clean
-    # ring cell, so its run memo serves one and --verify re-proves it.
+    # The pool deals whole run-memo cells, so each clean ring cell's two
+    # seeds land on one worker: its memo serves the second and --verify
+    # re-proves that hit.
     python -m repro sweep \
         --protocols native sdr --ranks 4 --workloads ring traffic-poisson \
-        --mixes clean full --seeds 3 \
+        --mixes clean full --seeds 2 \
         --workers 2 --verify 2 --store .ci-sweep/smoke --overwrite \
         | tee .ci-sweep/smoke-table.txt
     # Query path: re-render the tables purely from the finalized store.

@@ -8,12 +8,17 @@ A :class:`Job` assembles the full stack for every physical process::
 Native jobs run ``n`` processes with the identity protocol; replicated jobs
 run ``degree·n`` processes with the paper's placement (replica sets on
 disjoint node halves, §4.2) and the selected replication protocol.
+
+Every run ends the same way: :meth:`Job._close` returns its outcome as one
+picklable part (a sharded run has one per shard) and :meth:`JobResult.merge`
+turns the parts into the result — or raises the run's error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.baselines import LeaderProtocol, MirrorProtocol, RedMpiProtocol
@@ -157,6 +162,74 @@ class JobResult:
 
     def stat_total(self, key: str) -> int:
         return sum(s.get(key, 0) for s in self.stats.values())
+
+    @classmethod
+    def merge(
+        cls, parts: List[dict], until: Optional[float], allow_lost_ranks: bool, traffic: Any
+    ) -> "JobResult":
+        """The result of a run whose :meth:`Job._close` parts are *parts*:
+        one for the serial engine, one per shard for the sharded one
+        (:mod:`repro.sim.shard`).
+
+        The one place a run builds its ``JobResult``, and the one place it
+        raises the first process exception (lowest proc), ``DeadlockError``
+        and the lost-rank ``MpiError``, in that order.  A single part's
+        dicts become the result's as they are; several parts merge per proc
+        in proc order, their counters add and the frame high-water mark
+        takes the max.  *traffic* is the job's request ledger (``None``
+        without one), already holding every part's commits.
+        """
+        failed = [exc for part in parts for exc in part["exceptions"]]
+        if failed:
+            raise min(failed, key=lambda pair: pair[0])[1]
+        lost = parts[0]["lost_ranks"]
+        blocked = {name: what for part in parts for name, what in part["blocked"].items()}
+        if blocked and until is None and not (lost and allow_lost_ranks):
+            raise DeadlockError(blocked)
+        if lost and not allow_lost_ranks:
+            raise MpiError(f"application lost ranks {lost}: every replica failed")
+        if len(parts) == 1:
+            (part,) = parts
+            finish_times, app_results, stats = part["finish_times"], part["app_results"], part["stats"]
+            fabric, stranded = part["fabric"], part["stranded_by_site"]
+        else:
+            finish_times, app_results, stats = (
+                dict(sorted(chain.from_iterable(part[key].items() for part in parts)))
+                for key in ("finish_times", "app_results", "stats")
+            )
+            fabric = _summed([part["fabric"] for part in parts])
+            fabric["frame_high_water"] = max(part["fabric"]["frame_high_water"] for part in parts)
+            stranded = _summed([part["stranded_by_site"] for part in parts])
+        requests = traffic.totals() if traffic is not None else {}
+        return cls(
+            runtime=max(finish_times.values()) if finish_times else max(p["now"] for p in parts),
+            finish_times=finish_times,
+            app_results=app_results,
+            stats=stats,
+            fabric=fabric,
+            events=sum(part["events"] for part in parts),
+            payload_interned=sum(part["payload_interned"] for part in parts),
+            payload_misses=sum(part["payload_misses"] for part in parts),
+            requests_offered=requests.get("requests_offered", 0),
+            requests_admitted=requests.get("requests_admitted", 0),
+            requests_rejected=requests.get("requests_rejected", 0),
+            requests_completed=requests.get("requests_completed", 0),
+            requests_lost=requests.get("requests_lost", 0),
+            lost_ranks=lost,
+            stranded_by_site=stranded,
+        )
+
+
+def _summed(values: List[Any]) -> Any:
+    """Element-wise sum of same-shaped counters: ints, tuples of ints, or
+    dicts of those (keys unioned in first-seen order)."""
+    first = values[0]
+    if isinstance(first, dict):
+        keys = dict.fromkeys(key for value in values for key in value)
+        return {key: _summed([v[key] for v in values if key in v]) for key in keys}
+    if isinstance(first, tuple):
+        return tuple(map(sum, zip(*values)))
+    return sum(values)
 
 
 class Job:
@@ -471,26 +544,15 @@ class Job:
         at the horizon (see :meth:`audit`).
 
         With ``parallel=ParallelConfig(...)`` the run executes across the
-        conservative-window shard pool (:mod:`repro.sim.shard`), merged to
-        the same :class:`JobResult` the serial engine produces —
-        byte-identical fingerprints are the contract, hypothesis-proven.
+        conservative-window shard pool (:mod:`repro.sim.shard`): each
+        shard closes its own processes and the parts merge into the same
+        :class:`JobResult` the serial engine produces — byte-identical
+        fingerprints are the contract, hypothesis-proven.
         """
         if self.parallel is not None:
             from repro.sim.shard import run_parallel
 
             return run_parallel(self, until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
-        return self._run_serial(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
-
-    def _run_serial_fallback(
-        self,
-        until: Optional[float] = None,
-        allow_lost_ranks: bool = False,
-        audit: Optional[bool] = None,
-    ) -> JobResult:
-        """Hazard fallback for sharded mode: start the deferred processes
-        and run on the serial engine (:func:`repro.sim.shard.run_parallel`
-        annotates the result with the fallback reasons)."""
-        self._launch_now()
         return self._run_serial(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
 
     def _run_serial(
@@ -502,6 +564,20 @@ class Job:
         if audit is None:
             audit = until is None
         self.sim.run(until=until)
+        part = self._close(self.protocols, until, allow_lost_ranks, audit)
+        return JobResult.merge([part], until, allow_lost_ranks, self.traffic)
+
+    def _close(self, procs, until: Optional[float], allow_lost_ranks: bool, audit: bool) -> dict:
+        """End the run: its outcome over *procs* as one picklable part for
+        :meth:`JobResult.merge` (a shard worker passes its own processes,
+        which are also the only ones it started).
+
+        The audit runs exactly where the merge will not raise: no process
+        exception, no deadlock, no lost-rank error.  A shard judges that by
+        its own processes — a deadlock elsewhere makes the merge raise
+        before this shard's audit state matters.  The part's exceptions
+        are ``(proc, exception)`` pairs in proc order.
+        """
         # Filter-guard violations surface on *every* exit path — a wedged
         # run (deadlock, lost ranks) is exactly where an unguarded filter
         # stranded something, and crash unwinding already swallowed the
@@ -513,42 +589,35 @@ class Job:
             for proc, p in self.processes.items()
             if p.alive and proc not in self.finish_times
         }
-        for proc, process in self.processes.items():
-            if process.exception is not None:
-                raise process.exception
-        if blocked and until is None:
-            if lost and allow_lost_ranks:
-                pass  # an expected application-fatal failure scenario
-            else:
-                raise DeadlockError(blocked)
-        if lost and not allow_lost_ranks:
-            raise MpiError(f"application lost ranks {lost}: every replica failed")
-        if audit:
-            self.audit()
-        finished = [t for p, t in self.finish_times.items()]
-        requests = self.traffic.totals() if self.traffic is not None else {}
-        return JobResult(
-            runtime=max(finished) if finished else self.sim.now,
-            finish_times=dict(self.finish_times),
-            app_results=dict(self.app_results),
-            stats={p: proto.stats() for p, proto in self.protocols.items()},
-            fabric={
-                "frames": self.fabric.total_frames,
-                "bytes": self.fabric.total_bytes,
-                "by_kind": dict(self.fabric.frames_by_kind),
-                **self.fabric.stats(),
-            },
-            events=self.sim.events_dispatched,
-            payload_interned=self.interner.hits,
-            payload_misses=self.interner.misses,
-            requests_offered=requests.get("requests_offered", 0),
-            requests_admitted=requests.get("requests_admitted", 0),
-            requests_rejected=requests.get("requests_rejected", 0),
-            requests_completed=requests.get("requests_completed", 0),
-            requests_lost=requests.get("requests_lost", 0),
-            lost_ranks=lost,
-            stranded_by_site=self._strand_attribution(),
+        exceptions = [(proc, p.exception) for proc, p in self.processes.items() if p.exception is not None]
+        raises = (
+            exceptions
+            or (blocked and until is None and not (lost and allow_lost_ranks))
+            or (lost and not allow_lost_ranks)
         )
+        if audit and not raises:
+            self.audit()
+        fab = self.fabric
+        return {
+            "exceptions": exceptions,
+            "blocked": blocked,
+            "lost_ranks": lost,
+            "finish_times": dict(self.finish_times),
+            "app_results": dict(self.app_results),
+            "stats": {p: self.protocols[p].stats() for p in procs},
+            "fabric": {
+                "frames": fab.total_frames,
+                "bytes": fab.total_bytes,
+                "by_kind": dict(fab.frames_by_kind),
+                **fab.stats(),
+            },
+            "events": self.sim.events_dispatched,
+            "now": self.sim.now,
+            "payload_interned": self.interner.hits,
+            "payload_misses": self.interner.misses,
+            "stranded_by_site": self._strand_attribution(),
+            "traffic_committed": self.traffic._committed if self.traffic is not None else None,
+        }
 
     def audit(self) -> None:
         """Machine-check the zero-leak contract on this run, whatever state

@@ -47,11 +47,15 @@ so each svc delivery fires exactly once, and the runner counts fired
 crash callbacks so the merged ``events_dispatched`` can subtract the
 ``n_shards - 1`` duplicate dispatches per crash.
 
-Zero-leak accounting crosses the relay: an exported frame leaves its
-shard's custody (``frames_exported``), an imported one enters as a fresh
-acquire (``frames_imported``); each shard's audit proves the extended
-balance and the parent re-derives the global one (exports == imports,
-merged ``acquired - imported`` equals the serial acquire count).
+A sharded run ends the serial way: each worker closes its own processes
+with :meth:`Job._close` and sends that part, and :func:`_merge_results`
+hands the parts to :meth:`JobResult.merge` — the serial run's one builder
+and raise sites — after the checks only shards need.  Zero-leak accounting
+crosses the relay: an exported frame leaves its shard's custody
+(``frames_exported``), an imported one enters as a fresh acquire
+(``frames_imported``); each shard's audit proves the extended balance and
+the parent re-derives the global one (exports == imports, merged
+``acquired - imported`` equals the serial acquire count).
 
 A worker that *dies* (killed, or raising outside the simulation) is
 neither a hazard nor a taint: :class:`~repro.sim.pool.WorkerDied` names
@@ -62,11 +66,11 @@ serial rerun would hide the machinery bug from every equivalence test.
 from __future__ import annotations
 
 import gc
-import itertools
 import multiprocessing as mp
+import pickle
 import traceback
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappush
 from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
@@ -114,17 +118,13 @@ def fingerprint(result) -> dict:
     enforces it).  Memory-policy and machinery counters are excluded, see
     ``_FINGERPRINT_EXCLUDED_FABRIC``.
     """
-    import dataclasses
-
     out: Dict[str, Any] = {}
-    for field in dataclasses.fields(result):
+    for field in fields(result):
         if field.name in ("parallel", "payload_interned", "payload_misses"):
             continue
         value = getattr(result, field.name)
         if field.name == "fabric":
-            value = {
-                k: v for k, v in value.items() if k not in _FINGERPRINT_EXCLUDED_FABRIC
-            }
+            value = {k: v for k, v in value.items() if k not in _FINGERPRINT_EXCLUDED_FABRIC}
         out[field.name] = value
     out["payload_lookups"] = result.payload_interned + result.payload_misses
     return out
@@ -163,10 +163,12 @@ class ShardPlan:
     acks stay off the relay, and every shard holds the leading *and* the
     lagging replica set, so the shards are busy in the same windows.
     Unreplicated jobs host each rank once: the order is node order.
-    ``lookahead`` is the minimum wire latency between any two *populated*
-    nodes — the window width that makes deferral safe — or ``None`` when
-    the job occupies a single node (no inter-node traffic exists to
-    relay, but no safe window exists either: serial).
+    ``lookahead`` is the inter-node wire latency — the homogeneous
+    :class:`~repro.network.topology.Cluster` prices every pair of distinct
+    nodes with one model, so it is the minimum over populated node pairs
+    and the window width that makes deferral safe — or ``None`` when the
+    job occupies a single node (no inter-node traffic exists to relay, but
+    no safe window exists either: serial).
     """
 
     n_shards: int
@@ -211,7 +213,8 @@ class ShardPlan:
         local: List[List[int]] = [[] for _ in range(n_shards)]
         for proc, s in enumerate(shard_of_proc):
             local[s].append(proc)
-        lookahead = _min_inter_node_latency(placement.cluster, nodes)
+        latency = placement.cluster.inter_node.latency
+        lookahead = latency if len(nodes) > 1 and latency > 0.0 else None
         return cls(
             n_shards=n_shards,
             shard_of_proc=shard_of_proc,
@@ -240,24 +243,6 @@ class ShardPlan:
             if sid < last:
                 raise ValueError("node → shard assignment is not contiguous")
             last = sid
-
-
-def _min_inter_node_latency(cluster, nodes: List[int]) -> Optional[float]:
-    """Minimum wire latency over populated inter-node pairs.
-
-    Exhaustive for small node sets; for large ones the sweep covers
-    adjacent pairs only, which is exact for the homogeneous
-    :class:`~repro.network.topology.Cluster` (``model_for`` distinguishes
-    intra vs inter node only, so every inter-node pair shares one model).
-    """
-    if len(nodes) < 2:
-        return None
-    if len(nodes) <= 64:
-        pairs = itertools.combinations(nodes, 2)
-    else:
-        pairs = zip(nodes, nodes[1:])
-    lat = min(cluster.model_for(a, b).latency for a, b in pairs)
-    return lat if lat > 0.0 else None
 
 
 def classify_hazards(job, plan: ShardPlan) -> List[str]:
@@ -370,14 +355,18 @@ def _decode_payload(enc: Optional[tuple]):
 
 
 class _ShardTaint(Exception):
-    """A window whose deferred-frame order the shards cannot reconstruct.
+    """An interleaving the shards cannot replay byte-identically: the run
+    is abandoned and re-executed on the serial engine, the reason recorded
+    — correctness is never traded for the speedup.
 
-    Raised inside a worker's merge when frames from *different* shards hit
-    the same destination node's downlink at the exact same inject time:
-    the serial engine would price them in its global same-timestamp
-    dispatch order, which no shard-local information can recover.  The
-    worker reports it at the barrier and the parent falls back to the
-    serial engine — same contract as :class:`_DrainRace`.
+    A worker's merge raises it when the deferred-frame order cannot be
+    reconstructed (frames from *different* shards hitting one destination
+    node's downlink at the exact same inject time: the serial engine would
+    price them in its global same-timestamp dispatch order, which no
+    shard-local information can recover) and reports it at the barrier.
+    The parent raises it from its checks around the finalize-drain release
+    (a frame wake or crash at/after the global completion time, an
+    ambiguous completion trigger, relay traffic after the release).
     """
 
 
@@ -654,6 +643,9 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
     def _mark_advance(_append=marks.append, _sim=sim):
         _append((_sim._seq, _sim._now))
 
+    def finished_rx() -> int:
+        return sum(fab.endpoints[p].frames_received for p in local_set if p in job.finish_times)
+
     sim.on_advance = _mark_advance
     # Start only this shard's processes, in proc order — the local t=0
     # bucket order is exactly the serial order's projection onto the shard.
@@ -721,107 +713,38 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
             # stale endpoint waiter the serial engine's last finisher does
             # not have.
             job._shard_release_drain(cmd[1])
-            release_rx = sum(
-                fab.endpoints[p].frames_received
-                for p in local_set
-                if p in job.finish_times
-            )
+            release_rx = finished_rx()
             conn.send(("released", sim.peek()))
         elif op == "finish":
             until, audit, allow_lost = cmd[1], cmd[2], cmd[3]
             if held:  # pragma: no cover - parent drains deferrals first
                 raise RuntimeError("finish with unmerged deferred frames")
-            res = _finalize_shard(job, plan, shard_id, until, audit, allow_lost)
-            res["post_release_rx"] = (
-                sum(
-                    fab.endpoints[p].frames_received
-                    for p in local_set
-                    if p in job.finish_times
-                )
-                - release_rx
-                if release_rx is not None
-                else 0
-            )
-            conn.send(("result", res))
+            try:
+                part = job._close(plan.local_procs[shard_id], until, allow_lost, audit)
+                part["exceptions"] = [(proc, _portable(proc, exc)) for proc, exc in part["exceptions"]]
+            except Exception as exc:  # a failed guard check or audit surfaces at the parent
+                part = {"error": (type(exc).__name__, str(exc), traceback.format_exc())}
+            part["crash_fired"] = job._crash_fired
+            part["post_release_rx"] = finished_rx() - release_rx if release_rx is not None else 0
+            conn.send(("result", part))
             return
         else:  # pragma: no cover - protocol error
             raise RuntimeError(f"unknown shard command {op!r}")
 
 
-def _finalize_shard(
-    job, plan: ShardPlan, shard_id: int, until, audit: bool, allow_lost: bool
-) -> dict:
-    """Per-shard teardown: serial ``Job.run`` epilogue projected onto the
-    shard's processes, the balance audit included, returned picklable."""
-    sim = job.sim
-    fab = job.fabric
-    error = None
+def _portable(proc: int, exc: BaseException) -> BaseException:
+    """A process's exception as it can cross the pipe: itself when it
+    survives pickling, else a ``RuntimeError`` naming it (an exception
+    whose ``__init__`` does not take its own ``args`` back, such as
+    ``DeadlockError``, cannot be unpickled)."""
     try:
-        job._check_guard_violations()
-        blocked = {
-            p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
-            for proc, p in job.processes.items()
-            if p.alive and proc not in job.finish_times
-        }
-        exceptions = [
-            (proc, type(p.exception).__name__, str(p.exception))
-            for proc, p in sorted(job.processes.items())
-            if p.exception is not None
-        ]
-        # Mirror the serial epilogue's control flow: the audit runs only
-        # on paths where `Job.run` would reach it (no process exception,
-        # no DeadlockError, no lost-rank MpiError about to be raised).
-        # `blocked` is shard-local here — a remote shard's deadlock makes
-        # the parent raise before it ever reads this shard's audit state.
-        lost = sorted(job.membership.lost_ranks)
-        skip = bool(exceptions)
-        if blocked and until is None and not (lost and allow_lost):
-            skip = True
-        if lost and not allow_lost:
-            skip = True
-        if audit and not skip:
-            job.audit()
-    except BaseException as exc:  # noqa: BLE001 - audit failures must surface
-        error = (type(exc).__name__, str(exc), traceback.format_exc())
-        blocked = {}
-        exceptions = []
-    local_procs = plan.local_procs[shard_id]
-    return {
-        "shard": shard_id,
-        "error": error,
-        "exceptions": exceptions,
-        "blocked": blocked,
-        "lost_ranks": sorted(job.membership.lost_ranks),
-        "finish_times": dict(job.finish_times),
-        "app_results": dict(job.app_results),
-        "stats": {p: job.protocols[p].stats() for p in local_procs},
-        "fabric_stats": fab.stats(),
-        "frames": fab.total_frames,
-        "bytes": fab.total_bytes,
-        "by_kind": dict(fab.frames_by_kind),
-        "events": sim.events_dispatched,
-        "crash_fired": job._crash_fired,
-        "now": sim.now,
-        "interned": (job.interner.hits, job.interner.misses),
-        "traffic_committed": (
-            dict(job.traffic._committed) if job.traffic is not None else None
-        ),
-        "stranded_by_site": job._strand_attribution(),
-    }
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # any pickling failure means "does not cross"
+        return RuntimeError(f"process {proc} died in sharded run: {type(exc).__name__}: {exc}")
+    return exc
 
 
 # ---------------------------------------------------------------- parent side
-
-
-class _DrainRace(Exception):
-    """A drain-loop interleaving the shards cannot replay byte-identically.
-
-    Raised by the parent's taint checks around the finalize-drain release
-    (a frame wake or crash at/after the global completion time, an
-    ambiguous completion trigger, relay traffic after the release).  The
-    run is abandoned and re-executed on the serial engine — correctness
-    is never traded for the speedup.
-    """
 
 
 def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
@@ -829,8 +752,6 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
     byte-equivalent to the serial engine's (or the serial result itself,
     annotated with the fallback reasons, when a hazard forbids sharding).
     """
-    from repro.harness.runner import JobResult  # local: runner imports us
-
     if job._app_factory is None:
         raise RuntimeError("run_parallel before launch()")
     if audit is None:
@@ -852,7 +773,8 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         }
 
     def serial_fallback(reasons: List[str]):
-        result = job._run_serial_fallback(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
+        job._launch_now()  # the processes launch() deferred to the workers
+        result = job._run_serial(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
         result.parallel = meta(1, reasons)
         return result
 
@@ -882,7 +804,7 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         if released and (got_exports or any(held)):
             # The release drains run on empty inboxes and must emit
             # nothing; any relay traffic after it is off-script.
-            raise _DrainRace("relay traffic after drain release")
+            raise _ShardTaint("relay traffic after drain release")
 
     def attempt_release() -> bool:
         """Once every shard reports local completion, establish the global
@@ -913,13 +835,13 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
             # proc parked and wakes — no park to retire, no compensation.
             last_proc, comp = None, 0
         else:
-            raise _DrainRace("ambiguous completion trigger")
+            raise _ShardTaint("ambiguous completion trigger")
         if max_wake is not None and max_wake >= t_done:
             # A parked proc drained a frame at/after the completion time;
             # serially it would have exited the drain loop first.
-            raise _DrainRace("drain wake at/after completion")
+            raise _ShardTaint("drain wake at/after completion")
         if max_crash is not None and max_crash >= t_done:
-            raise _DrainRace("crash at/after completion")
+            raise _ShardTaint("crash at/after completion")
         for sid in range(n_shards):
             pool.send(sid, ("release", last_proc))
         for sid in range(n_shards):
@@ -978,16 +900,12 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
                         break
             for sid in range(n_shards):
                 pool.send(sid, ("finish", until, audit, allow_lost_ranks))
-            shard_results = [_recv(pool, sid, "result")[1] for sid in range(n_shards)]
-            if tie_release and any(res["post_release_rx"] for res in shard_results):
-                raise _DrainRace("post-release delivery under tied completion")
-    except _DrainRace as race:
-        return serial_fallback([f"drain_race: {race}"])
-    return _merge_results(
-        job, plan, shard_results, JobResult, meta(n_shards, []),
-        until=until, allow_lost_ranks=allow_lost_ranks,
-        release_comp=release_comp,
-    )
+            parts = [_recv(pool, sid, "result")[1] for sid in range(n_shards)]
+            if tie_release and any(part["post_release_rx"] for part in parts):
+                raise _ShardTaint("post-release delivery under tied completion")
+    except _ShardTaint as taint:
+        return serial_fallback([f"drain_race: {taint}"])
+    return _merge_results(job, plan, parts, meta(n_shards, []), until, allow_lost_ranks, release_comp)
 
 
 def _recv(pool, sid: int, expected: str, also: Tuple[str, ...] = ()):
@@ -1030,135 +948,51 @@ def _collect_barrier(pool, pending):
         for dst_shard, records in exports.items():
             pending[dst_shard].extend(records)
     if taint is not None:
-        raise _DrainRace(taint)
+        raise _ShardTaint(taint)
     return peeks, held, infos, max_wake, max_crash, got_exports
 
 
-def _merge_results(
-    job, plan, shard_results, JobResult, meta, until, allow_lost_ranks, release_comp=0
-):
-    from repro.mpi.errors import DeadlockError, MpiError
+def _merge_results(job, plan, parts, meta, until, allow_lost_ranks, release_comp=0):
+    """The sharded run's ``JobResult``: the shards' :meth:`Job._close`
+    parts through :meth:`JobResult.merge` — the serial run's builder and
+    raise sites — plus what only a sharded run needs: a failed shard close,
+    crash-replay agreement, relay conservation, the request ledger's
+    commits and the event and acquire double counts."""
+    from repro.harness.runner import JobResult  # local: runner imports us
 
-    for res in shard_results:
-        if res["error"] is not None:
-            name, text, tb = res["error"]
+    for sid, part in enumerate(parts):
+        if "error" in part:
+            name, text, tb = part["error"]
             exc_type = AssertionError if name == "AssertionError" else RuntimeError
-            raise exc_type(f"shard {res['shard']} finalize failed: {name}: {text}\n{tb}")
-    exceptions = sorted(
-        (exc for res in shard_results for exc in res["exceptions"]),
-    )
-    if exceptions:
-        proc, name, text = exceptions[0]
-        raise RuntimeError(f"process {proc} died in sharded run: {name}: {text}")
-    lost = shard_results[0]["lost_ranks"]
-    crash_fired = shard_results[0]["crash_fired"]
-    for res in shard_results[1:]:
+            raise exc_type(f"shard {sid} finalize failed: {name}: {text}\n{tb}")
+    crash_fired = parts[0]["crash_fired"]
+    if any(p["lost_ranks"] != parts[0]["lost_ranks"] or p["crash_fired"] != crash_fired for p in parts):
         # Crash replay is global state every shard must agree on.
-        if res["lost_ranks"] != lost or res["crash_fired"] != crash_fired:
-            raise AssertionError(
-                "shards disagree on crash replay: "
-                f"lost_ranks {[r['lost_ranks'] for r in shard_results]}, "
-                f"crash_fired {[r['crash_fired'] for r in shard_results]}"
-            )
-    blocked: Dict[str, str] = {}
-    for res in shard_results:
-        blocked.update(res["blocked"])
-    if blocked and until is None and not (lost and allow_lost_ranks):
-        raise DeadlockError(blocked)
-    if lost and not allow_lost_ranks:
-        raise MpiError(f"application lost ranks {lost}: every replica failed")
+        raise AssertionError(
+            "shards disagree on crash replay: "
+            f"lost_ranks {[p['lost_ranks'] for p in parts]}, "
+            f"crash_fired {[p['crash_fired'] for p in parts]}"
+        )
+    book = job.traffic
+    if book is not None:
+        for part in parts:
+            for rank, done in part["traffic_committed"].items():
+                book.commit(rank, done)
+    result = JobResult.merge(parts, until, allow_lost_ranks, book)
+    fab = result.fabric
     # Cross-shard relay conservation: what left one shard entered another.
-    fstats = [res["fabric_stats"] for res in shard_results]
-    for frame_key, env_key in (
-        ("frames_exported", "frames_imported"),
-        ("envs_exported", "envs_imported"),
-    ):
-        out = sum(s[frame_key] for s in fstats)
-        back = sum(s[env_key] for s in fstats)
-        if out != back:
-            raise AssertionError(f"relay leak: {frame_key} {out} != {env_key} {back}")
-    merged_fab: Dict[str, Any] = {}
-    sum_keys = (
-        "frames_acquired", "frames_allocated", "frames_released",
-        "frames_stranded", "envs_stranded", "envs_duplicated",
-        "fault_drops", "fault_dups", "fault_delays",
-        "frames_exported", "frames_imported", "envs_exported", "envs_imported",
-        "frame_pool_size", "total_frames", "total_bytes",
-    )
-    for key in sum_keys:
-        merged_fab[key] = sum(s[key] for s in fstats)
+    for out_key, in_key in (("frames_exported", "frames_imported"), ("envs_exported", "envs_imported")):
+        if fab[out_key] != fab[in_key]:
+            raise AssertionError(f"relay leak: {out_key} {fab[out_key]} != {in_key} {fab[in_key]}")
+    if book is not None:
+        book.audit()
     # An imported frame is re-acquired in its destination shard; subtract
     # the double count so the merged figure equals the serial acquire count.
-    merged_fab["frames_acquired"] -= merged_fab["frames_imported"]
-    merged_fab["frame_high_water"] = max(s["frame_high_water"] for s in fstats)
-    sites: Dict[str, List[int]] = {}
-    for s in fstats:
-        for site, (nf, ne) in s["strands_by_site"].items():
-            cell = sites.setdefault(site, [0, 0])
-            cell[0] += nf
-            cell[1] += ne
-    merged_fab["strands_by_site"] = {k: tuple(v) for k, v in sites.items()}
-    by_kind: Dict[str, int] = {}
-    for res in shard_results:
-        for kind, n in res["by_kind"].items():
-            by_kind[kind] = by_kind.get(kind, 0) + n
-    finish_times: Dict[int, float] = {}
-    app_results: Dict[int, Any] = {}
-    stats: Dict[int, dict] = {}
-    for res in shard_results:
-        finish_times.update(res["finish_times"])
-        app_results.update(res["app_results"])
-        stats.update(res["stats"])
-    stats = dict(sorted(stats.items()))
-    finish_times = dict(sorted(finish_times.items()))
-    app_results = dict(sorted(app_results.items()))
+    fab["frames_acquired"] -= fab["frames_imported"]
     # Crash callbacks replay in every shard; each fires once per shard but
     # must count once globally.  `release_comp` subtracts the drain-release
     # wake of the globally last finisher — the one park the serial engine
     # never performs (it flips the all-done flag inside its own finish).
-    events = sum(res["events"] for res in shard_results)
-    events -= (plan.n_shards - 1) * crash_fired
-    events -= release_comp
-    stranded_by_site: Dict[str, Dict[str, int]] = {}
-    for res in shard_results:
-        for site, cell in res["stranded_by_site"].items():
-            entry = stranded_by_site.setdefault(site, {"frames": 0, "envs": 0})
-            entry["frames"] += cell["frames"]
-            entry["envs"] += cell["envs"]
-    requests = {}
-    if job.traffic is not None:
-        book = job.traffic
-        for res in shard_results:
-            committed = res["traffic_committed"] or {}
-            for rank, done in committed.items():
-                book.commit(rank, done)
-        requests = book.totals()
-        book.audit()
-    interned = sum(res["interned"][0] for res in shard_results)
-    misses = sum(res["interned"][1] for res in shard_results)
-    result = JobResult(
-        runtime=max(finish_times.values()) if finish_times else max(
-            res["now"] for res in shard_results
-        ),
-        finish_times=finish_times,
-        app_results=app_results,
-        stats=stats,
-        fabric={
-            "frames": sum(res["frames"] for res in shard_results),
-            "bytes": sum(res["bytes"] for res in shard_results),
-            "by_kind": by_kind,
-            **merged_fab,
-        },
-        events=events,
-        payload_interned=interned,
-        payload_misses=misses,
-        requests_offered=requests.get("requests_offered", 0),
-        requests_admitted=requests.get("requests_admitted", 0),
-        requests_rejected=requests.get("requests_rejected", 0),
-        requests_completed=requests.get("requests_completed", 0),
-        requests_lost=requests.get("requests_lost", 0),
-        lost_ranks=lost,
-        stranded_by_site=stranded_by_site,
-    )
+    result.events -= (plan.n_shards - 1) * crash_fired + release_comp
     result.parallel = meta
     return result

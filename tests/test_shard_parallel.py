@@ -11,7 +11,7 @@ replay the serial interleaving (drain races, tied cross-shard downlink
 contention, hazard features), the run falls back to the serial engine
 with the reasons recorded in ``result.parallel["fallback"]``.
 
-Four layers pinned here:
+Five layers pinned here:
 
 * **fingerprint equivalence** — hypothesis-driven serial-vs-sharded runs
   across all five protocols at degree 2 and 3, plus crash/failover,
@@ -29,7 +29,9 @@ Four layers pinned here:
   detector, replica fan-out) and single-node placements run serially
   with the reason recorded and no worker forked, and the default ``Job``
   path carries no parallel metadata at all; a *killed* worker is not a
-  fallback but a ``WorkerDied`` naming the shard.
+  fallback but a ``WorkerDied`` naming the shard;
+* **error paths** — a deadlock, a lost rank, an audit leak and a process
+  exception raise from a sharded run what they raise serially.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.core.config import ReplicationConfig
 from repro.core.worlds import ReplicaMap
 from repro.harness.campaign import CampaignConfig
 from repro.harness.runner import Job, JobShape, cluster_for
+from repro.mpi.errors import DeadlockError, MpiError, TruncationError
 from repro.network.fabric import CostTable
 from repro.network.model import FaultPlan, LinkFaultWindow
 from repro.network.topology import Cluster, round_robin_placement, split_halves_placement
@@ -756,6 +759,122 @@ def test_killed_shard_worker_raises_worker_died(monkeypatch):
     assert time.monotonic() - t0 < 10
     assert died.value.wid == 1 and died.value.reason == "exit code -9"
     assert mp.active_children() == []
+
+
+# ------------------------------------------------------ sharded error paths
+@pytest.fixture
+def merges(monkeypatch):
+    """Counts the parent's shard merges: a sharded run that reached one
+    truly sharded (a serial fallback never merges)."""
+    from repro.sim import shard
+
+    calls = []
+    merge = shard._merge_results
+
+    def spy(job, plan, *args, **kwargs):
+        calls.append(plan.n_shards)
+        return merge(job, plan, *args, **kwargs)
+
+    monkeypatch.setattr(shard, "_merge_results", spy)
+    return calls
+
+
+def _raised(app, workers=0, crash=(), **run_kwargs):
+    """What a 16-rank SDR job of *app* raises from ``Job.run``."""
+    cfg = ReplicationConfig(degree=2, protocol="sdr")
+    job = Job(
+        16,
+        cfg=cfg,
+        cluster=cluster_for(16, 2),
+        parallel=ParallelConfig(workers=workers) if workers else None,
+    )
+    job.launch(app)
+    for rank, rep, at in crash:
+        job.crash(rank, rep, at=at)
+    with pytest.raises(Exception) as info:
+        job.run(**run_kwargs)
+    return info.value
+
+
+def _ring_then(mpi, tail):
+    total = yield from mpi.allreduce(mpi.rank, op="sum")
+    yield from tail(mpi)
+    return total
+
+
+def _rank0_waits_forever(mpi):
+    if mpi.rank == 0:
+        yield from mpi.recv(source=mpi.size - 1, tag=99)
+
+
+def test_sharded_deadlock_names_the_serial_blocked_set(merges):
+    serial = _raised(lambda mpi: _ring_then(mpi, _rank0_waits_forever))
+    sharded = _raised(lambda mpi: _ring_then(mpi, _rank0_waits_forever), workers=2)
+    assert merges == [2]
+    assert type(sharded) is type(serial) is DeadlockError
+    assert sharded.blocked == serial.blocked == {"p0_0": "frame@0", "p1_0": "frame@16"}
+
+
+LOST_RANK_3 = [(3, 0, 2e-5), (3, 1, 3e-5)]
+
+
+def test_sharded_lost_rank_raises_the_serial_error(merges):
+    """Every replica of rank 3 crashes: past the horizon the survivors are
+    blocked on it, no deadlock — the lost-rank MpiError."""
+    app = lambda mpi: ring_collectives(mpi, iters=3, nbytes=256)  # noqa: E731
+    serial = _raised(app, crash=LOST_RANK_3, until=1e-4)
+    sharded = _raised(app, workers=2, crash=LOST_RANK_3, until=1e-4)
+    assert merges == [2]
+    assert type(sharded) is type(serial) is MpiError
+    assert str(sharded) == str(serial) == "application lost ranks [3]: every replica failed"
+
+
+def test_sharded_lost_rank_allowed_equals_serial():
+    serial = _run("sdr", 16, crash=LOST_RANK_3, iters=3, nbytes=256)
+    parallel = _run("sdr", 16, workers=2, crash=LOST_RANK_3, iters=3, nbytes=256)
+    assert parallel.parallel["fallback"] == [] and parallel.lost_ranks == [3]
+    assert fingerprint(parallel) == fingerprint(serial)
+
+
+def test_sharded_audit_leak_surfaces_as_assertion(monkeypatch, merges):
+    def leak(job):
+        raise AssertionError("frame arena leak: 1 acquired vs 0 released (planted)")
+
+    monkeypatch.setattr(Job, "_assert_arenas_balanced", leak)
+    app = lambda mpi: ring_collectives(mpi, iters=1, nbytes=256)  # noqa: E731
+    serial = _raised(app)
+    sharded = _raised(app, workers=2)
+    assert merges == [2]
+    assert type(sharded) is type(serial) is AssertionError
+    assert str(serial) in str(sharded)
+
+
+def _rank5_raises(exc_type, *args):
+    def tail(mpi):
+        if mpi.rank == 5:
+            raise exc_type(*args)
+        yield 1e-6
+
+    return lambda mpi: _ring_then(mpi, tail)
+
+
+def test_sharded_process_exception_keeps_its_type(merges):
+    app = _rank5_raises(TruncationError, "message of 64 bytes truncated to 8")
+    serial = _raised(app)
+    sharded = _raised(app, workers=2)
+    assert merges == [2]
+    assert type(sharded) is type(serial) is TruncationError
+    assert str(sharded) == str(serial)
+
+
+def test_sharded_process_exception_that_cannot_cross_is_named(merges):
+    """``DeadlockError(blocked)`` cannot be unpickled from its message."""
+    app = _rank5_raises(DeadlockError, {"p5": "planted"})
+    assert type(_raised(app)) is DeadlockError
+    sharded = _raised(app, workers=2)
+    assert merges == [2]
+    assert type(sharded) is RuntimeError
+    assert str(sharded).startswith("process 5 died in sharded run: DeadlockError: deadlock:")
 
 
 def test_fingerprint_excludes_memory_policy_counters():

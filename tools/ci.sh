@@ -112,6 +112,12 @@ print_stage_summary() {
     # The number ROADMAP asks every PR to justify (net lines added to src/
     # need a reason; net lines removed do not).
     echo "src/ line count: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"
+    # ROADMAP's sharding success line is shard.py <= 1,000 lines.
+    echo "src/repro/sim/shard.py line count: $(wc -l < src/repro/sim/shard.py)"
+    # Serial and sharded runs end through one builder, JobResult.merge: no
+    # second place may construct a result (and grow its own raise sites).
+    echo "JobResult construction outside harness/runner.py (must be empty):"
+    grep -rn "JobResult(" src/ --exclude=runner.py || true
     # The free lists are plain pools bounded by POOL_CAP: no arena trimmer,
     # windowed high-water or unread memory counter may creep back into src/.
     echo "memory-policy residue in src/ (must be empty):"

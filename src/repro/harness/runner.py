@@ -17,6 +17,7 @@ turns the parts into the result — or raises the run's error.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Callable, Dict, List, Optional
@@ -338,6 +339,7 @@ class Job:
         #: crash callbacks fired (sharded mode replays every crash in every
         #: shard; the merge subtracts the duplicate event dispatches)
         self._crash_fired = 0
+        self._ran = False
         # Partial replication: replicas of unreplicated ranks simply do not
         # exist.  Mark their slots dead *before* protocols initialize, then
         # replay Algorithm 1's failure handling synchronously so replica-0
@@ -367,6 +369,8 @@ class Job:
         old_pml = self.pmls.get(proc)
         if old_pml is not None:
             self._retired_stacks.append((old_pml, self.protocols[proc]))
+            # The replaced API object dies with its crashed process.
+            self.mpis[proc].world.api = None
         pml = Pml(self.sim, self.fabric, proc, self.interner)
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
@@ -397,31 +401,33 @@ class Job:
         rank, rep = self.rmap.pair(proc)
         name = f"p{rep}_{rank}" if self.cfg.degree > 1 else f"p{rank}"
 
-        def body(gen=gen, proc=proc):
+        # A weak proxy: a process left suspended must not hold the job in a
+        # cycle.  The body only runs inside run(), whose caller holds the job.
+        def body(gen=gen, proc=proc, job=weakref.proxy(self)):
             result = yield from gen
-            if proc not in self.finish_times and not self.processes[proc].crashed:
-                self._unfinished -= 1
-            self.finish_times[proc] = self.sim.now
-            self.app_results[proc] = result
-            self._maybe_all_done()
+            if proc not in job.finish_times and not job.processes[proc].crashed:
+                job._unfinished -= 1
+            job.finish_times[proc] = job.sim.now
+            job.app_results[proc] = result
+            job._maybe_all_done()
             # MPI_Finalize semantics: keep progressing protocol traffic
             # (acks, duplicate rendezvous handshakes, ...) until every live
             # process has finished its application code.  Without this, a
             # peer's late cross-replica transfer could wedge forever.
-            pml = self.pmls[proc]
-            while not self._app_all_done:
-                done_ev = Event(self.sim, label=f"finalize({proc})")
-                self._drain_waiters.append(done_ev)
+            pml = job.pmls[proc]
+            while not job._app_all_done:
+                done_ev = Event(job.sim, label=f"finalize({proc})")
+                job._drain_waiters.append(done_ev)
                 frame_ev = pml.endpoint.wait_for_frame()
-                if self._shard_mode:
-                    self._drain_frame_waits[proc] = frame_ev
-                yield AnyOf(self.sim, [done_ev, frame_ev])
-                if self._shard_mode:
-                    self._drain_frame_waits.pop(proc, None)
+                if job._shard_mode:
+                    job._drain_frame_waits[proc] = frame_ev
+                yield AnyOf(job.sim, [done_ev, frame_ev])
+                if job._shard_mode:
+                    job._drain_frame_waits.pop(proc, None)
                     if not done_ev.triggered:
                         # Frame wake, not the release: the parent compares
                         # these times against the global completion time.
-                        self._drain_wakes.append(self.sim.now)
+                        job._drain_wakes.append(job.sim.now)
                 yield from pml.drain()
             return result
 
@@ -548,12 +554,37 @@ class Job:
         shard closes its own processes and the parts merge into the same
         :class:`JobResult` the serial engine produces — byte-identical
         fingerprints are the contract, hypothesis-proven.
-        """
-        if self.parallel is not None:
-            from repro.sim.shard import run_parallel
 
-            return run_parallel(self, until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
-        return self._run_serial(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
+        A job runs once.  However the run ends, it then unlinks its dispatch
+        plumbing (:meth:`_unlink`), so a dropped job frees by reference
+        counting instead of waiting for a full collection.
+        """
+        if self._ran:
+            raise RuntimeError(f"Job({self.n_ranks} ranks, protocol {self.cfg.protocol!r}) has already run")
+        self._ran = True
+        try:
+            if self.parallel is not None:
+                from repro.sim.shard import run_parallel
+
+                return run_parallel(self, until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
+            return self._run_serial(until=until, allow_lost_ranks=allow_lost_ranks, audit=audit)
+        finally:
+            self._unlink()
+
+    def _unlink(self) -> None:
+        """Break the cycles a finished run leaves (protocol tables, world
+        communicators, crash listeners, recovery hooks, suspended processes'
+        waits); what post-run readers use stays, :meth:`audit` included."""
+        for process in self.processes.values():
+            if process.alive:
+                process._release_wait()
+        for pml, proto in chain(zip(self.pmls.values(), self.protocols.values()), self._retired_stacks):
+            pml._unlink()
+            if getattr(proto, "recovery_hook", None) is not None:
+                proto.recovery_hook = None
+        for mpi in self.mpis.values():
+            mpi.world.api = None
+        self.fabric._unlink()
 
     def _run_serial(
         self,
@@ -644,6 +675,10 @@ class Job:
         for ev in pending:
             if type(ev) is Frame and ev.fabric is not None:
                 fab.strand_frame(ev, "in_flight")
+        # Nothing queued may run any more; pending closures hold the job.
+        sim._queue.clear()
+        sim._cohorts.clear()
+        sim._bucket.clear()
 
     def _check_guard_violations(self) -> None:
         """Re-raise any ownership violations the runtime guard recorded —

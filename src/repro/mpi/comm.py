@@ -106,6 +106,8 @@ class Communicator:
         members: Sequence[int],
         rank_map: Optional[Mapping[int, int]] = None,
     ) -> None:
+        #: the owning API object; a finished job cuts the world
+        #: communicator's link, a cycle otherwise (``Job._unlink``)
         self.api = api
         self.ctx = tuple(ctx)
         #: ``tuple(t)`` returns *t* itself, so a shared members tuple (see

@@ -1217,3 +1217,13 @@ class Pml:
             reaped += 1
         ledger.clear()
         return reaped
+
+    def _unlink(self) -> None:
+        """End of run: empty the protocol's dispatch tables.  Their entries
+        are the protocol's bound methods, and the protocol holds this PML."""
+        self.ctrl_handlers.clear()
+        self.svc_handlers.clear()
+        self._incoming_filter = None
+        for hooks in (self.on_match, self.on_recv_complete):
+            hooks.clear()
+            hooks._pml = None

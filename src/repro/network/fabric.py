@@ -425,6 +425,13 @@ class Fabric:
     def endpoint(self, proc: int) -> Endpoint:
         return self.endpoints[proc]
 
+    def _unlink(self) -> None:
+        """End of run: drop the crash listeners (bound to services that
+        hold this fabric) and every process still parked on an endpoint."""
+        self.on_crash.clear()
+        for ep in self.endpoints:
+            ep._pwaiter = None
+
     def model_for(self, src: int, dst: int):
         node_of = self._node_of
         return self.cost_table.model(node_of[src], node_of[dst])

@@ -295,8 +295,12 @@ class Process:
         self.value = value
         self.exception = exception
         self._gen.close()
-        if self.on_exit is not None:
-            self.on_exit(self)
+        on_exit = self.on_exit
+        # A finished process needs neither its wake-up callback (a bound
+        # method: a reference cycle through itself) nor its exit callback.
+        self._waiting_on = self._resume_cb = self.on_exit = None
+        if on_exit is not None:
+            on_exit(self)
         if exception is not None:
             # Fail the join event so waiters see the error; if nobody joins,
             # surface it loudly instead of dying silently.
@@ -306,31 +310,15 @@ class Process:
 
     # ------------------------------------------------------------ interface
     def crash(self) -> None:
-        """Fail-stop this process immediately (idempotent)."""
+        """Fail-stop this process immediately (idempotent).  What it waited
+        on stays: ``_resume`` and ``fire`` ignore a dead process."""
         if not self.alive:
             return
-        if self._waiting_on is not None and not self._waiting_on.triggered:
-            # Detach: deliver the crash via a dedicated event so we do not
-            # mutate the event the process was waiting on.
-            waiting = self._waiting_on
-            self._waiting_on = None
-            try:
-                self._gen.throw(ProcessCrashed())
-            except (StopIteration, ProcessCrashed):
-                pass
-            except BaseException:  # noqa: BLE001 - crash wins over cleanup errors
-                pass
-            self._finish(crashed=True)
-        else:
-            # Process is on the run queue (event triggered but not fired):
-            # mark dead; _resume guards on self.alive.
-            try:
-                self._gen.throw(ProcessCrashed())
-            except (StopIteration, ProcessCrashed):
-                pass
-            except BaseException:  # noqa: BLE001
-                pass
-            self._finish(crashed=True)
+        try:
+            self._gen.throw(ProcessCrashed())
+        except BaseException:  # noqa: BLE001 - crash wins over cleanup errors
+            pass
+        self._finish(crashed=True)
 
     def abandon(self) -> None:
         """Tear down a process that will never run again (idempotent).
@@ -346,8 +334,18 @@ class Process:
         if not self.alive:
             return
         self.alive = False
-        self._waiting_on = None
+        self._waiting_on = self._resume_cb = self.on_exit = None
         self._gen.close()
+
+    def _release_wait(self) -> None:
+        """Forget the wait of a process whose run is over, leaving it
+        suspended: the event it waits on stops pointing back at it, and a
+        later :meth:`abandon` can still close it."""
+        waiting, resume = self._waiting_on, self._resume_cb
+        callbacks = getattr(waiting, "callbacks", None)
+        if callbacks and resume in callbacks:
+            callbacks.remove(resume)
+        self._waiting_on = self._resume_cb = self.on_exit = None
 
     def join(self) -> Event:
         """Event that fires when this process terminates."""

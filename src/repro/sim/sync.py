@@ -189,7 +189,8 @@ class AllOf(Event):
     """Succeeds when every child event has succeeded.
 
     Value is the list of child values in construction order.  Fails fast if
-    any child fails.
+    any child fails.  The children are released once the outcome is
+    decided, so a composite and its children hold no reference cycle.
     """
 
     __slots__ = ("_children", "_remaining")
@@ -208,24 +209,30 @@ class AllOf(Event):
         if self.triggered:
             return
         if not ev.ok:
+            self._children = None
             self.fail(ev.value)
             return
         self._remaining -= 1
         if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
+            children, self._children = self._children, None
+            self.succeed([c.value for c in children])
 
 
 class AnyOf(Event):
-    """Succeeds when the first child succeeds; value is ``(index, value)``."""
+    """Succeeds when the first child succeeds; value is ``(index, value)``.
 
-    __slots__ = ("_children",)
+    Only the children point at the composite (through their callbacks),
+    never the reverse: a child that never fires cannot keep a cycle alive.
+    """
+
+    __slots__ = ()
 
     def __init__(self, sim: Simulator, events: Iterable[Event]) -> None:
         super().__init__(sim, label="any_of")
-        self._children = list(events)
-        if not self._children:
+        children = list(events)
+        if not children:
             raise SimulationError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._children):
+        for idx, ev in enumerate(children):
             ev.add_callback(lambda e, i=idx: self._on_child(i, e))
 
     def _on_child(self, idx: int, ev: Event) -> None:

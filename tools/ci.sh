@@ -144,6 +144,26 @@ else:
     print(f"sdr-collectives-1024@w4 speedup_vs_serial: {row['speedup_vs_serial']}x "
           f"on {row['parallel']['host_cores']} host cores (BENCH_engine.json)")
 PY
+    # A finished job frees by reference counting alone (docs/performance.md,
+    # "Memory footprint & shared state"): no reference cycle outlives a run.
+    python - <<'PY' || true
+import gc
+from repro import Job, ReplicationConfig, cluster_for
+from repro.scenarios import ring_collectives
+left = {}
+for protocol in ("native", "sdr", "mirror", "leader", "redmpi"):
+    degree = 1 if protocol == "native" else 2
+    cfg = ReplicationConfig(degree=degree, protocol=protocol)
+    gc.collect()
+    gc.disable()
+    Job(8, cfg=cfg, cluster=cluster_for(8, degree)).launch(ring_collectives, iters=2, nbytes=256).run()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    left[protocol] = gc.collect()
+    gc.set_debug(0)
+    gc.garbage.clear()
+    gc.enable()
+print(f"cyclic garbage left by a finished job, 5 protocols (must be 0): {sum(left.values())} {left}")
+PY
     # Handles are passive (PR 19): nothing in src/ may drive one from a wait
     # loop again, or keep a second loop for handles that want driving.
     echo "active-handle residue in src/ (must be empty):"

@@ -7,14 +7,18 @@
 
 Builds the ``ring_collectives(iters=2, nbytes=4096)`` job of ``coll-1k`` /
 ``bench.py --tier scale`` under ``tracemalloc`` and prints bytes per physical
-process after construction, after ``launch()`` and after ``run()`` — in
-total and for the *--top* ``file:line`` sites still holding the most at
-the end.  A site whose run column grows with ``--ranks`` is a table that
-grows with the peer count (docs/performance.md, "Node-pair pricing").
+process after construction, after ``launch()``, after ``run()`` and after
+``del job, res`` with the collector off — in total and for the *--top*
+``file:line`` sites holding the most after the run.  A site whose run
+column grows with ``--ranks`` is a table that grows with the peer count
+(docs/performance.md, "Node-pair pricing").  The "after drop" column is
+what reference counting alone leaves held: a finished job frees without
+a collection, so only the interpreter's own free lists remain there.
 Tracing slows the run ~4x; the numbers are bytes, not timings.
 """
 
 import argparse
+import gc
 import os
 import sys
 import tracemalloc
@@ -42,14 +46,18 @@ def main() -> None:
     phases.append(("launch", tracemalloc.take_snapshot()))
     res = job.run()
     phases.append(("run", tracemalloc.take_snapshot()))
+    n_procs, events = job.rmap.n_procs, res.events
+    gc.disable()
+    del job, res
+    phases.append(("after drop", tracemalloc.take_snapshot()))
+    gc.enable()
     tracemalloc.stop()
-    n_procs = job.rmap.n_procs
     by_site = [{(s.traceback[0].filename, s.traceback[0].lineno): s.size for s in snap.statistics("lineno")}
                for _, snap in phases]  # fmt: skip
-    print(f"{args.protocol} r={degree}, {args.ranks} ranks / {n_procs} procs, {res.events} events: B/proc")
+    print(f"{args.protocol} r={degree}, {args.ranks} ranks / {n_procs} procs, {events} events: B/proc")
     print(f"{'site':<44}" + "".join(f"{name:>11}" for name, _ in phases))
     print(f"{'TOTAL':<44}" + "".join(f"{sum(sites.values()) / n_procs:>11.0f}" for sites in by_site))
-    for site in sorted(by_site[-1], key=by_site[-1].get, reverse=True)[: args.top]:
+    for site in sorted(by_site[2], key=by_site[2].get, reverse=True)[: args.top]:
         label = f"{os.path.relpath(site[0], ROOT) if site[0].startswith(ROOT) else site[0]}:{site[1]}"
         print(f"{label[-43:]:<44}" + "".join(f"{sites.get(site, 0) / n_procs:>11.1f}" for sites in by_site))
 

@@ -22,7 +22,7 @@ Quickstart::
 
 from repro.core.config import ReplicationConfig
 from repro.core.recovery import RecoveryManager
-from repro.harness.faults import CrashSchedule
+from repro.harness.faults import FaultSchedule
 from repro.harness.runner import Job, JobResult, cluster_for
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 from repro.network.topology import Cluster
@@ -34,7 +34,7 @@ __all__ = [
     "ANY_SOURCE",
     "ANY_TAG",
     "Cluster",
-    "CrashSchedule",
+    "FaultSchedule",
     "Job",
     "JobResult",
     "RecoveryManager",

@@ -1,6 +1,6 @@
 """Experiment harness: job launcher, fault schedules, metrics, reports."""
 
 from repro.harness.runner import Job, JobResult, cluster_for
-from repro.harness.faults import CrashSchedule, CrashSpec
+from repro.harness.faults import CrashSpec, FaultSchedule
 
-__all__ = ["CrashSchedule", "CrashSpec", "Job", "JobResult", "cluster_for"]
+__all__ = ["CrashSpec", "FaultSchedule", "Job", "JobResult", "cluster_for"]

@@ -1,9 +1,10 @@
 """Seeded fault campaigns with a machine-audited degradation taxonomy.
 
-A campaign runs every protocol through N seeded fault mixes — crashes,
+:func:`run_case` runs one protocol through one seeded fault mix — crashes,
 rolling churn, false suspicions through the imperfect detector, and
 network-level drop/duplication/delay/partition windows — under live
-traffic, and classifies each run:
+traffic, and classifies the run (:func:`repro.harness.sweep.run_sweep`
+runs the matrix of them; ``sdr-mpi campaign`` is its preset):
 
 ``completed``
     every rank finished with the correct result and no fault left a
@@ -23,8 +24,8 @@ traffic, and classifies each run:
 Whatever the outcome, every run is **audited**: the zero-leak arena
 balance (``acquired == released + stranded``) must hold, and the
 per-site strand attribution must sum back to the scalar counters.  An
-audit failure is an invariant violation — recorded on the run and fatal
-to the campaign — never folded into the degradation taxonomy.
+audit failure is an invariant violation — recorded on the run and a
+nonzero exit of the sweep — never folded into the degradation taxonomy.
 
 Determinism: the fault mix is derived from the campaign seed alone
 (:class:`repro.sim.rng.RngRegistry` streams), and the same seed drives
@@ -44,13 +45,12 @@ result).  See ``docs/fault_model.md``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import ReplicationConfig
 from repro.core.membership import DetectorConfig
 from repro.harness.faults import FaultSchedule
-from repro.harness.report import render_table
 from repro.harness.runner import Job, JobShape, cluster_for
 from repro.network.model import FaultPlan, LinkFaultWindow, PartitionWindow
 from repro.scenarios import get_scenario
@@ -58,20 +58,15 @@ from repro.sim.rng import RngRegistry
 
 __all__ = [
     "OUTCOMES",
-    "DEFAULT_PROTOCOLS",
     "CampaignConfig",
     "RunRecord",
     "RunMemo",
-    "CampaignResult",
     "sample_faults",
     "run_case",
-    "run_campaign",
 ]
 
 #: exhaustive degradation taxonomy — every run maps to exactly one
 OUTCOMES: Tuple[str, ...] = ("completed", "degraded", "failed", "deadlocked")
-
-DEFAULT_PROTOCOLS: Tuple[str, ...] = ("native", "sdr", "mirror", "leader", "redmpi")
 
 
 @dataclass(frozen=True)
@@ -433,92 +428,3 @@ def run_case(
     if blind and error is None and invariant_error is None and job.rng.untouched():
         memo.runs[key] = rec
     return rec
-
-
-# -------------------------------------------------------------- campaigns
-@dataclass
-class CampaignResult:
-    """All records of one campaign plus the roll-ups reports consume."""
-
-    records: List[RunRecord] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[RunRecord]:
-        return [r for r in self.records if r.invariant_error]
-
-    def outcome_counts(self) -> Dict[str, Dict[str, int]]:
-        """{protocol: {outcome: count}} with every taxonomy bucket present."""
-        counts: Dict[str, Dict[str, int]] = {}
-        for rec in self.records:
-            row = counts.setdefault(rec.protocol, {o: 0 for o in OUTCOMES})
-            row[rec.outcome] += 1
-        return counts
-
-    def impact(self) -> Dict[str, Dict[str, float]]:
-        """Per-protocol fault-impact totals across the campaign."""
-        keys = (
-            "crashes", "false_suspicions", "fault_drops", "fault_dups",
-            "fault_delays", "duplicates_dropped", "resends",
-            "speculative_failovers", "stranded_frames", "stranded_envs",
-        )
-        out: Dict[str, Dict[str, float]] = {}
-        for rec in self.records:
-            row = out.setdefault(rec.protocol, {k: 0 for k in keys})
-            for k in keys:
-                row[k] += rec.metrics[k]
-        return out
-
-    def table(self, title: str = "Fault campaign") -> str:
-        counts = self.outcome_counts()
-        impact = self.impact()
-        header = ["protocol", "runs", *OUTCOMES, "violations", "dedup", "resends", "stranded"]
-        rows = []
-        for proto, row in counts.items():
-            imp = impact[proto]
-            rows.append(
-                [
-                    proto,
-                    sum(row.values()),
-                    *(row[o] for o in OUTCOMES),
-                    sum(1 for r in self.violations if r.protocol == proto),
-                    int(imp["duplicates_dropped"]),
-                    int(imp["resends"]),
-                    int(imp["stranded_envs"]),
-                ]
-            )
-        return render_table(title, header, rows)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "protocol": r.protocol,
-                    "seed": r.seed,
-                    "outcome": r.outcome,
-                    "mix": {k: v for k, v in r.mix.items()},
-                    "metrics": r.metrics,
-                    "stranded_by_site": r.stranded_by_site,
-                    "error": r.error,
-                    "invariant_error": r.invariant_error,
-                    "fingerprint": r.fingerprint,
-                }
-                for r in self.records
-            ],
-            sort_keys=True,
-            indent=2,
-            default=str,
-        )
-
-
-def run_campaign(
-    protocols: Sequence[str] = DEFAULT_PROTOCOLS,
-    seeds: Sequence[int] = range(5),
-    cfg: Optional[CampaignConfig] = None,
-) -> CampaignResult:
-    """N seeded fault mixes × every protocol, each run audited."""
-    cfg = cfg or CampaignConfig()
-    result = CampaignResult()
-    for protocol in protocols:
-        for seed in seeds:
-            result.records.append(run_case(protocol, seed, cfg))
-    return result

@@ -7,7 +7,7 @@ Examples::
     sdr-mpi table1 --app CG          # one row
     sdr-mpi table2                   # HPCCG + CM1
     sdr-mpi determinism --app hpccg  # send-determinism check
-    sdr-mpi campaign --seeds 10      # seeded fault campaign, all protocols
+    sdr-mpi campaign --seeds 10      # seeded fault campaign: the sweep preset
     REPRO_SCALE=paper sdr-mpi table1 # the paper's exact configuration
 
 (Also runnable as ``python -m repro <command>``.)
@@ -16,6 +16,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -112,43 +113,21 @@ def _cmd_determinism(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from repro.harness.campaign import DEFAULT_PROTOCOLS, run_campaign
+    from repro.core.config import PROTOCOLS
 
-    if args.seeds < 1:
-        print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
-    protocols = tuple(args.protocols) if args.protocols else DEFAULT_PROTOCOLS
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    result = run_campaign(protocols=protocols, seeds=seeds)
-    print(result.table(
-        f"Fault campaign — {len(seeds)} seeded mixes x {len(protocols)} protocols "
-        f"(seeds {seeds.start}..{seeds.stop - 1})"
-    ))
-    if args.json:
-        from repro.harness.store import atomic_write_text
-
-        atomic_write_text(args.json, result.to_json())
-        print(f"\nwrote {len(result.records)} run records to {args.json}", file=sys.stderr)
-    violations = result.violations
-    for rec in violations:
-        print(
-            f"INVARIANT VIOLATION: {rec.protocol} seed {rec.seed}: {rec.invariant_error}",
-            file=sys.stderr,
-        )
-    return 1 if violations else 0
+    protocols = tuple(args.protocols) if args.protocols else PROTOCOLS
+    return _run_matrix(
+        args, {"protocols": protocols},
+        f"Fault campaign — {args.seeds} seeded mixes x {len(protocols)} protocols "
+        f"(seeds {args.seed_base}..{args.seed_base + args.seeds - 1})",
+    )
 
 
 def _cmd_sweep(args) -> int:
-    from repro.harness.store import StoreError, SweepStore
-    from repro.harness.sweep import (
-        SweepError,
-        SweepSpec,
-        render_sweep_report,
-        run_sweep,
-        verify_sample,
-    )
-
     if args.report:
+        from repro.harness.store import StoreError, SweepStore
+        from repro.harness.sweep import render_sweep_report
+
         if not args.store:
             print("--report requires --store BASE", file=sys.stderr)
             return 2
@@ -161,18 +140,35 @@ def _cmd_sweep(args) -> int:
             return 2
         return 0
 
-    if args.seeds < 1:
-        print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
-    kwargs = {"seeds": tuple(range(args.seed_base, args.seed_base + args.seeds)),
-              "steps": args.steps}
+    axes = {"steps": args.steps}
     for axis in ("protocols", "degrees", "ranks", "workloads", "mixes",
                  "detectors", "intensities"):
         values = getattr(args, axis)
         if values:
-            kwargs[axis] = tuple(values)
+            axes[axis] = tuple(values)
+    return _run_matrix(args, axes, "Sweep")
+
+
+def _run_matrix(args, axes, title: str) -> int:
+    """Run the sweep matrix *axes* x the ``--seeds`` range and report it
+    under *title*: 2 on a bad matrix or store, 1 on an invariant violation,
+    a lost worker or a verify mismatch, else 0."""
+    from repro.harness.store import StoreError, atomic_write_text
+    from repro.harness.sweep import (
+        SweepError,
+        SweepSpec,
+        render_sweep_report,
+        run_sweep,
+        verify_sample,
+    )
+
+    if args.seeds < 1:
+        print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
+        return 2
     try:
-        spec = SweepSpec(**kwargs).validate()
+        spec = SweepSpec(
+            seeds=range(args.seed_base, args.seed_base + args.seeds), **axes
+        ).validate()
     except SweepError as exc:
         print(f"invalid sweep matrix: {exc}", file=sys.stderr)
         return 2
@@ -186,7 +182,12 @@ def _cmd_sweep(args) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 2
 
-    print(render_sweep_report(result.records, result.summary(), title="Sweep"))
+    print(render_sweep_report(result.records, result.summary(), title=title))
+    if args.json:
+        atomic_write_text(
+            args.json, json.dumps(result.records, sort_keys=True, indent=2, default=str)
+        )
+        print(f"\nwrote {len(result.records)} run records to {args.json}", file=sys.stderr)
     rc = 0
     for rec in result.violations:
         print(
@@ -248,8 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument("--seeds", type=int, default=5, help="number of seeded fault mixes")
     p.add_argument("--seed-base", type=int, default=0, help="first campaign seed")
-    p.add_argument("--json", metavar="PATH", help="write per-run records as JSON")
-    p.set_defaults(fn=_cmd_campaign)
+    p.add_argument("--json", metavar="PATH", help="write the sweep records as JSON")
+    # the sweep at its default axes: serial, no store, no verify sample
+    p.set_defaults(fn=_cmd_campaign, workers=1, store=None, overwrite=False, verify=0)
 
     p = sub.add_parser(
         "sweep", help="config-matrix sweep across a multiprocessing worker pool"
@@ -293,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--report", action="store_true",
         help="render tables from an existing --store instead of running",
     )
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, json=None)
 
     p = sub.add_parser("determinism", help="send-determinism check (Definition 1)")
     p.add_argument("--app", default="hpccg")

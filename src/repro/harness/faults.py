@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CrashSpec",
-    "CrashSchedule",
     "NodeCrashSpec",
     "RespawnSpec",
     "SuspicionSpec",
@@ -86,42 +85,6 @@ class SuspicionSpec:
     rep: int
     at: float
     clear_after: Optional[float] = None
-
-
-@dataclass
-class CrashSchedule:
-    """An ordered set of crashes applied to a job before running it."""
-
-    crashes: List[CrashSpec] = field(default_factory=list)
-
-    def add(self, rank: int, rep: int, at: float) -> "CrashSchedule":
-        self.crashes.append(CrashSpec(rank, rep, at))
-        return self
-
-    def validate(self, horizon: Optional[float] = None) -> "CrashSchedule":
-        """Reject schedules that cannot mean anything sensible: duplicate
-        crashes of one ``(rank, rep)``, negative times, times at or past
-        the campaign horizon."""
-        seen = set()
-        for spec in self.crashes:
-            _check_time(spec.at, horizon, f"crash of ({spec.rank}, {spec.rep})")
-            key = (spec.rank, spec.rep)
-            if key in seen:
-                raise FaultScheduleError(
-                    f"duplicate crash of (rank={spec.rank}, rep={spec.rep}): "
-                    "a fail-stop process dies exactly once"
-                )
-            seen.add(key)
-        return self
-
-    def apply(self, job: "Job") -> "Job":
-        self.validate()
-        for spec in self.crashes:
-            job.crash(spec.rank, spec.rep, at=spec.at)
-        return job
-
-    def __len__(self) -> int:
-        return len(self.crashes)
 
 
 def _check_time(at: float, horizon: Optional[float], what: str) -> None:

@@ -1,9 +1,10 @@
 """Sweep orchestrator: from one Job to thousands of audited configurations.
 
-The campaign runner (PR 6) answers one matrix — N seeds × the five
-protocols at a fixed shape.  A *sweep* generalizes it into the
-capacity-planning service the ROADMAP names: a validated config matrix
-over every axis the paper's claims compare —
+The one runner of audited fault experiments: every config runs through
+:func:`~repro.harness.campaign.run_case`, and ``sdr-mpi campaign`` is the
+matrix at its default axes (N seeds × the five protocols at a fixed
+shape).  A *sweep* is a validated config matrix over every axis the
+paper's claims compare —
 
 ====================  =====================================================
 axis                  values

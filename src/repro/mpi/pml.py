@@ -64,6 +64,7 @@ sites (see :mod:`repro.network.fabric`).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -111,22 +112,15 @@ class Envelope:
     :meth:`retain`/:meth:`copy` to hold a message past the handler.
     """
 
-    __slots__ = (
-        "kind",
-        "ctx",
-        "src_rank",
-        "tag",
-        "world_src",
-        "world_dst",
-        "seq",
-        "nbytes",
-        "data",
-        "src_phys",
-        "dst_phys",
-        "msg_id",
-        "ctrl_key",
-        "_refs",
-    )
+    #: the constructor's arguments in order: an envelope's wire values
+    _FIELDS = (
+        "kind", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
+        "nbytes", "data", "src_phys", "dst_phys", "msg_id", "ctrl_key",
+    )  # fmt: skip
+    __slots__ = _FIELDS + ("_refs",)
+    #: ``Envelope(*Envelope.wire_values(env))`` mints a fresh envelope equal
+    #: to *env* — link duplication and the shard relay build one this way
+    wire_values = attrgetter(*_FIELDS)
 
     def __init__(
         self,
@@ -448,9 +442,6 @@ class Pml:
     def _next_msg_id(self) -> int:
         self._msg_id += 1
         return self._msg_id
-
-    def model_to(self, dst_phys: int):
-        return self.fabric.model_for(self.proc, dst_phys)
 
     def _send_cost_to(self, dst: int) -> Tuple[float, int]:
         """Row-fill slow path: price *dst* and publish it for every sharer."""

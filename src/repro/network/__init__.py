@@ -11,7 +11,6 @@ substitute resends).
 from repro.network.model import (
     InfiniBand20G,
     LinearCostModel,
-    LogGPModel,
     NetworkCostModel,
     SharedMemoryModel,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Frame",
     "InfiniBand20G",
     "LinearCostModel",
-    "LogGPModel",
     "NetworkCostModel",
     "Placement",
     "SharedMemoryModel",

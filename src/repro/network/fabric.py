@@ -100,10 +100,6 @@ class CostTable:
             model = row[dst_node] = self.placement.cluster.model_for(src_node, dst_node)
         return model
 
-    def model_for(self, src: int, dst: int):
-        node_of = self.node_of
-        return self.model(node_of[src], node_of[dst])
-
     def send_row(self, src_node: int) -> Dict[int, Tuple[float, int]]:
         """Shared ``{dst_node: (send_overhead, eager_limit)}`` row."""
         row = self._send_rows.get(src_node)
@@ -702,24 +698,12 @@ class Fabric:
         original frame keeps campaign accounting legible).  Non-envelope
         payloads (raw-fabric tests, svc tuples) are never duplicated.
         """
+        from repro.mpi.pml import Envelope  # pml imports this module
+
         env = frame.payload
-        if frame.kind != "eager" or env is None or not isinstance(env, _envelope_class()):
+        if frame.kind != "eager" or not isinstance(env, Envelope):
             return
-        clone = type(env)(
-            env.kind,
-            env.ctx,
-            env.src_rank,
-            env.tag,
-            env.world_src,
-            env.world_dst,
-            env.seq,
-            env.nbytes,
-            env.data,
-            env.src_phys,
-            env.dst_phys,
-            env.msg_id,
-            env.ctrl_key,
-        )
+        clone = Envelope(*Envelope.wire_values(env))
         self.envs_duplicated += 1
         self.fault_dups += 1
         faults = self._faults
@@ -806,20 +790,6 @@ class Fabric:
         ep = self.endpoints[proc]
         ep.alive = True
         self._strand_inbox(ep)
-
-
-_ENVELOPE_CLASS: Optional[type] = None
-
-
-def _envelope_class() -> type:
-    """The PML's Envelope type, resolved lazily (pml imports fabric, so the
-    reverse import must happen at first duplication, never at module load)."""
-    global _ENVELOPE_CLASS
-    if _ENVELOPE_CLASS is None:
-        from repro.mpi.pml import Envelope
-
-        _ENVELOPE_CLASS = Envelope
-    return _ENVELOPE_CLASS
 
 
 class _FaultRuntime:

@@ -28,7 +28,6 @@ from typing import Optional, Tuple
 
 __all__ = [
     "NetworkCostModel",
-    "LogGPModel",
     "LinearCostModel",
     "SharedMemoryModel",
     "InfiniBand20G",
@@ -64,10 +63,6 @@ class NetworkCostModel:
     def one_way(self, nbytes: int) -> float:
         """Analytic uncontended one-way time (diagnostics/calibration)."""
         return self.send_overhead + self.serialization(nbytes) + self.latency + self.recv_overhead
-
-
-class LogGPModel(NetworkCostModel):
-    """Alias making the LogGP correspondence explicit (o, L, G)."""
 
 
 @dataclass(frozen=True)

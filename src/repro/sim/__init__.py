@@ -13,7 +13,7 @@ The kernel knows nothing about MPI or networks; those live in
 
 from repro.sim.kernel import Simulator, SimulationError, StopSimulation
 from repro.sim.process import Process, ProcessCrashed, ProcessFailure
-from repro.sim.sync import AllOf, AnyOf, Event, Interrupt, Mailbox, Timeout
+from repro.sim.sync import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "AnyOf",
     "Event",
     "Interrupt",
-    "Mailbox",
     "Process",
     "ProcessCrashed",
     "ProcessFailure",

@@ -72,7 +72,6 @@ import traceback
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from heapq import heappush
-from operator import attrgetter
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mpi.pml import Envelope
@@ -325,13 +324,6 @@ class _ShardRouter:
         )
 
 
-#: an envelope's constructor arguments, in order — its picklable wire form
-_ENVELOPE_FIELDS = attrgetter(
-    "kind", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
-    "nbytes", "data", "src_phys", "dst_phys", "msg_id", "ctrl_key",
-)  # fmt: skip
-
-
 def _encode_payload(payload) -> Optional[tuple]:
     """Picklable wire form of a frame payload.
 
@@ -343,7 +335,7 @@ def _encode_payload(payload) -> Optional[tuple]:
     if payload is None:
         return None
     if isinstance(payload, Envelope):
-        return ("env", _ENVELOPE_FIELDS(payload))
+        return ("env", Envelope.wire_values(payload))
     return ("raw", payload)
 
 

@@ -1,4 +1,4 @@
-"""Synchronization primitives: events, timeouts, composite waits, mailboxes.
+"""Synchronization primitives: events, timeouts, composite waits.
 
 These are the objects generator processes yield.  A process may yield:
 
@@ -22,13 +22,11 @@ tuple, no heap sift) without going through :meth:`Simulator.schedule`.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Callable, Deque, Iterable, List, Optional
-
-from collections import deque
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.sim.kernel import SimulationError, Simulator
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Mailbox", "Interrupt"]
+__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Interrupt"]
 
 
 class Interrupt(Exception):
@@ -99,9 +97,8 @@ class Event:
     def abandon(self) -> None:
         """Neutralize a pending wait without scheduling it.
 
-        The event becomes *triggered* — producers that skip triggered
-        waiters (:meth:`Mailbox.put`, :meth:`Endpoint.deliver`) pass it
-        over — and *cancelled*, so the dispatch loop drops it if it was
+        The event becomes *triggered* — a producer that skips triggered
+        waiters (:meth:`Endpoint.deliver`) passes it over — and *cancelled*, so the dispatch loop drops it if it was
         ever queued.  No callback will run and no event is dispatched.
         The sharded runner uses this to retire the one drain-loop park
         the serial engine never creates (see
@@ -242,54 +239,3 @@ class AnyOf(Event):
             self.succeed((idx, ev.value))
         else:
             self.fail(ev.value)
-
-
-class Mailbox:
-    """An unbounded FIFO queue with event-based blocking receive.
-
-    Used by the network fabric to hand frames to endpoints, and by the
-    failure detector to deliver notifications.  ``put`` never blocks.
-    """
-
-    __slots__ = ("sim", "_items", "_getters", "label")
-
-    def __init__(self, sim: Simulator, label: str = "") -> None:
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self.label = label
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        self._items.append(item)
-        # Wake exactly one waiter per item, preserving FIFO fairness.
-        while self._getters and self._items:
-            getter = self._getters.popleft()
-            if getter.triggered:
-                continue
-            getter.succeed(self._items.popleft())
-
-    def get(self) -> Event:
-        """Return an event yielding the next item (immediately if queued)."""
-        ev = Event(self.sim, label=f"mailbox.get({self.label})")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def get_nowait(self) -> Any:
-        if not self._items:
-            raise SimulationError(f"mailbox {self.label!r} is empty")
-        return self._items.popleft()
-
-    def peek_all(self) -> List[Any]:
-        """Non-destructive snapshot of queued items (diagnostics only)."""
-        return list(self._items)
-
-    def drain(self) -> List[Any]:
-        items = list(self._items)
-        self._items.clear()
-        return items

@@ -8,7 +8,7 @@
   every process emits the identical send sequence.
 """
 
-from repro.trace.events import RecvEvent, SendEvent
+from repro.trace.events import SendEvent
 from repro.trace.lamport import LamportClock, happened_before
 from repro.trace.recorder import Recorder, TraceSet
 from repro.trace.determinism import DeterminismReport, check_send_determinism
@@ -16,7 +16,6 @@ from repro.trace.determinism import DeterminismReport, check_send_determinism
 __all__ = [
     "DeterminismReport",
     "LamportClock",
-    "RecvEvent",
     "Recorder",
     "SendEvent",
     "TraceSet",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Tuple
 
-__all__ = ["SendEvent", "RecvEvent"]
+__all__ = ["SendEvent"]
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,3 @@ class SendEvent:
     def key(self) -> Tuple:
         """The comparison key for Definition 1 (timing excluded)."""
         return (self.ctx, self.src_rank, self.dest_rank, self.world_dst, self.tag, self.nbytes)
-
-
-@dataclass(frozen=True)
-class RecvEvent:
-    """One completed application-level receive (source resolved)."""
-
-    ctx: Any
-    source_rank: int
-    tag: int
-    nbytes: int
-    time: float

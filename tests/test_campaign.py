@@ -9,6 +9,7 @@ the outcome is exactly one taxonomy bucket, and one integer reproduces
 the run byte-identically (fingerprint equality).
 """
 
+import hashlib
 import json
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,11 +18,12 @@ from repro.harness.campaign import (
     OUTCOMES,
     CampaignConfig,
     RunRecord,
-    run_campaign,
     run_case,
     sample_faults,
 )
-from repro.harness.sweep import MIX_PROFILES, SweepSpec
+from repro.harness.cli import main
+from repro.harness.report import sweep_outcome_rows
+from repro.harness.sweep import MIX_PROFILES, SweepSpec, render_sweep_report, run_sweep
 from repro.scenarios import campaign_app, expected_results
 
 import pytest
@@ -117,12 +119,21 @@ def test_respawn_window_cells_are_pinned(n_ranks, seed, frames, nbytes, events):
 
 
 # ------------------------------------------------------------ taxonomy edges
+def _outcome_counts(records):
+    """{protocol: {outcome: count}} from sweep records."""
+    counts = {}
+    for rec in records:
+        row = counts.setdefault(rec["protocol"], dict.fromkeys(OUTCOMES, 0))
+        row[rec["outcome"]] += 1
+    return counts
+
+
 def test_taxonomy_buckets_are_exercised_across_seeds():
     """Over a handful of seeds the campaign must demonstrate its point:
     the native stack fails on fault mixes the replicated protocols absorb."""
-    result = run_campaign(protocols=("native", "sdr"), seeds=range(6))
+    result = run_sweep(SweepSpec(protocols=("native", "sdr"), seeds=range(6)))
     assert not result.violations
-    counts = result.outcome_counts()
+    counts = _outcome_counts(result.records)
     # native has no dedup filter and only one replica per rank: crashes
     # lose ranks, duplicated frames double-deliver
     assert counts["native"]["failed"] >= 1
@@ -131,24 +142,45 @@ def test_taxonomy_buckets_are_exercised_across_seeds():
     assert counts["sdr"]["failed"] == 0
     # the imperfect detector leaves a measurable mark on degraded sdr runs
     latencies = [
-        r.metrics["detection_latency_max"]
+        r["metrics"]["detection_latency_max"]
         for r in result.records
-        if r.protocol == "sdr" and r.metrics["crashes"]
+        if r["protocol"] == "sdr" and r["metrics"]["crashes"]
     ]
     assert latencies and all(lat > 0.0 for lat in latencies)
 
 
 def test_outcome_counts_cover_every_bucket_and_json_round_trips():
-    result = run_campaign(protocols=("sdr",), seeds=range(3))
-    counts = result.outcome_counts()
-    assert set(counts["sdr"]) == set(OUTCOMES)
-    assert sum(counts["sdr"].values()) == 3
-    records = json.loads(result.to_json())
+    result = run_sweep(SweepSpec(protocols=("sdr",), seeds=range(3)))
+    header, (row,) = sweep_outcome_rows(result.records, OUTCOMES)
+    counts = dict(zip(header, row))
+    assert set(OUTCOMES) <= set(counts)
+    assert sum(counts[o] for o in OUTCOMES) == counts["runs"] == 3
+    records = json.loads(json.dumps(result.records, sort_keys=True, default=str))
     assert len(records) == 3
     assert {r["protocol"] for r in records} == {"sdr"}
-    table = result.table("smoke")
-    for column in ("protocol", *OUTCOMES, "violations"):
+    table = render_sweep_report(result.records, result.summary(), title="smoke")
+    for column in ("config", *OUTCOMES):
         assert column in table
+    assert table.endswith(" 0 invariant violations")
+
+
+#: sha256 of the ordered fingerprint list (``json.dumps(list)``) that
+#: ``sdr-mpi campaign --json`` wrote before the command became a sweep preset
+@pytest.mark.parametrize(
+    "argv,n_records,digest",
+    [
+        (["--seeds", "5"], 25,
+         "c328ac5a11a3fd82e18d2eb574cdf3eeb584122c544a42abe6461cd371bd0044"),
+        (["--protocols", "native", "sdr", "--seeds", "6", "--seed-base", "3"], 12,
+         "03e4e05ae2d2cd826615dcd8b77f788bd0bab62d6b54d4fb3bfb191e4f14cf6c"),
+    ],
+)
+def test_campaign_command_fingerprints_are_pinned(argv, n_records, digest, tmp_path, capsys):
+    artifact = tmp_path / "campaign.json"
+    assert main(["campaign", *argv, "--json", str(artifact)]) == 0
+    fingerprints = [r["fingerprint"] for r in json.loads(artifact.read_text())]
+    assert len(fingerprints) == n_records
+    assert hashlib.sha256(json.dumps(fingerprints).encode()).hexdigest() == digest
 
 
 def test_run_record_rejects_unknown_outcome():

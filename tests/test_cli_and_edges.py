@@ -51,6 +51,25 @@ class TestCli:
         assert main(["campaign", "--seeds", "0"]) == 2
         assert "--seeds must be >= 1" in capsys.readouterr().err
 
+    def test_campaign_rejects_negative_seed_base(self, capsys):
+        assert main(["campaign", "--seeds", "2", "--seed-base", "-1"]) == 2
+        assert "axis 'seeds': -1 is below the minimum 0" in capsys.readouterr().err
+
+    def test_campaign_invariant_violation_exits_1(self, capsys, monkeypatch):
+        import repro.harness.sweep as sweep_mod
+        from repro.harness.campaign import RunRecord
+
+        def bad_run_case(protocol, seed, cfg=None, shape=None, memo=None):
+            return RunRecord(
+                protocol=protocol, seed=seed, outcome="completed",
+                mix={}, metrics={}, stranded_by_site={},
+                invariant_error="arena imbalance", fingerprint="{}",
+            )
+
+        monkeypatch.setattr(sweep_mod, "run_case", bad_run_case)
+        assert main(["campaign", "--protocols", "sdr", "--seeds", "1"]) == 1
+        assert "INVARIANT VIOLATION: config #0 sdr/r2/n4/ring/full/s0" in capsys.readouterr().err
+
 
 class TestSweepCli:
     ARGS = ["sweep", "--protocols", "native", "sdr", "--ranks", "4",

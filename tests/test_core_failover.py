@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ReplicationConfig
-from repro.harness.faults import CrashSchedule, CrashSpec
+from repro.harness.faults import CrashSpec, FaultSchedule
 from repro.harness.runner import Job, cluster_for
 
 
@@ -151,7 +151,7 @@ class TestCollectivesUnderFailure:
 
 class TestFaultSchedule:
     def test_schedule_applies_all_crashes(self):
-        sched = CrashSchedule().add(1, 1, 40e-6).add(0, 0, 90e-6)
+        sched = FaultSchedule().crash(1, 1, 40e-6).crash(0, 0, 90e-6)
         assert len(sched) == 2
         cfg = ReplicationConfig(degree=2, protocol="sdr")
         job = Job(2, cfg=cfg, cluster=cluster_for(2, 2, cores_per_node=1))

@@ -8,11 +8,7 @@ import pytest
 
 from repro.core.config import ReplicationConfig
 from repro.core.membership import DetectorConfig
-from repro.harness.faults import (
-    CrashSchedule,
-    FaultSchedule,
-    FaultScheduleError,
-)
+from repro.harness.faults import FaultSchedule, FaultScheduleError
 from repro.harness.runner import Job, cluster_for
 
 
@@ -46,17 +42,17 @@ def _sdr_job(n=4, detector=None):
 
 class TestCrashScheduleValidation:
     def test_duplicate_crash_rejected(self):
-        sched = CrashSchedule().add(1, 1, 10e-6).add(1, 1, 20e-6)
+        sched = FaultSchedule().crash(1, 1, 10e-6).crash(1, 1, 20e-6)
         with pytest.raises(FaultScheduleError, match="dies exactly once"):
             sched.validate()
 
     def test_negative_time_rejected(self):
         with pytest.raises(FaultScheduleError, match="negative time"):
-            CrashSchedule().add(0, 0, -1e-6).validate()
+            FaultSchedule().crash(0, 0, -1e-6).validate()
 
     def test_post_horizon_time_rejected(self):
         with pytest.raises(FaultScheduleError, match="past the campaign horizon"):
-            CrashSchedule().add(0, 0, 2e-3).validate(horizon=1e-3)
+            FaultSchedule().crash(0, 0, 2e-3).validate(horizon=1e-3)
 
 
 class TestFaultScheduleValidation:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import SimulationError
-from repro.sim.sync import AllOf, AnyOf, Event, Mailbox, Timeout
+from repro.sim.sync import AllOf, AnyOf, Event, Timeout
 
 
 class TestEvent:
@@ -122,51 +122,3 @@ class TestComposites:
     def test_anyof_requires_children(self, sim):
         with pytest.raises(SimulationError):
             AnyOf(sim, [])
-
-
-class TestMailbox:
-    def test_put_then_get(self, sim):
-        box = Mailbox(sim)
-        box.put("x")
-        ev = box.get()
-        sim.run()
-        assert ev.value == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        box = Mailbox(sim)
-        got = []
-        box.get().add_callback(lambda e: got.append((sim.now, e.value)))
-        sim.call_at(2.0, lambda: box.put("late"))
-        sim.run()
-        assert got == [(2.0, "late")]
-
-    def test_fifo_ordering(self, sim):
-        box = Mailbox(sim)
-        for i in range(5):
-            box.put(i)
-        got = []
-        for _ in range(5):
-            box.get().add_callback(lambda e: got.append(e.value))
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_multiple_waiters_fifo(self, sim):
-        box = Mailbox(sim)
-        got = []
-        for name in ("first", "second"):
-            box.get().add_callback(lambda e, n=name: got.append((n, e.value)))
-        box.put(1)
-        box.put(2)
-        sim.run()
-        assert got == [("first", 1), ("second", 2)]
-
-    def test_get_nowait_empty_raises(self, sim):
-        with pytest.raises(SimulationError):
-            Mailbox(sim).get_nowait()
-
-    def test_drain(self, sim):
-        box = Mailbox(sim)
-        box.put(1)
-        box.put(2)
-        assert box.drain() == [1, 2]
-        assert len(box) == 0

@@ -168,6 +168,12 @@ PY
     # loop again, or keep a second loop for handles that want driving.
     echo "active-handle residue in src/ (must be empty):"
     grep -rnE "needs_advance|def advance|\.advance\(|_generic\b|DeferredRecvHandle|_stock_polls" src/ || true
+    # One fault-experiment runner: `sdr-mpi campaign` is a sweep preset, and
+    # an envelope's wire values are `Envelope.wire_values` — no second
+    # runner, schedule type or field list may come back, nor the dead names
+    # deleted with them.
+    echo "fault-experiment twin residue in src/ (must be empty):"
+    grep -rnE "run_campaign|CampaignResult|CrashSchedule|DEFAULT_PROTOCOLS|class Mailbox|LogGPModel|RecvEvent|_envelope_class|_ENVELOPE_FIELDS" src/ || true
 }
 trap print_stage_summary EXIT
 

@@ -269,11 +269,10 @@ class SdrProtocol(ReplicatedBase):
     def _ack_on_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
         """Algorithm 1 lines 15-17: on irecvComplete, ack the other senders.
 
-        Body of :meth:`_send_acks` inlined — this hook runs once per
-        received application message, and the sub-generator delegation is
-        measurable at that rate.  *env* is a borrow (see
-        :mod:`repro.core.interpose`): every field the acks need is read
-        while the hook runs; nothing retains the envelope.
+        Also the duplicate re-ack (:meth:`_on_duplicate`, with no
+        request).  *env* is a borrow (see :mod:`repro.core.interpose`):
+        every field the acks need is read while the hook runs; nothing
+        retains the envelope.
         """
         shared = self.shared
         n_ranks = shared.n_ranks
@@ -299,24 +298,11 @@ class SdrProtocol(ReplicatedBase):
                     yield cost[0]
                 pml.inject_ctrl(ph, ACK, (self.rank, seq), ack_bytes)
 
-    def _send_acks(self, src_rank: int, sender_rep: int, seq: int) -> Generator:
-        n_ranks = self.rmap.n_ranks
-        is_alive = self.membership.is_alive
-        for rep in range(self.rmap.degree):
-            if rep == sender_rep:
-                continue
-            ph = rep * n_ranks + src_rank  # rmap.phys, replica-major
-            if is_alive(ph):
-                self.acks_sent += 1
-                yield from self.pml.send_ctrl(
-                    ph, ACK, (self.rank, seq), nbytes=self.cfg.ack_bytes
-                )
-
     def _on_duplicate(self, env: Envelope) -> Generator:
         # Re-ack so a substitute that resent (its ack was in flight at
         # failover time) can still clear its retention.
         yield from super()._on_duplicate(env)
-        yield from self._send_acks(env.world_src, self.rmap.rep_of(env.src_phys), env.seq)
+        yield from self._ack_on_recv_complete(env, None)
 
     def _on_ack(self, env: Envelope) -> Generator:
         # ctrl borrow: (world_dst, seq) is unpacked out of the envelope

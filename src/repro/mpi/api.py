@@ -346,66 +346,42 @@ class MpiProcess:
         return all(h.done for h in handles)
 
     # --------------------------------------------------------------- blocking
-    def send(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        """Blocking send.
-
-        Flattened fast path: isend_on + wait fused into one generator
-        frame.  Blocking point-to-point dominates the workloads this engine
-        is benched on, and every layer of ``yield from`` delegation costs
-        a frame traversal per resumed event — so the blocking calls avoid
-        the nonblocking plumbing entirely.  Semantics are identical to
-        ``isend`` + ``wait``.
-        """
-        comm = comm or self.world
+    # One fused generator per blocking call, on an explicit matching
+    # context: the posting preamble of ``isend_on``/``irecv_on`` and the
+    # wait loop in one frame.  Blocking point-to-point and every collective
+    # schedule (on ``comm.ctx_coll``) resume through these, and each layer
+    # of ``yield from`` delegation would cost a frame traversal per resumed
+    # event.  Semantics are those of ``isend_on``/``irecv_on`` +
+    # ``wait_handles``; the ``SendHandle.done`` predicate is inlined (a
+    # property call per progress iteration is measurable).
+    def send_on(self, comm: Communicator, ctx: Any, dest: int, tag: int, data: Any) -> Generator:
+        """Blocking send on an explicit matching context."""
         world_dst = comm.world_of(dest)
         if self.recorder is not None:
-            self.recorder.record_send(
-                comm.ctx_p2p, comm.rank, dest, world_dst, tag, nbytes_of(data)
-            )
+            self.recorder.record_send(ctx, comm.rank, dest, world_dst, tag, nbytes_of(data))
         handle = yield from self.protocol.app_isend(
-            ctx=comm.ctx_p2p, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=False
+            ctx=ctx, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=False
         )
         pml = self.pml
         ep = pml.endpoint
-        # ``SendHandle.done`` inlined: the property call per progress
-        # iteration is measurable.
         while True:
             if not handle.needs_ack:
                 reqs = handle.pml_reqs
-                if len(reqs) == 1:
-                    if reqs[0].done:
-                        return
-                elif all(r.done for r in reqs):
+                if reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs):
                     return
             if ep.inbox:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
-    def ssend(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
-        """MPI_Ssend: returns only after the matching receive was posted."""
-        handle = yield from self.issend(data, dest, tag, comm)
-        yield from self.wait(handle)
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        comm: Optional[Communicator] = None,
-        buf: Any = None,
+    def recv_on(
+        self, comm: Communicator, ctx: Any, source: int, tag: int, buf: Any = None
     ) -> Generator[Any, Any, Tuple[Any, Status]]:
-        """Blocking receive (flattened fast path; see :meth:`send`)."""
-        comm = comm or self.world
-        if source != ANY_SOURCE and not (0 <= source < comm.size):
-            raise MpiError(f"receive source {source} outside communicator of size {comm.size}")
-        handle = yield from self.protocol.app_irecv(
-            ctx=comm.ctx_p2p, source=source, tag=tag, buf=buf
-        )
+        """Blocking receive on an explicit matching context."""
+        handle = yield from self.protocol.app_irecv(ctx=ctx, source=source, tag=tag, buf=buf)
         pml = self.pml
         ep = pml.endpoint
-        # The wrapped PML request never changes: poll it directly instead
-        # of going through three properties per progress iteration.
-        req = handle.pml_req
+        req = handle.pml_req  # never changes: poll it, not the handle
         while True:
             if req.done:
                 return req.data, req.status
@@ -414,34 +390,17 @@ class MpiProcess:
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
 
-    def sendrecv(
-        self,
-        senddata: Any,
-        dest: int,
-        source: int,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        comm: Optional[Communicator] = None,
+    def sendrecv_on(
+        self, comm: Communicator, ctx: Any, dest: int, sendtag: int, senddata: Any, source: int, recvtag: int
     ) -> Generator[Any, Any, Tuple[Any, Status]]:
-        """Fused MPI_Sendrecv (flattened fast path; see :meth:`send`).
-
-        Posting order (receive first, then send), recorder calls and the
-        progress step match the irecv + isend + ``wait_handles`` tower
-        exactly; only the delegation frames are gone.  Halo exchanges are
-        the dominant call shape of the paper-scale workloads, which is
-        what earns this one its own flat body.
-        """
-        comm = comm or self.world
-        if source != ANY_SOURCE and not (0 <= source < comm.size):
-            raise MpiError(f"receive source {source} outside communicator of size {comm.size}")
-        ctx = comm.ctx_p2p
+        """Fused MPI_Sendrecv on an explicit matching context: post the
+        receive, then the send, and drive both to completion (the order
+        and progress step of ``wait_handles([send, recv])``)."""
         protocol = self.protocol
         rhandle = yield from protocol.app_irecv(ctx=ctx, source=source, tag=recvtag, buf=None)
         world_dst = comm.world_of(dest)
         if self.recorder is not None:
-            self.recorder.record_send(
-                ctx, comm.rank, dest, world_dst, sendtag, nbytes_of(senddata)
-            )
+            self.recorder.record_send(ctx, comm.rank, dest, world_dst, sendtag, nbytes_of(senddata))
         shandle = yield from protocol.app_isend(
             ctx=ctx, src_rank=comm.rank, tag=sendtag, data=senddata, world_dst=world_dst, synchronous=False
         )
@@ -457,6 +416,47 @@ class MpiProcess:
                 yield from pml.handle_frame(ep.inbox.popleft())
             else:
                 yield ep  # block on the endpoint (allocation-free waiter)
+
+    # The three below validate, then hand back the ``*_on`` generator
+    # itself (no pass-through frame, as for ``isend``/``irecv``).
+    def send(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
+        """Blocking send."""
+        comm = comm or self.world
+        return self.send_on(comm, comm.ctx_p2p, dest, tag, data)
+
+    def ssend(self, data: Any, dest: int, tag: int = 0, comm: Optional[Communicator] = None) -> Generator:
+        """MPI_Ssend: returns only after the matching receive was posted."""
+        handle = yield from self.issend(data, dest, tag, comm)
+        yield from self.wait(handle)
+
+    def recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        comm: Optional[Communicator] = None,
+        buf: Any = None,
+    ) -> Generator[Any, Any, Tuple[Any, Status]]:
+        """Blocking receive."""
+        comm = comm or self.world
+        if source != ANY_SOURCE and not (0 <= source < comm.size):
+            raise MpiError(f"receive source {source} outside communicator of size {comm.size}")
+        return self.recv_on(comm, comm.ctx_p2p, source, tag, buf)
+
+    def sendrecv(
+        self,
+        senddata: Any,
+        dest: int,
+        source: int,
+        sendtag: int = 0,
+        recvtag: int = ANY_TAG,
+        comm: Optional[Communicator] = None,
+    ) -> Generator[Any, Any, Tuple[Any, Status]]:
+        """Fused MPI_Sendrecv (halo exchanges: the dominant call shape of
+        the paper-scale workloads)."""
+        comm = comm or self.world
+        if source != ANY_SOURCE and not (0 <= source < comm.size):
+            raise MpiError(f"receive source {source} outside communicator of size {comm.size}")
+        return self.sendrecv_on(comm, comm.ctx_p2p, dest, sendtag, senddata, source, recvtag)
 
     # ----------------------------------------------------------------- probe
     def iprobe(

@@ -23,25 +23,25 @@ using these inside send-deterministic applications.
 
 One schedule per collective
 ---------------------------
-Each schedule is written once, over five module-level plumbing primitives
-(``_sendrecv``, ``_post_send``, ``_post_recv``, ``_send_wait``,
-``_recv_wait``).  The primitives are *flat*: the posting preamble
-(recorder + ``protocol.app_isend``/``app_irecv``) and the blocking wait
-loop are fused into one generator frame, the way
-:meth:`repro.mpi.api.MpiProcess.send`/``recv`` fuse them for blocking
-point-to-point — a collective at rank count *n* resumes O(n log n) times
-and every delegation frame is paid on each resume.  What each primitive
-must be observationally equal to is three lines over ``isend_on`` /
-``irecv_on`` / ``wait_handles``; ``tests/test_collectives_equivalence.py``
-holds those reference primitives and runs every schedule over both sets
-in real jobs (results, virtual times, event and frame counts).
+Each schedule is written once, over the API's blocking primitives on the
+collective context — :meth:`~repro.mpi.api.MpiProcess.send_on`,
+``recv_on`` and ``sendrecv_on``, each one generator frame fusing the
+posting preamble and the wait loop, the same bodies blocking
+point-to-point runs on — plus ``isend_on``/``irecv_on`` + ``wait_handles``
+for the linear gather/scatter fan.  A collective at rank count *n*
+resumes O(n log n) times and every delegation frame is paid on each
+resume.  A schedule keeps only the data of a receive's ``(data, status)``
+(``[0]``): a status held by a suspended frame is per-process memory.  ``tests/test_collectives_equivalence.py`` patches the fused
+bodies with their three-line reference over ``isend_on`` / ``irecv_on`` /
+``wait_handles`` and compares fingerprints in real jobs (results, virtual
+times, event and frame counts).
 """
 
 from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, TYPE_CHECKING
 
-from repro.mpi.datatypes import combine, nbytes_of
+from repro.mpi.datatypes import combine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.api import MpiProcess
@@ -70,94 +70,6 @@ def _base_tag(comm: "Communicator") -> int:
     return comm.next_coll_tag() * _ROUND_SPAN
 
 
-# ---------------------------------------------------------------------------
-# Flat plumbing: fused post + wait primitives.
-#
-# Each helper is ONE generator frame wrapping the protocol entry points
-# directly; the wait loops replicate the blocking fast paths of
-# repro.mpi.api (same passive-handle polls, same pop-one-frame-or-block
-# progress step), so the dispatched event stream is identical to posting
-# through ``isend_on``/``irecv_on`` and waiting in ``wait_handles`` — only
-# host-side frame traversals are saved.
-# ---------------------------------------------------------------------------
-def _sendrecv(api: "MpiProcess", comm: "Communicator", send_peer: int,
-              recv_peer: int, tag: int, data: Any) -> Generator:
-    """Flat sendrecv: post both sides, drive both to completion inline.
-
-    Observationally identical to post recv, post send,
-    ``wait_handles([sreq, rreq])`` — posting order, recorder calls and the
-    progress step are the same; only the delegation tower is gone.
-    """
-    ctx = comm.ctx_coll
-    protocol = api.protocol
-    rhandle = yield from protocol.app_irecv(ctx=ctx, source=recv_peer, tag=tag, buf=None)
-    world_dst = comm.world_of(send_peer)
-    if api.recorder is not None:
-        api.recorder.record_send(ctx, comm.rank, send_peer, world_dst, tag, nbytes_of(data))
-    shandle = yield from protocol.app_isend(
-        ctx=ctx, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=False
-    )
-    pml = api.pml
-    ep = pml.endpoint
-    r_req = rhandle.pml_req
-    while True:
-        # SendHandle.done inlined: one call per progress iteration of every
-        # collective exchange is measurable at paper scale.
-        if r_req.done and not shandle.needs_ack:
-            reqs = shandle.pml_reqs
-            if reqs[0].done if len(reqs) == 1 else all(r.done for r in reqs):
-                return r_req.data
-        if ep.inbox:
-            yield from pml.handle_frame(ep.inbox.popleft())
-        else:
-            yield ep  # block on the endpoint (allocation-free waiter)
-
-
-def _post_send(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, data: Any) -> Generator:
-    """Flat posting preamble of ``isend_on`` on the collective context."""
-    world_dst = comm.world_of(peer)
-    if api.recorder is not None:
-        api.recorder.record_send(comm.ctx_coll, comm.rank, peer, world_dst, tag, nbytes_of(data))
-    handle = yield from api.protocol.app_isend(
-        ctx=comm.ctx_coll, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=False
-    )
-    return handle
-
-
-def _post_recv(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> Generator:
-    """Flat posting preamble of ``irecv_on`` on the collective context."""
-    handle = yield from api.protocol.app_irecv(ctx=comm.ctx_coll, source=peer, tag=tag, buf=None)
-    return handle
-
-
-def _send_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int, data: Any) -> Generator:
-    """Fused blocking send on the collective context (one frame)."""
-    handle = yield from _post_send(api, comm, peer, tag, data)
-    pml = api.pml
-    ep = pml.endpoint
-    while not handle.done:
-        if ep.inbox:
-            yield from pml.handle_frame(ep.inbox.popleft())
-        else:
-            yield ep  # block on the endpoint (allocation-free waiter)
-
-
-def _recv_wait(api: "MpiProcess", comm: "Communicator", peer: int, tag: int) -> Generator:
-    """Fused blocking receive on the collective context (one frame)."""
-    handle = yield from api.protocol.app_irecv(
-        ctx=comm.ctx_coll, source=peer, tag=tag, buf=None
-    )
-    pml = api.pml
-    ep = pml.endpoint
-    req = handle.pml_req
-    while not req.done:
-        if ep.inbox:
-            yield from pml.handle_frame(ep.inbox.popleft())
-        else:
-            yield ep  # block on the endpoint (allocation-free waiter)
-    return req.data
-
-
 # --------------------------------------------------------------------- sync
 def barrier(api: "MpiProcess", comm: "Communicator") -> Generator:
     """Dissemination barrier: round k talks to rank ± 2^k."""
@@ -171,7 +83,7 @@ def barrier(api: "MpiProcess", comm: "Communicator") -> Generator:
     while dist < n:
         to = (me + dist) % n
         frm = (me - dist) % n
-        yield from _sendrecv(api, comm, to, frm, tag0 + k, _TOKEN)
+        yield from api.sendrecv_on(comm, comm.ctx_coll, to, tag0 + k, _TOKEN, frm, tag0 + k)
         dist <<= 1
         k += 1
 
@@ -188,7 +100,7 @@ def bcast(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Gene
     if me != 0:
         mask = me & (-me)
         parent = (me - mask + root) % n
-        data = yield from _recv_wait(api, comm, parent, tag0)
+        data = (yield from api.recv_on(comm, comm.ctx_coll, parent, tag0))[0]
         mask >>= 1
     else:
         mask = 1 << ((n - 1).bit_length() - 1)
@@ -196,7 +108,7 @@ def bcast(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Gene
     while mask >= 1:
         child = me + mask
         if child < n:
-            yield from _send_wait(api, comm, (child + root) % n, tag0, data)
+            yield from api.send_on(comm, comm.ctx_coll, (child + root) % n, tag0, data)
         mask >>= 1
     return data
 
@@ -213,11 +125,11 @@ def reduce(api: "MpiProcess", comm: "Communicator", data: Any, op: str, root: in
     while mask < n:
         if me & mask:
             parent = ((me & ~mask) + root) % n
-            yield from _send_wait(api, comm, parent, tag0, acc)
+            yield from api.send_on(comm, comm.ctx_coll, parent, tag0, acc)
             break
         child = me | mask
         if child < n:
-            got = yield from _recv_wait(api, comm, (child + root) % n, tag0)
+            got = (yield from api.recv_on(comm, comm.ctx_coll, (child + root) % n, tag0))[0]
             acc = combine(op, acc, got)
         mask <<= 1
     return acc if comm.rank == root else None
@@ -239,7 +151,7 @@ def allreduce(api: "MpiProcess", comm: "Communicator", data: Any, op: str) -> Ge
     k = 0
     while mask < n:
         peer = me ^ mask
-        other = yield from _sendrecv(api, comm, peer, peer, tag0 + k, acc)
+        other = (yield from api.sendrecv_on(comm, comm.ctx_coll, peer, tag0 + k, acc, peer, tag0 + k))[0]
         # Fixed combine order (lower rank's contribution first) so every
         # rank computes bitwise-identical results.
         acc = combine(op, acc, other) if peer > me else combine(op, other, acc)
@@ -260,13 +172,13 @@ def gather(api: "MpiProcess", comm: "Communicator", data: Any, root: int) -> Gen
         for r in range(n):
             if r == root:
                 continue
-            handle = yield from _post_recv(api, comm, r, tag0)
+            handle = yield from api.irecv_on(comm, comm.ctx_coll, r, tag0)
             handles.append((r, handle))
         yield from api.wait_handles([h for _r, h in handles])
         for r, handle in handles:
             out[r] = handle.data
         return out
-    yield from _send_wait(api, comm, root, tag0, data)
+    yield from api.send_on(comm, comm.ctx_coll, root, tag0, data)
     return None
 
 
@@ -281,11 +193,11 @@ def scatter(api: "MpiProcess", comm: "Communicator", chunks: Optional[List[Any]]
         for r in range(n):
             if r == root:
                 continue
-            handle = yield from _post_send(api, comm, r, tag0, chunks[r])
+            handle = yield from api.isend_on(comm, comm.ctx_coll, r, tag0, chunks[r])
             handles.append(handle)
         yield from api.wait_handles(handles)
         return chunks[root]
-    return (yield from _recv_wait(api, comm, root, tag0))
+    return (yield from api.recv_on(comm, comm.ctx_coll, root, tag0))[0]
 
 
 def allgather(api: "MpiProcess", comm: "Communicator", data: Any) -> Generator:
@@ -301,7 +213,8 @@ def allgather(api: "MpiProcess", comm: "Communicator", data: Any) -> Generator:
     left = (me - 1) % n
     carry = data
     for k in range(n - 1):
-        carry = yield from _sendrecv(api, comm, right, left, tag0 + k, carry)
+        tag = tag0 + k
+        carry = (yield from api.sendrecv_on(comm, comm.ctx_coll, right, tag, carry, left, tag))[0]
         out[(me - 1 - k) % n] = carry
     return out
 
@@ -315,6 +228,7 @@ def alltoall(api: "MpiProcess", comm: "Communicator", chunks: List[Any]) -> Gene
     out: List[Any] = [None] * n
     out[me] = chunks[me]
     tag0 = _base_tag(comm)
+    ctx = comm.ctx_coll
     pow2 = n & (n - 1) == 0
     for k in range(1, n):
         if pow2:
@@ -323,7 +237,8 @@ def alltoall(api: "MpiProcess", comm: "Communicator", chunks: List[Any]) -> Gene
         else:
             send_peer = (me + k) % n
             recv_peer = (me - k) % n
-        got = yield from _sendrecv(api, comm, send_peer, recv_peer, tag0 + k, chunks[send_peer])
+        tag = tag0 + k
+        got = (yield from api.sendrecv_on(comm, ctx, send_peer, tag, chunks[send_peer], recv_peer, tag))[0]
         out[recv_peer] = got
     return out
 
@@ -347,8 +262,8 @@ def scan(api: "MpiProcess", comm: "Communicator", data: Any, op: str) -> Generat
     tag0 = _base_tag(comm)
     acc = data
     if me > 0:
-        got = yield from _recv_wait(api, comm, me - 1, tag0)
+        got = (yield from api.recv_on(comm, comm.ctx_coll, me - 1, tag0))[0]
         acc = combine(op, got, acc)
     if me < n - 1:
-        yield from _send_wait(api, comm, me + 1, tag0, acc)
+        yield from api.send_on(comm, comm.ctx_coll, me + 1, tag0, acc)
     return acc

@@ -133,9 +133,7 @@ def nbytes_of(obj: Any) -> int:
     if isinstance(obj, str):
         return len(obj.encode())
     if isinstance(obj, (int, float, complex, np.generic)):
-        return 8
-    if isinstance(obj, bool):
-        return 1
+        return 8  # bool too: it is an int (MPI_C_BOOL sizing would move fingerprints)
     if isinstance(obj, (list, tuple)):
         return sum(nbytes_of(x) for x in obj)
     raise TypeError(f"cannot size payload of type {type(obj).__name__}")

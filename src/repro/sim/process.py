@@ -112,7 +112,7 @@ class Process:
         # callback once instead of materializing bound methods per event.
         self._send = generator.send
         self._throw = generator.throw
-        self._resume_cb = self._resume
+        self._resume_cb = self.fire
         self._waiting_on: Optional[Event] = None
         self.alive = True
         self.crashed = False
@@ -134,15 +134,23 @@ class Process:
     cancelled = False
 
     # ------------------------------------------------------------- stepping
-    def _resume(self, ev: Event) -> None:
+    def fire(self, ev: Optional[Event] = None) -> None:
+        """Resume the generator, then wait on whatever it yields next.
+
+        The one stepping body, and the single hottest call in the
+        simulator (one per dispatched event).  An event calls it with
+        itself; the kernel calls it with no argument when this process
+        was charge-scheduled — a Timeout with value ``None`` firing.
+        """
         if not self.alive:
             return
         self._waiting_on = None
         try:
-            # ev is always completed here (it just fired), so read the
-            # slots directly rather than going through the checking
-            # properties.
-            if ev._ok:
+            # A waking ev has just fired, so read its slots directly
+            # rather than going through the checking properties.
+            if ev is None:
+                target = self._send(None)
+            elif ev._ok:
                 target = self._send(ev._value)
             else:
                 target = self._throw(ev._value)
@@ -155,93 +163,10 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - escalate with context
             self._finish(exception=exc)
             return
-        # _wait_on inlined: one call per dispatched event.
         if isinstance(target, Event):
             self._waiting_on = target
-            if target._fired:
-                target.add_callback(self._resume_cb)
-            else:
-                callbacks = target.callbacks
-                if callbacks is None:
-                    target.callbacks = [self._resume_cb]
-                else:
-                    callbacks.append(self._resume_cb)
-            return
-        cls = type(target)
-        if (cls is float or cls is int) and target >= 0:
-            sim = self.sim
-            if target:
-                sim._seq += 1
-                when = sim._now + target
-                cohort = sim._cohorts.get(when)
-                if cohort is None:
-                    sim._cohorts[when] = [(sim._seq, self)]
-                    heappush(sim._queue, when)
-                else:
-                    cohort.append((sim._seq, self))
-            else:
-                sim._bucket.append(self)
-            self._waiting_on = _CHARGING
-            return
-        self._wait_on(target)
-
-    def fire(self) -> None:
-        """Kernel entry point when this process was charge-scheduled.
-
-        Equivalent to a Timeout with value ``None`` firing: resume the
-        generator, then wait on whatever it yields next.
-        """
-        if not self.alive:
-            return
-        self._waiting_on = None
-        try:
-            target = self._send(None)
-        except StopIteration as stop:
-            self._finish(value=stop.value)
-            return
-        except ProcessCrashed:
-            self._finish(crashed=True)
-            return
-        except BaseException as exc:  # noqa: BLE001 - escalate with context
-            self._finish(exception=exc)
-            return
-        # _wait_on inlined: one call per dispatched event.
-        if isinstance(target, Event):
-            self._waiting_on = target
-            if target._fired:
-                target.add_callback(self._resume_cb)
-            else:
-                callbacks = target.callbacks
-                if callbacks is None:
-                    target.callbacks = [self._resume_cb]
-                else:
-                    callbacks.append(self._resume_cb)
-            return
-        cls = type(target)
-        if (cls is float or cls is int) and target >= 0:
-            sim = self.sim
-            if target:
-                sim._seq += 1
-                when = sim._now + target
-                cohort = sim._cohorts.get(when)
-                if cohort is None:
-                    sim._cohorts[when] = [(sim._seq, self)]
-                    heappush(sim._queue, when)
-                else:
-                    cohort.append((sim._seq, self))
-            else:
-                sim._bucket.append(self)
-            self._waiting_on = _CHARGING
-            return
-        self._wait_on(target)
-
-    def _wait_on(self, target: Any) -> None:
-        """Suspend until *target* — an Event, or a float/int CPU charge."""
-        if isinstance(target, Event):
-            self._waiting_on = target
-            # Event.add_callback inlined (one call per dispatched event):
-            # the immediate-run path for already-fired events falls back to
-            # the real method.
+            # Event.add_callback inlined: the immediate-run path for
+            # already-fired events falls back to the real method.
             if target._fired:
                 target.add_callback(self._resume_cb)
             else:
@@ -268,6 +193,11 @@ class Process:
                 sim._bucket.append(self)
             self._waiting_on = _CHARGING
             return
+        self._wait_on(target)
+
+    def _wait_on(self, target: Any) -> None:
+        """Suspend on what :meth:`fire` found neither an Event nor a CPU
+        charge: a blocker, or an error."""
         # Blocker protocol: an object (e.g. a fabric endpoint) that parks
         # the process itself and later schedules it directly — the
         # allocation-free analogue of yielding one of its waiter events.
@@ -311,7 +241,7 @@ class Process:
     # ------------------------------------------------------------ interface
     def crash(self) -> None:
         """Fail-stop this process immediately (idempotent).  What it waited
-        on stays: ``_resume`` and ``fire`` ignore a dead process."""
+        on stays: ``fire`` ignores a dead process."""
         if not self.alive:
             return
         try:

@@ -33,14 +33,16 @@ class RngRegistry:
         gen = self._streams.get(name)
         if gen is None:
             digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            gen = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+            # default_rng(seed) by numpy's definition, minus its argument
+            # dispatch: a large share of a stream's cost, and jobs build hundreds
+            gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
             self._streams[name] = gen
         return gen
 
     def reseed(self, name: str, seed: int) -> np.random.Generator:
         """Force a specific seed for one stream (used to perturb replays)."""
         digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-        gen = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
         self._streams[name] = gen
         self._reseeded = True
         return gen

@@ -44,6 +44,13 @@ class TestNbytes:
         with pytest.raises(TypeError):
             nbytes_of(object())
 
+    def test_bool_is_sized_as_an_int(self):
+        # bool is an int subclass, so the numeric branch sizes it; a
+        # 1-byte MPI_C_BOOL sizing would be a declared fingerprint change.
+        assert nbytes_of(True) == nbytes_of(False) == 8
+        assert nbytes_of(np.bool_(True)) == 8
+        assert nbytes_of([True, 1.0]) == 16
+
 
 class TestCopy:
     def test_ndarray_copied_not_aliased(self):

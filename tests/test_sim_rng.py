@@ -1,5 +1,7 @@
 """Unit tests for named deterministic random streams."""
 
+import hashlib
+
 import numpy as np
 
 from repro.sim.rng import RngRegistry
@@ -81,3 +83,27 @@ def test_untouched_is_false_after_reseed_even_to_the_same_seed():
     late.stream("target")
     late.reseed("target", seed=999)
     assert not late.untouched()
+
+
+
+def _default_rng(seed, name):
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+
+
+def test_streams_equal_default_rng_of_the_derived_seed():
+    """Streams are built as ``Generator(PCG64(seed))``, which numpy defines
+    ``default_rng(seed)`` to be: same bit-generator state, same draws."""
+    reg = RngRegistry(seed=11)
+    names = [f"rank{r}.noise" for r in range(50)] + ["membership", "net.faults", "net.jitter"]
+    for name in names:
+        ref = _default_rng(11, name)
+        gen = reg.stream(name)
+        assert type(gen.bit_generator) is type(ref.bit_generator)
+        assert gen.bit_generator.state == ref.bit_generator.state
+    assert reg.untouched()
+    reseeded = reg.reseed("net.jitter", seed=999)
+    assert reseeded.bit_generator.state == _default_rng(999, "net.jitter").bit_generator.state
+    assert not reg.untouched()
+    for name in names[:5]:
+        assert np.array_equal(reg.stream(name).random(8), _default_rng(11, name).random(8))

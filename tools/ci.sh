@@ -174,6 +174,12 @@ PY
     # deleted with them.
     echo "fault-experiment twin residue in src/ (must be empty):"
     grep -rnE "run_campaign|CampaignResult|CrashSchedule|DEFAULT_PROTOCOLS|class Mailbox|LogGPModel|RecvEvent|_envelope_class|_ENVELOPE_FIELDS" src/ || true
+    # One body per hot loop: blocking point-to-point and the collective
+    # schedules share MpiProcess's fused send_on/recv_on/sendrecv_on, a
+    # process resumes through Process.fire alone, and SDR re-acks a
+    # duplicate through its ack hook — no hand-inlined copy may come back.
+    echo "hand-inlined twin residue in src/ (must be empty):"
+    grep -rnE "def (_sendrecv|_post_send|_post_recv|_send_wait|_recv_wait|_send_acks|_resume)\b" src/ || true
 }
 trap print_stage_summary EXIT
 

@@ -147,8 +147,7 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
     def _check_on_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
         # Vote state digests the payload *inside* the borrow window: the
         # retained comparison record is a 64-bit digest, never the
-        # envelope (env.copy() is the escape hatch if a protocol variant
-        # ever needs the full message for its votes).
+        # envelope (the envelope is recycled when this hook returns).
         key = (env.world_src, env.seq)
         own = payload_digest(env.data)
         self._own_digests[key] = own

@@ -24,13 +24,8 @@ contract, per entry point:
 * ``on_match(recv, env)`` / ``on_recv_complete(env, recv)`` / a
   ``ctrl_handlers`` callable — *env* is a **borrow**: valid while the
   handler runs (through every resumption, for generator handlers), recycled
-  the moment it returns.  Handlers copy out the fields they need; to hold
-  the whole message past the handler, call ``env.retain()`` (balanced later
-  by ``pml.release_env(env)``) or take an arena-independent snapshot with
-  ``env.copy()`` → :class:`~repro.mpi.pml.MessageView`.  When the runtime
-  guard is enabled, :func:`guard_hook` audits the retain discipline: a
-  hook whose retain is never balanced is named at end of run
-  (``unbalanced_retain`` strand site) instead of leaking anonymously.
+  the moment it returns.  There is no refcount and no escape hatch:
+  handlers copy out the fields they need.
 * ``incoming_filter(env)`` — ownership **transfers** to the filter when it
   returns False: the filter must hand the envelope to
   ``pml.deliver_to_matching`` (now or later — reorder buffers hold
@@ -49,8 +44,7 @@ Payload references obtained inside the window (``env.data``,
 ``recv.data``) follow the copy-on-write snapshot discipline and stay valid
 after recycling — only the envelope *shell* is recycled.  Protocol-side
 retention (SDR's resend store, redMPI's vote state) therefore keeps
-payloads, digests, or :class:`~repro.mpi.pml.MessageView` snapshots, never
-raw envelopes.
+payloads, digests or copied fields, never raw envelopes.
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ from typing import Any, Callable, Dict, Generator, TYPE_CHECKING
 
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.handles import RecvHandle, SendHandle
-from repro.mpi.pml import MessageView
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.mpi.pml import Envelope, Pml
@@ -68,13 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = [
     "SendHandle",
     "RecvHandle",
-    "MessageView",
     "BaseProtocol",
     "NativeProtocol",
     "filter_guard_enabled",
     "set_filter_guard",
     "guard_incoming_filter",
-    "guard_hook",
 ]
 
 #: runtime ownership guard for ``incoming_filter`` implementations (see
@@ -151,51 +142,6 @@ def guard_incoming_filter(
             raise
         pending.discard(token)
         return deliver
-
-    guarded.__wrapped__ = fn
-    return guarded
-
-
-#: env argument position per hook event: ``on_match(recv, env)`` vs
-#: ``on_recv_complete(env, recv)``
-_HOOK_ENV_INDEX = {"on_match": 1, "on_recv_complete": 0}
-
-
-def guard_hook(pml: "Pml", fn: Callable[..., Any], kind: str) -> Callable[..., Generator]:
-    """Wrap an ``on_match``/``on_recv_complete`` hook in retain accounting.
-
-    Hooks receive the envelope as a *borrow*; ``env.retain()`` is the
-    escape hatch, balanced later by ``pml.release_env``.  A hook that
-    retains and forgets the release leaks silently — the shell never
-    returns to the arena, and the end-of-run imbalance carries no clue
-    about who held it.  This wrapper extends the ``incoming_filter``
-    guard's token discipline to the hook surface: it snapshots the
-    envelope's refcount around the hook invocation, and a net increase
-    records the (envelope, hook) pair in the PML's retain ledger.  The
-    ledger entry is cleared when the envelope finally recycles (the
-    balancing release arrived, in whatever order); entries still present
-    at end of run are stranded at the ``unbalanced_retain`` site and
-    re-raised by the harness naming the hook —
-    :meth:`repro.mpi.pml.Pml.reap_retain_ledger`.
-
-    Installed automatically at ``pml.on_match.append(...)`` /
-    ``pml.on_recv_complete.append(...)`` when :func:`filter_guard_enabled`
-    is true (hook lists wrap at append time, like filters at assignment).
-    """
-    env_index = _HOOK_ENV_INDEX[kind]
-    hook_name = getattr(fn, "__qualname__", repr(fn))
-
-    def guarded(*args: Any) -> Generator:
-        env = args[env_index]
-        before = env._refs
-        result = fn(*args)
-        if result is not None:
-            yield from result
-        if env._refs > before:
-            ledger = pml._retain_ledger
-            if ledger is None:
-                ledger = pml._retain_ledger = {}
-            ledger[id(env)] = (env, hook_name)
 
     guarded.__wrapped__ = fn
     return guarded

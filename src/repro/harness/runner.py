@@ -682,8 +682,7 @@ class Job:
 
     def _check_guard_violations(self) -> None:
         """Re-raise any ownership violations the runtime guard recorded —
-        incoming_filter strands (:func:`repro.core.interpose.guard_incoming_filter`)
-        and unbalanced hook retains (:func:`repro.core.interpose.guard_hook`)."""
+        incoming_filter strands (:func:`repro.core.interpose.guard_incoming_filter`)."""
         pmls = list(self.pmls.values()) + [pml for pml, _proto in self._retired_stacks]
         violations = [v for pml in pmls for v in (pml.guard_violations or ())]
         if violations:
@@ -752,13 +751,6 @@ class Job:
                 retired += reap() or 0
             retired += pml.reap() or 0
             reap_sites["retired_stack"] += retired
-        stacks = live + self._retired_stacks
-        # Hook-retain audit (runtime ownership guard): unbalanced
-        # Envelope.retain() calls are stranded at ``unbalanced_retain``
-        # and recorded as violations — after the reaps above, so protocol
-        # teardowns that release their retains have already cleared them.
-        for pml, _proto in stacks:
-            pml.reap_retain_ledger()
         self._check_guard_violations()
         fab = self.fabric
         # Sharded runs extend both sides with the cross-shard relay: an
@@ -778,7 +770,7 @@ class Job:
                 f"{fab.frames_exported} exported "
                 f"({fab.frames_acquired - frames_closed} unaccounted)"
             )
-        pmls = [pml for pml, _proto in stacks]
+        pmls = [pml for pml, _proto in live + self._retired_stacks]
         # Link duplication mints envelopes without an acquire_env — they
         # enter on the acquired side so each clone still needs a release
         # or an accounted strand of its own.

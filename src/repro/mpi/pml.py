@@ -40,12 +40,10 @@ arena and has **exactly one owner** at every point in its lifetime:
 * hooks (``on_match``, ``on_recv_complete``) and ``ctrl_handlers``
   receive the envelope as a **borrow**: it is valid for the duration of
   the handler invocation (including every resumption of a generator
-  handler until it finishes) and must not be retained past it.  A
-  protocol that needs the message afterwards takes the explicit escape
-  hatch: :meth:`Envelope.retain` keeps the envelope out of the arena
-  until a matching :meth:`Pml.release_env`, or :meth:`Envelope.copy`
-  snapshots it into an arena-independent, read-only
-  :class:`MessageView`.
+  handler until it finishes) and is recycled right after.  There is no
+  refcount and no way to hold an envelope past the call: a protocol that
+  needs the message later copies out the fields it needs (a payload, a
+  digest, a sequence number), as every in-tree protocol does.
 
 Payloads are *not* part of the recycling: ``env.data`` refers to the
 copy-on-write snapshot machinery of :mod:`repro.mpi.datatypes`, and
@@ -78,7 +76,6 @@ from repro.sim.kernel import Simulator
 
 __all__ = [
     "Envelope",
-    "MessageView",
     "Pml",
     "PmlRecvRequest",
     "PmlSendRequest",
@@ -108,8 +105,8 @@ class Envelope:
     makes its construction part of the per-message critical path.
 
     Instances delivered by the PML are arena-owned **borrows** (see the
-    module docstring): handlers read them freely while they run, and use
-    :meth:`retain`/:meth:`copy` to hold a message past the handler.
+    module docstring): handlers read them freely while they run, and copy
+    out whatever they need past the handler.
     """
 
     #: the constructor's arguments in order: an envelope's wire values
@@ -117,7 +114,7 @@ class Envelope:
         "kind", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
         "nbytes", "data", "src_phys", "dst_phys", "msg_id", "ctrl_key",
     )  # fmt: skip
-    __slots__ = _FIELDS + ("_refs",)
+    __slots__ = _FIELDS
     #: ``Envelope(*Envelope.wire_values(env))`` mints a fresh envelope equal
     #: to *env* — link duplication and the shard relay build one this way
     wire_values = attrgetter(*_FIELDS)
@@ -151,7 +148,6 @@ class Envelope:
         self.dst_phys = dst_phys
         self.msg_id = msg_id
         self.ctrl_key = ctrl_key
-        self._refs = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -159,69 +155,6 @@ class Envelope:
             f"tag={self.tag}, world_src={self.world_src}, world_dst={self.world_dst}, "
             f"seq={self.seq}, nbytes={self.nbytes}, src_phys={self.src_phys}, "
             f"dst_phys={self.dst_phys}, msg_id={self.msg_id}, ctrl_key={self.ctrl_key!r})"
-        )
-
-    def retain(self) -> "Envelope":
-        """Escape hatch: keep this envelope alive past the borrow window.
-
-        Each ``retain()`` must be balanced by one :meth:`Pml.release_env`
-        — the envelope returns to the arena only when every holder has
-        released it.  Prefer :meth:`copy` unless you need the live object.
-        """
-        self._refs += 1
-        return self
-
-    def copy(self) -> "MessageView":
-        """Arena-independent, read-only snapshot of this message.
-
-        The safe way for a protocol to hold a message for later comparison
-        (redMPI-style vote checks, diagnostics): the view shares the
-        immutable payload snapshot but is detached from the recycling
-        arena, so it stays valid forever.
-        """
-        return MessageView(self)
-
-
-class MessageView:
-    """Immutable snapshot of a delivered message.
-
-    Carries the matching/replication-relevant fields of an
-    :class:`Envelope` (ctx/src/tag/seq/payload and the physical
-    addressing), detached from the recycling arena: a view taken inside a
-    hook stays valid after the envelope shell has been recycled.  The
-    payload reference follows the copy-on-write snapshot discipline of
-    :mod:`repro.mpi.datatypes` (immutable, shared).  Attribute assignment
-    raises — a view is a value, not a message in flight.
-    """
-
-    __slots__ = (
-        "kind",
-        "ctx",
-        "src_rank",
-        "tag",
-        "world_src",
-        "world_dst",
-        "seq",
-        "nbytes",
-        "data",
-        "src_phys",
-        "dst_phys",
-        "msg_id",
-        "ctrl_key",
-    )
-
-    def __init__(self, env: Envelope) -> None:
-        setattr_ = object.__setattr__
-        for field in self.__slots__:
-            setattr_(self, field, getattr(env, field))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"MessageView is read-only (tried to set {name!r})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"MessageView(kind={self.kind!r}, ctx={self.ctx!r}, src_rank={self.src_rank}, "
-            f"tag={self.tag}, seq={self.seq}, nbytes={self.nbytes})"
         )
 
 
@@ -247,12 +180,8 @@ class PmlSendRequest:
 class PmlRecvRequest:
     """Library-level receive request.
 
-    ``lib_complete`` mirrors the paper's ``irecvComplete``: payload fully in
-    the library.  ``done`` is application-level completion (payload copied
-    into the user buffer, status filled).  ``matched`` exposes the matched
-    envelope **only during the match/complete hook window** — it is cleared
-    when the PML recycles the envelope (take a :meth:`Envelope.copy` in an
-    ``on_match`` hook to keep it).
+    ``done`` is application-level completion (payload copied into the user
+    buffer, status filled).
     """
 
     __slots__ = (
@@ -261,8 +190,6 @@ class PmlRecvRequest:
         "tag",
         "buf",
         "done",
-        "lib_complete",
-        "matched",
         "data",
         "status",
         "cancelled",
@@ -274,41 +201,12 @@ class PmlRecvRequest:
         self.tag = tag
         self.buf = buf
         self.done = False
-        self.lib_complete = False
-        self.matched: Optional[Envelope] = None
         self.data: Any = None
         self.status: Optional[Status] = None
         self.cancelled = False
 
 
 HookFn = Callable[..., Optional[Generator]]
-
-
-class _HookList(list):
-    """Hook registry for one interposition event (``on_match`` /
-    ``on_recv_complete``).
-
-    A plain list everywhere it matters (the firing loops iterate it
-    directly), except that :meth:`append` — the only registration path the
-    protocols use — wraps the hook in the retain-accounting guard
-    (:func:`repro.core.interpose.guard_hook`) when the runtime ownership
-    guard is enabled, mirroring how ``incoming_filter`` wraps at
-    assignment time.
-    """
-
-    __slots__ = ("_pml", "_kind")
-
-    def __init__(self, pml: "Pml", kind: str) -> None:
-        super().__init__()
-        self._pml = pml
-        self._kind = kind
-
-    def append(self, fn: HookFn) -> None:
-        from repro.core.interpose import filter_guard_enabled, guard_hook
-
-        if filter_guard_enabled():
-            fn = guard_hook(self._pml, fn, self._kind)
-        super().append(fn)
 
 
 class Pml:
@@ -348,7 +246,6 @@ class Pml:
         "_recv_row",
         "_release_frame",
         "_guard_pending",
-        "_retain_ledger",
         "guard_violations",
         "sends_posted",
         "recvs_posted",
@@ -374,15 +271,13 @@ class Pml:
         # workloads (every small-message tier) never touch it
         self._rdv_sends: Optional[Dict[int, Tuple[PmlSendRequest, Envelope]]] = None
         self._rdv_recvs: Optional[Dict[Tuple[int, int], PmlRecvRequest]] = None
-        # interposition surface (hook lists wrap appends in the retain
-        # guard when the runtime ownership guard is enabled)
-        self.on_match: List[HookFn] = _HookList(self, "on_match")
-        self.on_recv_complete: List[HookFn] = _HookList(self, "on_recv_complete")
+        # interposition surface
+        self.on_match: List[HookFn] = []
+        self.on_recv_complete: List[HookFn] = []
         #: see the ``incoming_filter`` property
         self._incoming_filter: Optional[Callable[[Envelope], Generator]] = None
         #: ctrl envelopes are recycled the moment a handler returns —
         #: handlers get a borrow and must copy out whatever they need
-        #: (``env.retain()``/``env.copy()`` are the escape hatches)
         self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
         self.svc_handlers: Dict[str, Callable[[Any], Generator]] = {}
         #: free list shared by every envelope kind, bounded by POOL_CAP
@@ -416,11 +311,6 @@ class Pml:
         #: filter-guard bookkeeping (see the ``incoming_filter`` property);
         #: ``None`` unless the debug guard is enabled
         self._guard_pending: Optional[set] = None
-        #: hook-retain ledger: {id(env): (env, hook_name)} for envelopes a
-        #: guarded hook retained and has not yet balanced with a release —
-        #: ``None`` unless the debug guard recorded one (see
-        #: :meth:`reap_retain_ledger`)
-        self._retain_ledger: Optional[Dict[int, Tuple[Envelope, str]]] = None
         #: ownership-contract violations the guard recorded; re-raised in
         #: the harness teardown because crash unwinding swallows cleanup
         #: errors (``Process.crash``: the crash wins)
@@ -525,7 +415,6 @@ class Pml:
             env.dst_phys = dst_phys
             env.msg_id = msg_id
             env.ctrl_key = ctrl_key
-            env._refs = 1
             return env
         self.env_allocated += 1
         return Envelope(
@@ -545,23 +434,14 @@ class Pml:
         )
 
     def release_env(self, env: Envelope) -> None:
-        """Drop one ownership reference; recycle at zero.
+        """Return *env* to the arena.
 
         Explicit reset on recycle: the payload and context references are
-        cleared so a parked envelope pins nothing.  Envelopes retained via
-        :meth:`Envelope.retain` stay live until their holder releases.
+        cleared so a parked envelope pins nothing.
         """
         pending = self._guard_pending
         if pending is not None:
             pending.discard(id(env))
-        refs = env._refs
-        if refs > 1:
-            env._refs = refs - 1
-            return
-        ledger = self._retain_ledger
-        if ledger is not None:
-            # Last reference dropped: any hook retain was balanced.
-            ledger.pop(id(env), None)
         self.env_released += 1
         env.ctx = None
         env.data = None
@@ -570,27 +450,16 @@ class Pml:
             pool.append(env)
 
     def strand_env(self, env: Envelope, site: str = "abandoned_pipeline") -> None:
-        """Account one abandoned ownership reference (fail-stop teardown).
+        """Account one abandoned envelope (fail-stop teardown).
 
-        The refcount discipline mirrors :meth:`release_env`: a strand drops
-        the pipeline's reference, and the shell counts as stranded only
-        when no retainer still holds it (a retained envelope will still be
-        released — or stranded — by its holder).  Stranded shells are not
-        pooled: behaviour is identical to the pre-accounting engine, only
-        the counter moves.  *site* attributes the strand to the mechanism
+        Stranded shells are not pooled: behaviour is identical to the
+        pre-accounting engine, only the counter moves.  *site* attributes the strand to the mechanism
         that dropped it (``abandoned_pipeline``, ``duplicate_window``, ...)
         for :attr:`repro.harness.runner.JobResult.stranded_by_site`.
         """
         pending = self._guard_pending
         if pending is not None:
             pending.discard(id(env))
-        refs = env._refs
-        if refs > 1:
-            env._refs = refs - 1
-            return
-        ledger = self._retain_ledger
-        if ledger is not None:
-            ledger.pop(id(env), None)
         self.env_stranded += 1
         by_site = self.env_stranded_by_site
         if by_site is None:
@@ -753,7 +622,6 @@ class Pml:
             env.dst_phys = dst_phys
             env.msg_id = -1
             env.ctrl_key = ctrl_key
-            env._refs = 1
         else:
             self.env_allocated += 1
             env = Envelope(
@@ -871,17 +739,12 @@ class Pml:
                 except BaseException:
                     self.strand_env(env)  # handler abandoned mid-borrow
                     raise
-            if env._refs > 1:
-                env._refs -= 1
-            else:
-                if self._retain_ledger is not None:
-                    self._retain_ledger.pop(id(env), None)
-                self.env_released += 1
-                env.ctx = None
-                env.data = None
-                pool = self._env_pool
-                if len(pool) < POOL_CAP:
-                    pool.append(env)
+            self.env_released += 1
+            env.ctx = None
+            env.data = None
+            pool = self._env_pool
+            if len(pool) < POOL_CAP:
+                pool.append(env)
         elif env.kind == "cts":
             yield from self._handle_cts(env)
         elif env.kind == "data":
@@ -908,10 +771,10 @@ class Pml:
 
         Called from frame handling, and by the replication layer when it
         releases held-back envelopes from its reorder buffer.  Ownership
-        contract: this method consumes one reference — the envelope ends
-        up either recycled (matched-and-completed) or parked in the
-        unexpected queue, whose entries the PML releases when they match
-        (or at teardown).
+        contract: this method consumes the envelope — it ends up either
+        recycled (matched-and-completed) or parked in the unexpected
+        queue, whose entries the PML releases when they match (or at
+        teardown).
         """
         pending = self._guard_pending
         if pending is not None:
@@ -922,13 +785,11 @@ class Pml:
             # _matched inlined for the eager case (one call per matched
             # arrival); rendezvous and error paths take the method.
             if env.kind == "eager":
-                recv.matched = env
                 try:
                     for hook in self.on_match:
                         gen = hook(recv, env)
                         if gen is not None:
                             yield from gen
-                    recv.lib_complete = True
                     for hook in self.on_recv_complete:
                         gen = hook(env, recv)
                         if gen is not None:
@@ -943,18 +804,12 @@ class Pml:
                     self._copy_into_buf(recv, env)
                 recv.status = Status(env.src_rank, env.tag, env.nbytes)
                 recv.done = True
-                recv.matched = None  # end of the borrow window
-                if env._refs > 1:
-                    env._refs -= 1
-                else:
-                    if self._retain_ledger is not None:
-                        self._retain_ledger.pop(id(env), None)
-                    self.env_released += 1
-                    env.ctx = None
-                    env.data = None
-                    pool = self._env_pool
-                    if len(pool) < POOL_CAP:
-                        pool.append(env)
+                self.env_released += 1
+                env.ctx = None
+                env.data = None
+                pool = self._env_pool
+                if len(pool) < POOL_CAP:
+                    pool.append(env)
             else:
                 yield from self._matched(recv, env, from_unexpected=False)
         else:
@@ -970,7 +825,6 @@ class Pml:
             # rts: nothing to do until a receive is posted.
 
     def _matched(self, recv: PmlRecvRequest, env: Envelope, from_unexpected: bool) -> Generator:
-        recv.matched = env
         if env.kind == "eager":
             try:
                 for hook in self.on_match:
@@ -979,7 +833,6 @@ class Pml:
                         yield from gen
                 if not from_unexpected:
                     # _fire_recv_complete inlined: once per matched eager.
-                    recv.lib_complete = True
                     for hook in self.on_recv_complete:
                         gen = hook(env, recv)
                         if gen is not None:
@@ -989,24 +842,17 @@ class Pml:
                 raise
             # _complete_recv + release_env inlined (the unexpected-queue
             # match is the hot path of every ANY_SOURCE-heavy workload).
-            recv.lib_complete = True
             recv.data = env.data
             if recv.buf is not None:
                 self._copy_into_buf(recv, env)
             recv.status = Status(env.src_rank, env.tag, env.nbytes)
             recv.done = True
-            recv.matched = None  # end of the borrow window
-            if env._refs > 1:
-                env._refs -= 1
-            else:
-                if self._retain_ledger is not None:
-                    self._retain_ledger.pop(id(env), None)
-                self.env_released += 1
-                env.ctx = None
-                env.data = None
-                pool = self._env_pool
-                if len(pool) < POOL_CAP:
-                    pool.append(env)
+            self.env_released += 1
+            env.ctx = None
+            env.data = None
+            pool = self._env_pool
+            if len(pool) < POOL_CAP:
+                pool.append(env)
         elif env.kind == "rts":
             try:
                 for hook in self.on_match:
@@ -1028,7 +874,6 @@ class Pml:
             if rdv is None:
                 rdv = self._rdv_recvs = {}
             rdv[(src_phys, msg_id)] = recv
-            recv.matched = None
             self.release_env(env)
             cts = self.acquire_env(
                 "cts", ctx, -1, -1, -1, -1, seq, CTS_BYTES, None, src_phys, msg_id=msg_id
@@ -1081,8 +926,6 @@ class Pml:
         self.release_env(env)
 
     def _fire_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
-        if recv is not None:
-            recv.lib_complete = True
         for hook in self.on_recv_complete:
             gen = hook(env, recv)
             if gen is not None:
@@ -1101,7 +944,6 @@ class Pml:
             flat[: src.size] = src
 
     def _complete_recv(self, recv: PmlRecvRequest, env: Envelope) -> None:
-        recv.lib_complete = True
         recv.data = env.data
         if recv.buf is not None:
             self._copy_into_buf(recv, env)
@@ -1173,48 +1015,11 @@ class Pml:
             rdv.clear()
         return reaped
 
-    def reap_retain_ledger(self) -> int:
-        """Strand every hook retain that was never balanced — loudly.
-
-        Runs after the protocol/PML reaps (a protocol whose teardown
-        releases its retains clears its ledger entries on the way).
-        Whatever is still here is a hook that called ``env.retain()`` and
-        forgot the balancing :meth:`release_env`: the outstanding
-        references are dropped so the arena balance stays provable
-        (``unbalanced_retain`` strand site), and a violation naming the
-        hook is recorded for the harness to raise.  Only populated when
-        the runtime ownership guard wrapped the hooks
-        (:func:`repro.core.interpose.guard_hook`).
-        """
-        ledger = self._retain_ledger
-        if not ledger:
-            return 0
-        violations = self.guard_violations
-        if violations is None:
-            violations = self.guard_violations = []
-        reaped = 0
-        for env, hook_name in list(ledger.values()):
-            violations.append(
-                f"hook {hook_name!r} on proc {self.proc} retained an envelope "
-                f"(kind={env.kind!r}, seq={env.seq}) without the balancing "
-                "pml.release_env — every Envelope.retain() must be released "
-                "(see the ownership contract in repro.core.interpose)"
-            )
-            # Drop every outstanding reference; the terminal strand pops
-            # the ledger entry itself.
-            while env._refs > 1:
-                env._refs -= 1
-            self.strand_env(env, "unbalanced_retain")
-            reaped += 1
-        ledger.clear()
-        return reaped
-
     def _unlink(self) -> None:
         """End of run: empty the protocol's dispatch tables.  Their entries
         are the protocol's bound methods, and the protocol holds this PML."""
         self.ctrl_handlers.clear()
         self.svc_handlers.clear()
         self._incoming_filter = None
-        for hooks in (self.on_match, self.on_recv_complete):
-            hooks.clear()
-            hooks._pml = None
+        self.on_match.clear()
+        self.on_recv_complete.clear()

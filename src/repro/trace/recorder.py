@@ -10,7 +10,7 @@ Ownership note: captures record **scalar fields only** (ranks, tags, byte
 counts), never ``Envelope``/``Frame`` objects — those recycle through the
 engine's arenas (see :mod:`repro.mpi.pml`) and would be reused under any
 retained reference.  A future delivery-side tracer must follow the same
-rule, or snapshot via ``Envelope.copy()``.
+rule: envelopes are borrowed, never held.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 ROADMAP's rule — no new ``Job`` / ``Pml`` / ``Simulator`` / ``MatchEngine``
 parameter without a reason in the PR description — fails a test instead of
 a review: a parameter added, renamed or removed has to be written down here
-too.  So does any attempt to give the completion handles behaviour again.
+too.  So does any attempt to give the completion handles behaviour again,
+or to let anything hold an envelope past the call that borrowed it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import inspect
 
 import pytest
 
-from repro.harness.runner import Job
+from repro.core.config import ReplicationConfig
+from repro.harness.runner import Job, cluster_for
 from repro.mpi.api import MpiProcess
 from repro.mpi.handles import RecvHandle, SendHandle
 from repro.mpi.matching import MatchEngine
-from repro.mpi.pml import Pml
+from repro.mpi.pml import Envelope, Pml, PmlRecvRequest
 from repro.sim.kernel import Simulator
 
 SURFACE = {
@@ -44,3 +46,16 @@ def test_handles_are_passive_and_every_wait_has_one_loop():
         assert not hasattr(cls, "advance") and not hasattr(cls, "needs_advance")
     assert not [name for name in dir(MpiProcess) if name.endswith("_generic")]
     assert MpiProcess.waitall is MpiProcess.wait_handles
+
+
+def test_envelopes_are_borrowed_never_held():
+    """One owner, no refcount: an envelope carries its wire fields and
+    nothing else, has no ``retain``/``copy`` escape hatch, a receive request
+    keeps no matched envelope, and hooks are plain lists with no guard."""
+    assert Envelope.__slots__ == Envelope._FIELDS
+    assert not hasattr(Envelope, "retain") and not hasattr(Envelope, "copy")
+    assert not {"matched", "lib_complete"} & set(PmlRecvRequest.__slots__)
+    cfg = ReplicationConfig(degree=2, protocol="sdr")
+    job = Job(2, cfg=cfg, cluster=cluster_for(2, 2))
+    assert type(job.pmls[0].on_match) is list
+    assert type(job.pmls[0].on_recv_complete) is list

@@ -23,6 +23,12 @@ class TestCli:
         assert main(["determinism", "--app", "master_worker"]) == 0
         assert "NOT send-deterministic" in capsys.readouterr().out
 
+    def test_determinism_negative_control_fails_when_undetected(self, capsys):
+        # One replay is the unjittered reference alone: nothing is
+        # perturbed, so the counterexample cannot show and the control fails.
+        assert main(["determinism", "--app", "master_worker", "--replays", "1"]) == 1
+        assert "master_worker: send-deterministic over 0 perturbed replays" in capsys.readouterr().out
+
     def test_determinism_unknown_app(self):
         assert main(["determinism", "--app", "nonexistent"]) == 2
 

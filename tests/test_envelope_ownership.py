@@ -1,14 +1,13 @@
-"""The envelope ownership contract: arenas balance, borrows, escape hatches.
+"""The envelope ownership contract: arenas balance, hooks borrow.
 
 PR 3's contract (see :mod:`repro.mpi.pml` and :mod:`repro.core.interpose`):
-every envelope has exactly one owner at every point in its lifetime, hooks
-receive borrows, and ``retain()``/``copy()`` are the explicit ways to hold
-a message past the borrow window.  The harness enforces the zero-leak
+every envelope has exactly one owner at every point in its lifetime, and
+hooks borrow it for the call (no refcount).  The harness enforces the zero-leak
 property in the teardown of **every** run — since PR 4, crashy runs
 included: fail-stop drop sites and abandoned receive pipelines count what
 they strand, and the teardown asserts
 ``acquired == released + stranded``.  These tests pin the accounting
-itself, the escape hatches, the end-of-run reaping of well-defined
+itself, the borrow window, the end-of-run reaping of well-defined
 leftovers, and the failover/recovery scenarios the strand accounting
 exists for.
 """
@@ -24,7 +23,7 @@ from repro.core.recovery import RecoveryManager
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.datatypes import Phantom
 from repro.mpi.errors import DeadlockError
-from repro.mpi.pml import Envelope, MessageView
+from repro.mpi.pml import Envelope
 from tests.conftest import run_app
 
 
@@ -346,67 +345,6 @@ class TestBorrowAndEscapeHatches:
         job.launch(app).run()
         (env,) = seen
         assert env.ctx is None and env.data is None  # recycled after the window
-
-    def test_retain_keeps_envelope_out_of_the_arena(self):
-        job = _job()
-        held = []
-        job.pmls[1].on_recv_complete.append(lambda env, recv: held.append(env.retain()))
-
-        def app(mpi):
-            if mpi.rank == 0:
-                yield from mpi.send(np.full(3, 7.0), dest=1, tag=1)
-            else:
-                yield from mpi.recv(source=0, tag=1)
-
-        with pytest.raises(AssertionError, match="envelope arena leak"):
-            job.launch(app).run()  # retained => deliberately unbalanced
-        (env,) = held
-        assert env.data is not None  # still live: retain() protected it
-        job.pmls[1].release_env(env)  # balanced now
-        assert env.data is None
-        assert sum(p.env_acquired for p in job.pmls.values()) == sum(
-            p.env_released for p in job.pmls.values()
-        )
-
-    def test_copy_returns_immutable_view(self):
-        job = _job()
-        views = []
-        job.pmls[1].on_recv_complete.append(lambda env, recv: views.append(env.copy()))
-
-        def app(mpi):
-            if mpi.rank == 0:
-                yield from mpi.send(np.array([1.0, 2.0]), dest=1, tag=4)
-            else:
-                yield from mpi.recv(source=0, tag=4)
-
-        job.launch(app).run()  # views are arena-independent: still balanced
-        (view,) = views
-        assert isinstance(view, MessageView)
-        assert view.tag == 4 and view.seq == 0 and view.src_rank == 0
-        assert view.data is not None  # payload snapshot survives recycling
-        with pytest.raises(AttributeError):
-            view.tag = 9
-        with pytest.raises(AttributeError):
-            view.data = None
-
-    def test_view_mirrors_envelope_fields(self):
-        env = Envelope(
-            kind="eager",
-            ctx=("w",),
-            src_rank=1,
-            tag=2,
-            world_src=1,
-            world_dst=0,
-            seq=3,
-            nbytes=8,
-            data=b"payload!",
-            src_phys=1,
-            dst_phys=0,
-            msg_id=17,
-        )
-        view = env.copy()
-        for field in MessageView.__slots__:
-            assert getattr(view, field) == getattr(env, field)
 
 
 class TestSendRequestOwnership:

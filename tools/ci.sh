@@ -180,6 +180,11 @@ PY
     # duplicate through its ack hook — no hand-inlined copy may come back.
     echo "hand-inlined twin residue in src/ (must be empty):"
     grep -rnE "def (_sendrecv|_post_send|_post_recv|_send_wait|_recv_wait|_send_acks|_resume)\b" src/ || true
+    # Envelopes are borrowed, never held: one owner and no refcount, so no
+    # retain/copy escape hatch, hook-retain guard or write-only receive
+    # field may come back.
+    echo "envelope-retain residue in src/ (must be empty):"
+    grep -rnE "\bretain\(|_refs\b|MessageView|guard_hook|_HookList|_retain_ledger|unbalanced_retain|lib_complete|\.matched\b" src/ || true
 }
 trap print_stage_summary EXIT
 

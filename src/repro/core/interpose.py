@@ -35,7 +35,8 @@ contract, per entry point:
   ``pml.strand_env`` if the generator is torn down mid-suspension (a
   fail-stop crash of the owning process) — see
   :meth:`repro.core.replicated.ReplicatedBase._filter_incoming` for the
-  pattern — or the crash-aware arena balance will name the leak.
+  pattern.  A filter that strands one fails the end-of-run arena balance
+  (``acquired == released + stranded``), which counts it unaccounted.
 * ``pml.deliver_to_matching(env)`` — consumes the envelope: it ends up
   recycled after completion hooks, or parked in the unexpected queue
   (which the PML owns and reaps).
@@ -49,102 +50,20 @@ payloads, digests or copied fields, never raw envelopes.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Callable, Dict, Generator, TYPE_CHECKING
+from typing import Any, Dict, Generator, TYPE_CHECKING
 
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.handles import RecvHandle, SendHandle
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.mpi.pml import Envelope, Pml
+    from repro.mpi.pml import Pml
 
 __all__ = [
     "SendHandle",
     "RecvHandle",
     "BaseProtocol",
     "NativeProtocol",
-    "filter_guard_enabled",
-    "set_filter_guard",
-    "guard_incoming_filter",
 ]
-
-#: runtime ownership guard for ``incoming_filter`` implementations (see
-#: :func:`guard_incoming_filter`); defaults to the REPRO_FILTER_GUARD
-#: environment variable so test/debug runs can flip it without code changes
-_FILTER_GUARD = os.environ.get("REPRO_FILTER_GUARD", "") not in ("", "0")
-
-
-def filter_guard_enabled() -> bool:
-    """True when newly installed incoming filters get the runtime guard."""
-    return _FILTER_GUARD
-
-
-def set_filter_guard(enabled: bool) -> bool:
-    """Flip the filter guard; returns the previous setting.
-
-    Applies to filters installed *after* the call — ``Pml.incoming_filter``
-    wraps at assignment time.  Debug aid, not a production switch: the
-    guard adds one generator frame and a set operation per application
-    frame received.
-    """
-    global _FILTER_GUARD
-    previous = _FILTER_GUARD
-    _FILTER_GUARD = enabled
-    return previous
-
-
-def guard_incoming_filter(
-    pml: "Pml", fn: Callable[["Envelope"], Generator]
-) -> Callable[["Envelope"], Generator]:
-    """Wrap *fn* so an envelope-owning yield abandoned unguarded fails loudly.
-
-    The ownership contract (below) requires a filter that *owns* an
-    envelope across a ``yield`` to route it to ``pml.strand_env`` when the
-    generator is torn down mid-suspension (a fail-stop crash of the owning
-    process).  A filter that forgets strands silently — the leak only
-    surfaces as an unattributed imbalance in the end-of-run arena check.
-    This wrapper tracks the hand-off points (``deliver_to_matching``,
-    ``release_env``, ``strand_env`` all clear the pending token) and, when
-    the filter is torn down still holding the token, strands the envelope
-    itself (keeping the balance provable) and raises an ``AssertionError``
-    naming the filter — turning a silent leak into a pointed diagnostic.
-
-    Installed automatically at ``pml.incoming_filter = ...`` assignment
-    when :func:`filter_guard_enabled` is true.
-    """
-
-    def guarded(env: "Envelope") -> Generator[Any, Any, bool]:
-        pending = pml._guard_pending
-        if pending is None:
-            pending = pml._guard_pending = set()
-        token = id(env)
-        pending.add(token)
-        try:
-            deliver = yield from fn(env)
-        except BaseException as exc:
-            if token in pending:
-                pending.discard(token)
-                pml.strand_env(env, "unguarded_filter")
-                message = (
-                    f"incoming_filter {getattr(fn, '__qualname__', fn)!r} on proc "
-                    f"{pml.proc} was torn down while owning an envelope without "
-                    "routing it to pml.strand_env — every envelope-owning yield "
-                    "must be guarded (see the ownership contract in "
-                    "repro.core.interpose)"
-                )
-                # Crash unwinding swallows exceptions raised during
-                # teardown (the crash wins), so record the violation for
-                # the harness to re-raise at end of run as well.
-                if pml.guard_violations is None:
-                    pml.guard_violations = []
-                pml.guard_violations.append(message)
-                raise AssertionError(message) from exc
-            raise
-        pending.discard(token)
-        return deliver
-
-    guarded.__wrapped__ = fn
-    return guarded
 
 
 class BaseProtocol:

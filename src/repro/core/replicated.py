@@ -21,7 +21,7 @@ single FIFO channel, so the filter is pure bookkeeping.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.config import ReplicationConfig
 from repro.core.interpose import BaseProtocol
@@ -197,9 +197,6 @@ class ReplicatedBase(BaseProtocol):
             yield from pml.inject(cts, CTS_BYTES)
 
     # ---------------------------------------------------------- replica math
-    def alive_replicas_of(self, rank: int) -> List[int]:
-        return self.membership.alive_replicas(rank)
-
     def pair_of(self, rank: int) -> int:
         """My same-index replica of *rank* (the parallel-protocol partner)."""
         return self.rmap.phys(rank, self.rep)

@@ -557,13 +557,6 @@ class SdrProtocol(ReplicatedBase):
                 if not handle.needs_ack:
                     del self.retention[(j, seq)]
 
-    def substitute_of(self, rank: int, rep: int) -> int:
-        """Current substitute replica index for (rank, rep) as seen here."""
-        if rank == self.rank:
-            return self.substitute[rep]
-        sub = self.membership.substitute_rep(rank)
-        return rep if sub is None else sub
-
     # ----------------------------------------------------------------- state
     def clone_state_for_respawn(self) -> dict:
         """Protocol state a forked replica inherits from the substitute."""

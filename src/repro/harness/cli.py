@@ -56,7 +56,11 @@ def _cmd_fig7(args) -> int:
 def _cmd_table1(args) -> int:
     from repro.harness.experiments import current_scale, nas_overhead
 
-    scale = current_scale()
+    try:
+        scale = current_scale()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     apps = [args.app] if args.app else ["BT", "CG", "FT", "MG", "SP"]
     rows = []
     for app in apps:
@@ -73,7 +77,11 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     from repro.harness.experiments import app_overhead, current_scale
 
-    scale = current_scale()
+    try:
+        scale = current_scale()
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     apps = [args.app] if args.app else ["HPCCG", "CM1"]
     rows = []
     for app in apps:
@@ -104,7 +112,11 @@ def _cmd_determinism(args) -> int:
         print(f"unknown app {args.app!r}; have {sorted(registry)}", file=sys.stderr)
         return 2
     fn, kwargs = registry[args.app]
-    report = check_send_determinism(fn, args.ranks, replays=args.replays, **kwargs)
+    try:
+        report = check_send_determinism(fn, args.ranks, replays=args.replays, **kwargs)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     verdict = "send-deterministic" if report else "NOT send-deterministic"
     # replay 0 is the unjittered reference, not a perturbed replay
     print(f"{args.app}: {verdict} over {report.replays - 1} perturbed replays")

@@ -68,7 +68,10 @@ SCALES: Dict[str, Scale] = {
 
 
 def current_scale() -> Scale:
-    return SCALES[os.environ.get("REPRO_SCALE", "quick")]
+    name = os.environ.get("REPRO_SCALE", "quick")
+    if name not in SCALES:
+        raise ValueError(f"unknown REPRO_SCALE {name!r}; known scales: {', '.join(sorted(SCALES))}")
+    return SCALES[name]
 
 
 def _cfg(protocol: str, degree: int = 2) -> ReplicationConfig:

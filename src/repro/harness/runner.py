@@ -609,11 +609,6 @@ class Job:
         before this shard's audit state matters.  The part's exceptions
         are ``(proc, exception)`` pairs in proc order.
         """
-        # Filter-guard violations surface on *every* exit path — a wedged
-        # run (deadlock, lost ranks) is exactly where an unguarded filter
-        # stranded something, and crash unwinding already swallowed the
-        # inline AssertionError (Process.crash: the crash wins).
-        self._check_guard_violations()
         lost = sorted(self.membership.lost_ranks)
         blocked = {
             p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
@@ -680,17 +675,6 @@ class Job:
         sim._cohorts.clear()
         sim._bucket.clear()
 
-    def _check_guard_violations(self) -> None:
-        """Re-raise any ownership violations the runtime guard recorded —
-        incoming_filter strands (:func:`repro.core.interpose.guard_incoming_filter`)."""
-        pmls = list(self.pmls.values()) + [pml for pml, _proto in self._retired_stacks]
-        violations = [v for pml in pmls for v in (pml.guard_violations or ())]
-        if violations:
-            raise AssertionError(
-                "envelope ownership violations (REPRO_FILTER_GUARD):\n  "
-                + "\n  ".join(violations)
-            )
-
     def _strand_attribution(self) -> Dict[str, Dict[str, int]]:
         """Merge every drop site's counters into one {site: {frames, envs}}
         map: the fabric's fail-stop sites, the receive-pipeline guards on
@@ -751,7 +735,6 @@ class Job:
                 retired += reap() or 0
             retired += pml.reap() or 0
             reap_sites["retired_stack"] += retired
-        self._check_guard_violations()
         fab = self.fabric
         # Sharded runs extend both sides with the cross-shard relay: an
         # exported frame left this arena's custody (its shell recycled

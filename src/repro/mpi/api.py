@@ -58,7 +58,6 @@ class MpiProcess:
         "world",
         "recorder",
         "app_state",
-        "compute_time",
         "noise",
         "io",
     )
@@ -86,8 +85,6 @@ class MpiProcess:
         self.recorder = None
         #: set by workloads that support §3.4 recovery (fork/restore)
         self.app_state = None
-        #: virtual time spent in mpi.compute (diagnostics)
-        self.compute_time = 0.0
         #: optional (rng, sigma) pair modelling OS noise on compute phases;
         #: installed by the harness from Cluster.compute_noise
         self.noise = None
@@ -122,7 +119,6 @@ class MpiProcess:
         if seconds > 0 and self.noise is not None:
             rng, sigma = self.noise
             seconds *= float(rng.lognormal(mean=0.0, sigma=sigma))
-        self.compute_time += seconds
         if seconds > 0:
             yield seconds
 

@@ -138,9 +138,6 @@ class Communicator:
             raise RankError(f"rank {rank} outside communicator of size {self.size}")
         return self.members[rank]
 
-    def rank_of_world(self, world_rank: int) -> Optional[int]:
-        return self._world_to_rank.get(world_rank)
-
     @property
     def group(self) -> Group:
         return Group(self.members)

@@ -215,10 +215,11 @@ class Pml:
     A ``__slots__`` class whose ``__init__`` builds only the hot minimum:
     jobs construct one PML per physical process, so every eager dict and
     per-proc string here multiplies by 8192+ at scale.  Cold state —
-    the rendezvous tables, the filter-guard set — is lazy behind ``None``
-    sentinels, and the per-peer cost caches are **views into the job-level
-    shared table** (see :class:`repro.network.fabric.CostTable`): all PMLs
-    on a node share one send row and one recv row, keyed by peer node.
+    the rendezvous tables, the strand attribution — is lazy behind
+    ``None`` sentinels, and the per-peer cost caches are **views into the
+    job-level shared table** (see :class:`repro.network.fabric.CostTable`):
+    all PMLs on a node share one send row and one recv row, keyed by peer
+    node.
     """
 
     __slots__ = (
@@ -232,7 +233,7 @@ class Pml:
         "_rdv_recvs",
         "on_match",
         "on_recv_complete",
-        "_incoming_filter",
+        "incoming_filter",
         "ctrl_handlers",
         "svc_handlers",
         "_env_pool",
@@ -245,8 +246,6 @@ class Pml:
         "_send_row",
         "_recv_row",
         "_release_frame",
-        "_guard_pending",
-        "guard_violations",
         "sends_posted",
         "recvs_posted",
         "any_source_posts",
@@ -274,8 +273,9 @@ class Pml:
         # interposition surface
         self.on_match: List[HookFn] = []
         self.on_recv_complete: List[HookFn] = []
-        #: see the ``incoming_filter`` property
-        self._incoming_filter: Optional[Callable[[Envelope], Generator]] = None
+        #: protocol hook intercepting application envelopes before matching;
+        #: one returning False owns the envelope (see :mod:`repro.core.interpose`)
+        self.incoming_filter: Optional[Callable[[Envelope], Generator]] = None
         #: ctrl envelopes are recycled the moment a handler returns —
         #: handlers get a borrow and must copy out whatever they need
         self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
@@ -308,13 +308,6 @@ class Pml:
         self._recv_row: Dict[int, float] = table.recv_row(my_node)
         #: bound-method cache: one attribute chase per handled frame saved
         self._release_frame = fabric.release_frame
-        #: filter-guard bookkeeping (see the ``incoming_filter`` property);
-        #: ``None`` unless the debug guard is enabled
-        self._guard_pending: Optional[set] = None
-        #: ownership-contract violations the guard recorded; re-raised in
-        #: the harness teardown because crash unwinding swallows cleanup
-        #: errors (``Process.crash``: the crash wins)
-        self.guard_violations: Optional[List[str]] = None
         # counters
         self.sends_posted = 0
         self.recvs_posted = 0
@@ -339,32 +332,6 @@ class Pml:
         cost = (model.send_overhead, model.eager_limit)
         self._send_row[self._node_of[dst]] = cost
         return cost
-
-    # ------------------------------------------------------- incoming filter
-    @property
-    def incoming_filter(self) -> Optional[Callable[[Envelope], Generator]]:
-        """Protocol hook intercepting application envelopes before matching.
-
-        A filter that returns False takes *ownership* of the envelope: it
-        must eventually hand it to :meth:`deliver_to_matching` or return it
-        via :meth:`release_env` (duplicate drops), and a filter that owns
-        an envelope across a ``yield`` must route it to :meth:`strand_env`
-        when torn down mid-suspension (see :mod:`repro.core.interpose`).
-
-        Assignment goes through a property so the runtime ownership guard
-        (:func:`repro.core.interpose.filter_guard_enabled`) can wrap any
-        filter — in-tree or custom — at install time.
-        """
-        return self._incoming_filter
-
-    @incoming_filter.setter
-    def incoming_filter(self, fn: Optional[Callable[[Envelope], Generator]]) -> None:
-        if fn is not None:
-            from repro.core.interpose import filter_guard_enabled, guard_incoming_filter
-
-            if filter_guard_enabled():
-                fn = guard_incoming_filter(self, fn)
-        self._incoming_filter = fn
 
     # ------------------------------------------------------- envelope arena
     def acquire_env(
@@ -439,9 +406,6 @@ class Pml:
         Explicit reset on recycle: the payload and context references are
         cleared so a parked envelope pins nothing.
         """
-        pending = self._guard_pending
-        if pending is not None:
-            pending.discard(id(env))
         self.env_released += 1
         env.ctx = None
         env.data = None
@@ -457,9 +421,6 @@ class Pml:
         that dropped it (``abandoned_pipeline``, ``duplicate_window``, ...)
         for :attr:`repro.harness.runner.JobResult.stranded_by_site`.
         """
-        pending = self._guard_pending
-        if pending is not None:
-            pending.discard(id(env))
         self.env_stranded += 1
         by_site = self.env_stranded_by_site
         if by_site is None:
@@ -750,7 +711,7 @@ class Pml:
         elif env.kind == "data":
             yield from self._handle_rdv_data(env)
         elif env.kind in ("eager", "rts"):
-            filt = self._incoming_filter
+            filt = self.incoming_filter
             if filt is not None:
                 # Ownership transfers to the filter: if it withholds the
                 # envelope (returns False) it must deliver or release it.
@@ -776,10 +737,6 @@ class Pml:
         queue, whose entries the PML releases when they match (or at
         teardown).
         """
-        pending = self._guard_pending
-        if pending is not None:
-            # Filter-guard bookkeeping: ownership has left the filter.
-            pending.discard(id(env))
         recv = self.matching.arrive(env)
         if recv is not None:
             # _matched inlined for the eager case (one call per matched
@@ -1020,6 +977,6 @@ class Pml:
         are the protocol's bound methods, and the protocol holds this PML."""
         self.ctrl_handlers.clear()
         self.svc_handlers.clear()
-        self._incoming_filter = None
+        self.incoming_filter = None
         self.on_match.clear()
         self.on_recv_complete.clear()

@@ -199,9 +199,6 @@ class Endpoint:
         "_chain_head",
         "_frame_label",
         "frames_received",
-        "frames_sent",
-        "bytes_received",
-        "bytes_sent",
     )
 
     #: blocker-protocol attribute (see Process._wait_on): an endpoint is
@@ -225,11 +222,8 @@ class Endpoint:
         #: waiters chained behind the armed head (see class docstring)
         self._chain: List[Event] = []
         self._chain_head: Optional[Event] = None
-        #: observability counters
+        #: frames delivered here (the shard parent's post-release check)
         self.frames_received = 0
-        self.frames_sent = 0
-        self.bytes_received = 0
-        self.bytes_sent = 0
 
     @property
     def label(self) -> str:
@@ -254,7 +248,6 @@ class Endpoint:
             return
         self.inbox.append(frame)
         self.frames_received += 1
-        self.bytes_received += frame.size
         pwaiter = self._pwaiter
         if pwaiter is not None:
             # Wake the parked process exactly as a waiter event would: one
@@ -617,8 +610,6 @@ class Fabric:
                 # unobservable.  Callers discard the return value on every
                 # PML send path; -1.0 marks "arrival priced at barrier".
                 frame.sent_at = now
-                src_ep.frames_sent += 1
-                src_ep.bytes_sent += size
                 self.total_frames += 1
                 self.total_bytes += size
                 by_kind = self.frames_by_kind
@@ -662,8 +653,6 @@ class Fabric:
             key = (src, dst)
             arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
         frame.sent_at = now
-        src_ep.frames_sent += 1
-        src_ep.bytes_sent += size
         self.total_frames += 1
         self.total_bytes += size
         by_kind = self.frames_by_kind

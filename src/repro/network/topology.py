@@ -60,9 +60,6 @@ class Placement:
     def node_of(self, proc: int) -> int:
         return self.slots[proc][0]
 
-    def core_of(self, proc: int) -> int:
-        return self.slots[proc][1]
-
     def __len__(self) -> int:
         return len(self.slots)
 

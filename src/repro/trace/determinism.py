@@ -73,8 +73,11 @@ def check_send_determinism(
     """Replay *app_factory* under perturbed timing; compare send sequences.
 
     Replay 0 runs without jitter (the reference execution); replays 1..n-1
-    add exponential arrival jitter from independently seeded streams.
+    add exponential arrival jitter from independently seeded streams, so
+    *replays* must be at least 2 for the check to compare anything.
     """
+    if replays < 2:
+        raise ValueError(f"replays must be >= 2 (the reference run plus a perturbed replay), got {replays}")
     sequences: List[Dict[int, List[tuple]]] = []
     lengths: List[Dict[int, int]] = []
     for replay in range(replays):

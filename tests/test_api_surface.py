@@ -13,12 +13,14 @@ import inspect
 
 import pytest
 
+import repro.core.interpose as interpose
 from repro.core.config import ReplicationConfig
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.api import MpiProcess
 from repro.mpi.handles import RecvHandle, SendHandle
 from repro.mpi.matching import MatchEngine
 from repro.mpi.pml import Envelope, Pml, PmlRecvRequest
+from repro.network.fabric import Endpoint
 from repro.sim.kernel import Simulator
 
 SURFACE = {
@@ -59,3 +61,16 @@ def test_envelopes_are_borrowed_never_held():
     job = Job(2, cfg=cfg, cluster=cluster_for(2, 2))
     assert type(job.pmls[0].on_match) is list
     assert type(job.pmls[0].on_recv_complete) is list
+
+
+def test_one_ownership_check():
+    """The end-of-run arena balance is the only envelope-ownership check:
+    no opt-in filter guard, its per-PML ledger or its installing property,
+    and no per-frame or per-compute counter that nothing reads."""
+    for name in ("set_filter_guard", "filter_guard_enabled", "guard_incoming_filter"):
+        assert not hasattr(interpose, name)
+    assert "incoming_filter" in Pml.__slots__
+    for name in ("_incoming_filter", "_guard_pending", "guard_violations"):
+        assert not hasattr(Pml, name)
+    assert not {"frames_sent", "bytes_sent", "bytes_received"} & set(Endpoint.__slots__)
+    assert "compute_time" not in MpiProcess.__slots__

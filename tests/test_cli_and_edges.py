@@ -24,10 +24,32 @@ class TestCli:
         assert "NOT send-deterministic" in capsys.readouterr().out
 
     def test_determinism_negative_control_fails_when_undetected(self, capsys):
-        # One replay is the unjittered reference alone: nothing is
-        # perturbed, so the counterexample cannot show and the control fails.
-        assert main(["determinism", "--app", "master_worker", "--replays", "1"]) == 1
-        assert "master_worker: send-deterministic over 0 perturbed replays" in capsys.readouterr().out
+        # One replay is the unjittered reference alone: nothing would be
+        # perturbed, so the check refuses the vacuous run.
+        assert main(["determinism", "--app", "master_worker", "--replays", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "replays must be >= 2" in err
+
+    @pytest.mark.parametrize("replays", [0, 1])
+    def test_determinism_refuses_vacuous_replays(self, capsys, replays):
+        from repro.apps.hpccg import hpccg_rank
+        from repro.trace.determinism import check_send_determinism
+
+        with pytest.raises(ValueError, match="replays must be >= 2"):
+            check_send_determinism(hpccg_rank, 4, replays=replays)
+        assert main(["determinism", "--app", "hpccg", "--replays", str(replays)]) == 2
+        captured = capsys.readouterr()
+        assert "replays must be >= 2" in captured.err and "send-deterministic" not in captured.out
+
+    @pytest.mark.parametrize("cmd", ["table1", "table2"])
+    def test_unknown_scale_is_refused(self, capsys, monkeypatch, cmd):
+        from repro.harness.experiments import current_scale
+
+        monkeypatch.setenv("REPRO_SCALE", "Paper")
+        with pytest.raises(ValueError, match="quick"):
+            current_scale()
+        assert main([cmd]) == 2
+        assert "known scales: paper, quick, small" in capsys.readouterr().err
 
     def test_determinism_unknown_app(self):
         assert main(["determinism", "--app", "nonexistent"]) == 2

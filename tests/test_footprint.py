@@ -17,10 +17,10 @@ per-process residue is slotted and lazy.  These tests pin three things:
   paper tier, with generous headroom (the seed construction was ~42 KB
   per process; the flyweight engine is ~4 KB — the budget catches a
   regression back toward per-proc copies, not allocator noise);
-* **attribution & guard** — the strand-attribution satellite
+* **attribution & balance** — the strand-attribution satellite
   (``JobResult.stranded_by_site``) reports per-mechanism losses, and the
-  ``incoming_filter`` ownership guard turns a silently-stranding custom
-  filter into a loud, named failure.
+  always-on arena balance fails a silently-stranding custom
+  ``incoming_filter``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import ReplicationConfig
-from repro.core.interpose import set_filter_guard
 from repro.core.recovery import RecoveryManager
 from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, _PROTOCOL_CLASSES, cluster_for
@@ -337,8 +336,8 @@ class TestStrandAttribution:
 
 
 class UnguardedFilterProtocol(SdrProtocol):
-    """The contract violation the guard exists for: an envelope-owning
-    charge yielded with no strand guard around it."""
+    """The ownership-contract violation: an envelope-owning charge yielded
+    with no strand guard around it."""
 
     name = "sdr-unguarded"
 
@@ -349,50 +348,17 @@ class UnguardedFilterProtocol(SdrProtocol):
 
 
 class TestFilterGuard:
-    """Runtime assert catching filters that strand silently."""
+    """The always-on arena balance is the one envelope-ownership check: a
+    filter that strands silently fails it, with no opt-in guard."""
 
-    def _run_guarded(self, protocol_cls, crash_at=None):
-        previous = set_filter_guard(True)
+    def _run(self, protocol_cls, crash_at=None):
+        _PROTOCOL_CLASSES["_guard_test"] = protocol_cls
         try:
-            _PROTOCOL_CLASSES["_guard_test"] = protocol_cls
             cfg = ReplicationConfig(degree=2, protocol="sdr")
             object.__setattr__(cfg, "protocol", "_guard_test")
             job = Job(2, cfg=cfg, cluster=cluster_for(2, 2, cores_per_node=1))
-            del _PROTOCOL_CLASSES["_guard_test"]
-
-            def app(mpi, rounds=6):
-                peer = 1 - mpi.rank
-                for r in range(rounds):
-                    if mpi.rank == 0:
-                        yield from mpi.send(np.ones(2), dest=peer, tag=r)
-                    else:
-                        yield from mpi.recv(source=peer, tag=r)
-                return mpi.rank
-
-            job.launch(app)
-            if crash_at is not None:
-                job.crash(1, 0, at=crash_at)
-            return job.run(allow_lost_ranks=True)
         finally:
-            set_filter_guard(previous)
-
-    def test_unguarded_filter_fails_loudly_on_crash(self):
-        """The receiver crashes mid-filter-charge: without the guard this
-        would strand silently; with it, the run dies naming the filter."""
-        with pytest.raises(AssertionError, match="incoming_filter.*_filter_incoming"):
-            self._run_guarded(UnguardedFilterProtocol, crash_at=50e-6)
-
-    def test_guarded_intree_filter_passes(self):
-        """The stock replicated filter strands properly — the guard stays
-        silent through the same crash, and the run balances."""
-        res = self._run_guarded(SdrProtocol, crash_at=50e-6)
-        assert res.runtime > 0
-
-    def test_guard_transparent_on_crash_free_run(self):
-        guarded = self._run_guarded(SdrProtocol)
-        # same cluster shape as _run_guarded builds
-        cfg = ReplicationConfig(degree=2, protocol="sdr")
-        plain_job = Job(2, cfg=cfg, cluster=cluster_for(2, 2, cores_per_node=1))
+            del _PROTOCOL_CLASSES["_guard_test"]
 
         def app(mpi, rounds=6):
             peer = 1 - mpi.rank
@@ -403,25 +369,23 @@ class TestFilterGuard:
                     yield from mpi.recv(source=peer, tag=r)
             return mpi.rank
 
-        plain = plain_job.launch(app).run()
-        assert guarded.events == plain.events
-        assert repr(guarded.runtime) == repr(plain.runtime)
-
-    def test_violations_surface_even_on_wedged_runs(self):
-        """A wedged run (deadlock) is exactly where an unguarded filter
-        stranded something — the recorded violation must outrank the
-        DeadlockError, not be lost to it."""
-        job = _job("sdr", n=2)
-
-        def app(mpi):
-            if mpi.rank == 0:
-                yield from mpi.recv(source=1, tag=9)  # never sent: wedges
-            return 0
-
         job.launch(app)
-        job.pmls[0].guard_violations = ["synthetic violation"]
-        with pytest.raises(AssertionError, match="synthetic violation"):
-            job.run()
+        if crash_at is not None:
+            job.crash(1, 0, at=crash_at)
+        return job.run(allow_lost_ranks=True)
+
+    def test_unguarded_filter_fails_loudly_on_crash(self):
+        """The receiver crashes mid-filter-charge: the envelope the filter
+        owned is neither released nor stranded, and the end-of-run arena
+        balance counts it."""
+        with pytest.raises(AssertionError, match=r"envelope arena leak.*\(1 unaccounted\)"):
+            self._run(UnguardedFilterProtocol, crash_at=50e-6)
+
+    def test_guarded_intree_filter_passes(self):
+        """The stock replicated filter strands properly — the run balances
+        through the same crash."""
+        res = self._run(SdrProtocol, crash_at=50e-6)
+        assert res.runtime > 0
 
     def test_guard_off_by_default(self):
         job = _job("sdr", n=2)

@@ -185,6 +185,11 @@ PY
     # field may come back.
     echo "envelope-retain residue in src/ (must be empty):"
     grep -rnE "\bretain\(|_refs\b|MessageView|guard_hook|_HookList|_retain_ledger|unbalanced_retain|lib_complete|\.matched\b" src/ || true
+    # One ownership check: the end-of-run arena balance names a stranding
+    # filter, so no opt-in filter guard, its ledger, or a counter or method
+    # nothing reads may come back.
+    echo "filter-guard residue in src/ (must be empty):"
+    grep -rnE "REPRO_FILTER_GUARD|filter_guard|guard_incoming_filter|_guard_pending|guard_violations|unguarded_filter|_incoming_filter\b|frames_sent|bytes_sent|bytes_received|compute_time|substitute_of|rank_of_world|core_of|alive_replicas_of" src/ || true
 }
 trap print_stage_summary EXIT
 

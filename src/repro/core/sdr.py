@@ -93,7 +93,6 @@ class SdrProtocol(ReplicatedBase):
     __slots__ = (
         "physical_dests",
         "_seq_floor",
-        "physical_src",
         "_substitute",
         "retention",
         "_early_acks",
@@ -122,9 +121,6 @@ class SdrProtocol(ReplicatedBase):
         #: send cursors a respawned replica inherited from its substitute
         #: (:meth:`adopt_state`): where *its own* sends start counting
         self._seq_floor: Optional[Dict[int, int]] = None
-        #: physicalSrc_p[rank] (line 2) — informational under logical-rank
-        #: matching, kept for introspection and tests.
-        self.physical_src: Dict[int, int] = {}
         #: substitute_p[rep] (line 3) storage, materialized on first use —
         #: identity until a failover rewrites it (see the property).
         self._substitute: Optional[Dict[int, int]] = None
@@ -380,9 +376,8 @@ class SdrProtocol(ReplicatedBase):
             for rep_l in covered:
                 self.substitute[rep_l] = sub
         else:
-            # Lines 28-35: a replica of another rank.
-            if self.physical_src.get(rank_f, self.rmap.phys(rank_f, self.rep)) == failed:
-                self.physical_src[rank_f] = self.rmap.phys(rank_f, sub)  # line 30
+            # Lines 28-35: a replica of another rank.  Line 30 (physicalSrc)
+            # is implicit: matching is keyed on logical ranks.
             dests = self.dests_for(rank_f)
             if failed in dests:
                 dests.remove(failed)  # stop sending to the dead replica (Fig. 3)
@@ -426,7 +421,6 @@ class SdrProtocol(ReplicatedBase):
             "covered": [],
             "sub": rep_f,
             "had_in_dests": False,
-            "physical_src": self.physical_src.get(rank_f),
         }
         if self.rank == rank_f:
             snap["covered"] = [rep_l for rep_l, s in self.substitute.items() if s == rep_f]
@@ -483,10 +477,6 @@ class SdrProtocol(ReplicatedBase):
                             dests.remove(ph)
             return
         # Peer of another rank: resume the pairwise pattern...
-        if snap["physical_src"] is None:
-            self.physical_src.pop(rank_f, None)
-        else:
-            self.physical_src[rank_f] = snap["physical_src"]
         if snap["had_in_dests"]:
             dests = self.dests_for(rank_f)
             if suspect not in dests:
@@ -531,7 +521,6 @@ class SdrProtocol(ReplicatedBase):
         if self.rank == rank_f:
             self.substitute[rep_f] = rep_f
             return
-        self.physical_src[rank_f] = self.rmap.phys(rank_f, self.rep)
         dests = self.dests_for(rank_f)
         if self.rep == rep_f and new_proc not in dests:
             dests.append(new_proc)

@@ -312,7 +312,7 @@ def run_case(
     res = None
     try:
         res = job.run(until=cfg.horizon, allow_lost_ranks=True, audit=False)
-    except AssertionError as exc:  # guard violation surfaced by run()
+    except AssertionError as exc:  # raised in a process, re-raised by JobResult.merge
         invariant_error = str(exc)
         outcome = "failed"
         error = f"{type(exc).__name__}: {exc}"

@@ -179,6 +179,9 @@ def _run_matrix(args, axes, title: str) -> int:
     if args.seeds < 1:
         print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
         return 2
+    if args.verify < 0:
+        print(f"--verify must be >= 0, got {args.verify}", file=sys.stderr)
+        return 2
     try:
         spec = SweepSpec(
             seeds=range(args.seed_base, args.seed_base + args.seeds), **axes

@@ -18,7 +18,8 @@ Beyond the single scripted crash, a :class:`FaultSchedule` composes:
   and cascades (:meth:`FaultSchedule.cascade`).
 
 Every schedule validates at build/apply time — a duplicate crash of the
-same ``(rank, rep)``, a negative or post-horizon time, or a respawn that
+same ``(rank, rep)``, a negative or post-horizon time, a crash, suspicion
+or respawn of a rank or replica outside the job, or a respawn that
 precedes every crash of its rank raises :class:`FaultScheduleError`
 instead of producing a silently weird run.
 """
@@ -226,17 +227,23 @@ class FaultSchedule:
         self.validate(horizon)
         rmap = job.rmap
         placement = job.placement
+        n_ranks, degree = rmap.n_ranks, rmap.degree
+        outside = f"outside the job ({n_ranks} ranks × degree {degree})"
+        for spec in self.crashes:
+            if not (0 <= spec.rank < n_ranks and 0 <= spec.rep < degree):
+                raise FaultScheduleError(f"crash of (rank={spec.rank}, rep={spec.rep}) {outside}")
+        for sspec in self.suspicions:
+            if not (0 <= sspec.rank < n_ranks and 0 <= sspec.rep < degree):
+                raise FaultScheduleError(f"suspicion of (rank={sspec.rank}, rep={sspec.rep}) {outside}")
+        for rspec in self.respawns:
+            if not 0 <= rspec.rank < n_ranks:
+                raise FaultScheduleError(f"respawn of rank {rspec.rank} {outside}")
         crashed_procs = {}
         for spec in self.crashes:
-            if spec.rank >= rmap.n_ranks or spec.rep >= rmap.degree:
-                raise FaultScheduleError(
-                    f"crash of (rank={spec.rank}, rep={spec.rep}) outside the job "
-                    f"({rmap.n_ranks} ranks × degree {rmap.degree})"
-                )
             crashed_procs[rmap.phys(spec.rank, spec.rep)] = spec
             job.crash(spec.rank, spec.rep, at=spec.at)
         for nspec in self.node_crashes:
-            if nspec.node >= job.cluster.nodes:
+            if not 0 <= nspec.node < job.cluster.nodes:
                 raise FaultScheduleError(
                     f"crash of node {nspec.node}: cluster has {job.cluster.nodes} nodes"
                 )

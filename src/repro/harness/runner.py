@@ -243,7 +243,6 @@ class Job:
         cluster: Optional[Cluster] = None,
         seed: int = 0,
         jitter: Optional[Callable[[], float]] = None,
-        recorder_factory: Optional[Callable[[int, int], Any]] = None,
         detector: Optional[DetectorConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
         shape: Optional[JobShape] = None,
@@ -310,7 +309,6 @@ class Job:
         self.processes: Dict[int, Process] = {}
         self.finish_times: Dict[int, float] = {}
         self.app_results: Dict[int, Any] = {}
-        self._recorder_factory = recorder_factory
         self._app_factory: Optional[Callable] = None
         self._app_kwargs: dict = {}
         self._app_all_done = False
@@ -391,8 +389,6 @@ class Job:
             mpi.io = NativeIo(self.vfs, rank)
         else:
             mpi.io = ReplicatedIo(self.vfs, protocol)
-        if self._recorder_factory is not None:
-            mpi.recorder = self._recorder_factory(proc, rank)
         self.pmls[proc] = pml
         self.protocols[proc] = protocol
         self.mpis[proc] = mpi

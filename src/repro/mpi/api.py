@@ -24,7 +24,6 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 from repro.mpi.handles import RecvHandle, SendHandle
 from repro.mpi.collectives import algorithms as coll
 from repro.mpi.comm import Communicator
-from repro.mpi.datatypes import nbytes_of
 from repro.mpi.errors import MpiError
 from repro.mpi.pml import Pml
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
@@ -56,7 +55,6 @@ class MpiProcess:
         "world_rank",
         "world_size",
         "world",
-        "recorder",
         "app_state",
         "noise",
         "io",
@@ -81,8 +79,6 @@ class MpiProcess:
         self.world_size = world_size
         members, rank_map = world_shared
         self.world: Communicator = Communicator(self, ("w",), members, rank_map=rank_map)
-        #: optional event recorder installed by :mod:`repro.trace`
-        self.recorder = None
         #: set by workloads that support §3.4 recovery (fork/restore)
         self.app_state = None
         #: optional (rng, sigma) pair modelling OS noise on compute phases;
@@ -159,8 +155,6 @@ class MpiProcess:
     ) -> Generator[Any, Any, "SendHandle"]:
         """Protocol-routed send on an explicit matching context."""
         world_dst = comm.world_of(dest)
-        if self.recorder is not None:
-            self.recorder.record_send(ctx, comm.rank, dest, world_dst, tag, nbytes_of(data))
         handle = yield from self.protocol.app_isend(
             ctx=ctx, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=synchronous
         )
@@ -353,8 +347,6 @@ class MpiProcess:
     def send_on(self, comm: Communicator, ctx: Any, dest: int, tag: int, data: Any) -> Generator:
         """Blocking send on an explicit matching context."""
         world_dst = comm.world_of(dest)
-        if self.recorder is not None:
-            self.recorder.record_send(ctx, comm.rank, dest, world_dst, tag, nbytes_of(data))
         handle = yield from self.protocol.app_isend(
             ctx=ctx, src_rank=comm.rank, tag=tag, data=data, world_dst=world_dst, synchronous=False
         )
@@ -395,8 +387,6 @@ class MpiProcess:
         protocol = self.protocol
         rhandle = yield from protocol.app_irecv(ctx=ctx, source=source, tag=recvtag, buf=None)
         world_dst = comm.world_of(dest)
-        if self.recorder is not None:
-            self.recorder.record_send(ctx, comm.rank, dest, world_dst, sendtag, nbytes_of(senddata))
         shandle = yield from protocol.app_isend(
             ctx=ctx, src_rank=comm.rank, tag=sendtag, data=senddata, world_dst=world_dst, synchronous=False
         )

@@ -95,7 +95,9 @@ class Simulator:
     ----------
     trace_hook:
         Optional callable invoked as ``trace_hook(time, event)`` just before
-        each event fires; used by :mod:`repro.trace` for observability.
+        each event fires; the send-determinism checker installs one to read
+        each application send's frame
+        (:func:`repro.trace.determinism.capture_sends`).
     """
 
     __slots__ = (

@@ -18,6 +18,15 @@ The checker is used two ways:
 * negatively, on the master-worker pattern
   (:func:`repro.apps.patterns.master_worker`), the canonical
   non-send-deterministic counterexample from the same study.
+
+Sends are captured on the kernel's ``trace_hook`` (:func:`capture_sends`).
+In a native job each application send is one ``Pml.post_send``: it stamps
+the envelope with the PML's next ``msg_id`` and puts one ``eager`` or
+``rts`` frame on the wire.  The hook copies scalar fields out of that
+frame's envelope (borrowed, never held), and sorting a process's sends by
+``msg_id`` gives posting order, whatever order the jittered wire delivered
+them in.  A send is ``(ctx, src_rank, world_dst, tag, nbytes)`` — *not*
+its time, which legitimately varies across correct executions.
 """
 
 from __future__ import annotations
@@ -26,11 +35,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.harness.runner import Job, cluster_for
+from repro.network.fabric import Frame
 from repro.network.topology import Cluster
 from repro.sim.rng import RngRegistry
-from repro.trace.recorder import TraceSet
 
-__all__ = ["DeterminismReport", "check_send_determinism"]
+__all__ = ["DeterminismReport", "capture_sends", "check_send_determinism"]
+
+#: the frame an application send puts on the wire: eager, or a rendezvous request
+_SEND_FRAMES = ("eager", "rts")
 
 
 @dataclass
@@ -46,6 +58,23 @@ class DeterminismReport:
 
     def __bool__(self) -> bool:  # truthy iff deterministic
         return self.send_deterministic
+
+
+def capture_sends(job: Job) -> Callable[[], Dict[int, List[tuple]]]:
+    """Install the send capture on *job*'s ``trace_hook`` (before ``run``).
+
+    Returns the reader: after the run it gives proc -> send keys in posting
+    order (S|p of Definition 1), an empty list for a process that never sent.
+    """
+    by_proc: Dict[int, Dict[int, tuple]] = {proc: {} for proc in job.pmls}
+
+    def hook(_now: float, event: Any) -> None:
+        if type(event) is Frame and event.kind in _SEND_FRAMES:
+            env = event.payload
+            by_proc[env.src_phys][env.msg_id] = (env.ctx, env.src_rank, env.world_dst, env.tag, env.nbytes)
+
+    job.sim.trace_hook = hook
+    return lambda: {proc: [by_id[i] for i in sorted(by_id)] for proc, by_id in by_proc.items()}
 
 
 def _first_divergence(base: List[tuple], other: List[tuple]) -> Optional[Tuple[int, Any, Any]]:
@@ -81,7 +110,6 @@ def check_send_determinism(
     sequences: List[Dict[int, List[tuple]]] = []
     lengths: List[Dict[int, int]] = []
     for replay in range(replays):
-        traces = TraceSet()
         if replay == 0:
             jitter = None
         else:
@@ -91,10 +119,10 @@ def check_send_determinism(
             n_ranks,
             cluster=cluster or cluster_for(n_ranks),
             jitter=jitter,
-            recorder_factory=traces.factory,
         )
+        read_sends = capture_sends(job)
         job.launch(app_factory, **app_kwargs).run()
-        seqs = traces.send_sequences()
+        seqs = read_sends()
         sequences.append(seqs)
         lengths.append({p: len(s) for p, s in seqs.items()})
 

@@ -9,12 +9,15 @@ or to let anything hold an envelope past the call that borrowed it.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 
 import pytest
 
 import repro.core.interpose as interpose
+import repro.trace as trace
 from repro.core.config import ReplicationConfig
+from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.api import MpiProcess
 from repro.mpi.handles import RecvHandle, SendHandle
@@ -25,7 +28,7 @@ from repro.sim.kernel import Simulator
 
 SURFACE = {
     Job: [
-        "n_ranks", "cfg", "cluster", "seed", "jitter", "recorder_factory",
+        "n_ranks", "cfg", "cluster", "seed", "jitter",
         "detector", "fault_plan", "shape", "traffic", "parallel",
     ],
     Pml: ["sim", "fabric", "proc", "interner"],
@@ -74,3 +77,16 @@ def test_one_ownership_check():
         assert not hasattr(Pml, name)
     assert not {"frames_sent", "bytes_sent", "bytes_received"} & set(Endpoint.__slots__)
     assert "compute_time" not in MpiProcess.__slots__
+
+
+def test_one_send_recorder():
+    """The determinism checker captures sends from the kernel's trace_hook:
+    no per-process recorder slot, no recorder/event/Lamport modules, and no
+    write-only SDR ``physical_src`` table."""
+    assert "recorder" not in MpiProcess.__slots__
+    for name in ("Recorder", "TraceSet", "SendEvent", "LamportClock", "happened_before"):
+        assert not hasattr(trace, name)
+    for module in ("recorder", "events", "lamport"):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"repro.trace.{module}")
+    assert not hasattr(SdrProtocol, "physical_src")

@@ -126,6 +126,12 @@ class TestSweepCli:
         assert main(["sweep", "--seeds", "0"]) == 2
         assert "--seeds must be >= 1" in capsys.readouterr().err
 
+    def test_negative_verify_exits_2(self, capsys):
+        assert main(["sweep", "--protocols", "native", "--seeds", "1", "--verify", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "--verify must be >= 0, got -1" in err
+        assert "verified" not in err
+
     def test_store_collision_exits_2(self, capsys, tmp_path):
         base = str(tmp_path / "run")
         assert main(self.ARGS + ["--store", base]) == 0

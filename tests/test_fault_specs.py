@@ -115,10 +115,26 @@ class TestApplyTimeValidation:
         with pytest.raises(FaultScheduleError, match="outside the job"):
             FaultSchedule().crash(9, 0, 10e-6).apply(job)
 
+    def test_suspicion_outside_job_rejected(self):
+        job = _sdr_job(detector=DetectorConfig())
+        with pytest.raises(FaultScheduleError, match=r"suspicion of \(rank=9, rep=1\) outside the job"):
+            FaultSchedule().suspect(9, 1, 1e-6).apply(job)
+        with pytest.raises(FaultScheduleError, match=r"suspicion of \(rank=0, rep=2\) outside the job"):
+            FaultSchedule().suspect(0, 2, 1e-6).apply(_sdr_job(detector=DetectorConfig()))
+
+    def test_respawn_outside_job_rejected(self):
+        """A node crash lets a respawn of any rank through static validation;
+        one of a rank the job does not have would never be honoured."""
+        job = _sdr_job()
+        with pytest.raises(FaultScheduleError, match="respawn of rank 9 outside the job"):
+            FaultSchedule().crash_node(0, 1e-6).respawn(9, 50e-6).apply(job)
+
     def test_node_crash_outside_cluster_rejected(self):
         job = _sdr_job()
         with pytest.raises(FaultScheduleError, match="cluster has"):
             FaultSchedule().crash_node(99, 10e-6).apply(job)
+        with pytest.raises(FaultScheduleError, match="cluster has"):
+            FaultSchedule().crash_node(-1, 10e-6).apply(_sdr_job())
 
     def test_node_crash_colliding_with_replica_crash_rejected(self):
         job = _sdr_job()

@@ -1,87 +1,20 @@
-"""Tracing, Lamport clocks, and the send-determinism checker."""
+"""The send-determinism checker and the send capture it runs on."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
 
 from repro.apps.patterns import anysource_reduce, master_worker, ring, stencil_allreduce
 from repro.harness.runner import Job, cluster_for
-from repro.trace.determinism import check_send_determinism
-from repro.trace.events import SendEvent
-from repro.trace.lamport import LamportClock, causal_order_violations, happened_before
-from repro.trace.recorder import TraceSet
-
-
-class TestLamport:
-    def test_tick_monotone(self):
-        c = LamportClock()
-        assert [c.tick() for _ in range(3)] == [1, 2, 3]
-
-    def test_merge_takes_max_plus_one(self):
-        c = LamportClock()
-        c.tick()
-        assert c.merge(10) == 11
-        assert c.merge(2) == 12
-
-    def test_happened_before_transitive(self):
-        edges = [("a", "b"), ("b", "c"), ("x", "y")]
-        assert happened_before(edges, "a", "c")
-        assert not happened_before(edges, "c", "a")
-        assert not happened_before(edges, "a", "y")
-
-    def test_happened_before_reflexive_on_known_events_and_cycle_safe(self):
-        edges = [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]  # a cycle on the way
-        assert happened_before(edges, "a", "a")  # the empty path
-        assert happened_before(edges, "d", "d")  # ... for a sink too
-        assert happened_before(edges, "b", "d")
-        assert not happened_before(edges, "d", "a")
-        assert not happened_before(edges, "z", "z")  # unknown event
-        assert not happened_before(iter(edges), "a", "z")
-
-    def test_clock_condition_holds_for_simulated_run(self):
-        """Run a real exchange, stamp events with Lamport clocks, verify
-        C(a) < C(b) along every program-order and message edge."""
-        stamps = {}
-        edges = []
-
-        def app(mpi):
-            clock = LamportClock()
-            peer = 1 - mpi.rank
-            me = mpi.rank
-            prev = None
-            for i in range(5):
-                if mpi.rank == 0:
-                    s = clock.stamp_send()
-                    stamps[("s", me, i)] = s
-                    yield from mpi.send(np.array([float(s)]), dest=peer, tag=1)
-                    node = ("s", me, i)
-                else:
-                    data, _ = yield from mpi.recv(source=peer, tag=1)
-                    r = clock.merge(int(data[0]))
-                    stamps[("r", me, i)] = r
-                    edges.append((("s", peer, i), ("r", me, i)))
-                    node = ("r", me, i)
-                if prev is not None:
-                    edges.append((prev, node))
-                prev = node
-
-        Job(2, cluster=cluster_for(2)).launch(app).run()
-        assert causal_order_violations(stamps, edges) == []
-
-    @settings(max_examples=30)
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=20))
-    def test_property_merge_is_monotone(self, received):
-        c = LamportClock()
-        last = 0
-        for r in received:
-            now = c.merge(r)
-            assert now > last and now > r
-            last = now
+from repro.network.fabric import Frame
+from repro.trace.determinism import capture_sends, check_send_determinism
 
 
 class TestRecorder:
+    """The checker's capture: the kernel's trace_hook reads each send's
+    ``eager``/``rts`` frame and orders a process's sends by ``msg_id``."""
+
     def test_records_send_keys_in_order(self):
-        traces = TraceSet()
-        job = Job(2, cluster=cluster_for(2), recorder_factory=traces.factory)
+        job = Job(2, cluster=cluster_for(2))
+        read_sends = capture_sends(job)
 
         def app(mpi):
             if mpi.rank == 0:
@@ -92,15 +25,58 @@ class TestRecorder:
                 yield from mpi.recv(source=0, tag=4)
 
         job.launch(app).run()
-        seqs = traces.send_sequences()
+        seqs = read_sends()
         assert len(seqs[0]) == 2
         assert seqs[0][0][-2:] == (3, 16)  # (tag, nbytes)
         assert seqs[0][1][-2:] == (4, 32)
         assert seqs[1] == []
 
     def test_send_event_key_excludes_timing(self):
-        e = SendEvent(("w",), 0, 1, 1, 5, 64)
-        assert e.key() == (("w",), 0, 1, 1, 5, 64)
+        job = Job(2, cluster=cluster_for(2))
+        read_sends = capture_sends(job)
+
+        def app(mpi):
+            if mpi.rank == 0:
+                yield from mpi.send(np.ones(8), dest=1, tag=5)
+            else:
+                yield from mpi.recv(source=0, tag=5)
+
+        job.launch(app).run()
+        assert read_sends()[0] == [(("w", "p"), 0, 1, 5, 64)]  # (ctx, src_rank, world_dst, tag, nbytes)
+
+    def test_eager_rendezvous_and_ssend_come_back_in_program_order(self):
+        """Rank 0 posts an eager send to another node, then a rendezvous send
+        and an ``ssend`` on its own node: the wire delivers the later, local
+        ``rts`` frames first, and ``msg_id`` order restores program order."""
+        job = Job(3, cluster=cluster_for(3, cores_per_node=2))
+        assert job.placement.node_of(0) == job.placement.node_of(1) != job.placement.node_of(2)
+        read_sends = capture_sends(job)
+        capture = job.sim.trace_hook
+        arrivals = []
+
+        def spy(now, event):
+            if type(event) is Frame and event.kind in ("eager", "rts"):
+                arrivals.append(event.payload.tag)
+            capture(now, event)
+
+        job.sim.trace_hook = spy
+
+        def app(mpi):
+            if mpi.rank == 0:
+                eager = yield from mpi.isend(np.zeros(1024), dest=2, tag=1)  # 8 KiB < 12 KiB inter-node limit
+                yield from mpi.send(np.zeros(1024), dest=1, tag=2)  # 8 KiB > 4 KiB intra-node limit
+                yield from mpi.ssend(np.ones(1), dest=1, tag=3)
+                yield from mpi.wait(eager)
+            elif mpi.rank == 1:
+                yield from mpi.recv(source=0, tag=2)
+                yield from mpi.recv(source=0, tag=3)
+            else:
+                yield from mpi.recv(source=0, tag=1)
+
+        job.launch(app).run()
+        assert arrivals[0] == 2  # the rendezvous rts overtook the eager frame
+        ctx = ("w", "p")
+        assert read_sends()[0] == [(ctx, 0, 2, 1, 8192), (ctx, 0, 1, 2, 8192), (ctx, 0, 1, 3, 8)]
 
 
 class TestDeterminismChecker:

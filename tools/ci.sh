@@ -190,6 +190,11 @@ PY
     # nothing reads may come back.
     echo "filter-guard residue in src/ (must be empty):"
     grep -rnE "REPRO_FILTER_GUARD|filter_guard|guard_incoming_filter|_guard_pending|guard_violations|unguarded_filter|_incoming_filter\b|frames_sent|bytes_sent|bytes_received|compute_time|substitute_of|rank_of_world|core_of|alive_replicas_of" src/ || true
+    # One send recorder: the determinism checker reads sends off the
+    # kernel's trace_hook, so no per-process recorder, recorder factory,
+    # event/Lamport module or write-only SDR source table may come back.
+    echo "send-recorder residue in src/ (must be empty):"
+    grep -rnE "recorder_factory|record_send|TraceSet|SendEvent|LamportClock|happened_before|causal_order_violations|\.recorder\b|physical_src" src/ || true
 }
 trap print_stage_summary EXIT
 

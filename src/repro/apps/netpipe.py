@@ -62,8 +62,14 @@ def netpipe_sweep(
     """Run the full Fig. 7 sweep for one protocol.
 
     Returns ``{size: {"latency_s", "throughput_mbps"}}``.  One process per
-    node, as in the paper's NetPipe setup (§4.2).
+    node, as in the paper's NetPipe setup (§4.2).  Raises ``ValueError``
+    before running anything for ``iters < 1`` or a negative size.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1 (latency is time over iterations), got {iters}")
+    negative = [nbytes for nbytes in sizes if nbytes < 0]
+    if negative:
+        raise ValueError(f"message sizes must be >= 0 bytes, got {negative}")
     results: Dict[int, Dict[str, float]] = {}
     for nbytes in sizes:
         if protocol == "native":

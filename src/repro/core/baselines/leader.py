@@ -77,7 +77,6 @@ class LeaderDecideMixin:
         self._arming_anon: Optional[int] = None
         self.decisions_sent = 0
         self.anonymous_recvs = 0
-        self.pml.ctrl_handlers[DECIDE] = self._on_decide
         self.pml.on_match.append(self._decide_on_match)
 
     def _is_leader(self) -> bool:
@@ -165,6 +164,8 @@ class LeaderProtocol(LeaderDecideMixin, SdrProtocol):
     name = "leader"
 
     __slots__ = LeaderDecideMixin.DECIDER_SLOTS
+
+    CTRL_HANDLERS = {**SdrProtocol.CTRL_HANDLERS, DECIDE: "_on_decide"}
 
     def __init__(self, pml, rmap, membership, cfg, shared) -> None:
         SdrProtocol.__init__(self, pml, rmap, membership, cfg, shared)

@@ -25,7 +25,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.baselines.leader import LeaderDecideMixin
+from repro.core.baselines.leader import DECIDE, LeaderDecideMixin
 from repro.core.interpose import RecvHandle, SendHandle
 from repro.core.replicated import ReplicatedBase
 from repro.mpi.datatypes import Phantom, copy_payload, nbytes_of
@@ -68,6 +68,8 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
     name = "redmpi"
     replica_fanout = True  # the hash goes to every *other* replica of the receiver
 
+    CTRL_HANDLERS = {DECIDE: "_on_decide", HASH: "_on_hash"}
+
     __slots__ = LeaderDecideMixin.DECIDER_SLOTS + (
         "_own_digests",
         "_foreign_digests",
@@ -89,7 +91,6 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
         self.sdc_events: List[SdcEvent] = []
         self.hashes_sent = 0
         self._corrupt_pending = 0
-        pml.ctrl_handlers[HASH] = self._on_hash
         pml.on_recv_complete.append(self._check_on_recv_complete)
 
     # --------------------------------------------------------------- sending

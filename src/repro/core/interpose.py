@@ -22,7 +22,7 @@ Every envelope a protocol sees through the interposition surface is
 contract, per entry point:
 
 * ``on_match(recv, env)`` / ``on_recv_complete(env, recv)`` / a
-  ``ctrl_handlers`` callable — *env* is a **borrow**: valid while the
+  ``CTRL_HANDLERS`` method — *env* is a **borrow**: valid while the
   handler runs (through every resumption, for generator handlers), recycled
   the moment it returns.  There is no refcount and no escape hatch:
   handlers copy out the fields they need.
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, TYPE_CHECKING
 
+from repro.core.io import NativeIo, VirtualFileSystem
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.handles import RecvHandle, SendHandle
 
@@ -86,6 +87,14 @@ class BaseProtocol:
     #: :mod:`repro.core.replicated` for the shared read-only half)
     __slots__ = ("pml", "world_rank", "_send_seq", "app_sends", "app_recvs")
 
+    #: protocol-private frame handlers: ctrl key -> method name.  A job
+    #: resolves the names once for all its stacks into ``Pml.ctrl_table``
+    #: (no bound method per process); the PML calls ``handler(protocol, env)``.
+    CTRL_HANDLERS: Dict[str, str] = {}
+    #: the membership service's notices: svc key -> method name
+    #: (``Pml.svc_table``, called as ``handler(protocol, payload)``)
+    SVC_HANDLERS: Dict[str, str] = {}
+
     def __init__(self, pml: Pml, world_rank: int) -> None:
         self.pml = pml
         self.world_rank = world_rank
@@ -98,6 +107,11 @@ class BaseProtocol:
         seq = self._send_seq.get(world_dst, 0)
         self._send_seq[world_dst] = seq + 1
         return seq
+
+    def file_io(self, vfs: VirtualFileSystem) -> NativeIo:
+        """This process's file-I/O adapter (``MpiProcess.io`` builds it on
+        first use)."""
+        return NativeIo(vfs, self.world_rank)
 
     # ------------------------------------------------------------- interface
     def app_isend(

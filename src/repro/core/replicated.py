@@ -25,6 +25,7 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.core.config import ReplicationConfig
 from repro.core.interpose import BaseProtocol
+from repro.core.io import ReplicatedIo, VirtualFileSystem
 from repro.core.membership import MembershipService
 from repro.core.worlds import ReplicaMap
 from repro.mpi.pml import CTS_BYTES, Envelope, Pml
@@ -92,6 +93,8 @@ class ReplicatedBase(BaseProtocol):
 
     name = "replicated"
 
+    SVC_HANDLERS = {"failure": "_svc_failure", "suspect": "_svc_suspect", "clear": "_svc_clear"}
+
     __slots__ = (
         "shared",
         "rmap",
@@ -132,9 +135,6 @@ class ReplicatedBase(BaseProtocol):
         self.suspicions_seen = 0
         self.suspicion_clears_seen = 0
         pml.incoming_filter = self._filter_incoming
-        pml.svc_handlers["failure"] = self._svc_failure
-        pml.svc_handlers["suspect"] = self._svc_suspect
-        pml.svc_handlers["clear"] = self._svc_clear
 
     # --------------------------------------------------------- receive side
     def _filter_incoming(self, env: Envelope) -> Generator[Any, Any, bool]:
@@ -233,6 +233,9 @@ class ReplicatedBase(BaseProtocol):
 
     def on_suspicion_cleared(self, suspect: int) -> Generator:
         yield from ()
+
+    def file_io(self, vfs: VirtualFileSystem) -> ReplicatedIo:
+        return ReplicatedIo(vfs, self)
 
     # --------------------------------------------------------------- teardown
     def reap(self) -> int:

@@ -90,6 +90,8 @@ class SdrProtocol(ReplicatedBase):
 
     name = "sdr"
 
+    CTRL_HANDLERS = {ACK: "_on_ack", RECOVERED: "_on_recovered"}
+
     __slots__ = (
         "physical_dests",
         "_seq_floor",
@@ -141,8 +143,6 @@ class SdrProtocol(ReplicatedBase):
         self.resends = 0
         self.failovers_handled = 0
         self.speculative_failovers = 0
-        pml.ctrl_handlers[ACK] = self._on_ack
-        pml.ctrl_handlers[RECOVERED] = self._on_recovered
         pml.on_recv_complete.append(self._ack_on_recv_complete)
 
     @property

@@ -36,7 +36,11 @@ def _cmd_fig7(args) -> int:
     from repro.apps.netpipe import DEFAULT_SIZES, netpipe_sweep
 
     sizes = tuple(args.sizes) if args.sizes else DEFAULT_SIZES
-    native = netpipe_sweep("native", sizes=sizes, iters=args.iters)
+    try:
+        native = netpipe_sweep("native", sizes=sizes, iters=args.iters)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     sdr = netpipe_sweep(args.protocol, sizes=sizes, iters=args.iters)
     lat_n = {s: native[s]["latency_s"] * 1e6 for s in sizes}
     lat_s = {s: sdr[s]["latency_s"] * 1e6 for s in sizes}

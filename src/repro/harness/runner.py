@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.core.baselines import LeaderProtocol, MirrorProtocol, RedMpiProtocol
 from repro.core.config import ReplicationConfig
 from repro.core.interpose import NativeProtocol
-from repro.core.io import NativeIo, ReplicatedIo, VirtualFileSystem
+from repro.core.io import VirtualFileSystem
 from repro.core.membership import DetectorConfig, MembershipService
 from repro.core.replicated import ProtocolShared
 from repro.core.sdr import SdrProtocol
@@ -233,6 +233,37 @@ def _summed(values: List[Any]) -> Any:
     return sum(values)
 
 
+def _body(gen, proc: int, job: "Job"):
+    """A started process's body: the application *gen*, then the finalize
+    drain.  *job* is a weak proxy (see :meth:`Job._start_process`)."""
+    result = yield from gen
+    if proc not in job.finish_times and not job.processes[proc].crashed:
+        job._unfinished -= 1
+    job.finish_times[proc] = job.sim.now
+    job.app_results[proc] = result
+    job._maybe_all_done()
+    # MPI_Finalize semantics: keep progressing protocol traffic (acks,
+    # duplicate rendezvous handshakes, ...) until every live process has
+    # finished its application code.  Without this, a peer's late
+    # cross-replica transfer could wedge forever.
+    pml = job.pmls[proc]
+    while not job._app_all_done:
+        done_ev = Event(job.sim, label=f"finalize({proc})")
+        job._drain_waiters.append(done_ev)
+        frame_ev = pml.endpoint.wait_for_frame()
+        if job._shard_mode:
+            job._drain_frame_waits[proc] = frame_ev
+        yield AnyOf(job.sim, [done_ev, frame_ev])
+        if job._shard_mode:
+            job._drain_frame_waits.pop(proc, None)
+            if not done_ev.triggered:
+                # Frame wake, not the release: the parent compares these
+                # times against the global completion time.
+                job._drain_wakes.append(job.sim.now)
+        yield from pml.drain()
+    return result
+
+
 class Job:
     """One simulated MPI execution (native or replicated)."""
 
@@ -302,6 +333,12 @@ class Job:
         self._proto_shared: Optional[ProtocolShared] = None
         if shape.proto_shared is not None:
             self._proto_shared = shape.proto_shared.rebound(self.membership)
+        #: the protocol class and its ctrl/svc handler tables, resolved by
+        #: name once for every stack of the job, respawns included
+        native = self.cfg.protocol == "native"
+        cls = self._protocol_cls = NativeProtocol if native else _PROTOCOL_CLASSES[self.cfg.protocol]
+        self._ctrl_table = {key: getattr(cls, name) for key, name in cls.CTRL_HANDLERS.items()}
+        self._svc_table = {key: getattr(cls, name) for key, name in cls.SVC_HANDLERS.items()}
         self.vfs = VirtualFileSystem(self.sim)
         self.pmls: Dict[int, Pml] = {}
         self.protocols: Dict[int, Any] = {}
@@ -338,6 +375,8 @@ class Job:
         #: shard; the merge subtracts the duplicate event dispatches)
         self._crash_fired = 0
         self._ran = False
+        #: every process's exit callback, one per job (:meth:`_unlink` drops it)
+        self._exit_cb: Optional[Callable[[Process], None]] = self._on_exit
         # Partial replication: replicas of unreplicated ranks simply do not
         # exist.  Mark their slots dead *before* protocols initialize, then
         # replay Algorithm 1's failure handling synchronously so replica-0
@@ -373,9 +412,8 @@ class Job:
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
         else:
-            protocol = _PROTOCOL_CLASSES[self.cfg.protocol](
-                pml, self.rmap, self.membership, self.cfg, self._proto_shared
-            )
+            protocol = self._protocol_cls(pml, self.rmap, self.membership, self.cfg, self._proto_shared)
+        pml.protocol, pml.ctrl_table, pml.svc_table = protocol, self._ctrl_table, self._svc_table
         rank = self.rmap.rank_of(proc)
         mpi = MpiProcess(self.sim, pml, protocol, rank, self.n_ranks, self.shape.world_shared)
         if self.cluster.compute_noise > 0:
@@ -385,10 +423,7 @@ class Job:
             rep = self.rmap.rep_of(proc)
             stream = self.rng.stream(f"noise.r{rank}.k{rep}")
             mpi.noise = (stream, self.cluster.compute_noise)
-        if self.cfg.protocol == "native":
-            mpi.io = NativeIo(self.vfs, rank)
-        else:
-            mpi.io = ReplicatedIo(self.vfs, protocol)
+        mpi.vfs = self.vfs
         self.pmls[proc] = pml
         self.protocols[proc] = protocol
         self.mpis[proc] = mpi
@@ -396,49 +431,23 @@ class Job:
     def _start_process(self, proc: int, gen) -> None:
         rank, rep = self.rmap.pair(proc)
         name = f"p{rep}_{rank}" if self.cfg.degree > 1 else f"p{rank}"
-
-        # A weak proxy: a process left suspended must not hold the job in a
-        # cycle.  The body only runs inside run(), whose caller holds the job.
-        def body(gen=gen, proc=proc, job=weakref.proxy(self)):
-            result = yield from gen
-            if proc not in job.finish_times and not job.processes[proc].crashed:
-                job._unfinished -= 1
-            job.finish_times[proc] = job.sim.now
-            job.app_results[proc] = result
-            job._maybe_all_done()
-            # MPI_Finalize semantics: keep progressing protocol traffic
-            # (acks, duplicate rendezvous handshakes, ...) until every live
-            # process has finished its application code.  Without this, a
-            # peer's late cross-replica transfer could wedge forever.
-            pml = job.pmls[proc]
-            while not job._app_all_done:
-                done_ev = Event(job.sim, label=f"finalize({proc})")
-                job._drain_waiters.append(done_ev)
-                frame_ev = pml.endpoint.wait_for_frame()
-                if job._shard_mode:
-                    job._drain_frame_waits[proc] = frame_ev
-                yield AnyOf(job.sim, [done_ev, frame_ev])
-                if job._shard_mode:
-                    job._drain_frame_waits.pop(proc, None)
-                    if not done_ev.triggered:
-                        # Frame wake, not the release: the parent compares
-                        # these times against the global completion time.
-                        job._drain_wakes.append(job.sim.now)
-                yield from pml.drain()
-            return result
-
         # The new process counts unless its slot already finished.  A respawn
         # replaces a crashed process, which stopped counting when it crashed;
         # a still-live predecessor's count carries over.
         old = self.processes.get(proc)
         if proc not in self.finish_times and (old is None or old.crashed):
             self._unfinished += 1
-        self.processes[proc] = Process(self.sim, body(), name=name, on_exit=lambda p: self._on_exit(proc, p))
+        # A weak proxy: a process left suspended must not hold the job in a
+        # cycle.  The body only runs inside run(), whose caller holds the job.
+        process = Process(self.sim, _body(gen, proc, weakref.proxy(self)), name=name, on_exit=self._exit_cb)
+        process.slot = proc
+        self.processes[proc] = process
 
-    def _on_exit(self, proc: int, process: Process) -> None:
+    def _on_exit(self, process: Process) -> None:
         # Runs right after Process._finish set ``crashed``.  Only a crash of
         # the slot's current, unfinished process moves the count; any other
         # exit leaves the all-done answer as the last finish left it.
+        proc = process.slot
         if process.crashed and self.processes.get(proc) is process and proc not in self.finish_times:
             self._unfinished -= 1
             self._maybe_all_done()
@@ -581,6 +590,7 @@ class Job:
         for mpi in self.mpis.values():
             mpi.world.api = None
         self.fabric._unlink()
+        self._exit_cb = None
 
     def _run_serial(
         self,

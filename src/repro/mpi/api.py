@@ -23,7 +23,7 @@ from typing import Any, Generator, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 
 from repro.mpi.handles import RecvHandle, SendHandle
 from repro.mpi.collectives import algorithms as coll
-from repro.mpi.comm import Communicator
+from repro.mpi.comm import WORLD_CTX, Communicator
 from repro.mpi.errors import MpiError
 from repro.mpi.pml import Pml
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
@@ -57,7 +57,8 @@ class MpiProcess:
         "world",
         "app_state",
         "noise",
-        "io",
+        "vfs",
+        "_io",
     )
 
     ANY_SOURCE = ANY_SOURCE
@@ -78,16 +79,29 @@ class MpiProcess:
         self.world_rank = world_rank
         self.world_size = world_size
         members, rank_map = world_shared
-        self.world: Communicator = Communicator(self, ("w",), members, rank_map=rank_map)
+        self.world: Communicator = Communicator(self, WORLD_CTX, members, rank_map=rank_map)
         #: set by workloads that support §3.4 recovery (fork/restore)
         self.app_state = None
         #: optional (rng, sigma) pair modelling OS noise on compute phases;
         #: installed by the harness from Cluster.compute_noise
         self.noise = None
-        #: file-I/O adapter (NativeIo/ReplicatedIo), installed by the harness
-        self.io = None
+        #: the job's file system (installed by the harness) for ``io``
+        self.vfs = None
+        self._io = None
 
     # ------------------------------------------------------------ shorthand
+    @property
+    def io(self) -> Any:
+        """File-I/O adapter, built by the protocol on first use: most
+        applications never touch one."""
+        if self._io is None and self.vfs is not None:
+            self._io = self.protocol.file_io(self.vfs)
+        return self._io
+
+    @io.setter
+    def io(self, adapter: Any) -> None:
+        self._io = adapter
+
     @property
     def rank(self) -> int:
         return self.world.rank

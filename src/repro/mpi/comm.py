@@ -28,6 +28,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Communicator", "IdentityRankMap", "shared_world"]
 
+#: the world communicator's context and its two sub-contexts
+WORLD_CTX = ("w",)
+_WORLD_SUBCONTEXTS = (WORLD_CTX + ("p",), WORLD_CTX + ("c",))
+
 
 class IdentityRankMap:
     """Dict-shaped flyweight for the world→rank map of an identity communicator.
@@ -120,10 +124,10 @@ class Communicator:
         if me not in self._world_to_rank:
             raise RankError(f"world rank {me} is not a member of {self.ctx}")
         self.rank = self._world_to_rank[me]
-        #: matching context for application point-to-point traffic
-        self.ctx_p2p = self.ctx + ("p",)
-        #: matching context for internal collective traffic
-        self.ctx_coll = self.ctx + ("c",)
+        #: matching contexts for application point-to-point and internal
+        #: collective traffic (every world communicator shares one pair)
+        sub = _WORLD_SUBCONTEXTS if self.ctx == WORLD_CTX else (self.ctx + ("p",), self.ctx + ("c",))
+        self.ctx_p2p, self.ctx_coll = sub
         self._child_seq = 0
         self._coll_seq = 0
 

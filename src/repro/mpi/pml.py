@@ -14,8 +14,13 @@ replication layer uses (§4.1):
 * ``incoming_filter`` lets a protocol intercept application envelopes before
   matching (SDR-MPI uses this for duplicate suppression and per-channel
   in-order release);
-* ``ctrl_handlers`` dispatch protocol-private frames (acks, leader
-  decisions, hashes, recovery notices) that never touch MPI matching.
+* ``ctrl_table`` dispatches protocol-private frames (acks, leader
+  decisions, hashes, recovery notices) that never touch MPI matching, and
+  ``svc_table`` the membership service's notices.  Both are the job's
+  tables of the protocol class's unbound methods, called as
+  ``handler(protocol, env)``, so no process holds a bound method per
+  handler; a ctrl key the table does not serve goes to this PML's own
+  ``ctrl_handlers``, called as ``handler(env)``.
 
 Cost accounting: every injected frame charges the sender
 ``model.send_overhead`` of CPU busy time; every handled frame charges the
@@ -37,7 +42,7 @@ arena and has **exactly one owner** at every point in its lifetime:
   the unexpected queue holds it, or matching completes and the PML
   releases it) — and the PML returns the envelope to the arena the moment
   the last handler has run (:meth:`Pml.release_env`);
-* hooks (``on_match``, ``on_recv_complete``) and ``ctrl_handlers``
+* hooks (``on_match``, ``on_recv_complete``) and ctrl handlers
   receive the envelope as a **borrow**: it is valid for the duration of
   the handler invocation (including every resumption of a generator
   handler until it finishes) and is recycled right after.  There is no
@@ -208,6 +213,9 @@ class PmlRecvRequest:
 
 HookFn = Callable[..., Optional[Generator]]
 
+#: the handler tables of a PML its job has not set up (never mutated)
+_NO_HANDLERS: Dict[str, Callable] = {}
+
 
 class Pml:
     """Per-physical-process point-to-point layer.
@@ -231,11 +239,13 @@ class Pml:
         "_msg_id",
         "_rdv_sends",
         "_rdv_recvs",
+        "protocol",
+        "ctrl_table",
+        "svc_table",
         "on_match",
         "on_recv_complete",
         "incoming_filter",
         "ctrl_handlers",
-        "svc_handlers",
         "_env_pool",
         "env_acquired",
         "env_allocated",
@@ -245,7 +255,6 @@ class Pml:
         "_node_of",
         "_send_row",
         "_recv_row",
-        "_release_frame",
         "sends_posted",
         "recvs_posted",
         "any_source_posts",
@@ -271,15 +280,22 @@ class Pml:
         self._rdv_sends: Optional[Dict[int, Tuple[PmlSendRequest, Envelope]]] = None
         self._rdv_recvs: Optional[Dict[Tuple[int, int], PmlRecvRequest]] = None
         # interposition surface
+        #: the protocol on this PML and its class's handler tables, shared
+        #: by every stack of the job and never mutated here (set by
+        #: ``Job._build_stack``)
+        self.protocol: Any = None
+        self.ctrl_table: Dict[str, Callable[..., Optional[Generator]]] = _NO_HANDLERS
+        self.svc_table: Dict[str, Callable[..., Generator]] = _NO_HANDLERS
         self.on_match: List[HookFn] = []
         self.on_recv_complete: List[HookFn] = []
         #: protocol hook intercepting application envelopes before matching;
         #: one returning False owns the envelope (see :mod:`repro.core.interpose`)
         self.incoming_filter: Optional[Callable[[Envelope], Generator]] = None
-        #: ctrl envelopes are recycled the moment a handler returns —
-        #: handlers get a borrow and must copy out whatever they need
+        #: ctrl keys ``ctrl_table`` does not serve, called as
+        #: ``handler(env)``; ctrl envelopes are recycled the moment a
+        #: handler returns — handlers get a borrow and must copy out
+        #: whatever they need
         self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
-        self.svc_handlers: Dict[str, Callable[[Any], Generator]] = {}
         #: free list shared by every envelope kind, bounded by POOL_CAP
         #: (see module docstring)
         self._env_pool: List[Envelope] = []
@@ -306,8 +322,6 @@ class Pml:
         my_node = self._node_of[proc]
         self._send_row: Dict[int, Tuple[float, int]] = table.send_row(my_node)
         self._recv_row: Dict[int, float] = table.recv_row(my_node)
-        #: bound-method cache: one attribute chase per handled frame saved
-        self._release_frame = fabric.release_frame
         # counters
         self.sends_posted = 0
         self.recvs_posted = 0
@@ -664,9 +678,9 @@ class Pml:
             fpool.append(frame)
         if kind == "svc":
             key, svc_payload = payload
-            handler = self.svc_handlers.get(key)
+            handler = self.svc_table.get(key)
             if handler is not None:
-                yield from handler(svc_payload)
+                yield from handler(self.protocol, svc_payload)
             return
         env: Envelope = payload
         if src >= 0:
@@ -684,16 +698,20 @@ class Pml:
                     self.strand_env(env)
                     raise
         if env.kind == "ctrl":
-            handler = self.ctrl_handlers.get(env.ctrl_key)
-            if handler is None:
-                raise MpiError(f"proc {self.proc}: no handler for ctrl {env.ctrl_key!r}")
+            handler = self.ctrl_table.get(env.ctrl_key)
             # A handler may be a generator function (driven here) or a
             # plain function returning None — the latter avoids a
             # generator allocation for bookkeeping-only handlers.  Once it
             # returns, the envelope is recycled (handlers hold a borrow —
-            # see the ctrl_handlers contract; release_env inlined: ctrl is
-            # the majority frame kind under replication).
-            gen = handler(env)
+            # see the module docstring; release_env inlined: ctrl is the
+            # majority frame kind under replication).
+            if handler is not None:
+                gen = handler(self.protocol, env)
+            else:  # a key only this PML registered
+                handler = self.ctrl_handlers.get(env.ctrl_key)
+                if handler is None:
+                    raise MpiError(f"proc {self.proc}: no handler for ctrl {env.ctrl_key!r}")
+                gen = handler(env)
             if gen is not None:
                 try:
                     yield from gen
@@ -957,7 +975,7 @@ class Pml:
             frame = ep.inbox.popleft()
             payload = frame.payload
             kind = frame.kind
-            self._release_frame(frame)
+            self.fabric.release_frame(frame)
             if kind != "svc" and isinstance(payload, Envelope):
                 self.release_env(payload)
                 reaped += 1
@@ -973,10 +991,10 @@ class Pml:
         return reaped
 
     def _unlink(self) -> None:
-        """End of run: empty the protocol's dispatch tables.  Their entries
-        are the protocol's bound methods, and the protocol holds this PML."""
+        """End of run: drop the protocol and its bound hooks, which hold
+        this PML in a cycle."""
+        self.protocol = None
         self.ctrl_handlers.clear()
-        self.svc_handlers.clear()
         self.incoming_filter = None
         self.on_match.clear()
         self.on_recv_complete.clear()

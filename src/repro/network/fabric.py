@@ -219,8 +219,9 @@ class Endpoint:
         #: the allocation-free fast path the MPI wait loops use by
         #: yielding the endpoint itself instead of a waiter event)
         self._pwaiter: Optional[Any] = None
-        #: waiters chained behind the armed head (see class docstring)
-        self._chain: List[Event] = []
+        #: waiters chained behind the armed head (see class docstring);
+        #: a new list per head, none before the first
+        self._chain: Optional[List[Event]] = None
         self._chain_head: Optional[Event] = None
         #: frames delivered here (the shard parent's post-release check)
         self.frames_received = 0

@@ -45,7 +45,7 @@ pending, still in order, where :meth:`Simulator.step`, a resumed
 Every insertion site makes the same decision: the kernel's
 :meth:`Simulator.schedule`/:meth:`Simulator.schedule_at`, and the inlined
 hot paths in :mod:`repro.sim.sync` (``Event.succeed``, ``Timeout``),
-:mod:`repro.sim.process` (CPU charges) and :mod:`repro.network.fabric`
+:mod:`repro.sim.process` (starts, CPU charges) and :mod:`repro.network.fabric`
 (endpoint wake-ups, frame arrivals).
 
 Hot-path notes

@@ -74,6 +74,10 @@ class Process:
     on_exit:
         Optional callback invoked as ``on_exit(process)`` when the body
         returns, raises, or crashes.
+
+    A process costs what it keeps: no start event (it queues itself),
+    no bound ``throw`` (the failure path looks it up) and no join event
+    until :meth:`join` asks for one or the process exits.
     """
 
     __slots__ = (
@@ -81,7 +85,6 @@ class Process:
         "name",
         "_gen",
         "_send",
-        "_throw",
         "_resume_cb",
         "_waiting_on",
         "alive",
@@ -90,6 +93,7 @@ class Process:
         "exception",
         "terminated",
         "on_exit",
+        "slot",
     )
 
     def __init__(
@@ -108,27 +112,27 @@ class Process:
         self.name = name
         self._gen = generator
         # Resuming is the single hottest call in the simulator: one per
-        # dispatched event.  Bind the generator entry points and our own
-        # callback once instead of materializing bound methods per event.
+        # dispatched event.  Bind the generator's send and our own callback
+        # once instead of materializing bound methods per event.
         self._send = generator.send
-        self._throw = generator.throw
         self._resume_cb = self.fire
         self._waiting_on: Optional[Event] = None
         self.alive = True
         self.crashed = False
         self.value: Any = None
         self.exception: Optional[BaseException] = None
-        #: Event fired when the process terminates (for joins).
-        self.terminated = Event(sim, label=f"terminated({name})")
+        #: Event fired when the process terminates (for joins); built by the
+        #: first :meth:`join` or at exit, whichever comes first.
+        self.terminated: Optional[Event] = None
         self.on_exit = on_exit
-        # Kick off at the current time via the event queue so construction
-        # order, not construction *site*, determines first-step order.
-        # The start event completes immediately and nothing can ever block
-        # on it, so it shares the process's name string instead of
-        # allocating a per-process f-string label.
-        start = Event(sim, label=name)
-        start.add_callback(self._resume_cb)
-        start.succeed(None)
+        #: the owner's index for this process (a job's physical process id),
+        #: read back by its ``on_exit`` callback
+        self.slot: Any = None
+        # Kick off at the current time via the now-time bucket, so
+        # construction order, not construction *site*, determines
+        # first-step order: the first dispatch is ``fire()`` — ``send(None)``,
+        # which is all a start event's callback would do.
+        sim._bucket.append(self)
 
     #: charge queue entries are never revoked (fire() guards on alive)
     cancelled = False
@@ -153,7 +157,7 @@ class Process:
             elif ev._ok:
                 target = self._send(ev._value)
             else:
-                target = self._throw(ev._value)
+                target = self._gen.throw(ev._value)
         except StopIteration as stop:
             self._finish(value=stop.value)
             return
@@ -231,12 +235,14 @@ class Process:
         self._waiting_on = self._resume_cb = self.on_exit = None
         if on_exit is not None:
             on_exit(self)
+        # Every exit fires the join event, joined or not: one dispatch each.
+        terminated = self.join()
         if exception is not None:
             # Fail the join event so waiters see the error; if nobody joins,
             # surface it loudly instead of dying silently.
-            self.terminated.fail(ProcessFailure(self, exception))
+            terminated.fail(ProcessFailure(self, exception))
         else:
-            self.terminated.succeed(value)
+            terminated.succeed(value)
 
     # ------------------------------------------------------------ interface
     def crash(self) -> None:
@@ -279,7 +285,10 @@ class Process:
 
     def join(self) -> Event:
         """Event that fires when this process terminates."""
-        return self.terminated
+        terminated = self.terminated
+        if terminated is None:
+            terminated = self.terminated = Event(self.sim, label=f"terminated({self.name})")
+        return terminated
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "alive" if self.alive else ("crashed" if self.crashed else "done")

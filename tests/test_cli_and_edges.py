@@ -41,6 +41,45 @@ class TestCli:
         captured = capsys.readouterr()
         assert "replays must be >= 2" in captured.err and "send-deterministic" not in captured.out
 
+    @pytest.mark.parametrize("ranks", [0, -1])
+    def test_determinism_refuses_empty_jobs(self, capsys, ranks):
+        # An empty job sends nothing, so every replay "agrees" vacuously.
+        from repro.apps.hpccg import hpccg_rank
+        from repro.trace.determinism import check_send_determinism
+
+        with pytest.raises(ValueError, match="n_ranks must be >= 1"):
+            check_send_determinism(hpccg_rank, ranks, replays=2)
+        assert main(["determinism", "--ranks", str(ranks), "--replays", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "n_ranks must be >= 1" in captured.err and "send-deterministic" not in captured.out
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"iters": 0}, "iters must be >= 1"),
+            ({"iters": -3}, "iters must be >= 1"),
+            ({"sizes": (-8,)}, "message sizes must be >= 0"),
+            ({"sizes": (1, -8), "iters": 2}, "message sizes must be >= 0"),
+        ],
+    )
+    def test_fig7_refuses_bad_sizes(self, capsys, kwargs, message):
+        from repro.apps.netpipe import netpipe_sweep
+
+        with pytest.raises(ValueError, match=message):
+            netpipe_sweep("native", **kwargs)
+        argv = ["fig7", "--iters", str(kwargs.get("iters", 10))]
+        if "sizes" in kwargs:
+            argv += ["--sizes", *map(str, kwargs["sizes"])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1 and message in captured.err
+        assert "Fig. 7a" not in captured.out
+
+    def test_fig7_zero_bytes_is_a_valid_size(self, capsys):
+        assert main(["fig7", "--sizes", "0", "--iters", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "1.67" in out and "2.38" in out  # the 0-byte row rides the 1-byte costs
+
     @pytest.mark.parametrize("cmd", ["table1", "table2"])
     def test_unknown_scale_is_refused(self, capsys, monkeypatch, cmd):
         from repro.harness.experiments import current_scale

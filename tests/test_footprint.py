@@ -26,6 +26,7 @@ per-process residue is slotted and lazy.  These tests pin three things:
 from __future__ import annotations
 
 import functools
+import gc
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,9 @@ class TestSharedStateEquivalence:
         protos = list(job.protocols.values())
         pmls = list(job.pmls.values())
         assert all(p.shared is protos[0].shared for p in protos)
+        # one ctrl/svc handler table per job, of unbound methods
+        assert all(p.ctrl_table is pmls[0].ctrl_table and p.svc_table is pmls[0].svc_table for p in pmls)
+        assert pmls[0].ctrl_table["sdr.ack"] is SdrProtocol._on_ack
         # every world communicator references the one job-level tuple
         worlds = [m.world for m in job.mpis.values()]
         assert all(w.members is worlds[0].members for w in worlds)
@@ -91,7 +95,7 @@ class TestSharedStateEquivalence:
 
 
 class TestFootprintBudget:
-    """tracemalloc-based bytes-per-process ceilings."""
+    """Per-process ceilings: tracemalloc bytes, collector-tracked objects."""
 
     #: 2x headroom over the measured ~3.8 KB/proc — tight enough that the
     #: fully-unshared seed-shaped construction (~15.4 KB/proc at this
@@ -113,6 +117,31 @@ class TestFootprintBudget:
             f"(budget {self.BYTES_PER_PROC_BUDGET}) — per-proc copies of "
             "shared state have crept back in"
         )
+
+    #: collector-tracked objects per process of Job(256, sdr r=2), built
+    #: and launched: the collector's work while a job is built grows with
+    #: this count.  The engine reads 13.3 and 5.0; before the handler
+    #: tables moved to the job and processes stopped carrying closures and
+    #: start/join events it read 26.2 and 15.0.
+    CONSTRUCT_OBJECTS_PER_PROC = 15
+    LAUNCH_OBJECTS_PER_PROC = 6
+
+    def test_tracked_objects_per_process(self):
+        cfg = ReplicationConfig(degree=2, protocol="sdr")
+        Job(4, cfg=cfg, cluster=cluster_for(4, 2)).launch(ring_collectives, iters=2, nbytes=64)  # warm
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            job = Job(256, cfg=cfg, cluster=cluster_for(256, 2))
+            built = len(gc.get_objects())
+            job.launch(ring_collectives, iters=2, nbytes=4096)
+            launched = len(gc.get_objects())
+        finally:
+            gc.enable()
+        n_procs = job.rmap.n_procs
+        assert (built - before) / n_procs <= self.CONSTRUCT_OBJECTS_PER_PROC
+        assert (launched - built) / n_procs <= self.LAUNCH_OBJECTS_PER_PROC
 
 
 class TestRunTimeFootprint:

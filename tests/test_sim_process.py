@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, ProcessCrashed, ProcessFailure
 from repro.sim.sync import Event, Timeout
 
 
@@ -205,3 +205,105 @@ def test_processes_interleave_by_virtual_time(sim):
     sim.run()
     assert order == sorted(order, key=lambda x: x[1])
     assert [n for n, _ in order].count("fast") == 3
+
+
+class TestStartAndJoin:
+    """A process queues itself at construction (no start event), and its
+    join event exists only once :meth:`Process.join` or its exit needs it."""
+
+    def test_processes_started_together_dispatch_once_in_construction_order(self, sim):
+        order, dispatched = [], []
+        sim.trace_hook = lambda t, ev: dispatched.append(ev)
+
+        def body(name):
+            order.append(name)
+            return name
+            yield  # pragma: no cover - makes body a generator
+
+        names = [f"p{i}" for i in range(5)]
+        procs = [Process(sim, body(name), name=name) for name in names]
+        assert all(p.terminated is None for p in procs)  # no join event yet
+        sim.run()
+        assert order == names
+        # the kernel dispatches each process itself, once, then its exit
+        assert dispatched[:5] == procs
+        assert sim.events_dispatched == 10  # 5 starts + 5 join events
+        assert [p.value for p in procs] == names
+
+    def test_join_before_and_after_exit_sees_the_value(self, sim):
+        def worker():
+            yield Timeout(sim, 1.0)
+            return 7
+
+        def joiner(w, delay):
+            yield Timeout(sim, delay)
+            return (yield w.join())
+
+        w = Process(sim, worker())
+        early = Process(sim, joiner(w, 0.5))
+        late = Process(sim, joiner(w, 2.0))
+        sim.run()
+        assert early.value == late.value == 7
+        assert w.join() is w.terminated and w.terminated.value == 7
+
+    def test_join_before_and_after_exit_sees_the_failure(self, sim):
+        def worker():
+            yield Timeout(sim, 1.0)
+            raise RuntimeError("died")
+
+        def joiner(w, delay):
+            yield Timeout(sim, delay)
+            try:
+                yield w.join()
+            except ProcessFailure as failure:
+                return type(failure.cause).__name__
+
+        w = Process(sim, worker())
+        early = Process(sim, joiner(w, 0.5))
+        late = Process(sim, joiner(w, 2.0))
+        sim.run()
+        assert early.value == late.value == "RuntimeError"
+
+    def test_failed_wait_throws_process_crashed_in(self, sim):
+        """The failure path looks ``throw`` up when it needs it: a
+        ProcessCrashed arriving through an event still ends the process
+        as crashed."""
+        seen = []
+
+        def body():
+            ev = Event(sim)
+            ev.fail(ProcessCrashed())
+            try:
+                yield ev
+            except ProcessCrashed:
+                seen.append("thrown")
+                raise
+
+        p = Process(sim, body())
+        sim.run()
+        assert seen == ["thrown"] and p.crashed and not p.alive
+        assert p.terminated.value is None  # a crash is not a failure
+
+    def test_crash_before_first_dispatch_never_runs_the_body(self, sim):
+        ran = []
+
+        def body():
+            ran.append(True)
+            yield Timeout(sim, 1.0)
+
+        p = Process(sim, body())
+        p.crash()
+        sim.run()
+        assert ran == [] and p.crashed
+        assert sim.events_dispatched == 2  # the start entry (a no-op) + the join event
+
+    def test_on_exit_receives_the_process(self, sim):
+        exited = []
+
+        def body():
+            yield Timeout(sim, 1.0)
+
+        p = Process(sim, body(), on_exit=exited.append)
+        p.slot = 3
+        sim.run()
+        assert exited == [p] and exited[0].slot == 3

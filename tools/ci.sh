@@ -195,6 +195,11 @@ PY
     # event/Lamport module or write-only SDR source table may come back.
     echo "send-recorder residue in src/ (must be empty):"
     grep -rnE "recorder_factory|record_send|TraceSet|SendEvent|LamportClock|happened_before|causal_order_violations|\.recorder\b|physical_src" src/ || true
+    # A process costs what it keeps: its body is a module-level generator,
+    # its exit callback one bound method per job, and it queues itself
+    # instead of a start event — no per-process closure may come back.
+    echo "per-process closure residue in src/ (must be empty):"
+    grep -rnE "def body\(|lambda p: self\._on_exit|start = Event\(" src/ || true
 }
 trap print_stage_summary EXIT
 

@@ -15,6 +15,13 @@ column grows with ``--ranks`` is a table that grows with the peer count
 what reference counting alone leaves held: a finished job frees without
 a collection, so only the interpreter's own free lists remain there.
 Tracing slows the run ~4x; the numbers are bytes, not timings.
+
+Two more lines come from untraced builds of the same job: the
+"tracked objects/proc" row is what each phase adds to the collector's
+tracked set (``gc.get_objects()`` deltas, collector off) — the collector's
+work while a job is built grows with it (docs/performance.md,
+"Construction") — and the last line counts the collections by generation
+that a construct + launch triggers with the collector on.
 """
 
 import argparse
@@ -31,6 +38,41 @@ from repro.harness.runner import Job, cluster_for  # noqa: E402
 from repro.scenarios import ring_collectives  # noqa: E402
 
 
+def census(ranks: int, cfg: ReplicationConfig):
+    """Untraced: the tracked objects per process each phase adds (collector
+    off), and the collections per generation that a construct + launch
+    triggers (collector on)."""
+    build = lambda: Job(ranks, cfg=cfg, cluster=cluster_for(ranks, cfg.degree))  # noqa: E731
+    counts = [0, 0, 0]
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        build().launch(ring_collectives, iters=2, nbytes=4096)
+    finally:
+        gc.callbacks.remove(count)
+    gc.collect()
+    gc.disable()
+    try:
+        tracked = [len(gc.get_objects())]
+        job = build()
+        tracked.append(len(gc.get_objects()))
+        job.launch(ring_collectives, iters=2, nbytes=4096)
+        tracked.append(len(gc.get_objects()))
+        res = job.run()
+        tracked.append(len(gc.get_objects()))
+        n_procs = job.rmap.n_procs
+        del job, res
+        tracked.append(len(gc.get_objects()))
+    finally:
+        gc.enable()
+    return [(after - before) / n_procs for before, after in zip(tracked, tracked[1:])], counts
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--ranks", type=int, default=1024, help="logical ranks (default 1024)")
@@ -39,6 +81,7 @@ def main() -> None:
     args = ap.parse_args()
     degree = 1 if args.protocol == "native" else 2
     cfg = ReplicationConfig(degree=degree, protocol=args.protocol)
+    added, collections = census(args.ranks, cfg)
     tracemalloc.start()
     job = Job(args.ranks, cfg=cfg, cluster=cluster_for(args.ranks, degree))
     phases = [("construct", tracemalloc.take_snapshot())]
@@ -60,6 +103,9 @@ def main() -> None:
     for site in sorted(by_site[2], key=by_site[2].get, reverse=True)[: args.top]:
         label = f"{os.path.relpath(site[0], ROOT) if site[0].startswith(ROOT) else site[0]}:{site[1]}"
         print(f"{label[-43:]:<44}" + "".join(f"{sites.get(site, 0) / n_procs:>11.1f}" for sites in by_site))
+    print(f"{'tracked objects/proc (added by the phase)':<44}" + "".join(f"{n:>11.1f}" for n in added))
+    print("GC collections during construct + launch (collector on), gen0/gen1/gen2: "
+          + "/".join(map(str, collections)))  # fmt: skip
 
 
 if __name__ == "__main__":

@@ -203,7 +203,7 @@ def sample_faults(
             mix["partition"] = (start, end)
     plan: Optional[FaultPlan] = None
     if windows or partitions:
-        plan = FaultPlan(windows=tuple(windows), partitions=tuple(partitions)).validate()
+        plan = FaultPlan(windows=tuple(windows), partitions=tuple(partitions))
     return sched, plan, mix
 
 

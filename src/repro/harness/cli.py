@@ -187,9 +187,7 @@ def _run_matrix(args, axes, title: str) -> int:
         print(f"--verify must be >= 0, got {args.verify}", file=sys.stderr)
         return 2
     try:
-        spec = SweepSpec(
-            seeds=range(args.seed_base, args.seed_base + args.seeds), **axes
-        ).validate()
+        spec = SweepSpec(seeds=range(args.seed_base, args.seed_base + args.seeds), **axes)
     except SweepError as exc:
         print(f"invalid sweep matrix: {exc}", file=sys.stderr)
         return 2

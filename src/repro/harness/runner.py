@@ -101,7 +101,6 @@ class JobShape:
             placement: Placement = split_halves_placement(cluster, n_ranks, cfg.degree)
         else:
             placement = round_robin_placement(cluster, n_ranks)
-        placement.validate()
         proto_shared = None
         if cfg.protocol != "native":
             proto_shared = ProtocolShared(rmap, None, cfg)  # type: ignore[arg-type]

@@ -3,8 +3,8 @@
 The one runner of audited fault experiments: every config runs through
 :func:`~repro.harness.campaign.run_case`, and ``sdr-mpi campaign`` is the
 matrix at its default axes (N seeds × the five protocols at a fixed
-shape).  A *sweep* is a validated config matrix over every axis the
-paper's claims compare —
+shape).  A *sweep* is a config matrix over every axis the paper's
+claims compare —
 
 ====================  =====================================================
 axis                  values
@@ -23,15 +23,11 @@ axis                  values
 ``seeds``             campaign seeds — one integer reproduces one run
 ====================  =====================================================
 
-Non-cartesian matrices come from :meth:`SweepSpec.explicit`: a literal
-list of configs, validated entry-by-entry at build time, with config
-indices fixed by list order.
-
-— executed serially or on a :class:`~repro.sim.pool.Pool` of workers,
-streamed to a :class:`~repro.harness.store.SweepStore`, and rendered as
-paper-style tables.  Like :class:`~repro.harness.faults.FaultSchedule`,
-the matrix is validated when it is built (:class:`SweepError` names the
-bad axis), not when config #1731 finally executes.
+Non-cartesian matrices come from :meth:`SweepSpec.explicit`, a literal
+list of configs indexed by list position.  Either kind is checked once,
+when it is built, not when config #1731 finally executes — then run
+serially or on a :class:`~repro.sim.pool.Pool` of workers, streamed to a
+:class:`~repro.harness.store.SweepStore`, and rendered as paper-style tables.
 
 Determinism contract: every config's fingerprint is **byte-identical**
 whether the sweep runs serially or on N workers, warm cache or cold —
@@ -50,10 +46,12 @@ and a replacement finishes its cell — a sweep never hangs on a lost worker.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PROTOCOLS, ReplicationConfig
@@ -148,6 +146,11 @@ _NETWORK_PROBS: Tuple[str, ...] = (
 
 _DEFAULT_CFG = CampaignConfig()
 
+#: an explicit entry's keys (the :class:`SweepPoint` fields it names), and
+#: the defaults of the optional ones that have none there
+_ENTRY_KEYS = ("protocol", "degree", "n_ranks", "workload", "mix", "seed", "detector", "intensity")
+_ENTRY_DEFAULTS: Dict[str, Any] = {"degree": 2, "workload": "ring", "mix": "full"}
+
 
 class SweepError(ValueError):
     """Invalid sweep matrix — raised at build time, naming the bad axis."""
@@ -206,27 +209,116 @@ class SweepPoint:
         )
 
 
-def _check_axis(name: str, values: Sequence[Any], kind: type, minimum: int) -> None:
-    if not values:
-        raise SweepError(f"axis {name!r} is empty — nothing to sweep")
-    for v in values:
-        if not isinstance(v, kind) or isinstance(v, bool):
-            raise SweepError(f"axis {name!r}: {v!r} is not {kind.__name__}")
-        if kind is int and v < minimum:
-            raise SweepError(f"axis {name!r}: {v} is below the minimum {minimum}")
-    if len(set(values)) != len(values):
-        raise SweepError(f"axis {name!r} has duplicate values: {list(values)}")
+def _known(names: Any, have: Any) -> Callable[[Any], Optional[str]]:
+    return lambda v: None if v in names else f"unknown {v!r}; have {have}"
+
+
+def _at_least(minimum: int) -> Callable[[Any], Optional[str]]:
+    return lambda v: None if v >= minimum else f"{v} is below the minimum {minimum}"
+
+
+def _intensity(x: float) -> Optional[str]:
+    # inf would scale a mix's zero wire odds to nan, which min() caps to 1
+    if not x > 0:
+        return f"{x} must be > 0"
+    return None if math.isfinite(x) else f"{x} is not finite"
+
+
+def _rule_table(min_degree: int) -> Tuple[Tuple[Any, ...], ...]:
+    """One row per field: ``(axis, field, type, type name, value rule, name
+    rule)``; a rule says what is wrong with a value, or ``None``."""
+    return (
+        ("protocols", "protocol", str, "str", None, _known(PROTOCOLS, PROTOCOLS)),
+        ("degrees", "degree", int, "int", _at_least(min_degree), None),
+        ("ranks", "n_ranks", int, "int", _at_least(2), None),
+        ("workloads", "workload", str, "str", None, None),  # named by the envelope check
+        ("mixes", "mix", str, "str", None, _known(MIX_PROFILES, sorted(MIX_PROFILES))),
+        ("detectors", "detector", str, "str", None,
+         _known(DETECTOR_PROFILES, sorted(DETECTOR_PROFILES))),
+        ("intensities", "intensity", (int, float), "a number", _intensity, None),
+        ("seeds", "seed", int, "int", _at_least(0), None),
+    )
+
+
+#: by minimum degree: 2 once a cartesian matrix holds a replicated
+#: protocol (an explicit list checks that per config, with the envelopes)
+_RULES = {m: _rule_table(m) for m in (1, 2)}
+
+
+def _check_axes(spec: "SweepSpec") -> None:
+    """The rules over a cartesian matrix's axes: type and value rule per
+    value, then duplicates, then names."""
+    replicated = any(p != "native" for p in spec.protocols)
+    for axis, _field, kind, kind_name, rule, known in _RULES[2 if replicated else 1]:
+        values = getattr(spec, axis)
+        if not values:
+            raise SweepError(f"axis {axis!r} is empty — nothing to sweep")
+        for v in values:
+            if not isinstance(v, kind) or isinstance(v, bool):
+                raise SweepError(f"axis {axis!r}: {v!r} is not {kind_name}")
+            if rule is not None and (why := rule(v)):
+                raise SweepError(f"axis {axis!r}: {why}")
+        if len(set(values)) != len(values):
+            raise SweepError(f"axis {axis!r} has duplicate values: {list(values)}")
+        if known is not None:
+            for v in values:
+                if why := known(v):
+                    raise SweepError(f"axis {axis!r}: {why}")
+    combos = product(spec.workloads, spec.ranks, spec.protocols, spec.degrees)
+    _check_envelopes(combos, lambda *_: "axis 'workloads'")
+
+
+def _check_columns(points: Tuple[SweepPoint, ...]) -> Dict[str, List[Any]]:
+    """The rules over an explicit list, one field at a time: the type of
+    every value, the rules of each distinct one (an error names the first
+    config holding it).  Returns each axis's per-config values."""
+    columns: Dict[str, List[Any]] = {}
+    for axis, field, kind, kind_name, rule, known in _RULES[1]:
+        values = columns[axis] = list(map(attrgetter(field), points))
+        types = set(map(type, values))
+        if bool in types or not all(issubclass(t, kind) for t in types):
+            i = next(i for i, v in enumerate(values) if not isinstance(v, kind) or isinstance(v, bool))
+            raise SweepError(f"explicit config #{i}, {field}: {values[i]!r} is not {kind_name}")
+        for v in dict.fromkeys(values):
+            if why := (rule is not None and rule(v)) or (known is not None and known(v)):
+                raise SweepError(f"explicit config #{values.index(v)}, {field}: {why}")
+    rows = list(zip(columns["workloads"], columns["ranks"], columns["protocols"], columns["degrees"]))
+    _check_envelopes(dict.fromkeys(rows), lambda field, combo: f"explicit config #{rows.index(combo)}, {field}")
+    return columns
+
+
+def _check_envelopes(combos: Any, where: Callable[[str, Tuple[Any, ...]], str]) -> None:
+    """Every distinct ``(workload, n_ranks, protocol, degree)`` the matrix
+    emits names a scenario whose envelope admits it."""
+    scenarios: Dict[str, Any] = {}
+    for combo in combos:
+        workload, n_ranks, protocol, degree = combo
+        scenario = scenarios.get(workload)
+        if scenario is None:
+            try:
+                scenario = scenarios[workload] = get_scenario(workload)
+            except ScenarioError:
+                raise SweepError(
+                    f"{where('workload', combo)}: unknown {workload!r}; have {scenario_names()}"
+                ) from None
+        if protocol != "native" and degree < 2:
+            raise SweepError(f"{where('degree', combo)}: {degree} is below the minimum 2")
+        try:
+            scenario.check(n_ranks, 1 if protocol == "native" else degree)
+        except ScenarioError as exc:
+            raise SweepError(
+                f"{where('workload', combo)}: {workload!r} cannot run at n_ranks={n_ranks}: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A validated config matrix.
+    """A config matrix, checked and enumerated once, when it is built.
 
-    The default mode is the cartesian product of the explicit-list axes;
-    :meth:`explicit` builds the non-cartesian variant (a literal list of
-    configs with indices fixed by list order).  Either way, the whole
-    matrix is validated when it is built.
-    """
+    The default mode is the cartesian product of the axes; :meth:`explicit`
+    builds a literal config list.  Either way one rule table checks the
+    distinct values the matrix uses: :class:`SweepError` names the bad
+    axis, or the first config holding the bad value."""
 
     protocols: Tuple[str, ...] = PROTOCOLS
     degrees: Tuple[int, ...] = (2,)
@@ -240,168 +332,10 @@ class SweepSpec:
     horizon: float = 2e-3
     active: float = 60e-6
     #: non-cartesian mode: when set, this literal config list *is* the
-    #: matrix and the axis tuples above are ignored for enumeration
+    #: matrix and the axis tuples above are derived from it
     configs: Optional[Tuple[SweepPoint, ...]] = None
 
     def __post_init__(self) -> None:
-        # Normalize every axis (ranges, lists, generators) to a tuple so the
-        # spec is hashable, picklable, and iterable more than once.
-        for axis in (
-            "protocols", "degrees", "ranks", "workloads",
-            "mixes", "detectors", "intensities", "seeds",
-        ):
-            object.__setattr__(self, axis, tuple(getattr(self, axis)))
-        if self.configs is not None:
-            object.__setattr__(self, "configs", tuple(self.configs))
-
-    @classmethod
-    def explicit(
-        cls,
-        entries: Sequence[Dict[str, Any]],
-        steps: int = 12,
-        horizon: float = 2e-3,
-        active: float = 60e-6,
-    ) -> "SweepSpec":
-        """Build a non-cartesian matrix from a literal list of configs.
-
-        Each entry is a dict with the per-config keys (``protocol``,
-        ``n_ranks``, ``seed`` required; ``degree``/``workload``/``mix``/
-        ``detector``/``intensity`` defaulted like the cartesian axes).
-        Config indices are the list positions — stable across runs, so a
-        stored sweep and its re-execution agree on ``config #17``.  The
-        whole list is validated here, at build time.
-        """
-        if not entries:
-            raise SweepError("explicit matrix is empty — nothing to sweep")
-        allowed = {
-            "protocol", "degree", "n_ranks", "workload",
-            "mix", "seed", "detector", "intensity",
-        }
-        points: List[SweepPoint] = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise SweepError(f"explicit config #{i}: expected a dict, got {entry!r}")
-            unknown = set(entry) - allowed
-            if unknown:
-                raise SweepError(
-                    f"explicit config #{i}: unknown keys {sorted(unknown)}; "
-                    f"have {sorted(allowed)}"
-                )
-            missing = {"protocol", "n_ranks", "seed"} - set(entry)
-            if missing:
-                raise SweepError(
-                    f"explicit config #{i}: missing required keys {sorted(missing)}"
-                )
-            points.append(
-                SweepPoint(
-                    index=i,
-                    protocol=entry["protocol"],
-                    degree=entry.get("degree", 2),
-                    n_ranks=entry["n_ranks"],
-                    workload=entry.get("workload", "ring"),
-                    mix=entry.get("mix", "full"),
-                    seed=entry["seed"],
-                    steps=steps,
-                    horizon=horizon,
-                    active=active,
-                    detector=entry.get("detector", "default"),
-                    intensity=entry.get("intensity", 1.0),
-                )
-            )
-        spec = cls(
-            protocols=tuple(dict.fromkeys(p.protocol for p in points)),
-            degrees=tuple(sorted({p.degree for p in points})),
-            ranks=tuple(sorted({p.n_ranks for p in points})),
-            workloads=tuple(dict.fromkeys(p.workload for p in points)),
-            mixes=tuple(dict.fromkeys(p.mix for p in points)),
-            detectors=tuple(dict.fromkeys(p.detector for p in points)),
-            intensities=tuple(dict.fromkeys(p.intensity for p in points)),
-            seeds=tuple(dict.fromkeys(p.seed for p in points)),
-            steps=steps,
-            horizon=horizon,
-            active=active,
-            configs=tuple(points),
-        )
-        return spec.validate()
-
-    def _check_workload_envelopes(self) -> None:
-        """Every (workload, ranks, degree) combination the matrix will
-        emit must satisfy the scenario's envelope — checked here, at
-        build time, like every other axis."""
-        for w in self.workloads:
-            try:
-                scenario = get_scenario(w)
-            except ScenarioError:
-                raise SweepError(
-                    f"axis 'workloads': unknown {w!r}; have {scenario_names()}"
-                ) from None
-            for n in self.ranks:
-                for protocol in self.protocols:
-                    for degree in self.degrees:
-                        eff = 1 if protocol == "native" else degree
-                        try:
-                            scenario.check(n, eff)
-                        except ScenarioError as exc:
-                            raise SweepError(
-                                f"axis 'workloads': {w!r} cannot run at "
-                                f"n_ranks={n}: {exc}"
-                            ) from None
-
-    def _validate_explicit(self) -> "SweepSpec":
-        """Entry-by-entry validation of a non-cartesian matrix.  Checked
-        per config, not per derived axis union — an explicit list may
-        legally pair ``mg`` at 8 ranks with ``ring`` at 4."""
-        assert self.configs is not None
-        for i, point in enumerate(self.configs):
-            where = f"explicit config #{i}"
-            if point.index != i:
-                raise SweepError(
-                    f"{where}: index {point.index} does not match its list position"
-                )
-            if point.protocol not in PROTOCOLS:
-                raise SweepError(
-                    f"{where}: unknown protocol {point.protocol!r}; have {PROTOCOLS}"
-                )
-            if not isinstance(point.degree, int) or isinstance(point.degree, bool):
-                raise SweepError(f"{where}: degree {point.degree!r} is not int")
-            if point.protocol != "native" and point.degree < 2:
-                raise SweepError(
-                    f"{where}: degree {point.degree} is below the minimum 2"
-                )
-            if not isinstance(point.n_ranks, int) or point.n_ranks < 2:
-                raise SweepError(
-                    f"{where}: n_ranks {point.n_ranks!r} is below the minimum 2"
-                )
-            if point.mix not in MIX_PROFILES:
-                raise SweepError(
-                    f"{where}: unknown mix {point.mix!r}; have {sorted(MIX_PROFILES)}"
-                )
-            if point.detector not in DETECTOR_PROFILES:
-                raise SweepError(
-                    f"{where}: unknown detector {point.detector!r}; "
-                    f"have {sorted(DETECTOR_PROFILES)}"
-                )
-            if isinstance(point.intensity, bool) or not isinstance(
-                point.intensity, (int, float)
-            ) or not point.intensity > 0:
-                raise SweepError(f"{where}: intensity {point.intensity!r} must be > 0")
-            if not isinstance(point.seed, int) or isinstance(point.seed, bool) or point.seed < 0:
-                raise SweepError(f"{where}: seed {point.seed!r} must be an int >= 0")
-            try:
-                scenario = get_scenario(point.workload)
-            except ScenarioError:
-                raise SweepError(
-                    f"{where}: unknown workload {point.workload!r}; "
-                    f"have {scenario_names()}"
-                ) from None
-            try:
-                scenario.check(point.n_ranks, point.effective_degree)
-            except ScenarioError as exc:
-                raise SweepError(f"{where}: {exc}") from None
-        return self
-
-    def validate(self) -> "SweepSpec":
-        """Full build-time validation; returns self for chaining."""
         if self.steps < 1:
             raise SweepError(f"steps must be >= 1, got {self.steps}")
         if not (0 < self.active <= self.horizon):
@@ -410,107 +344,83 @@ class SweepSpec:
                 f"horizon={self.horizon}"
             )
         if self.configs is not None:
-            return self._validate_explicit()
-        _check_axis("protocols", self.protocols, str, 0)
-        for p in self.protocols:
-            if p not in PROTOCOLS:
-                raise SweepError(f"axis 'protocols': unknown {p!r}; have {PROTOCOLS}")
-        replicated = [p for p in self.protocols if p != "native"]
-        _check_axis("degrees", self.degrees, int, 2 if replicated else 1)
-        _check_axis("ranks", self.ranks, int, 2)
-        _check_axis("workloads", self.workloads, str, 0)
-        _check_axis("mixes", self.mixes, str, 0)
-        for m in self.mixes:
-            if m not in MIX_PROFILES:
+            points = tuple(self.configs)
+            if not points:
+                raise SweepError("explicit matrix is empty — nothing to sweep")
+            i = next((i for i, p in enumerate(points) if p.index != i), None)
+            if i is not None:
+                raise SweepError(f"explicit config #{i}: index {points[i].index} is not its list position")
+            object.__setattr__(self, "configs", points)
+            for axis, values in _check_columns(points).items():
+                distinct = dict.fromkeys(values)  # first-seen order; numeric axes sorted
+                object.__setattr__(self, axis, tuple(sorted(distinct) if axis in ("degrees", "ranks") else distinct))
+        else:
+            # Normalize every axis (ranges, lists, generators) to a tuple so
+            # the spec is hashable, picklable, and iterable more than once.
+            for axis, *_rule in _RULES[1]:
+                object.__setattr__(self, axis, tuple(getattr(self, axis)))
+            _check_axes(self)
+            points = self._product()
+        object.__setattr__(self, "_points", points)
+
+    @classmethod
+    def explicit(
+        cls, entries: Sequence[Dict[str, Any]], steps: int = 12, horizon: float = 2e-3, active: float = 60e-6
+    ) -> "SweepSpec":
+        """Build a non-cartesian matrix from a literal list of configs.
+
+        Each entry is a dict with the per-config keys (``protocol``,
+        ``n_ranks``, ``seed`` required; ``degree``/``workload``/``mix``/
+        ``detector``/``intensity`` defaulted like the cartesian axes).
+        Config indices are the list positions — stable across runs, so a
+        stored sweep and its re-execution agree on ``config #17``.
+        """
+        points: List[SweepPoint] = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise SweepError(f"explicit config #{i}: expected a dict, got {entry!r}")
+            unknown = set(entry).difference(_ENTRY_KEYS)
+            if unknown:
                 raise SweepError(
-                    f"axis 'mixes': unknown {m!r}; have {sorted(MIX_PROFILES)}"
+                    f"explicit config #{i}: unknown keys {sorted(unknown)}; have {sorted(_ENTRY_KEYS)}"
                 )
-        _check_axis("detectors", self.detectors, str, 0)
-        for d in self.detectors:
-            if d not in DETECTOR_PROFILES:
-                raise SweepError(
-                    f"axis 'detectors': unknown {d!r}; have {sorted(DETECTOR_PROFILES)}"
-                )
-        if not self.intensities:
-            raise SweepError("axis 'intensities' is empty — nothing to sweep")
-        for x in self.intensities:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise SweepError(f"axis 'intensities': {x!r} is not a number")
-            if not x > 0:
-                raise SweepError(f"axis 'intensities': {x} must be > 0")
-        if len(set(self.intensities)) != len(self.intensities):
-            raise SweepError(
-                f"axis 'intensities' has duplicate values: {list(self.intensities)}"
+            missing = {"protocol", "n_ranks", "seed"} - set(entry)
+            if missing:
+                raise SweepError(f"explicit config #{i}: missing required keys {sorted(missing)}")
+            points.append(SweepPoint(
+                index=i, steps=steps, horizon=horizon, active=active, **{**_ENTRY_DEFAULTS, **entry}
+            ))
+        return cls(steps=steps, horizon=horizon, active=active, configs=tuple(points))
+
+    def _product(self) -> Tuple[SweepPoint, ...]:
+        """The cartesian matrix in axis-major order.  ``native`` always runs
+        r=1, so it takes only the first degree — never a duplicate run."""
+        combos = [
+            c for c in product(
+                self.protocols, self.degrees, self.ranks, self.workloads,
+                self.mixes, self.detectors, self.intensities, self.seeds,
             )
-        _check_axis("seeds", self.seeds, int, 0)
-        self._check_workload_envelopes()
-        return self
+            if c[0] != "native" or c[1] == self.degrees[0]
+        ]
+        return tuple(
+            SweepPoint(i, p, d, n, w, m, s, self.steps, self.horizon, self.active, det, x)
+            for i, (p, d, n, w, m, det, x, s) in enumerate(combos)
+        )
 
     @property
     def n_configs(self) -> int:
-        return len(self.points())
+        return len(self._points)
 
     def points(self) -> List[SweepPoint]:
-        """The matrix, enumerated in deterministic axis-major order (or,
-        for an explicit spec, in list order).
-
-        ``native`` ignores the degree axis (it always runs r=1), so it is
-        emitted once per (ranks, workload, mix, detector, intensity, seed)
-        combination instead of once per degree — a sweep never wastes runs
-        on duplicate configs that would fingerprint identically.
-        """
-        self.validate()
-        if self.configs is not None:
-            return list(self.configs)
-        points: List[SweepPoint] = []
-        for protocol, degree, n_ranks, workload, mix, detector, intensity, seed in product(
-            self.protocols, self.degrees, self.ranks, self.workloads,
-            self.mixes, self.detectors, self.intensities, self.seeds,
-        ):
-            if protocol == "native" and degree != self.degrees[0]:
-                continue
-            points.append(
-                SweepPoint(
-                    index=len(points),
-                    protocol=protocol,
-                    degree=degree,
-                    n_ranks=n_ranks,
-                    workload=workload,
-                    mix=mix,
-                    seed=seed,
-                    steps=self.steps,
-                    horizon=self.horizon,
-                    active=self.active,
-                    detector=detector,
-                    intensity=intensity,
-                )
-            )
-        return points
+        """The matrix as enumerated when the spec was built: axis-major
+        order, or list order for an explicit spec."""
+        return list(self._points)
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
-            "protocols": list(self.protocols),
-            "degrees": list(self.degrees),
-            "ranks": list(self.ranks),
-            "workloads": list(self.workloads),
-            "mixes": list(self.mixes),
-            "detectors": list(self.detectors),
-            "intensities": list(self.intensities),
-            "seeds": list(self.seeds),
-            "steps": self.steps,
-            "horizon": self.horizon,
-            "active": self.active,
-        }
+        out: Dict[str, Any] = {axis: list(getattr(self, axis)) for axis, *_rule in _RULES[1]}
+        out.update(steps=self.steps, horizon=self.horizon, active=self.active)
         if self.configs is not None:
-            out["explicit"] = [
-                {
-                    "protocol": p.protocol, "degree": p.degree,
-                    "n_ranks": p.n_ranks, "workload": p.workload,
-                    "mix": p.mix, "seed": p.seed,
-                    "detector": p.detector, "intensity": p.intensity,
-                }
-                for p in self.configs
-            ]
+            out["explicit"] = [{key: getattr(p, key) for key in _ENTRY_KEYS} for p in self.configs]
         return out
 
 
@@ -585,7 +495,7 @@ def _error_record(point: SweepPoint, error: str) -> Dict[str, Any]:
     return _record(point, RunRecord(point.protocol, point.seed, "failed", {}, {}, {}, error=error))
 
 
-def _cell_groups(points: List[SweepPoint], workers: int) -> List[List[SweepPoint]]:
+def _cell_groups(points: Sequence[SweepPoint], workers: int) -> List[List[SweepPoint]]:
     """The pool's unit of work: the configs of one run-memo cell
     ``(protocol, effective degree, campaign_config())`` in first-index
     order, cut at ``ceil(len(points) / workers)`` configs so a one-cell
@@ -660,14 +570,13 @@ def run_sweep(
     records list is always ordered by config index whatever the completion
     order was, and per-config fingerprints are byte-identical either way.
     """
-    points = spec.validate().points()
     store = SweepStore.create(store_base, overwrite=overwrite) if store_base else None
     t0 = time.monotonic()
     try:
         if workers <= 1:
-            result = _run_serial(spec, points, store, progress)
+            result = _run_serial(spec, store, progress)
         else:
-            result = _run_pooled(spec, points, workers, store, progress)
+            result = _run_pooled(spec, workers, store, progress)
         result.host_seconds = time.monotonic() - t0
         if store is not None:
             store.finalize(result.summary())
@@ -678,10 +587,10 @@ def run_sweep(
         raise
 
 
-def _run_serial(spec, points, store, progress) -> SweepResult:
+def _run_serial(spec, store, progress) -> SweepResult:
     cache, memo = ShapeCache(), RunMemo()
     records, served = [], []
-    for point in points:
+    for point in spec._points:
         hits = memo.hits
         rec = _execute_point(point, cache, memo)
         if memo.hits > hits:
@@ -695,8 +604,8 @@ def _run_serial(spec, points, store, progress) -> SweepResult:
     return SweepResult(spec=spec, records=records, cache=stats, served=served, workers=1)
 
 
-def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
-    groups = deque(_cell_groups(points, n_workers))
+def _run_pooled(spec, n_workers, store, progress) -> SweepResult:
+    groups = deque(_cell_groups(spec._points, n_workers))
     owed: Dict[int, deque] = {}  # wid -> its group's unfinished configs
     accounts: Dict[int, Dict[str, int]] = {}  # wid -> its latest cumulative stats
     done: Dict[int, Dict[str, Any]] = {}
@@ -760,7 +669,7 @@ def _run_pooled(spec, points, n_workers, store, progress) -> SweepResult:
 
     return SweepResult(
         spec=spec,
-        records=[done[idx] for idx in range(len(points))],
+        records=[done[idx] for idx in range(spec.n_configs)],
         cache={k: sum(a[k] for a in accounts.values()) for k in ("hits", "misses", "shapes", "memo_hits")},
         served=sorted(served),
         worker_crashes=worker_crashes,
@@ -781,9 +690,8 @@ def verify_sample(
     sweep *served* any config from one (``SweepResult.served``), the sample
     includes at least one of them — re-proved against a real simulation.
     """
-    points = spec.points()
-    n = len(points)
-    if k <= 0 or n == 0:
+    points, n = spec._points, spec.n_configs
+    if k <= 0:
         return []
     idxs = {(i * n) // min(k, n) for i in range(min(k, n))}
     if served and idxs.isdisjoint(served):

@@ -88,7 +88,7 @@ class CostTable:
 
     def __init__(self, placement: Placement) -> None:
         self.placement = placement
-        self.node_of: List[int] = [placement.node_of(p) for p in range(len(placement))]
+        self.node_of: List[int] = placement.proc_nodes
         self._models: List[Dict[int, Any]] = [{} for _ in range(max(self.node_of, default=-1) + 1)]
         self._send_rows: Dict[int, Dict[int, Tuple[float, int]]] = {}
         self._recv_rows: Dict[int, Dict[int, float]] = {}
@@ -543,14 +543,13 @@ class Fabric:
     def install_faults(self, plan, rng) -> None:
         """Arm the seeded network adversary described by *plan*.
 
-        *plan* is a validated :class:`repro.network.model.FaultPlan`; *rng*
+        *plan* is a :class:`repro.network.model.FaultPlan`; *rng*
         is a dedicated ``numpy.random.Generator`` (campaigns hand out one
         named stream per concern, so arming faults never perturbs jitter or
         fault-schedule draws).  An empty plan disarms — ``inject`` falls
         back to the single ``_faults is None`` check and the wire is
         byte-identical to the reliable default.
         """
-        plan.validate()
         self._faults = _FaultRuntime(plan, rng) if plan else None
         self._perturbed = self._perturbed or bool(plan)  # sticky: arms the FIFO clamp
 

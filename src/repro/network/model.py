@@ -101,10 +101,11 @@ class InfiniBand20G(NetworkCostModel):
 #
 # The paper assumes reliable FIFO channels (§2.1); the fault plan below is
 # the *adversary* that assumption is tested against.  A plan is pure data —
-# validated at construction, interpreted by the fabric's fault runtime — and
-# every probabilistic decision draws from one seeded generator, so a
-# campaign run is reproducible from its seed alone.  An empty plan (the
-# default everywhere) leaves the fabric byte-identical to the reliable wire.
+# each window checks itself when it is built, the fabric's fault runtime
+# interprets it — and every probabilistic decision draws from one seeded
+# generator, so a campaign run is reproducible from its seed alone.  An
+# empty plan (the default everywhere) leaves the fabric byte-identical to
+# the reliable wire.
 
 
 class FaultPlanError(ValueError):
@@ -140,7 +141,7 @@ class LinkFaultWindow:
     src_nodes: Optional[Tuple[int, ...]] = None
     dst_nodes: Optional[Tuple[int, ...]] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.start < self.end):
             raise FaultPlanError(
                 f"link-fault window must satisfy 0 <= start < end, got [{self.start}, {self.end})"
@@ -176,7 +177,7 @@ class PartitionWindow:
     end: float
     groups: Tuple[Tuple[int, ...], ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0.0 <= self.start < self.end):
             raise FaultPlanError(
                 f"partition window must satisfy 0 <= start < end, got [{self.start}, {self.end})"
@@ -197,17 +198,11 @@ class PartitionWindow:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A validated, seedable description of everything the wire does wrong."""
+    """A seedable description of everything the wire does wrong, made of
+    windows that each checked themselves when they were built."""
 
     windows: Tuple[LinkFaultWindow, ...] = field(default_factory=tuple)
     partitions: Tuple[PartitionWindow, ...] = field(default_factory=tuple)
-
-    def validate(self) -> "FaultPlan":
-        for w in self.windows:
-            w.validate()
-        for p in self.partitions:
-            p.validate()
-        return self
 
     def __bool__(self) -> bool:
         return bool(self.windows or self.partitions)

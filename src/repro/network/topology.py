@@ -9,8 +9,9 @@ that policy; :func:`round_robin_placement` is the unreplicated default.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.network.model import NetworkCostModel, InfiniBand20G, SharedMemoryModel
 
@@ -34,8 +35,6 @@ class Cluster:
     cores_per_node: int = 8
     inter_node: NetworkCostModel = field(default_factory=InfiniBand20G)
     intra_node: NetworkCostModel = field(default_factory=SharedMemoryModel)
-    #: Per-core sustained compute rate used by workload compute models.
-    flops_per_core: float = 2.5e9
     #: OS/system noise: lognormal sigma multiplying every compute phase.
     #: Replication couples each rank to its replica's timing through acks,
     #: so noise is amplified under replication — the dominant source of the
@@ -52,30 +51,27 @@ class Cluster:
 
 @dataclass
 class Placement:
-    """Mapping of physical process id -> (node, core)."""
+    """Mapping of physical process id -> node, checked when it is built:
+    every node id in range, and no node holding more processes than it
+    has cores.  ``proc_nodes`` is the one proc → node list that pricing
+    (``CostTable``) and the shard planner index."""
 
     cluster: Cluster
-    slots: List[Tuple[int, int]]
+    proc_nodes: List[int]
+
+    def __post_init__(self) -> None:
+        nodes, cores = self.cluster.nodes, self.cluster.cores_per_node
+        for node, n in Counter(self.proc_nodes).items():
+            if not 0 <= node < nodes:
+                raise ValueError(f"proc {self.proc_nodes.index(node)}: node {node} out of range")
+            if n > cores:
+                raise ValueError(f"node {node} holds {n} processes on {cores} cores")
 
     def node_of(self, proc: int) -> int:
-        return self.slots[proc][0]
+        return self.proc_nodes[proc]
 
     def __len__(self) -> int:
-        return len(self.slots)
-
-    def validate(self) -> None:
-        """Check one process per core and bounds."""
-        seen: Dict[Tuple[int, int], int] = {}
-        for proc, (node, core) in enumerate(self.slots):
-            if not (0 <= node < self.cluster.nodes):
-                raise ValueError(f"proc {proc}: node {node} out of range")
-            if not (0 <= core < self.cluster.cores_per_node):
-                raise ValueError(f"proc {proc}: core {core} out of range")
-            if (node, core) in seen:
-                raise ValueError(
-                    f"procs {seen[(node, core)]} and {proc} share core {(node, core)}"
-                )
-            seen[(node, core)] = proc
+        return len(self.proc_nodes)
 
 
 def round_robin_placement(cluster: Cluster, nprocs: int, fill_node_first: bool = True) -> Placement:
@@ -84,13 +80,9 @@ def round_robin_placement(cluster: Cluster, nprocs: int, fill_node_first: bool =
         raise ValueError(
             f"{nprocs} processes do not fit on {cluster.total_cores} cores"
         )
-    slots: List[Tuple[int, int]] = []
-    for proc in range(nprocs):
-        if fill_node_first:
-            slots.append((proc // cluster.cores_per_node, proc % cluster.cores_per_node))
-        else:
-            slots.append((proc % cluster.nodes, proc // cluster.nodes))
-    return Placement(cluster, slots)
+    if fill_node_first:
+        return Placement(cluster, [proc // cluster.cores_per_node for proc in range(nprocs)])
+    return Placement(cluster, [proc % cluster.nodes for proc in range(nprocs)])
 
 
 def split_halves_placement(cluster: Cluster, n_ranks: int, degree: int) -> Placement:
@@ -109,9 +101,7 @@ def split_halves_placement(cluster: Cluster, n_ranks: int, degree: int) -> Place
             f"{n_ranks} ranks do not fit on {nodes_per_set} nodes "
             f"({cluster.cores_per_node} cores each)"
         )
-    slots: List[Tuple[int, int]] = []
-    for rep in range(degree):
-        base = rep * nodes_per_set
-        for rank in range(n_ranks):
-            slots.append((base + rank // cluster.cores_per_node, rank % cluster.cores_per_node))
-    return Placement(cluster, slots)
+    cores = cluster.cores_per_node
+    return Placement(cluster, [
+        rep * nodes_per_set + rank // cores for rep in range(degree) for rank in range(n_ranks)
+    ])

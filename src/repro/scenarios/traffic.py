@@ -39,7 +39,7 @@ class TrafficScenario(Scenario):
             # clients carry TrafficState through recovery points
             supports_respawn=True,
         )
-        self.template = template.validate()
+        self.template = template
 
     def bind(self, cfg, seed: int) -> BoundScenario:
         tcfg = scaled_config(self.template, cfg.steps, cfg.active)

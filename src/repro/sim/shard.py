@@ -182,7 +182,7 @@ class ShardPlan:
     @classmethod
     def build(cls, placement, rmap, workers: int) -> "ShardPlan":
         n_procs = len(placement)
-        node_of = [placement.node_of(p) for p in range(n_procs)]
+        node_of = placement.proc_nodes
         n_ranks = rmap.n_ranks  # replica-major: proc = replica * n_ranks + rank
         lowest_rank = [n_ranks] * placement.cluster.nodes
         procs_per_node = [0] * placement.cluster.nodes
@@ -222,9 +222,10 @@ class ShardPlan:
             lookahead=lookahead,
         )
 
-    def validate(self) -> None:
-        """Partition sanity: every proc in exactly one shard, shards
-        non-empty, node-aligned and contiguous in planning order."""
+    def __post_init__(self) -> None:
+        """Partition sanity, so a plan the planner got wrong never runs:
+        every proc in exactly one shard, shards non-empty, node-aligned
+        and contiguous in planning order."""
         seen = set()
         for sid, procs in enumerate(self.local_procs):
             if not procs:
@@ -750,7 +751,6 @@ def run_parallel(job, until=None, allow_lost_ranks: bool = False, audit=None):
         audit = until is None
     requested = job.parallel.workers
     plan = ShardPlan.build(job.placement, job.rmap, requested)
-    plan.validate()
     lookahead = plan.lookahead
     windows = 0
 

@@ -104,7 +104,7 @@ class TrafficConfig:
     #: diurnal: profile period, in epochs
     diurnal_period_epochs: float = 12.0
 
-    def validate(self) -> "TrafficConfig":
+    def __post_init__(self) -> None:
         if self.process not in ARRIVAL_PROCESSES:
             raise TrafficError(
                 f"unknown arrival process {self.process!r}; have {ARRIVAL_PROCESSES}"
@@ -129,7 +129,6 @@ class TrafficConfig:
             raise TrafficError(
                 "diurnal profile needs 0 <= amplitude < 1 and a positive period"
             )
-        return self
 
     # ------------------------------------------------------- rate profile
     def peak_rate(self) -> float:
@@ -194,7 +193,6 @@ def build_plans(cfg: TrafficConfig, n_ranks: int, seed: int) -> List[ClientPlan]
 
 @lru_cache(maxsize=32)
 def _sample_plans(cfg: TrafficConfig, n_ranks: int, seed: int) -> Tuple[ClientPlan, ...]:
-    cfg.validate()
     if n_ranks < 1:
         raise TrafficError(f"n_ranks must be >= 1, got {n_ranks}")
     registry = RngRegistry(seed)

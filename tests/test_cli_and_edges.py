@@ -161,6 +161,23 @@ class TestSweepCli:
         assert main(["sweep", "--ranks", "1"]) == 2
         assert main(["sweep", "--degrees", "1"]) == 2  # replicated present
 
+    def test_infinite_intensity_exits_2(self, capsys):
+        args = ["sweep", "--protocols", "native", "--mixes", "clean", "--intensities", "inf", "--seeds", "1"]
+        assert main(args) == 2
+        assert "axis 'intensities': inf is not finite" in capsys.readouterr().err
+
+    def test_verify_checks_and_enumerates_the_matrix_once(self, capsys, monkeypatch):
+        import repro.harness.sweep as sweep_mod
+
+        lookups, built = [], []
+        real_lookup, real_point = sweep_mod.get_scenario, sweep_mod.SweepPoint
+        monkeypatch.setattr(sweep_mod, "get_scenario", lambda name: lookups.append(name) or real_lookup(name))
+        monkeypatch.setattr(sweep_mod, "SweepPoint", lambda *a, **kw: built.append(a or kw) or real_point(*a, **kw))
+        args = ["sweep", "--protocols", "native", "--mixes", "clean", "--seeds", "1", "--verify", "1"]
+        assert main(args) == 0
+        assert "verified 1 sampled config(s)" in capsys.readouterr().err
+        assert lookups == ["ring"] and len(built) == 1
+
     def test_empty_matrix_exits_2(self, capsys):
         assert main(["sweep", "--seeds", "0"]) == 2
         assert "--seeds must be >= 1" in capsys.readouterr().err

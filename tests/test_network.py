@@ -4,7 +4,7 @@ import pytest
 
 from repro.network.fabric import Fabric, Frame
 from repro.network.model import InfiniBand20G, LinearCostModel, NetworkCostModel, SharedMemoryModel
-from repro.network.topology import Cluster, round_robin_placement, split_halves_placement
+from repro.network.topology import Cluster, Placement, round_robin_placement, split_halves_placement
 from repro.sim.kernel import Simulator
 
 
@@ -72,10 +72,11 @@ class TestTopology:
 
     def test_placement_validate_detects_double_booking(self):
         c = Cluster(nodes=2, cores_per_node=2)
-        p = round_robin_placement(c, 3)
-        p.slots[2] = p.slots[0]
-        with pytest.raises(ValueError):
-            p.validate()
+        assert Placement(c, [0, 0, 1]).proc_nodes == [0, 0, 1]
+        with pytest.raises(ValueError, match="node 0 holds 3 processes on 2 cores"):
+            Placement(c, [0, 0, 0])
+        with pytest.raises(ValueError, match="node 2 out of range"):
+            Placement(c, [0, 2])
 
 
 def _fabric(nodes=2, cores=1, jitter=None):

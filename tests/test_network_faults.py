@@ -58,42 +58,42 @@ def _sdr_job(plan=None, n=2, seed=0):
 class TestFaultPlanValidation:
     def test_inverted_window_rejected(self):
         with pytest.raises(FaultPlanError, match="start < end"):
-            LinkFaultWindow(5e-6, 2e-6, drop_p=0.1).validate()
+            LinkFaultWindow(5e-6, 2e-6, drop_p=0.1)
 
     def test_probability_out_of_range_rejected(self):
         with pytest.raises(FaultPlanError, match="drop_p"):
-            LinkFaultWindow(0.0, 1e-6, drop_p=1.5).validate()
+            LinkFaultWindow(0.0, 1e-6, drop_p=1.5)
         with pytest.raises(FaultPlanError, match="dup_p"):
-            LinkFaultWindow(0.0, 1e-6, dup_p=-0.1).validate()
+            LinkFaultWindow(0.0, 1e-6, dup_p=-0.1)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(FaultPlanError, match="delay"):
-            LinkFaultWindow(0.0, 1e-6, delay=-1e-6).validate()
+            LinkFaultWindow(0.0, 1e-6, delay=-1e-6)
 
     def test_no_effect_window_rejected(self):
         with pytest.raises(FaultPlanError, match="no effect"):
-            LinkFaultWindow(0.0, 1e-6).validate()
+            LinkFaultWindow(0.0, 1e-6)
 
     def test_empty_node_filter_rejected(self):
         with pytest.raises(FaultPlanError, match="src_nodes"):
-            LinkFaultWindow(0.0, 1e-6, drop_p=0.5, src_nodes=()).validate()
+            LinkFaultWindow(0.0, 1e-6, drop_p=0.5, src_nodes=())
 
     def test_partition_needs_groups(self):
         with pytest.raises(FaultPlanError, match="node group"):
-            PartitionWindow(0.0, 1e-6).validate()
+            PartitionWindow(0.0, 1e-6)
         with pytest.raises(FaultPlanError, match="not be empty"):
-            PartitionWindow(0.0, 1e-6, groups=((),)).validate()
+            PartitionWindow(0.0, 1e-6, groups=((),))
 
     def test_partition_groups_must_be_disjoint(self):
         with pytest.raises(FaultPlanError, match="more than one"):
-            PartitionWindow(0.0, 1e-6, groups=((0, 1), (1, 2))).validate()
+            PartitionWindow(0.0, 1e-6, groups=((0, 1), (1, 2)))
 
     def test_plan_validate_chains_and_bool(self):
         assert not FaultPlan()
-        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-6, dup_p=0.5),)).validate()
+        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-6, dup_p=0.5),))
         assert plan
         with pytest.raises(FaultPlanError):
-            FaultPlan(windows=(LinkFaultWindow(0.0, 1e-6),)).validate()
+            FaultPlan(windows=(LinkFaultWindow(0.0, 1e-6),))
 
 
 class TestDefaultOff:
@@ -108,7 +108,7 @@ class TestDefaultOff:
 
 class TestDropWindows:
     def test_certain_drop_is_stranded_and_wedges(self):
-        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, drop_p=1.0),)).validate()
+        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, drop_p=1.0),))
         job = _native_job(plan=plan).launch(pingpong)
         res = job.run(until=1e-3, audit=True)
         assert res.fabric["fault_drops"] >= 1
@@ -116,7 +116,7 @@ class TestDropWindows:
         assert res.finish_times == {}  # both ranks blocked: no retransmission path
 
     def test_drops_balance_the_arena_books(self):
-        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, drop_p=1.0),)).validate()
+        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, drop_p=1.0),))
         job = _native_job(plan=plan).launch(pingpong)
         job.run(until=1e-3, audit=True)  # audit() raises on any imbalance
         sites = job._strand_attribution()
@@ -126,7 +126,7 @@ class TestDropWindows:
 
 class TestDupWindows:
     def test_replicated_protocol_absorbs_duplicates(self):
-        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, dup_p=1.0),)).validate()
+        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, dup_p=1.0),))
         clean = _sdr_job().launch(pingpong).run()
         faulty = _sdr_job(plan=plan).launch(pingpong).run()
         assert faulty.fabric["fault_dups"] >= 1
@@ -138,7 +138,7 @@ class TestDupWindows:
 
 class TestDelayWindows:
     def test_delay_spikes_slow_the_run_but_preserve_results(self):
-        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, delay=5e-6),)).validate()
+        plan = FaultPlan(windows=(LinkFaultWindow(0.0, 1e-3, delay=5e-6),))
         clean = _native_job().launch(pingpong).run()
         slow = _native_job(plan=plan).launch(pingpong).run()
         assert slow.fabric["fault_delays"] >= 1
@@ -150,7 +150,7 @@ class TestPartitions:
     def test_partition_strands_inter_group_frames(self):
         plan = FaultPlan(
             partitions=(PartitionWindow(0.0, 1e-3, groups=((0,), (1,))),)
-        ).validate()
+        )
         job = _native_job(plan=plan).launch(pingpong)
         res = job.run(until=1e-3, audit=True)
         assert res.stranded_by_site["partition"]["frames"] >= 1
@@ -160,7 +160,7 @@ class TestPartitions:
         # All traffic starts after the window closes: nothing is lost.
         plan = FaultPlan(
             partitions=(PartitionWindow(0.0, 50e-6, groups=((0,), (1,))),)
-        ).validate()
+        )
         clean = _native_job().launch(delayed_pingpong).run()
         healed = _native_job(plan=plan).launch(delayed_pingpong).run()
         assert healed.fabric["frames_stranded"] == 0
@@ -171,7 +171,7 @@ class TestSeededReproducibility:
     def test_same_seed_same_faulty_run(self):
         plan = FaultPlan(
             windows=(LinkFaultWindow(0.0, 1e-3, drop_p=0.3, dup_p=0.3),)
-        ).validate()
+        )
         runs = []
         for _ in range(2):
             job = _sdr_job(plan=plan, seed=7).launch(pingpong)
@@ -190,7 +190,7 @@ class TestSeededReproducibility:
     def test_different_seed_different_draws(self):
         plan = FaultPlan(
             windows=(LinkFaultWindow(0.0, 1e-3, drop_p=0.5, dup_p=0.5),)
-        ).validate()
+        )
         outcomes = set()
         for seed in range(4):
             job = _sdr_job(plan=plan, seed=seed).launch(pingpong)

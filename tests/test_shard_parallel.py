@@ -105,7 +105,6 @@ def _plan_for(n_ranks: int, workers: int, protocol: str = "sdr", degree: int = 2
     cfg = ReplicationConfig(degree=degree, protocol=protocol)
     job = Job(n_ranks, cfg=cfg, cluster=cluster_for(n_ranks, degree))
     plan = ShardPlan.build(job.placement, job.rmap, workers)
-    plan.validate()
     return job, plan
 
 
@@ -203,7 +202,6 @@ def test_non_paper_placement_shards_byte_identical():
         return job.launch(ring_collectives, iters=2, nbytes=256).run()
 
     plan = ShardPlan.build(placement, shape.rmap, 3)
-    plan.validate()
     assert list(plan.shard_of_node) == [0, 4, 1, 5, 2, 3]
     assert [len(procs) for procs in plan.local_procs] == [11, 11, 10]
     parallel = run(3)
@@ -245,7 +243,7 @@ def test_until_horizon_runs_shard_byte_identical(protocol):
 def test_delay_only_fault_plan_shards():
     """Delay windows draw nothing from the fault stream — they stay
     shardable (unlike drop/dup, which are a recorded hazard)."""
-    plan = FaultPlan(windows=(LinkFaultWindow(0.0, 4e-5, delay=5e-6),)).validate()
+    plan = FaultPlan(windows=(LinkFaultWindow(0.0, 4e-5, delay=5e-6),))
     serial = _run("sdr", 16, fault_plan=plan, iters=2, nbytes=256)
     parallel = _run("sdr", 16, workers=2, fault_plan=plan, iters=2, nbytes=256)
     assert parallel.parallel["fallback"] == []
@@ -618,7 +616,6 @@ def test_plan_keeps_replicas_together_and_shards_balanced(degree, n_ranks, worke
     placement = split_halves_placement(cluster, n_ranks, degree)
     rmap = ReplicaMap(n_ranks, degree)
     plan = ShardPlan.build(placement, rmap, workers)
-    plan.validate()
     assert sorted(p for procs in plan.local_procs for p in procs) == list(range(rmap.n_procs))
     for p in range(rmap.n_procs):
         assert plan.shard_of_proc[p] == plan.shard_of_node[placement.node_of(p)]
@@ -648,6 +645,17 @@ def test_unreplicated_plans_equal_the_node_range_plans():
         placement = round_robin_placement(cluster, n_ranks)
         plan = ShardPlan.build(placement, ReplicaMap(n_ranks, 1), workers)
         assert "".join(map(str, plan.shard_of_proc)) == digits, key
+
+
+def test_invalid_plan_raises_at_construction():
+    """A plan checks itself when it is built, the planner's output included."""
+    with pytest.raises(ValueError, match="shard 1 owns no processes"):
+        ShardPlan(2, (0, 0), {0: 0}, ((0, 1), ()), None)
+    with pytest.raises(ValueError, match="proc 1 appears in two shards"):
+        ShardPlan(2, (0, 0), {0: 0, 1: 1}, ((0, 1), (1,)), None)
+    with pytest.raises(ValueError, match="not contiguous"):
+        ShardPlan(2, (1, 0), {0: 1, 1: 0}, ((1,), (0,)), None)
+    assert ShardPlan(2, (0, 1), {0: 0, 1: 1}, ((0,), (1,)), 1e-6).n_shards == 2
 
 
 def test_plan_lookahead_is_min_inter_node_latency():
@@ -690,7 +698,7 @@ def test_jitter_is_a_recorded_hazard():
 def test_stochastic_faults_are_a_recorded_hazard():
     # dup_p draws from the fault stream (a hazard) without losing
     # traffic, so the run still completes under replication.
-    plan = FaultPlan(windows=(LinkFaultWindow(0.0, 4e-5, dup_p=0.5),)).validate()
+    plan = FaultPlan(windows=(LinkFaultWindow(0.0, 4e-5, dup_p=0.5),))
     res = _run("sdr", 8, workers=2, fault_plan=plan, iters=1, nbytes=256)
     assert "stochastic_faults" in res.parallel["fallback"]
 

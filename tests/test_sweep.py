@@ -53,44 +53,44 @@ SMALL = SweepSpec(
 class TestSpecValidation:
     def test_empty_axis_rejected(self):
         with pytest.raises(SweepError, match="'protocols' is empty"):
-            SweepSpec(protocols=()).validate()
+            SweepSpec(protocols=())
         with pytest.raises(SweepError, match="'seeds' is empty"):
-            SweepSpec(seeds=()).validate()
+            SweepSpec(seeds=())
 
     def test_unknown_values_rejected(self):
         with pytest.raises(SweepError, match="unknown 'tmr'"):
-            SweepSpec(protocols=("sdr", "tmr")).validate()
+            SweepSpec(protocols=("sdr", "tmr"))
         with pytest.raises(SweepError, match="unknown 'stencil'"):
-            SweepSpec(workloads=("stencil",)).validate()
+            SweepSpec(workloads=("stencil",))
         with pytest.raises(SweepError, match="unknown 'cosmic'"):
-            SweepSpec(mixes=("cosmic",)).validate()
+            SweepSpec(mixes=("cosmic",))
 
     def test_degree_rules(self):
         # Any replicated protocol in the matrix demands degree >= 2 ...
         with pytest.raises(SweepError, match="'degrees'.*below the minimum 2"):
-            SweepSpec(protocols=("native", "sdr"), degrees=(1,)).validate()
+            SweepSpec(protocols=("native", "sdr"), degrees=(1,))
         # ... but a native-only sweep happily runs r=1.
-        SweepSpec(protocols=("native",), degrees=(1,)).validate()
+        SweepSpec(protocols=("native",), degrees=(1,))
 
     def test_rank_and_seed_floors(self):
         with pytest.raises(SweepError, match="'ranks'.*below the minimum 2"):
-            SweepSpec(ranks=(4, 1)).validate()
+            SweepSpec(ranks=(4, 1))
         with pytest.raises(SweepError, match="'seeds'.*below the minimum 0"):
-            SweepSpec(seeds=(-1,)).validate()
+            SweepSpec(seeds=(-1,))
 
     def test_duplicates_and_wrong_types_rejected(self):
         with pytest.raises(SweepError, match="duplicate"):
-            SweepSpec(seeds=(0, 1, 0)).validate()
+            SweepSpec(seeds=(0, 1, 0))
         with pytest.raises(SweepError, match="is not int"):
-            SweepSpec(ranks=(4, "8")).validate()
+            SweepSpec(ranks=(4, "8"))
         with pytest.raises(SweepError, match="is not int"):
-            SweepSpec(seeds=(True,)).validate()  # bools are not seeds
+            SweepSpec(seeds=(True,))  # bools are not seeds
 
     def test_scalar_knobs_validated(self):
         with pytest.raises(SweepError, match="steps"):
-            SweepSpec(steps=0).validate()
+            SweepSpec(steps=0)
         with pytest.raises(SweepError, match="active"):
-            SweepSpec(active=1.0, horizon=1e-3).validate()
+            SweepSpec(active=1.0, horizon=1e-3)
 
     def test_points_enumeration_and_native_dedup(self):
         # native ignores the degree axis: one emission per remaining axes,
@@ -453,13 +453,24 @@ class TestReporting:
 class TestDetectorAndIntensityAxes:
     def test_unknown_or_invalid_values_rejected(self):
         with pytest.raises(SweepError, match="axis 'detectors': unknown 'psychic'"):
-            SweepSpec(detectors=("psychic",)).validate()
+            SweepSpec(detectors=("psychic",))
         with pytest.raises(SweepError, match="must be > 0"):
-            SweepSpec(intensities=(0.0,)).validate()
+            SweepSpec(intensities=(0.0,))
         with pytest.raises(SweepError, match="is not a number"):
-            SweepSpec(intensities=(True,)).validate()
+            SweepSpec(intensities=(True,))
         with pytest.raises(SweepError, match="duplicate"):
-            SweepSpec(intensities=(2.0, 2.0)).validate()
+            SweepSpec(intensities=(2.0, 2.0))
+
+    def test_infinite_intensity_rejected(self):
+        # inf * a clean mix's zero wire odds is nan, which the 1.0 cap turned
+        # into certainty: a "clean" config armed every wire fault
+        with pytest.raises(SweepError, match="axis 'intensities': inf is not finite"):
+            SweepSpec(mixes=("clean",), intensities=(float("inf"),))
+        with pytest.raises(SweepError, match="explicit config #1, intensity: inf is not finite"):
+            SweepSpec.explicit([
+                {"protocol": "native", "n_ranks": 4, "seed": 0, "mix": "clean"},
+                {"protocol": "native", "n_ranks": 4, "seed": 1, "mix": "clean", "intensity": float("inf")},
+            ])
 
     def test_default_axes_change_nothing(self):
         # the axes exist, but at their defaults the label and the campaign
@@ -529,19 +540,43 @@ class TestExplicitMatrix:
             ([{"protocol": "sdr"}], "missing required keys"),
             ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "flavor": "hot"}],
              "unknown keys"),
-            ([{"protocol": "tmr", "n_ranks": 4, "seed": 0}], "unknown protocol"),
+            ([{"protocol": "tmr", "n_ranks": 4, "seed": 0}], "protocol.*unknown 'tmr'"),
             ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "workload": "mg"}],
              "needs >= 8 ranks"),
             ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "detector": "psychic"}],
-             "unknown detector"),
+             "detector.*unknown 'psychic'"),
             ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "intensity": 0.0}],
              "must be > 0"),
-            ([{"protocol": "sdr", "n_ranks": 4, "seed": -1}], "must be an int >= 0"),
+            ([{"protocol": "sdr", "n_ranks": 4, "seed": -1}], "seed: -1 is below the minimum 0"),
+            ([{"protocol": "sdr", "n_ranks": 4.0, "seed": 0}], r"n_ranks: 4\.0 is not int"),
         ],
     )
     def test_invalid_entries_rejected_at_build_time(self, entries, message):
         with pytest.raises(SweepError, match=message):
             SweepSpec.explicit(entries)
+
+    def test_error_names_the_first_config_holding_the_bad_value(self):
+        good = {"protocol": "sdr", "n_ranks": 4, "seed": 0}
+        with pytest.raises(SweepError, match=r"^explicit config #2, mix: unknown 'cosmic'"):
+            SweepSpec.explicit([good, good, {**good, "mix": "cosmic"}, {**good, "mix": "cosmic"}])
+        with pytest.raises(SweepError, match=r"^explicit config #1, workload: 'mg' cannot run at n_ranks=4"):
+            SweepSpec.explicit([{**good, "n_ranks": 8, "workload": "mg"}, {**good, "workload": "mg"},
+                                {**good, "workload": "mg", "seed": 1}])
+
+    def test_run_sweep_checks_the_matrix_once(self, monkeypatch):
+        import repro.harness.sweep as sweep_mod
+
+        lookups = []
+        real = sweep_mod.get_scenario
+        monkeypatch.setattr(sweep_mod, "get_scenario", lambda name: lookups.append(name) or real(name))
+        spec = SweepSpec.explicit([
+            {"protocol": "native", "n_ranks": 4, "seed": 0, "mix": "clean"},
+            {"protocol": "sdr", "n_ranks": 4, "seed": 1, "mix": "clean"},
+        ])
+        result = run_sweep(spec, workers=1)
+        assert verify_sample(spec, result.records, 1) == []
+        assert spec.n_configs == 2
+        assert lookups == ["ring"]  # one rule-table pass, at construction
 
     def test_explicit_pool_matches_serial_byte_for_byte(self):
         spec = SweepSpec.explicit([

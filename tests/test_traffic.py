@@ -135,7 +135,7 @@ def test_bursty_profile_preserves_mean_rate():
 )
 def test_invalid_traffic_config_rejected(bad):
     with pytest.raises(TrafficError):
-        TrafficConfig(**bad).validate()
+        TrafficConfig(**bad)
 
 
 def test_scaled_config_fits_campaign_grid():

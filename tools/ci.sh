@@ -200,6 +200,10 @@ PY
     # instead of a start event — no per-process closure may come back.
     echo "per-process closure residue in src/ (must be empty):"
     grep -rnE "def body\(|lambda p: self\._on_exit|start = Event\(" src/ || true
+    # Frozen specs check themselves in __post_init__; only the mutable
+    # FaultSchedule builder keeps a validate(), since it needs the horizon.
+    echo "spec validate() residue in src/ (must list only FaultSchedule):"
+    grep -rn "def validate(" src/ || true
 }
 trap print_stage_summary EXIT
 

@@ -51,8 +51,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import PROTOCOLS, ReplicationConfig
 from repro.core.membership import DetectorConfig
@@ -156,9 +155,9 @@ class SweepError(ValueError):
     """Invalid sweep matrix — raised at build time, naming the bad axis."""
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One fully-resolved configuration of the matrix."""
+class SweepPoint(NamedTuple):
+    """One fully-resolved configuration of the matrix: a tuple row, so a
+    matrix of them is built positionally and checked column by column."""
 
     index: int
     protocol: str
@@ -268,13 +267,14 @@ def _check_axes(spec: "SweepSpec") -> None:
     _check_envelopes(combos, lambda *_: "axis 'workloads'")
 
 
-def _check_columns(points: Tuple[SweepPoint, ...]) -> Dict[str, List[Any]]:
+def _check_columns(points: Tuple[SweepPoint, ...]) -> Dict[str, Tuple[Any, ...]]:
     """The rules over an explicit list, one field at a time: the type of
     every value, the rules of each distinct one (an error names the first
     config holding it).  Returns each axis's per-config values."""
-    columns: Dict[str, List[Any]] = {}
+    by_field = dict(zip(SweepPoint._fields, zip(*points)))
+    columns: Dict[str, Tuple[Any, ...]] = {}
     for axis, field, kind, kind_name, rule, known in _RULES[1]:
-        values = columns[axis] = list(map(attrgetter(field), points))
+        values = columns[axis] = by_field[field]
         types = set(map(type, values))
         if bool in types or not all(issubclass(t, kind) for t in types):
             i = next(i for i, v in enumerate(values) if not isinstance(v, kind) or isinstance(v, bool))
@@ -336,8 +336,16 @@ class SweepSpec:
     configs: Optional[Tuple[SweepPoint, ...]] = None
 
     def __post_init__(self) -> None:
+        # a float step count runs every config to wrong results; an infinite
+        # horizon never times a hung run out
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool):
+            raise SweepError(f"steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise SweepError(f"steps must be >= 1, got {self.steps}")
+        for knob in ("horizon", "active"):
+            x = getattr(self, knob)
+            if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+                raise SweepError(f"{knob} must be a finite number, got {x!r}")
         if not (0 < self.active <= self.horizon):
             raise SweepError(
                 f"need 0 < active <= horizon, got active={self.active} "
@@ -350,6 +358,10 @@ class SweepSpec:
             i = next((i for i, p in enumerate(points) if p.index != i), None)
             if i is not None:
                 raise SweepError(f"explicit config #{i}: index {points[i].index} is not its list position")
+            knobs = (self.steps, self.horizon, self.active)
+            i = next((i for i, p in enumerate(points) if (p.steps, p.horizon, p.active) != knobs), None)
+            if i is not None:  # a point runs its own knobs: they are the ones just checked
+                raise SweepError(f"explicit config #{i}: steps/horizon/active are not the spec's {knobs}")
             object.__setattr__(self, "configs", points)
             for axis, values in _check_columns(points).items():
                 distinct = dict.fromkeys(values)  # first-seen order; numeric axes sorted
@@ -375,21 +387,32 @@ class SweepSpec:
         Config indices are the list positions — stable across runs, so a
         stored sweep and its re-execution agree on ``config #17``.
         """
+        fill = {**SweepPoint._field_defaults, **_ENTRY_DEFAULTS}
+        fill.update(steps=steps, horizon=horizon, active=active)
+        base = [fill.get(f) for f in SweepPoint._fields]
+        # per distinct key order: the row positions its values fill
+        slots: Dict[Tuple[str, ...], Tuple[int, ...]] = {}
         points: List[SweepPoint] = []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise SweepError(f"explicit config #{i}: expected a dict, got {entry!r}")
-            unknown = set(entry).difference(_ENTRY_KEYS)
-            if unknown:
-                raise SweepError(
-                    f"explicit config #{i}: unknown keys {sorted(unknown)}; have {sorted(_ENTRY_KEYS)}"
-                )
-            missing = {"protocol", "n_ranks", "seed"} - set(entry)
-            if missing:
-                raise SweepError(f"explicit config #{i}: missing required keys {sorted(missing)}")
-            points.append(SweepPoint(
-                index=i, steps=steps, horizon=horizon, active=active, **{**_ENTRY_DEFAULTS, **entry}
-            ))
+            keys = tuple(entry)
+            where = slots.get(keys)
+            if where is None:
+                unknown = set(keys).difference(_ENTRY_KEYS)
+                if unknown:
+                    raise SweepError(
+                        f"explicit config #{i}: unknown keys {sorted(unknown)}; have {sorted(_ENTRY_KEYS)}"
+                    )
+                missing = {"protocol", "n_ranks", "seed"}.difference(keys)
+                if missing:
+                    raise SweepError(f"explicit config #{i}: missing required keys {sorted(missing)}")
+                where = slots[keys] = tuple(map(SweepPoint._fields.index, keys))
+            row = base.copy()
+            row[0] = i
+            for slot, value in zip(where, entry.values()):
+                row[slot] = value
+            points.append(SweepPoint(*row))
         return cls(steps=steps, horizon=horizon, active=active, configs=tuple(points))
 
     def _product(self) -> Tuple[SweepPoint, ...]:

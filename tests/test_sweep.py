@@ -15,6 +15,7 @@ stored or served.
 import json
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import time
 from dataclasses import replace
@@ -91,6 +92,32 @@ class TestSpecValidation:
             SweepSpec(steps=0)
         with pytest.raises(SweepError, match="active"):
             SweepSpec(active=1.0, horizon=1e-3)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            # a float step count built, and every config then ran `failed`
+            ({"steps": 2.5}, "steps must be an int, got 2.5"),
+            ({"steps": True}, "steps must be an int, got True"),
+            ({"horizon": float("inf")}, "horizon must be a finite number, got inf"),
+            ({"horizon": "x"}, "horizon must be a finite number, got 'x'"),  # was a TypeError
+            ({"active": float("nan")}, "active must be a finite number, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["cartesian", "explicit"])
+    def test_scalar_knobs_type_and_finiteness(self, kind, knobs, message):
+        with pytest.raises(SweepError, match=f"^{message}$"):
+            if kind == "cartesian":
+                SweepSpec(protocols=("native",), mixes=("clean",), seeds=(0,), **knobs)
+            else:
+                SweepSpec.explicit([{"protocol": "native", "n_ranks": 4, "seed": 0, "mix": "clean"}], **knobs)
+
+    def test_a_config_list_runs_the_knobs_its_spec_checked(self):
+        # each point carries its own steps: a 2.5 here ran to `failed` under a spec reading 12
+        point = SweepPoint(0, "native", 2, 4, "ring", "clean", 0, steps=2.5)
+        with pytest.raises(SweepError, match=r"^explicit config #0: steps/horizon/active are not the spec's"):
+            SweepSpec(configs=(point,))
+        SweepSpec(steps=2, configs=(point._replace(steps=2),))
 
     def test_points_enumeration_and_native_dedup(self):
         # native ignores the degree axis: one emission per remaining axes,
@@ -563,6 +590,44 @@ class TestExplicitMatrix:
             SweepSpec.explicit([{**good, "n_ranks": 8, "workload": "mg"}, {**good, "workload": "mg"},
                                 {**good, "workload": "mg", "seed": 1}])
 
+    def test_a_new_key_order_is_checked_where_it_first_appears(self):
+        good = {"protocol": "sdr", "n_ranks": 4, "seed": 0}
+        reordered = {"seed": 1, "protocol": "sdr", "n_ranks": 4}
+        with pytest.raises(SweepError) as exc:
+            SweepSpec.explicit([good, reordered, good, {**reordered, "flavor": "hot"}, {"flavor": "hot"}])
+        assert str(exc.value) == (
+            "explicit config #3: unknown keys ['flavor']; have ['degree', 'detector', "
+            "'intensity', 'mix', 'n_ranks', 'protocol', 'seed', 'workload']"
+        )
+        with pytest.raises(SweepError) as exc:
+            SweepSpec.explicit([good, reordered, {"seed": 2, "protocol": "sdr"}])
+        assert str(exc.value) == "explicit config #2: missing required keys ['n_ranks']"
+        spec = SweepSpec.explicit([good, reordered, {**good, "seed": 2}])
+        assert [p.seed for p in spec.points()] == [0, 1, 2]
+        assert spec.points()[1] == SweepPoint(1, "sdr", 2, 4, "ring", "full", 1)
+
+    def test_error_messages_are_exact(self):
+        for entries, message in [
+            ([], "explicit matrix is empty — nothing to sweep"),
+            ([("sdr", 4, 0)], "explicit config #0: expected a dict, got ('sdr', 4, 0)"),
+            ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "degree": 1}],
+             "explicit config #0, degree: 1 is below the minimum 2"),
+            ([{"protocol": "sdr", "n_ranks": 4, "seed": 0, "mix": 3}],
+             "explicit config #0, mix: 3 is not str"),
+        ]:
+            with pytest.raises(SweepError) as exc:
+                SweepSpec.explicit(entries)
+            assert str(exc.value) == message
+        with pytest.raises(SweepError) as exc:
+            SweepSpec(configs=(SweepPoint(1, "sdr", 2, 4, "ring", "full", 0),))
+        assert str(exc.value) == "explicit config #0: index 1 is not its list position"
+        with pytest.raises(SweepError) as exc:
+            SweepSpec(steps=0)
+        assert str(exc.value) == "steps must be >= 1, got 0"
+        with pytest.raises(SweepError) as exc:
+            SweepSpec(active=1.0, horizon=1e-3)
+        assert str(exc.value) == "need 0 < active <= horizon, got active=1.0 horizon=0.001"
+
     def test_run_sweep_checks_the_matrix_once(self, monkeypatch):
         import repro.harness.sweep as sweep_mod
 
@@ -590,6 +655,41 @@ class TestExplicitMatrix:
         assert serial.fingerprints == pooled.fingerprints
         assert all(serial.fingerprints)
         assert [r["index"] for r in serial.records] == [0, 1, 2]
+
+
+class TestSweepPointRow:
+    """A config is a tuple row: it pickles (the pool sends points), reads
+    and hashes as it always has, and keys memo cells by value."""
+
+    POINT = SweepPoint(7, "mirror", 3, 8, "allreduce", "crash", 4, steps=2, detector="eager", intensity=2.0)
+
+    def test_pickles(self):
+        clone = pickle.loads(pickle.dumps(self.POINT))
+        assert clone == self.POINT and type(clone) is SweepPoint
+
+    def test_repr_and_spec_dict_unchanged(self):
+        assert repr(self.POINT) == (
+            "SweepPoint(index=7, protocol='mirror', degree=3, n_ranks=8, workload='allreduce', "
+            "mix='crash', seed=4, steps=2, horizon=0.002, active=6e-05, detector='eager', intensity=2.0)"
+        )
+        spec = SweepSpec.explicit([{"protocol": "native", "n_ranks": 4, "seed": 3, "mix": "clean"}])
+        assert spec.as_dict() == {
+            "protocols": ["native"], "degrees": [2], "ranks": [4], "workloads": ["ring"], "mixes": ["clean"],
+            "detectors": ["default"], "intensities": [1.0], "seeds": [3],
+            "steps": 12, "horizon": 2e-3, "active": 60e-6,
+            "explicit": [{"protocol": "native", "degree": 2, "n_ranks": 4, "workload": "ring", "mix": "clean",
+                          "seed": 3, "detector": "default", "intensity": 1.0}],
+        }
+
+    def test_hashes_and_compares_by_value(self):
+        twin = SweepPoint(**self.POINT._asdict())
+        assert twin == self.POINT and hash(twin) == hash(self.POINT) and len({twin, self.POINT}) == 1
+        assert self.POINT._replace(seed=5) != self.POINT
+        # the memo cell key of _cell_groups and RunMemo
+        cell = lambda p: (p.protocol, p.effective_degree, p.campaign_config())  # noqa: E731
+        assert cell(twin) == cell(self.POINT) and hash(cell(twin)) == hash(cell(self.POINT))
+        assert cell(self.POINT._replace(seed=5)) == cell(self.POINT)
+        assert cell(self.POINT._replace(mix="full")) != cell(self.POINT)
 
 
 class TestRunCaseWorkloads:

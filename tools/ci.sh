@@ -13,9 +13,11 @@
 #                 format --check.  Skipped with a notice when ruff is not
 #                 installed — the GitHub workflow always installs it, so
 #                 the skip only applies to bare local environments.
-#   imports       `import repro` must not load networkx (dropped for a
-#                 12-line BFS: it cost 15.8 MB RSS and 158 ms in every
-#                 process, sweep and shard workers included)
+#   imports       `import repro` and `import repro.harness.sweep` must load
+#                 neither networkx (dropped for a 12-line BFS: it cost
+#                 15.8 MB RSS and 158 ms in every process, sweep and shard
+#                 workers included) nor numpy.random (2.1 MB RSS and 9 ms;
+#                 only a job's first rng stream loads it, see sim/rng.py)
 #   tests         the tier-1 pytest suite (ROADMAP.md contract)
 #   campaign      a quick seeded fault-campaign smoke (sdr-mpi campaign
 #                 --seeds 3): every run is audited for the zero-leak arena
@@ -224,8 +226,10 @@ if (( RUN_TESTS )); then
     fi
     end_stage
 
-    begin_stage imports "import hygiene (import repro must not load networkx)"
-    python -c 'import sys, repro; sys.exit("import repro loaded networkx" if "networkx" in sys.modules else 0)'
+    begin_stage imports "import hygiene (import repro must not load networkx or numpy.random)"
+    python -c 'import sys, repro, repro.harness.sweep
+loaded = [m for m in ("networkx", "numpy.random") if m in sys.modules]
+sys.exit(f"import repro loaded {loaded}" if loaded else 0)'
     end_stage
 
     begin_stage tests "tier-1 tests"

@@ -145,12 +145,14 @@ class ReplicatedBase(BaseProtocol):
         contract: the PML hands this filter the envelope; every path below
         accounts for it — in-order and flushed envelopes are consumed by
         ``deliver_to_matching``, early arrivals are *owned by the reorder
-        buffer* until flushed, and duplicates are returned to the arena
-        once :meth:`_on_duplicate` has finished with the borrow.
+        buffer* until flushed, and duplicates — a second copy of a parked
+        seq included — are returned to the arena once :meth:`_on_duplicate`
+        has finished with the borrow.
         """
         src = env.world_src
         expected = self._expected.get(src, 0)
-        if env.seq == expected:
+        seq = env.seq
+        if seq == expected:
             self._expected[src] = expected + 1
             yield from self.pml.deliver_to_matching(env)
             reorder = self._reorder
@@ -163,13 +165,16 @@ class ReplicatedBase(BaseProtocol):
                 self._expected[src] = nxt + 1
                 yield from self.pml.deliver_to_matching(early)
             return False
-        if env.seq > expected:
+        if seq > expected:
             reorder = self._reorder
             if reorder is None:
                 reorder = self._reorder = {}
-            reorder.setdefault(src, {})[env.seq] = env
-            return False
-        # Duplicate: mirror copy, substitute resend, or recovery replay.
+            held = reorder.setdefault(src, {})
+            if seq not in held:
+                held[seq] = env
+                return False
+        # Duplicate (of a delivered or a parked seq): mirror copy,
+        # substitute resend, recovery replay or a link duplicate.
         self.duplicates_dropped += 1
         try:
             yield from self._on_duplicate(env)

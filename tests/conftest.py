@@ -25,17 +25,6 @@ settings.load_profile("tier1")
 
 PROTOCOLS = ["native", "sdr", "mirror", "leader", "redmpi"]
 
-#: (protocol, mix) cells with no envelope-leak violation on seeds 0-2399
-#: (perf/README.md, "A finding for a later correctness issue"): every
-#: protocol under clean/crash, native under all four mixes.  The replicated
-#: protocols under the wire-fault mixes leak on some seeds — pinned as
-#: strict xfails in ``test_traffic.py`` and ``test_campaign.py``.
-LEAK_FREE_CELLS = [(p, m) for p in PROTOCOLS for m in ("clean", "crash")] + [
-    ("native", "network"),
-    ("native", "full"),
-]
-
-
 def make_job(
     protocol: str = "native",
     n: int = 4,

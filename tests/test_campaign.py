@@ -29,7 +29,7 @@ from repro.scenarios import campaign_app, expected_results
 import pytest
 
 from repro.harness.runner import Job, cluster_for
-from tests.conftest import LEAK_FREE_CELLS
+from tests.conftest import PROTOCOLS
 
 
 # ----------------------------------------------------------- property suite
@@ -44,7 +44,7 @@ def _audited_case(protocol, seed, cfg=None):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    cell=st.sampled_from(LEAK_FREE_CELLS),
+    cell=st.sampled_from([(p, m) for p in PROTOCOLS for m in MIX_PROFILES]),
 )
 def test_every_seeded_run_balances_and_classifies(seed, cell):
     protocol, mix = cell
@@ -64,15 +64,11 @@ def test_every_seeded_run_balances_and_classifies(seed, cell):
     assert payload["seed"] == seed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: replicated protocols leak envelopes under wire-fault "
-    "windows (mirror, default mix, ring, seed 44; 45 of 7,500 cases on seeds 0-1,499)",
-)
-def test_replicated_protocols_leak_envelopes_on_ring():
-    """The smallest known reproducer for the leak hunt — no traffic engine
-    involved; its sibling is ``test_traffic.py``'s seed 442.  The fix flips
-    both to XPASS(strict): delete the markers, widen ``LEAK_FREE_CELLS``."""
+def test_replicated_protocols_balance_on_ring():
+    """The smallest reproducer of the parked-duplicate leak (mirror, default
+    mix, ring, seed 44): a link duplicate of an early arrival overwrote the
+    parked copy, leaving "2 unaccounted"; its sibling is ``test_traffic.py``'s
+    seed 442."""
     _audited_case("mirror", 44)
 
 

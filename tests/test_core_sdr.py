@@ -238,6 +238,21 @@ class TestOrdering:
         assert delivered == [0, 1, 2]
         assert proto.duplicates_dropped == 3
 
+    def test_second_copy_of_a_parked_seq_is_a_duplicate(self):
+        """A link-duplicated early arrival must not overwrite the parked
+        copy: the overwritten envelope was never released nor stranded,
+        and the end-of-run balance reported it "(1 unaccounted)"."""
+        job = _sdr_job()
+        proto = job.protocols[0]
+        sender = job.pmls[1]
+        for seq in (1, 1, 0):
+            env = sender.acquire_env("eager", ("w",), 1, 0, 1, 0, seq, 8, None, 0)
+            for _ in proto._filter_incoming(env):
+                pass
+        assert [env.seq for env in proto.pml.matching.unexpected] == [0, 1]
+        job.audit()  # raises AssertionError on an unaccounted envelope
+        assert proto.duplicates_dropped == 1
+
     def test_results_identical_native_vs_sdr(self):
         """The acid test: same program, same numeric results."""
 

@@ -30,7 +30,7 @@ from repro.sim.traffic import (
     expected_traffic_results,
     scaled_config,
 )
-from tests.conftest import LEAK_FREE_CELLS
+from tests.conftest import PROTOCOLS
 
 # ------------------------------------------------------- golden traffic-off
 #: (protocol, seed, workload, mix) -> run_case fingerprint, captured before
@@ -186,22 +186,16 @@ def _assert_accounting_balances(seed, protocol, mix, workload):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(min_value=0, max_value=500),
-    cell=st.sampled_from(LEAK_FREE_CELLS),
+    cell=st.sampled_from([(p, m) for p in PROTOCOLS for m in MIX_PROFILES]),
     workload=st.sampled_from(("traffic-poisson", "traffic-bursty", "traffic-diurnal")),
 )
 def test_request_accounting_balances_under_fault_mixes(seed, cell, workload):
     _assert_accounting_balances(seed, *cell, workload)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: replicated protocols leak envelopes under wire-fault "
-    "windows (mirror/network/traffic-bursty seed 442: 2 envelopes unaccounted)",
-)
-def test_replicated_protocols_leak_envelopes_under_wire_faults():
-    """Pins the leak so it stays visible without gating unrelated PRs; the
-    fix flips this to XPASS(strict) — then delete the marker and widen
-    ``LEAK_FREE_CELLS`` back to the full matrix."""
+def test_replicated_protocols_balance_under_wire_faults():
+    """The traffic-engine reproducer of the parked-duplicate leak
+    (mirror/network/traffic-bursty seed 442 left 2 envelopes unaccounted)."""
     _assert_accounting_balances(442, "mirror", "network", "traffic-bursty")
 
 

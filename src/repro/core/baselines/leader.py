@@ -29,7 +29,8 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.core.interpose import RecvHandle
 from repro.core.sdr import SdrProtocol
-from repro.mpi.pml import Envelope, PmlRecvRequest
+from repro.mpi.pml import PmlRecvRequest
+from repro.network.fabric import Frame
 from repro.mpi.status import ANY_SOURCE
 
 __all__ = ["LeaderProtocol", "LeaderDecideMixin"]
@@ -97,7 +98,7 @@ class LeaderDecideMixin:
         self._anon_seq += 1
         return self._anon_seq
 
-    def _decide_on_match(self, recv: PmlRecvRequest, env: Envelope) -> Optional[Generator]:
+    def _decide_on_match(self, recv: PmlRecvRequest, env: Frame) -> Optional[Generator]:
         anon_id = self._anon_pending.pop(id(recv), None)
         if anon_id is None:
             # Matched from the unexpected queue while still inside irecv.
@@ -106,7 +107,7 @@ class LeaderDecideMixin:
             return None
         return self._broadcast_decision(anon_id, env)
 
-    def _broadcast_decision(self, anon_id: int, env: Envelope) -> Generator:
+    def _broadcast_decision(self, anon_id: int, env: Frame) -> Generator:
         # Charge-then-inject split (see Pml.inject_ctrl): one decision per
         # anonymous reception puts this on the leader ablation's hot path.
         pml = self.pml
@@ -123,7 +124,7 @@ class LeaderDecideMixin:
                     yield overhead
                 pml.inject_ctrl(ph, DECIDE, (anon_id, env.src_rank, env.tag))
 
-    def _on_decide(self, env: Envelope) -> Optional[Generator]:
+    def _on_decide(self, env: Frame) -> Optional[Generator]:
         # The decision tuple is unpacked out of the borrowed envelope here;
         # the returned generator (posting may match an unexpected message
         # and, for rendezvous, clear the sender) is driven by the PML.

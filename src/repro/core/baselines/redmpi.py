@@ -29,7 +29,8 @@ from repro.core.baselines.leader import DECIDE, LeaderDecideMixin
 from repro.core.interpose import RecvHandle, SendHandle
 from repro.core.replicated import ReplicatedBase
 from repro.mpi.datatypes import Phantom, copy_payload, nbytes_of
-from repro.mpi.pml import Envelope, PmlRecvRequest
+from repro.mpi.pml import PmlRecvRequest
+from repro.network.fabric import Frame
 from repro.mpi.status import ANY_SOURCE
 
 __all__ = ["RedMpiProtocol", "SdcEvent"]
@@ -145,7 +146,7 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
         req = yield from self.pml.irecv(ctx=ctx, source=source, tag=tag, buf=buf)
         return RecvHandle(req)
 
-    def _check_on_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
+    def _check_on_recv_complete(self, env: Frame, recv: Optional[PmlRecvRequest]) -> Generator:
         # Vote state digests the payload *inside* the borrow window: the
         # retained comparison record is a 64-bit digest, never the
         # envelope (the envelope is recycled when this hook returns).
@@ -155,7 +156,7 @@ class RedMpiProtocol(LeaderDecideMixin, ReplicatedBase):
         self._compare(key)
         yield from ()
 
-    def _on_hash(self, env: Envelope) -> Generator:
+    def _on_hash(self, env: Frame) -> Generator:
         src_rank, seq, digest = env.data
         self._foreign_digests.setdefault((src_rank, seq), []).append(digest)
         self._compare((src_rank, seq))

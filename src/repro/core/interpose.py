@@ -15,11 +15,11 @@ a wait loop.
 :class:`NativeProtocol` is the identity interposition — unmodified Open
 MPI — used for every "Native" column in the paper's tables.
 
-Envelope ownership across this surface
---------------------------------------
-Every envelope a protocol sees through the interposition surface is
-**owned by the PML's recycling arena** (see :mod:`repro.mpi.pml`).  The
-contract, per entry point:
+Message ownership across this surface
+-------------------------------------
+Every message a protocol sees through the interposition surface is one
+pooled :class:`~repro.network.fabric.Frame`, envelope fields included
+(see :mod:`repro.mpi.pml`).  The contract, per entry point:
 
 * ``on_match(recv, env)`` / ``on_recv_complete(env, recv)`` / a
   ``CTRL_HANDLERS`` method — *env* is a **borrow**: valid while the
@@ -27,25 +27,25 @@ contract, per entry point:
   the moment it returns.  There is no refcount and no escape hatch:
   handlers copy out the fields they need.
 * ``incoming_filter(env)`` — ownership **transfers** to the filter when it
-  returns False: the filter must hand the envelope to
+  returns False: the filter must hand the message to
   ``pml.deliver_to_matching`` (now or later — reorder buffers hold
-  ownership while an envelope is parked) or return it via
-  ``pml.release_env`` (duplicate drops).  A filter that *owns* an
-  envelope across a ``yield`` must additionally route it to
-  ``pml.strand_env`` if the generator is torn down mid-suspension (a
-  fail-stop crash of the owning process) — see
+  ownership while a message is parked) or release it via
+  ``pml.fabric.release_frame`` (duplicate drops, a second copy of a parked
+  seq included).  A filter that *owns* a message across a ``yield`` must
+  additionally route it to ``pml.strand`` if the generator is torn down
+  mid-suspension (a fail-stop crash of the owning process) — see
   :meth:`repro.core.replicated.ReplicatedBase._filter_incoming` for the
-  pattern.  A filter that strands one fails the end-of-run arena balance
+  pattern.  A filter that loses one fails the end-of-run balance
   (``acquired == released + stranded``), which counts it unaccounted.
-* ``pml.deliver_to_matching(env)`` — consumes the envelope: it ends up
-  recycled after completion hooks, or parked in the unexpected queue
-  (which the PML owns and reaps).
+* ``pml.deliver_to_matching(env)`` — consumes the message: it is released
+  after completion hooks, or parked in the unexpected queue (which the PML
+  owns and reaps).
 
 Payload references obtained inside the window (``env.data``,
 ``recv.data``) follow the copy-on-write snapshot discipline and stay valid
-after recycling — only the envelope *shell* is recycled.  Protocol-side
+after recycling — only the frame *shell* is recycled.  Protocol-side
 retention (SDR's resend store, redMPI's vote state) therefore keeps
-payloads, digests or copied fields, never raw envelopes.
+payloads, digests or copied fields, never raw messages.
 """
 
 from __future__ import annotations

@@ -179,7 +179,7 @@ class MembershipService:
                     self.sim.call_at(
                         when,
                         lambda ep=ep, proc=proc: ep.deliver(
-                            fabric.acquire_frame(-1, ep.proc, 0, ("failure", proc), kind="svc")
+                            fabric.acquire("svc", -1, ep.proc, 0, data=proc, ctrl_key="failure")
                         ),
                     )
             return
@@ -209,7 +209,7 @@ class MembershipService:
             self.sim.call_at(
                 when + attempt * detector.notify_backoff,
                 lambda ep=ep, payload=payload: ep.deliver(
-                    fabric.acquire_frame(-1, ep.proc, 0, payload, kind="svc")
+                    fabric.acquire("svc", -1, ep.proc, 0, data=payload[1], ctrl_key=payload[0])
                 ),
             )
             return

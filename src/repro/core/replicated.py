@@ -28,7 +28,8 @@ from repro.core.interpose import BaseProtocol
 from repro.core.io import ReplicatedIo, VirtualFileSystem
 from repro.core.membership import MembershipService
 from repro.core.worlds import ReplicaMap
-from repro.mpi.pml import CTS_BYTES, Envelope, Pml
+from repro.mpi.pml import Pml
+from repro.network.fabric import Frame
 
 __all__ = ["ReplicatedBase", "ProtocolShared"]
 
@@ -128,26 +129,26 @@ class ReplicatedBase(BaseProtocol):
         self.rep = rmap.rep_of(pml.proc)
         #: next expected seq per sending logical rank (receive-side cursor)
         self._expected: Dict[int, int] = {}
-        #: early arrivals per sending logical rank: seq -> envelope;
+        #: early arrivals per sending logical rank: seq -> message;
         #: lazy — crash-free single-channel traffic never reorders
-        self._reorder: Optional[Dict[int, Dict[int, Envelope]]] = None
+        self._reorder: Optional[Dict[int, Dict[int, Frame]]] = None
         self.duplicates_dropped = 0
         self.suspicions_seen = 0
         self.suspicion_clears_seen = 0
         pml.incoming_filter = self._filter_incoming
 
     # --------------------------------------------------------- receive side
-    def _filter_incoming(self, env: Envelope) -> Generator[Any, Any, bool]:
-        """Release application envelopes to matching in per-channel order.
+    def _filter_incoming(self, env: Frame) -> Generator[Any, Any, bool]:
+        """Release application messages to matching in per-channel order.
 
         Always returns False: delivery (if any) is performed here so that
         held-back successors can be flushed in the right order.  Ownership
-        contract: the PML hands this filter the envelope; every path below
-        accounts for it — in-order and flushed envelopes are consumed by
+        contract: the PML hands this filter the message; every path below
+        accounts for it — in-order and flushed messages are consumed by
         ``deliver_to_matching``, early arrivals are *owned by the reorder
         buffer* until flushed, and duplicates — a second copy of a parked
-        seq included — are returned to the arena once :meth:`_on_duplicate`
-        has finished with the borrow.
+        seq included — are released once :meth:`_on_duplicate` has
+        finished with the borrow.
         """
         src = env.world_src
         expected = self._expected.get(src, 0)
@@ -181,12 +182,12 @@ class ReplicatedBase(BaseProtocol):
         except BaseException:
             # Fail-stop crash mid-handling: the filter owns the duplicate
             # and is being abandoned — account the strand.
-            self.pml.strand_env(env)
+            self.pml.strand(env)
             raise
-        self.pml.release_env(env)
+        self.pml.fabric.release_frame(env)
         return False
 
-    def _on_duplicate(self, env: Envelope) -> Generator:
+    def _on_duplicate(self, env: Frame) -> Generator:
         """Default duplicate handling (*env* is a borrow — the filter
         releases it when this returns).
 
@@ -196,10 +197,7 @@ class ReplicatedBase(BaseProtocol):
         """
         if env.kind == "rts":
             pml = self.pml
-            cts = pml.acquire_env(
-                "cts", env.ctx, -1, -1, -1, -1, env.seq, CTS_BYTES, None, env.src_phys, msg_id=env.msg_id
-            )
-            yield from pml.inject(cts, CTS_BYTES)
+            yield from pml.inject(pml.cts_for(env))
 
     # ---------------------------------------------------------- replica math
     def pair_of(self, rank: int) -> int:
@@ -244,7 +242,7 @@ class ReplicatedBase(BaseProtocol):
 
     # --------------------------------------------------------------- teardown
     def reap(self) -> int:
-        """End-of-run teardown: release envelopes parked in the reorder
+        """End-of-run teardown: release messages parked in the reorder
         buffers.  Returns how many were reaped (strand attribution:
         the ``reorder_reap`` site in ``JobResult.stranded_by_site``).
 
@@ -252,16 +250,17 @@ class ReplicatedBase(BaseProtocol):
         After a fail-stop, gaps can persist forever — the peer that would
         have sent the missing sequence number is dead, or this very
         process crashed with early arrivals parked — and the buffered
-        envelopes are well-defined leftovers the arena-balance check reaps,
+        messages are well-defined leftovers the arena-balance check reaps,
         exactly like the PML's unexpected queue.
         """
         reorder = self._reorder
         if not reorder:
             return 0
         reaped = 0
+        release = self.pml.fabric.release_frame
         for held in reorder.values():
             for env in held.values():
-                self.pml.release_env(env)
+                release(env)
             reaped += len(held)
             held.clear()
         return reaped

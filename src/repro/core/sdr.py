@@ -44,7 +44,8 @@ from repro.core.membership import MembershipService
 from repro.core.replicated import ProtocolShared, ReplicatedBase
 from repro.core.worlds import ReplicaMap
 from repro.mpi.datatypes import copy_payload, nbytes_of
-from repro.mpi.pml import Envelope, Pml, PmlRecvRequest
+from repro.mpi.pml import Pml, PmlRecvRequest
+from repro.network.fabric import Frame
 
 __all__ = ["SdrProtocol", "SdrSendHandle"]
 
@@ -262,7 +263,7 @@ class SdrProtocol(ReplicatedBase):
         return RecvHandle(req)
 
     # ------------------------------------------------------------------ acks
-    def _ack_on_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
+    def _ack_on_recv_complete(self, env: Frame, recv: Optional[PmlRecvRequest]) -> Generator:
         """Algorithm 1 lines 15-17: on irecvComplete, ack the other senders.
 
         Also the duplicate re-ack (:meth:`_on_duplicate`, with no
@@ -272,7 +273,7 @@ class SdrProtocol(ReplicatedBase):
         """
         shared = self.shared
         n_ranks = shared.n_ranks
-        sender_rep = env.src_phys // n_ranks  # rmap.rep_of, unchecked
+        sender_rep = env.src // n_ranks  # rmap.rep_of, unchecked
         pml = self.pml
         endpoints = pml.fabric.endpoints
         send_row = pml._send_row
@@ -294,13 +295,13 @@ class SdrProtocol(ReplicatedBase):
                     yield cost[0]
                 pml.inject_ctrl(ph, ACK, (self.rank, seq), ack_bytes)
 
-    def _on_duplicate(self, env: Envelope) -> Generator:
+    def _on_duplicate(self, env: Frame) -> Generator:
         # Re-ack so a substitute that resent (its ack was in flight at
         # failover time) can still clear its retention.
         yield from super()._on_duplicate(env)
         yield from self._ack_on_recv_complete(env, None)
 
-    def _on_ack(self, env: Envelope) -> Generator:
+    def _on_ack(self, env: Frame) -> Generator:
         # ctrl borrow: (world_dst, seq) is unpacked out of the envelope
         # up front; the PML recycles it when this generator finishes.
         world_dst, seq = env.data
@@ -310,7 +311,7 @@ class SdrProtocol(ReplicatedBase):
             yield overhead
         handle = self.retention.get((world_dst, seq))
         if handle is not None:
-            handle.needs_ack.discard(env.src_phys)
+            handle.needs_ack.discard(env.src)
             if not handle.needs_ack:
                 del self.retention[(world_dst, seq)]
         elif seq >= self._send_seq.get(world_dst, 0):
@@ -318,7 +319,7 @@ class SdrProtocol(ReplicatedBase):
             early_acks = self._early_acks
             if early_acks is None:
                 early_acks = self._early_acks = {}
-            early_acks.setdefault((world_dst, seq), set()).add(env.src_phys)
+            early_acks.setdefault((world_dst, seq), set()).add(env.src)
         # else: late ack for a fully-acked message (after a re-ack) — drop.
         yield from ()
 
@@ -514,7 +515,7 @@ class SdrProtocol(ReplicatedBase):
             if dests and ph in dests and ph != self.rmap.phys(j, self.rep):
                 dests.remove(ph)
 
-    def _on_recovered(self, env: Envelope) -> Generator:
+    def _on_recovered(self, env: Frame) -> Generator:
         """Peer side of §3.4: resume the pairwise pattern toward the new
         replica and replay everything the substitute has not acked."""
         rank_f, new_proc, rep_f = env.data
@@ -528,7 +529,7 @@ class SdrProtocol(ReplicatedBase):
         # the fork (FIFO channels order the sub's acks against its
         # notification), so the new replica's cloned state lacks them.
         if self.rep == rep_f:
-            sub_phys = env.src_phys  # the notification sender IS the substitute
+            sub_phys = env.src  # the notification sender IS the substitute
             for (j, seq), handle in list(self.retention.items()):
                 if j != rank_f:
                     continue

@@ -363,10 +363,10 @@ class Job:
         self._shard_mode = False
         self._drain_wakes: List[float] = []
         self._drain_frame_waits: Dict[int, Any] = {}
-        #: (pml, protocol) stacks replaced by a respawn: their arena
-        #: counters and parked envelopes still take part in the end-of-run
-        #: balance, so they are retired here instead of vanishing when
-        #: ``spawn_replica`` overwrites the per-proc dicts.
+        #: (pml, protocol) stacks replaced by a respawn: their parked
+        #: messages still take part in the end-of-run balance, so they are
+        #: retired here instead of vanishing when ``spawn_replica``
+        #: overwrites the per-proc dicts.
         self._retired_stacks: List[Any] = []
         #: teardown-reap strand attribution (see JobResult.stranded_by_site)
         self._reap_sites: Dict[str, int] = {"reorder_reap": 0, "retired_stack": 0}
@@ -653,7 +653,7 @@ class Job:
     def audit(self) -> None:
         """Machine-check the zero-leak contract on this run, whatever state
         it stopped in: strand anything still in flight at the stop time,
-        then assert ``acquired == released + stranded`` for both arenas.
+        then assert ``acquired == released + stranded`` over the message pool.
         Also callable directly by campaign drivers after a run that raised
         (a failed run must still balance its books).
         """
@@ -663,9 +663,9 @@ class Job:
     def _strand_in_flight(self) -> None:
         """Strand frames still sitting in the kernel queue at the horizon.
 
-        A job stopped at ``until`` leaves undelivered frames (and their
-        envelopes) in the queue — nobody will ever release them, so the
-        balance proof attributes them to the ``in_flight`` site.  Safe
+        A job stopped at ``until`` leaves undelivered frames in the queue
+        — nobody will ever release them, so the balance proof attributes
+        them to the ``in_flight`` site.  Safe
         only once the run is over: a stranded frame must not fire.
         """
         sim = self.sim
@@ -682,19 +682,12 @@ class Job:
 
     def _strand_attribution(self) -> Dict[str, Dict[str, int]]:
         """Merge every drop site's counters into one {site: {frames, envs}}
-        map: the fabric's fail-stop sites, the receive-pipeline guards on
-        every PML (live and retired), and the teardown reaps."""
+        map: the fabric's fail-stop sites and receive-pipeline guards, and
+        the teardown reaps."""
         by_site: Dict[str, Dict[str, int]] = {
             site: {"frames": cell[0], "envs": cell[1]}
             for site, cell in self.fabric.strands_by_site.items()
         }
-        pmls = list(self.pmls.values()) + [pml for pml, _proto in self._retired_stacks]
-        for pml in pmls:
-            pml_sites = pml.env_stranded_by_site
-            if pml_sites:
-                for site, n in pml_sites.items():
-                    entry = by_site.setdefault(site, {"frames": 0, "envs": 0})
-                    entry["envs"] += n
         for site, n in self._reap_sites.items():
             if n:
                 entry = by_site.setdefault(site, {"frames": 0, "envs": 0})
@@ -702,8 +695,8 @@ class Job:
         return by_site
 
     def _assert_arenas_balanced(self) -> None:
-        """Leak check: every Frame/Envelope acquire has a release or an
-        accounted strand.
+        """Leak check: every message acquire has a release or an accounted
+        strand.
 
         Runs in the teardown of every run-to-completion job — **crashy
         runs included**: the fail-stop drop sites (fabric injects by dead
@@ -714,14 +707,14 @@ class Job:
         failover and recovery — exactly the scenarios the replication
         protocols exist for.  Leftovers with a well-defined end-of-run
         owner — inbox frames that arrived after the last application
-        statement, unexpected-queue envelopes the application never
+        statement, unexpected-queue messages the application never
         received, reorder-buffer early arrivals orphaned by a crash — are
-        reaped into the arenas first; anything still unbalanced after
+        released first; anything still unbalanced after
         that is an ownership bug in the delivery path.
         """
         # Survivors blocked forever (lost-rank scenarios tolerated via
         # allow_lost_ranks) still hold suspended generators: closing them
-        # routes any envelopes they were borrowing to the strand counters.
+        # routes any messages they were borrowing to the strand counters.
         for process in self.processes.values():
             process.abandon()
         live = [(self.pmls[p], self.protocols[p]) for p in self.pmls]
@@ -741,35 +734,14 @@ class Job:
             retired += pml.reap() or 0
             reap_sites["retired_stack"] += retired
         fab = self.fabric
-        # Sharded runs extend both sides with the cross-shard relay: an
-        # exported frame left this arena's custody (its shell recycled
-        # locally, the wire record re-acquired by the destination shard's
-        # import_frame — which counts as a regular acquire here, so only
-        # the export side needs a term).  Imported *envelopes* however are
-        # minted without an acquire_env, exactly like link duplication, so
-        # they join the acquired side.  Serial runs have all four relay
-        # counters at zero and the historical formulas back.
-        frames_closed = fab.frames_released + fab.frames_stranded + fab.frames_exported
-        if fab.frames_acquired != frames_closed:
+        # Sharded runs extend the closed side with the cross-shard relay:
+        # an exported message left this fabric's custody (the destination
+        # shard's import is a regular acquire there).  Serial runs export
+        # nothing.
+        closed = fab.frames_released + fab.frames_stranded + fab.frames_exported
+        if fab.frames_acquired != closed:
             raise AssertionError(
-                f"frame arena leak: {fab.frames_acquired} acquired vs "
-                f"{fab.frames_released} released + "
-                f"{fab.frames_stranded} stranded + "
-                f"{fab.frames_exported} exported "
-                f"({fab.frames_acquired - frames_closed} unaccounted)"
-            )
-        pmls = [pml for pml, _proto in live + self._retired_stacks]
-        # Link duplication mints envelopes without an acquire_env — they
-        # enter on the acquired side so each clone still needs a release
-        # or an accounted strand of its own.
-        env_acquired = sum(p.env_acquired for p in pmls) + fab.envs_duplicated + fab.envs_imported
-        env_released = sum(p.env_released for p in pmls)
-        env_stranded = sum(p.env_stranded for p in pmls) + fab.envs_stranded
-        env_closed = env_released + env_stranded + fab.envs_exported
-        if env_acquired != env_closed:
-            raise AssertionError(
-                f"envelope arena leak: {env_acquired} acquired vs "
-                f"{env_released} released + {env_stranded} stranded + "
-                f"{fab.envs_exported} exported "
-                f"({env_acquired - env_closed} unaccounted)"
+                f"message arena leak: {fab.frames_acquired} acquired vs "
+                f"{fab.frames_released} released + {fab.frames_stranded} stranded + "
+                f"{fab.frames_exported} exported ({fab.frames_acquired - closed} unaccounted)"
             )

@@ -24,7 +24,7 @@ from repro.mpi.errors import (
 )
 from repro.mpi.datatypes import Phantom, copy_payload, nbytes_of
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Status
-from repro.mpi.pml import Envelope, Pml
+from repro.mpi.pml import Pml
 from repro.mpi.group import Group
 from repro.mpi.comm import Communicator
 from repro.mpi.api import MpiProcess
@@ -34,7 +34,6 @@ __all__ = [
     "ANY_TAG",
     "Communicator",
     "DeadlockError",
-    "Envelope",
     "Group",
     "MpiError",
     "MpiProcess",

@@ -63,7 +63,8 @@ from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.pml import Envelope, PmlRecvRequest
+    from repro.mpi.pml import PmlRecvRequest
+    from repro.network.fabric import Frame
 
 __all__ = ["MatchEngine", "LinearMatchEngine"]
 
@@ -72,7 +73,7 @@ __all__ = ["MatchEngine", "LinearMatchEngine"]
 _COMPACT_AT = 32
 
 
-def _compatible(recv: "PmlRecvRequest", env: "Envelope") -> bool:
+def _compatible(recv: "PmlRecvRequest", env: "Frame") -> bool:
     if recv.ctx != env.ctx:
         return False
     if recv.source != ANY_SOURCE and recv.source != env.src_rank:
@@ -108,7 +109,7 @@ class MatchEngine:
         self._posted_seq = 0
         #: parked envelopes by arrival seq — ``unexpected_count`` at arrival
         #: (dict order = arrival order)
-        self._unexpected: Dict[int, "Envelope"] = {}
+        self._unexpected: Dict[int, "Frame"] = {}
         #: pattern -> [head, seq, ...] of the parked envelopes it covers,
         #: for the patterns of indexed classes only
         self._unexpected_lanes: Dict[Tuple, list] = {}
@@ -124,7 +125,7 @@ class MatchEngine:
         return list(self._posted.values())
 
     @property
-    def unexpected(self) -> List["Envelope"]:
+    def unexpected(self) -> List["Frame"]:
         """Pending unexpected envelopes in arrival order (diagnostics/tests)."""
         return list(self._unexpected.values())
 
@@ -154,7 +155,7 @@ class MatchEngine:
             else:
                 lane.append(seq)
 
-    def post(self, recv: "PmlRecvRequest") -> Optional["Envelope"]:
+    def post(self, recv: "PmlRecvRequest") -> Optional["Frame"]:
         """Register a receive; returns an unexpected envelope if one matches."""
         source = recv.source
         tag = recv.tag
@@ -219,7 +220,7 @@ class MatchEngine:
         return False
 
     # -------------------------------------------------------- arrival side
-    def arrive(self, env: "Envelope") -> Optional["PmlRecvRequest"]:
+    def arrive(self, env: "Frame") -> Optional["PmlRecvRequest"]:
         """Offer an arriving envelope; returns the matching posted receive,
         or None after queuing the envelope as unexpected."""
         ctx = env.ctx
@@ -269,7 +270,7 @@ class MatchEngine:
         return None
 
     # ------------------------------------------------------------- queries
-    def probe(self, ctx, source: int, tag: int) -> Optional["Envelope"]:
+    def probe(self, ctx, source: int, tag: int) -> Optional["Frame"]:
         """First unexpected envelope compatible with (ctx, source, tag)."""
         key = (ctx, source, tag)
         lane = self._unexpected_lanes.get(key)
@@ -280,7 +281,7 @@ class MatchEngine:
             return None
         return self._unexpected[lane[lane[0]]]
 
-    def drain_unexpected(self) -> List["Envelope"]:
+    def drain_unexpected(self) -> List["Frame"]:
         """Remove and return every pending unexpected envelope, in arrival
         order (end-of-run teardown: the PML returns them to its arena)."""
         out = list(self._unexpected.values())
@@ -308,12 +309,12 @@ class LinearMatchEngine:
 
     def __init__(self) -> None:
         self.posted: Deque["PmlRecvRequest"] = deque()
-        self.unexpected: Deque["Envelope"] = deque()
+        self.unexpected: Deque["Frame"] = deque()
         self.unexpected_count = 0
         self.unexpected_peak = 0
 
     # ----------------------------------------------------------- post side
-    def post(self, recv: "PmlRecvRequest") -> Optional["Envelope"]:
+    def post(self, recv: "PmlRecvRequest") -> Optional["Frame"]:
         """Register a receive; returns an unexpected envelope if one matches."""
         for i, env in enumerate(self.unexpected):
             if _compatible(recv, env):
@@ -331,7 +332,7 @@ class LinearMatchEngine:
             return False
 
     # -------------------------------------------------------- arrival side
-    def arrive(self, env: "Envelope") -> Optional["PmlRecvRequest"]:
+    def arrive(self, env: "Frame") -> Optional["PmlRecvRequest"]:
         """Offer an arriving envelope; returns the matching posted receive,
         or None after queuing the envelope as unexpected."""
         for i, recv in enumerate(self.posted):
@@ -344,7 +345,7 @@ class LinearMatchEngine:
         return None
 
     # ------------------------------------------------------------- queries
-    def probe(self, ctx, source: int, tag: int) -> Optional["Envelope"]:
+    def probe(self, ctx, source: int, tag: int) -> Optional["Frame"]:
         """First unexpected envelope compatible with (ctx, source, tag)."""
         for env in self.unexpected:
             if env.ctx != ctx:
@@ -356,7 +357,7 @@ class LinearMatchEngine:
             return env
         return None
 
-    def drain_unexpected(self) -> List["Envelope"]:
+    def drain_unexpected(self) -> List["Frame"]:
         """Remove and return every pending unexpected envelope, in arrival
         order (end-of-run teardown: the PML returns them to its arena)."""
         out = list(self.unexpected)

@@ -11,7 +11,7 @@ replication layer uses (§4.1):
   is frame arrival (even if the receive has not been posted yet), for
   rendezvous it is arrival of the DATA frame.  SDR-MPI sends its acks here
   (§3.3, Algorithm 1 line 15);
-* ``incoming_filter`` lets a protocol intercept application envelopes before
+* ``incoming_filter`` lets a protocol intercept application messages before
   matching (SDR-MPI uses this for duplicate suppression and per-channel
   in-order release);
 * ``ctrl_table`` dispatches protocol-private frames (acks, leader
@@ -29,45 +29,47 @@ charged by the fabric.  There is **no asynchronous progress**: frames are
 handled only inside :meth:`Pml.progress_step`, which runs only while the
 owning process executes an MPI call.
 
-Envelope ownership contract
----------------------------
-Every :class:`Envelope` — all five kinds — recycles through a per-PML
-arena and has **exactly one owner** at every point in its lifetime:
+Message ownership contract
+--------------------------
+A message is one :class:`~repro.network.fabric.Frame` — its routing and
+its envelope in one object, every kind — acquired once from the job-wide
+free list (:meth:`Fabric.acquire <repro.network.fabric.Fabric.acquire>`)
+when it is posted, and released once.  It has **exactly one owner** at
+every point in its lifetime:
 
-* the sending PML allocates from its arena (:meth:`Pml.acquire_env`) and
-  ownership travels with the frame to the receiving PML;
+* the sender owns it until it injects it; the wire and then the receiving
+  endpoint's inbox own it until this PML handles it;
 * on the receive side, ownership moves through a fixed pipeline —
-  ``incoming_filter`` (which may park the envelope, e.g. in a reorder
+  ``incoming_filter`` (which may park the message, e.g. in a reorder
   buffer) → :meth:`Pml.deliver_to_matching` (which *consumes* it: either
-  the unexpected queue holds it, or matching completes and the PML
-  releases it) — and the PML returns the envelope to the arena the moment
-  the last handler has run (:meth:`Pml.release_env`);
+  the unexpected queue holds it, or matching completes) — and it is
+  released by whoever consumes it last: the matched receive, the returning
+  ctrl handler, the dropped duplicate, or the end-of-run :meth:`Pml.reap`;
 * hooks (``on_match``, ``on_recv_complete``) and ctrl handlers
-  receive the envelope as a **borrow**: it is valid for the duration of
+  receive the message as a **borrow**: it is valid for the duration of
   the handler invocation (including every resumption of a generator
   handler until it finishes) and is recycled right after.  There is no
-  refcount and no way to hold an envelope past the call: a protocol that
-  needs the message later copies out the fields it needs (a payload, a
-  digest, a sequence number), as every in-tree protocol does.
+  refcount and no way to hold a message past the call: a protocol that
+  needs it later copies out the fields it needs (a payload, a digest, a
+  sequence number), as every in-tree protocol does.  A svc notice's key
+  and value are copied out and the frame released before its handler runs.
 
-Payloads are *not* part of the recycling: ``env.data`` refers to the
+Payloads are *not* part of the recycling: ``frame.data`` refers to the
 copy-on-write snapshot machinery of :mod:`repro.mpi.datatypes`, and
 ``Pml._complete_recv`` hands that reference to the receive request before
 the shell is recycled.  ``tests/test_pooling_equivalence.py`` pins the
-arena to the fingerprints plain allocation left behind (its last run,
+pool to the fingerprints plain allocation left behind (its last run,
 recorded in ``tests/data/spec_fingerprints.jsonl``), and the harness
-asserts the arenas balance — every acquire matched by a release or an
-accounted strand — at the end of every run, crashes included.
-Fail-stop teardown is what makes crashy runs provable:
-every receive-pipeline span that owns an envelope across a yield carries a
-guard routing the abandoned reference to :meth:`Pml.strand_env`, and the
-fabric counts the frames (and their envelopes) dropped at its own fail-stop
-sites (see :mod:`repro.network.fabric`).
+asserts the balance — every acquire matched by a release or an accounted
+strand — at the end of every run, crashes included.  Fail-stop teardown
+is what makes crashy runs provable: every receive-pipeline span that owns
+a message across a yield carries a guard routing the abandoned reference
+to :meth:`Pml.strand`, and the fabric counts the messages dropped at its
+own fail-stop sites (see :mod:`repro.network.fabric`).
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -76,11 +78,10 @@ from repro.mpi.datatypes import PayloadInterner, copy_payload, nbytes_of
 from repro.mpi.errors import MpiError, TruncationError
 from repro.mpi.matching import MatchEngine
 from repro.mpi.status import ANY_SOURCE, Status
-from repro.network.fabric import POOL_CAP, Fabric, Frame
+from repro.network.fabric import Fabric, Frame
 from repro.sim.kernel import Simulator
 
 __all__ = [
-    "Envelope",
     "Pml",
     "PmlRecvRequest",
     "PmlSendRequest",
@@ -97,79 +98,14 @@ CTS_BYTES = 32
 CTRL_BYTES = 32
 
 
-class Envelope:
-    """Everything the PML knows about a message.
-
-    ``src_rank`` is the sender's rank *within the matching context* (what
-    MPI matching sees); ``world_src``/``world_dst`` are logical world ranks
-    (what the replication protocol keys on); ``seq`` is the per
-    (world_src → world_dst) application-message sequence number, identical
-    across replicas by send-determinism.
-
-    A ``__slots__`` class rather than a dataclass: one envelope per frame
-    makes its construction part of the per-message critical path.
-
-    Instances delivered by the PML are arena-owned **borrows** (see the
-    module docstring): handlers read them freely while they run, and copy
-    out whatever they need past the handler.
-    """
-
-    #: the constructor's arguments in order: an envelope's wire values
-    _FIELDS = (
-        "kind", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
-        "nbytes", "data", "src_phys", "dst_phys", "msg_id", "ctrl_key",
-    )  # fmt: skip
-    __slots__ = _FIELDS
-    #: ``Envelope(*Envelope.wire_values(env))`` mints a fresh envelope equal
-    #: to *env* — link duplication and the shard relay build one this way
-    wire_values = attrgetter(*_FIELDS)
-
-    def __init__(
-        self,
-        kind: str,  # 'eager' | 'rts' | 'cts' | 'data' | 'ctrl'
-        ctx: Any,
-        src_rank: int,
-        tag: int,
-        world_src: int,
-        world_dst: int,
-        seq: int,
-        nbytes: int,
-        data: Any,
-        src_phys: int,
-        dst_phys: int,
-        msg_id: int = -1,
-        ctrl_key: str = "",
-    ) -> None:
-        self.kind = kind
-        self.ctx = ctx
-        self.src_rank = src_rank
-        self.tag = tag
-        self.world_src = world_src
-        self.world_dst = world_dst
-        self.seq = seq
-        self.nbytes = nbytes
-        self.data = data
-        self.src_phys = src_phys
-        self.dst_phys = dst_phys
-        self.msg_id = msg_id
-        self.ctrl_key = ctrl_key
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Envelope(kind={self.kind!r}, ctx={self.ctx!r}, src_rank={self.src_rank}, "
-            f"tag={self.tag}, world_src={self.world_src}, world_dst={self.world_dst}, "
-            f"seq={self.seq}, nbytes={self.nbytes}, src_phys={self.src_phys}, "
-            f"dst_phys={self.dst_phys}, msg_id={self.msg_id}, ctrl_key={self.ctrl_key!r})"
-        )
-
-
 class PmlSendRequest:
     """Library-level send request: done at ``isendComplete``.
 
-    Holds no envelope reference: under the ownership contract the eager
-    envelope belongs to the wire (and then to the receiving PML) the
+    Holds no message reference: under the ownership contract the eager
+    message belongs to the wire (and then to the receiving PML) the
     moment it is injected, and rendezvous retention lives in the PML's
-    ``_rdv_sends`` table until the CTS arrives.
+    ``_rdv_sends`` table (plain fields, no pooled object) until the CTS
+    arrives.
     """
 
     __slots__ = ("dst_phys", "nbytes", "done", "msg_id", "cancelled")
@@ -246,12 +182,6 @@ class Pml:
         "on_recv_complete",
         "incoming_filter",
         "ctrl_handlers",
-        "_env_pool",
-        "env_acquired",
-        "env_allocated",
-        "env_released",
-        "env_stranded",
-        "env_stranded_by_site",
         "_node_of",
         "_send_row",
         "_recv_row",
@@ -259,7 +189,6 @@ class Pml:
         "recvs_posted",
         "any_source_posts",
         "_interner",
-        "env_high_water",
     )
 
     def __init__(
@@ -277,7 +206,8 @@ class Pml:
         self._msg_id = 0
         # outstanding rendezvous state, lazily allocated: eager-only
         # workloads (every small-message tier) never touch it
-        self._rdv_sends: Optional[Dict[int, Tuple[PmlSendRequest, Envelope]]] = None
+        #: msg_id -> (request, ctx, src_rank, tag, world_src, world_dst, seq, payload)
+        self._rdv_sends: Optional[Dict[int, tuple]] = None
         self._rdv_recvs: Optional[Dict[Tuple[int, int], PmlRecvRequest]] = None
         # interposition surface
         #: the protocol on this PML and its class's handler tables, shared
@@ -288,31 +218,14 @@ class Pml:
         self.svc_table: Dict[str, Callable[..., Generator]] = _NO_HANDLERS
         self.on_match: List[HookFn] = []
         self.on_recv_complete: List[HookFn] = []
-        #: protocol hook intercepting application envelopes before matching;
-        #: one returning False owns the envelope (see :mod:`repro.core.interpose`)
-        self.incoming_filter: Optional[Callable[[Envelope], Generator]] = None
+        #: protocol hook intercepting application messages before matching;
+        #: one returning False owns the message (see :mod:`repro.core.interpose`)
+        self.incoming_filter: Optional[Callable[[Frame], Generator]] = None
         #: ctrl keys ``ctrl_table`` does not serve, called as
-        #: ``handler(env)``; ctrl envelopes are recycled the moment a
+        #: ``handler(env)``; ctrl messages are recycled the moment a
         #: handler returns — handlers get a borrow and must copy out
         #: whatever they need
-        self.ctrl_handlers: Dict[str, Callable[[Envelope], Generator]] = {}
-        #: free list shared by every envelope kind, bounded by POOL_CAP
-        #: (see module docstring)
-        self._env_pool: List[Envelope] = []
-        #: arena accounting: every acquire must be matched by a release or
-        #: an accounted strand (checked at end-of-run by the harness —
-        #: crashy runs included, via the strand counters)
-        self.env_acquired = 0
-        self.env_allocated = 0  # pool misses (fresh constructions)
-        self.env_released = 0
-        #: envelopes abandoned mid-pipeline by a fail-stop crash: a process
-        #: torn down while suspended inside frame handling (a CPU charge, a
-        #: hook, a ctrl handler) strands the envelope the pipeline owned —
-        #: the receive-path guards route it here instead of losing it
-        self.env_stranded = 0
-        #: strand *attribution*: {site: count} filled by :meth:`strand_env`
-        #: (lazy — crash-free runs never allocate it)
-        self.env_stranded_by_site: Optional[Dict[str, int]] = None
+        self.ctrl_handlers: Dict[str, Callable[[Frame], Generator]] = {}
         # Per-peer cost views into the job-level shared CostTable: models
         # are immutable for a job's lifetime and identical per node pair,
         # so the rows are shared by every PML on this node and keyed by
@@ -332,8 +245,6 @@ class Pml:
         self.any_source_posts = 0
         #: job-wide payload intern table (shared by every PML of a Job)
         self._interner = interner
-        #: most envelopes ever outstanding at an acquire
-        self.env_high_water = 0
 
     # ------------------------------------------------------------ utilities
     def _next_msg_id(self) -> int:
@@ -347,123 +258,38 @@ class Pml:
         self._send_row[self._node_of[dst]] = cost
         return cost
 
-    # ------------------------------------------------------- envelope arena
-    def acquire_env(
-        self,
-        kind: str,
-        ctx: Any,
-        src_rank: int,
-        tag: int,
-        world_src: int,
-        world_dst: int,
-        seq: int,
-        nbytes: int,
-        data: Any,
-        dst_phys: int,
-        msg_id: int = -1,
-        ctrl_key: str = "",
-    ) -> Envelope:
-        """Pool-backed Envelope — the only allocation site on a send path.
+    # ------------------------------------------------------- message arena
+    def strand(self, env: Frame) -> None:
+        """Account one message abandoned mid-pipeline by a fail-stop
+        teardown: a process torn down while suspended inside frame handling
+        (a CPU charge, a hook, a ctrl handler) strands the message the
+        pipeline owned — ``(0, 1)`` at ``abandoned_pipeline``."""
+        self.fabric.strand_frame(env, "abandoned_pipeline", on_wire=False)
 
-        Every kind recycles: application envelopes (``eager``/``rts``/
-        ``data``) are consumed by the receive pipeline and released when
-        the last hook has run; protocol-private ones (``ctrl``/``cts``)
-        are consumed exactly once inside
-        :meth:`_handle_frame`/:meth:`_handle_cts`.  The caller owns the
-        returned envelope until it injects it (ownership travels with the
-        frame) or releases it.
-        """
-        if data is not None:
-            data = self._interner.intern(data)
-        acquired = self.env_acquired + 1
-        self.env_acquired = acquired
-        outstanding = acquired - self.env_released - self.env_stranded
-        if outstanding > self.env_high_water:
-            self.env_high_water = outstanding
-        pool = self._env_pool
-        if pool:
-            env = pool.pop()
-            env.kind = kind
-            env.ctx = ctx
-            env.src_rank = src_rank
-            env.tag = tag
-            env.world_src = world_src
-            env.world_dst = world_dst
-            env.seq = seq
-            env.nbytes = nbytes
-            env.data = data
-            env.src_phys = self.proc
-            env.dst_phys = dst_phys
-            env.msg_id = msg_id
-            env.ctrl_key = ctrl_key
-            return env
-        self.env_allocated += 1
-        return Envelope(
-            kind=kind,
-            ctx=ctx,
-            src_rank=src_rank,
-            tag=tag,
-            world_src=world_src,
-            world_dst=world_dst,
-            seq=seq,
-            nbytes=nbytes,
-            data=data,
-            src_phys=self.proc,
-            dst_phys=dst_phys,
-            msg_id=msg_id,
-            ctrl_key=ctrl_key,
-        )
-
-    def release_env(self, env: Envelope) -> None:
-        """Return *env* to the arena.
-
-        Explicit reset on recycle: the payload and context references are
-        cleared so a parked envelope pins nothing.
-        """
-        self.env_released += 1
-        env.ctx = None
-        env.data = None
-        pool = self._env_pool
-        if len(pool) < POOL_CAP:
-            pool.append(env)
-
-    def strand_env(self, env: Envelope, site: str = "abandoned_pipeline") -> None:
-        """Account one abandoned envelope (fail-stop teardown).
-
-        Stranded shells are not pooled: behaviour is identical to the
-        pre-accounting engine, only the counter moves.  *site* attributes the strand to the mechanism
-        that dropped it (``abandoned_pipeline``, ``duplicate_window``, ...)
-        for :attr:`repro.harness.runner.JobResult.stranded_by_site`.
-        """
-        self.env_stranded += 1
-        by_site = self.env_stranded_by_site
-        if by_site is None:
-            by_site = self.env_stranded_by_site = {}
-        by_site[site] = by_site.get(site, 0) + 1
-        env.ctx = None
-        env.data = None
-
-    def inject(self, env: Envelope, wire_bytes: int) -> Generator:
-        """Charge sender overhead and put one frame on the wire.
+    def inject(self, frame: Frame) -> Generator:
+        """Charge sender overhead and put one acquired message on the wire.
 
         The zero-overhead case (LinearCostModel, teaching setups) yields
         nothing.  The hot send paths skip this generator altogether: they
         charge :meth:`send_cost` themselves, then :meth:`post_send` /
         :meth:`inject_ctrl`.
         """
-        dst = env.dst_phys
-        cost = self._send_row.get(self._node_of[dst])
-        if cost is None:
-            cost = self._send_cost_to(dst)
-        if cost[0] > 0.0:
+        cost = self.send_cost(frame.dst)
+        if cost > 0.0:
             try:
-                yield cost[0]
+                yield cost
             except BaseException:
                 # Fail-stop crash mid-charge: the generator is being torn
-                # down with the un-injected envelope in hand — account it.
-                self.strand_env(env)
+                # down with the un-injected message in hand — account it.
+                self.strand(frame)
                 raise
-        self.fabric.send(self.proc, dst, wire_bytes, env, env.kind)
+        self.fabric.inject(frame)
+
+    def cts_for(self, rts: Frame) -> Frame:
+        """A clear-to-send answering *rts* (the caller injects it)."""
+        return self.fabric.acquire(
+            "cts", self.proc, rts.src, CTS_BYTES, rts.ctx, seq=rts.seq, nbytes=CTS_BYTES, msg_id=rts.msg_id
+        )
 
     # ----------------------------------------------------------------- send
     def isend(
@@ -536,73 +362,43 @@ class Pml:
             cost = self._send_cost_to(dst_phys)
         req = PmlSendRequest(dst_phys, nbytes, msg_id)
         self.sends_posted += 1
+        if payload is not None:
+            payload = self._interner.intern(payload)
+        fabric = self.fabric
         if not synchronous and nbytes <= cost[1]:
-            env = self.acquire_env(
-                "eager",
-                ctx,
-                src_rank,
-                tag,
-                world_src,
-                world_dst,
-                seq,
-                nbytes,
-                payload,
-                dst_phys,
-                msg_id=msg_id,
-            )
-            self.fabric.send(self.proc, dst_phys, nbytes, env, "eager")
+            eager = fabric.acquire(
+                "eager", self.proc, dst_phys, nbytes, ctx, src_rank, tag, world_src, world_dst, seq,
+                nbytes, payload, msg_id,
+            )  # fmt: skip
+            fabric.inject(eager)
             req.done = True
         else:
-            env = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, payload, dst_phys, msg_id=msg_id
-            )
             rdv = self._rdv_sends
             if rdv is None:
                 rdv = self._rdv_sends = {}
-            rdv[msg_id] = (req, env)
-            rts = self.acquire_env(
-                "rts", ctx, src_rank, tag, world_src, world_dst, seq, nbytes, None, dst_phys, msg_id=msg_id
-            )
-            self.fabric.send(self.proc, dst_phys, RTS_BYTES, rts, "rts")
+            rdv[msg_id] = (req, ctx, src_rank, tag, world_src, world_dst, seq, payload)
+            rts = fabric.acquire(
+                "rts", self.proc, dst_phys, RTS_BYTES, ctx, src_rank, tag, world_src, world_dst, seq,
+                nbytes, None, msg_id,
+            )  # fmt: skip
+            fabric.inject(rts)
         return req
 
     def inject_ctrl(self, dst_phys: int, ctrl_key: str, data: Any, nbytes: int = CTRL_BYTES) -> None:
         """Put one control frame on the wire *without* charging CPU.
 
         The caller must charge :meth:`send_cost` first (yield the seconds)
-        — :meth:`send_ctrl` is the composed generator form.  The
-        envelope and frame both come from the recycling arenas: control
-        traffic (acks, decisions) outnumbers application frames under
-        replication, so this path is allocation-free at steady state
-        (acquire_env inlined — one call per control frame is measurable).
+        — :meth:`send_ctrl` is the composed generator form.  The message
+        comes from the recycling pool: control traffic (acks, decisions)
+        outnumbers application frames under replication, so this path is
+        allocation-free at steady state.
         """
-        acquired = self.env_acquired + 1
-        self.env_acquired = acquired
-        outstanding = acquired - self.env_released - self.env_stranded
-        if outstanding > self.env_high_water:
-            self.env_high_water = outstanding
-        pool = self._env_pool
-        if pool:
-            env = pool.pop()
-            env.kind = "ctrl"
-            env.ctx = None
-            env.src_rank = -1
-            env.tag = -1
-            env.world_src = -1
-            env.world_dst = -1
-            env.seq = -1
-            env.nbytes = nbytes
-            env.data = data
-            env.src_phys = self.proc
-            env.dst_phys = dst_phys
-            env.msg_id = -1
-            env.ctrl_key = ctrl_key
-        else:
-            self.env_allocated += 1
-            env = Envelope(
-                "ctrl", None, -1, -1, -1, -1, -1, nbytes, data, self.proc, dst_phys, ctrl_key=ctrl_key
+        fabric = self.fabric
+        fabric.inject(
+            fabric.acquire(
+                "ctrl", self.proc, dst_phys, nbytes, None, -1, -1, -1, -1, -1, nbytes, data, -1, ctrl_key
             )
-        self.fabric.send(self.proc, dst_phys, nbytes, env, "ctrl")
+        )
 
     def send_ctrl(self, dst_phys: int, ctrl_key: str, data: Any, nbytes: int = CTRL_BYTES) -> Generator:
         """Send a protocol-private control frame (never enters matching):
@@ -660,51 +456,44 @@ class Pml:
             frame = ep.inbox.popleft()
             yield from self._handle_frame(frame)
 
-    def _handle_frame(self, frame: Frame) -> Generator:
-        # The frame is fully consumed by the field reads below; recycle it
-        # immediately (before any yield) so an abandoned generator — a
-        # process crashing mid-charge — cannot strand it outside the pool.
-        # The envelope's ownership moves from the frame to this PML here.
-        # (Fabric.release_frame inlined: once per frame handled.)
-        kind = frame.kind
-        payload = frame.payload
-        src = frame.src
-        fabric = self.fabric
-        fabric.frames_released += 1
-        frame.payload = None
-        frame.fabric = None
-        fpool = fabric._frame_pool
-        if len(fpool) < POOL_CAP:
-            fpool.append(frame)
+    def _handle_frame(self, env: Frame) -> Generator:
+        # Ownership of the message moves from the inbox to this PML here;
+        # every path below releases it, hands it on, or (torn down by a
+        # crash mid-yield) strands it.
+        kind = env.kind
         if kind == "svc":
-            key, svc_payload = payload
+            # A notice's key and value are copied out and the frame
+            # released first: the handler may yield, and a crash there
+            # must strand nothing.
+            key = env.ctrl_key
+            value = env.data
+            self.fabric.release_frame(env)
             handler = self.svc_table.get(key)
             if handler is not None:
-                yield from handler(self.protocol, svc_payload)
+                yield from handler(self.protocol, value)
             return
-        env: Envelope = payload
+        src = env.src
         if src >= 0:
             recv_row = self._recv_row
             overhead = recv_row.get(self._node_of[src])
             if overhead is None:
-                overhead = fabric.model_for(src, self.proc).recv_overhead
+                overhead = self.fabric.model_for(src, self.proc).recv_overhead
                 recv_row[self._node_of[src]] = overhead
             if overhead > 0.0:
                 try:
                     yield overhead
                 except BaseException:
-                    # Crash mid-charge: this PML owns the envelope and the
+                    # Crash mid-charge: this PML owns the message and the
                     # pipeline is being abandoned — account the strand.
-                    self.strand_env(env)
+                    self.strand(env)
                     raise
-        if env.kind == "ctrl":
+        if kind == "ctrl":
             handler = self.ctrl_table.get(env.ctrl_key)
             # A handler may be a generator function (driven here) or a
             # plain function returning None — the latter avoids a
             # generator allocation for bookkeeping-only handlers.  Once it
-            # returns, the envelope is recycled (handlers hold a borrow —
-            # see the module docstring; release_env inlined: ctrl is the
-            # majority frame kind under replication).
+            # returns, the message is recycled (handlers hold a borrow —
+            # see the module docstring).
             if handler is not None:
                 gen = handler(self.protocol, env)
             else:  # a key only this PML registered
@@ -716,42 +505,37 @@ class Pml:
                 try:
                     yield from gen
                 except BaseException:
-                    self.strand_env(env)  # handler abandoned mid-borrow
+                    self.strand(env)  # handler abandoned mid-borrow
                     raise
-            self.env_released += 1
-            env.ctx = None
-            env.data = None
-            pool = self._env_pool
-            if len(pool) < POOL_CAP:
-                pool.append(env)
-        elif env.kind == "cts":
+            self.fabric.release_frame(env)
+        elif kind == "cts":
             yield from self._handle_cts(env)
-        elif env.kind == "data":
+        elif kind == "data":
             yield from self._handle_rdv_data(env)
-        elif env.kind in ("eager", "rts"):
+        elif kind in ("eager", "rts"):
             filt = self.incoming_filter
             if filt is not None:
                 # Ownership transfers to the filter: if it withholds the
-                # envelope (returns False) it must deliver or release it.
+                # message (returns False) it must deliver or release it.
                 deliver = yield from filt(env)
                 if not deliver:
                     return
             yield from self.deliver_to_matching(env)
         else:  # pragma: no cover - defensive
-            raise MpiError(f"unknown frame kind {env.kind!r}")
+            raise MpiError(f"unknown frame kind {kind!r}")
 
     #: public alias — the blocking fast paths in :mod:`repro.mpi.api`
     #: inline ``progress_step`` (pop one frame / block) and drive this
     handle_frame = _handle_frame
 
     # ---------------------------------------------------- matching plumbing
-    def deliver_to_matching(self, env: Envelope) -> Generator:
-        """Offer an application envelope to MPI matching — consuming it.
+    def deliver_to_matching(self, env: Frame) -> Generator:
+        """Offer an application message to MPI matching — consuming it.
 
         Called from frame handling, and by the replication layer when it
-        releases held-back envelopes from its reorder buffer.  Ownership
-        contract: this method consumes the envelope — it ends up either
-        recycled (matched-and-completed) or parked in the unexpected
+        releases held-back messages from its reorder buffer.  Ownership
+        contract: this method consumes the message — it ends up either
+        released (matched-and-completed) or parked in the unexpected
         queue, whose entries the PML releases when they match (or at
         teardown).
         """
@@ -770,21 +554,16 @@ class Pml:
                         if gen is not None:
                             yield from gen
                 except BaseException:
-                    self.strand_env(env)  # pipeline abandoned mid-hook
+                    self.strand(env)  # pipeline abandoned mid-hook
                     raise
-                # _complete_recv + release_env inlined (once per matched
-                # eager; the bufferless receive is the common case).
+                # _complete_recv inlined (once per matched eager; the
+                # bufferless receive is the common case).
                 recv.data = env.data
                 if recv.buf is not None:
                     self._copy_into_buf(recv, env)
                 recv.status = Status(env.src_rank, env.tag, env.nbytes)
                 recv.done = True
-                self.env_released += 1
-                env.ctx = None
-                env.data = None
-                pool = self._env_pool
-                if len(pool) < POOL_CAP:
-                    pool.append(env)
+                self.fabric.release_frame(env)
             else:
                 yield from self._matched(recv, env, from_unexpected=False)
         else:
@@ -792,14 +571,14 @@ class Pml:
                 # Fully received at the library level even though unexpected:
                 # this *is* irecvComplete for the vProtocol layer (§3.3).
                 # (_fire_recv_complete inlined: once per unexpected eager.)
-                # The unexpected queue now owns the envelope; hooks borrow.
+                # The unexpected queue now owns the message; hooks borrow.
                 for hook in self.on_recv_complete:
                     gen = hook(env, None)
                     if gen is not None:
                         yield from gen
             # rts: nothing to do until a receive is posted.
 
-    def _matched(self, recv: PmlRecvRequest, env: Envelope, from_unexpected: bool) -> Generator:
+    def _matched(self, recv: PmlRecvRequest, env: Frame, from_unexpected: bool) -> Generator:
         if env.kind == "eager":
             try:
                 for hook in self.on_match:
@@ -813,21 +592,16 @@ class Pml:
                         if gen is not None:
                             yield from gen
             except BaseException:
-                self.strand_env(env)  # pipeline abandoned mid-hook
+                self.strand(env)  # pipeline abandoned mid-hook
                 raise
-            # _complete_recv + release_env inlined (the unexpected-queue
-            # match is the hot path of every ANY_SOURCE-heavy workload).
+            # _complete_recv inlined (the unexpected-queue match is the
+            # hot path of every ANY_SOURCE-heavy workload).
             recv.data = env.data
             if recv.buf is not None:
                 self._copy_into_buf(recv, env)
             recv.status = Status(env.src_rank, env.tag, env.nbytes)
             recv.done = True
-            self.env_released += 1
-            env.ctx = None
-            env.data = None
-            pool = self._env_pool
-            if len(pool) < POOL_CAP:
-                pool.append(env)
+            self.fabric.release_frame(env)
         elif env.kind == "rts":
             try:
                 for hook in self.on_match:
@@ -835,78 +609,64 @@ class Pml:
                     if gen is not None:
                         yield from gen
             except BaseException:
-                self.strand_env(env)  # pipeline abandoned mid-hook
+                self.strand(env)  # pipeline abandoned mid-hook
                 raise
             # Clear the sender to transfer the payload.  The RTS is fully
-            # consumed by the field reads below; recycle it before the CTS
+            # consumed once the CTS is built: recycle it before the CTS
             # injection can yield (a crash mid-charge then strands only
             # the un-injected CTS, which inject() accounts).
-            ctx = env.ctx
-            seq = env.seq
-            src_phys = env.src_phys
-            msg_id = env.msg_id
             rdv = self._rdv_recvs
             if rdv is None:
                 rdv = self._rdv_recvs = {}
-            rdv[(src_phys, msg_id)] = recv
-            self.release_env(env)
-            cts = self.acquire_env(
-                "cts", ctx, -1, -1, -1, -1, seq, CTS_BYTES, None, src_phys, msg_id=msg_id
-            )
-            yield from self.inject(cts, CTS_BYTES)
+            rdv[(env.src, env.msg_id)] = recv
+            cts = self.cts_for(env)
+            self.fabric.release_frame(env)
+            yield from self.inject(cts)
         else:  # pragma: no cover - defensive
             raise MpiError(f"cannot match frame kind {env.kind!r}")
 
-    def _handle_cts(self, cts: Envelope) -> Generator:
+    def _handle_cts(self, cts: Frame) -> Generator:
         rdv = self._rdv_sends
         entry = rdv.pop(cts.msg_id, None) if rdv is not None else None
         # The CTS is consumed by that single lookup: recycle it before the
         # DATA injection below can yield.
-        self.release_env(cts)
+        self.fabric.release_frame(cts)
         if entry is None:
             return  # send was cancelled (destination died)
-        req, env = entry
+        req, ctx, src_rank, tag, world_src, world_dst, seq, payload = entry
         if req.cancelled:  # pragma: no cover - cancel also removes the entry
-            self.release_env(env)
             return
-        data_env = self.acquire_env(
-            "data",
-            env.ctx,
-            env.src_rank,
-            env.tag,
-            env.world_src,
-            env.world_dst,
-            env.seq,
-            env.nbytes,
-            env.data,
-            env.dst_phys,
-            msg_id=env.msg_id,
-        )
-        self.release_env(env)
-        yield from self.inject(data_env, data_env.nbytes)
+        if payload is not None:  # looked up again: payload_interned counts the DATA send
+            payload = self._interner.intern(payload)
+        nbytes = req.nbytes
+        data_msg = self.fabric.acquire(
+            "data", self.proc, req.dst_phys, nbytes, ctx, src_rank, tag, world_src, world_dst, seq,
+            nbytes, payload, req.msg_id,
+        )  # fmt: skip
+        yield from self.inject(data_msg)
         req.done = True
 
-    def _handle_rdv_data(self, env: Envelope) -> Generator:
+    def _handle_rdv_data(self, env: Frame) -> Generator:
         rdv = self._rdv_recvs
-        recv = rdv.pop((env.src_phys, env.msg_id), None) if rdv is not None else None
+        recv = rdv.pop((env.src, env.msg_id), None) if rdv is not None else None
         if recv is None:
-            self.release_env(env)
+            self.fabric.release_frame(env)
             return  # receive was cancelled after CTS
         try:
             yield from self._fire_recv_complete(env, recv)
         except BaseException:
-            self.strand_env(env)  # pipeline abandoned mid-hook
+            self.strand(env)  # pipeline abandoned mid-hook
             raise
         self._complete_recv(recv, env)
-        self.release_env(env)
+        self.fabric.release_frame(env)
 
-    def _fire_recv_complete(self, env: Envelope, recv: Optional[PmlRecvRequest]) -> Generator:
+    def _fire_recv_complete(self, env: Frame, recv: Optional[PmlRecvRequest]) -> Generator:
         for hook in self.on_recv_complete:
             gen = hook(env, recv)
             if gen is not None:
                 yield from gen
 
-    def _copy_into_buf(self, recv: PmlRecvRequest, env: Envelope) -> None:
+    def _copy_into_buf(self, recv: PmlRecvRequest, env: Frame) -> None:
         """MPI_Recv-into-buffer semantics for the posted-buffer case."""
         if isinstance(recv.buf, np.ndarray) and isinstance(env.data, np.ndarray):
             if env.data.nbytes > recv.buf.nbytes:
@@ -918,7 +678,7 @@ class Pml:
             src = env.data.reshape(-1)
             flat[: src.size] = src
 
-    def _complete_recv(self, recv: PmlRecvRequest, env: Envelope) -> None:
+    def _complete_recv(self, recv: PmlRecvRequest, env: Frame) -> None:
         recv.data = env.data
         if recv.buf is not None:
             self._copy_into_buf(recv, env)
@@ -931,28 +691,20 @@ class Pml:
         rdv = self._rdv_sends
         if rdv is None:
             return 0
-        for msg_id, (req, env) in list(rdv.items()):
+        for msg_id, (req, *_retained) in list(rdv.items()):
             if req.dst_phys == dst_phys and not req.done:
                 req.cancelled = True
                 req.done = True
                 del rdv[msg_id]
-                self.release_env(env)
                 cancelled += 1
         return cancelled
 
     # -------------------------------------------------------- observability
     def stats(self) -> dict:
-        """PML-level counters: posting totals, arena accounting, matching."""
+        """PML-level counters: posting totals and matching."""
         return {
             "sends_posted": self.sends_posted,
             "recvs_posted": self.recvs_posted,
-            "env_acquired": self.env_acquired,
-            "env_allocated": self.env_allocated,
-            "env_released": self.env_released,
-            "env_stranded": self.env_stranded,
-            "env_stranded_by_site": dict(self.env_stranded_by_site or ()),
-            "env_pool_size": len(self._env_pool),
-            "env_high_water": self.env_high_water,
             **self.matching.stats(),
         }
 
@@ -960,33 +712,29 @@ class Pml:
         """End-of-run teardown: release everything still parked here.
 
         Frames sitting in the inbox (e.g. a mirror duplicate that arrived
-        after every application finished) and envelopes parked in the
+        after every application finished) and messages parked in the
         unexpected queue are well-defined leftovers of a completed run —
-        returning them to the arenas is what lets the harness assert that
-        every acquire was matched by a release.  Rendezvous retention is
-        reaped too, though on a crash-free run it is empty (an incomplete
+        releasing them is what lets the harness assert that every acquire
+        was matched by a release.  Rendezvous retention (plain fields) is
+        dropped too, though on a crash-free run it is empty (an incomplete
         send implies a blocked process, which the deadlock detector
-        reports first).  Returns the number of envelopes released (strand
-        attribution for retired stacks).
+        reports first).  Returns the number of envelopes reaped — every
+        non-svc message plus each retained send (strand attribution for
+        retired stacks).
         """
         reaped = 0
-        ep = self.endpoint
-        while ep.inbox:
-            frame = ep.inbox.popleft()
-            payload = frame.payload
-            kind = frame.kind
-            self.fabric.release_frame(frame)
-            if kind != "svc" and isinstance(payload, Envelope):
-                self.release_env(payload)
-                reaped += 1
+        release = self.fabric.release_frame
+        inbox = self.endpoint.inbox
+        while inbox:
+            frame = inbox.popleft()
+            reaped += frame.kind != "svc"
+            release(frame)
         for env in self.matching.drain_unexpected():
-            self.release_env(env)
+            release(env)
             reaped += 1
         rdv = self._rdv_sends
         if rdv is not None:
             reaped += len(rdv)
-            for _req, env in rdv.values():
-                self.release_env(env)
             rdv.clear()
         return reaped
 

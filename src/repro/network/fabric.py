@@ -12,15 +12,20 @@ frames already in flight are still delivered to live destinations (protocol
 layers dedup via per-channel sequence numbers).  Frames addressed to a
 crashed process are dropped on arrival.
 
-Every fail-stop drop site **counts what it strands**: the frame (and the
-envelope riding in it) is accounted in ``frames_stranded``/``envs_stranded``
-instead of silently vanishing, so the harness can assert
-``acquired == released + stranded`` for both arenas even on crashy runs —
-the zero-leak proof covers the failover/recovery scenarios the replication
-protocols exist for, not just the happy path.  The sites are
+A frame is one message: its routing (``src``/``dst``/``size``/``kind``) and
+its envelope (the matching and replication fields) in one pooled object,
+acquired once when it is posted and released once by whoever consumes it
+last (see :mod:`repro.mpi.pml`).  Every fail-stop drop site **counts what
+it strands** instead of silently dropping it, so the harness can assert
+``acquired == released + stranded`` even on crashy runs — the zero-leak
+proof covers the failover/recovery scenarios the replication protocols
+exist for, not just the happy path.  The wire sites are
 :meth:`Fabric.crash`/:meth:`Fabric.revive` (dead-rank inbox clears),
-:meth:`Endpoint.deliver` (arrival at a dead endpoint) and
-:meth:`Fabric.inject` (send attempt by a dead source).
+:meth:`Endpoint.deliver` (arrival at a dead endpoint),
+:meth:`Fabric.inject` (send attempt by a dead source, link drops,
+partitions) and the harness's horizon (``in_flight``); each attributes
+``(frames 1, envs 1)`` to its site, ``(1, 0)`` for a svc notice.  A
+message abandoned inside a PML pipeline attributes ``(0, 1)``.
 
 Hot-path notes
 --------------
@@ -54,8 +59,9 @@ from repro.sim.sync import Event
 
 __all__ = ["Frame", "Endpoint", "Fabric", "CostTable", "POOL_CAP"]
 
-#: the one bound on every recycling free list (this module's frame pool and
-#: each PML's envelope pool): a release into a full pool drops the shell
+#: the bound on the job-wide frame pool per started 2,048 processes (a job
+#: holds about 1.2 messages per process outstanding at its peak): a release
+#: into a full pool drops the shell
 POOL_CAP = 4096
 
 
@@ -116,49 +122,72 @@ class CostTable:
 
 
 class Frame:
-    """One unit of transfer on the wire.
+    """One message: a unit of transfer on the wire and its envelope.
 
-    ``payload`` is opaque to the fabric; the PML owns its meaning.  ``size``
-    is the number of bytes used for costing (header + payload).
+    ``src``/``dst`` are physical processes and ``size`` the bytes used for
+    costing (header + payload).  The envelope fields are what the PML
+    knows about the message: ``src_rank`` is the sender's rank *within the
+    matching context* (what MPI matching sees); ``world_src``/``world_dst``
+    are logical world ranks (what the replication protocol keys on);
+    ``seq`` is the per (world_src → world_dst) application-message
+    sequence number, identical across replicas by send-determinism.  A
+    ``ctrl``/``svc`` message names its handler in ``ctrl_key`` and carries
+    its value in ``data``.
 
     A frame doubles as its own *delivery event*: :meth:`Fabric.inject`
     stamps the owning fabric and pushes the frame straight onto the kernel
-    queue; :meth:`fire` lands it in the destination inbox.  The seed engine
-    allocated a ``_deliver`` closure plus a ``_Callback`` wrapper per frame
-    — this is zero extra allocations on the same event count.
+    queue; :meth:`fire` lands it in the destination inbox.
 
-    Frames are *pooled*: the PML releases a frame back to the owning
-    fabric's free list (:meth:`Fabric.release_frame`) the moment it has
-    extracted the payload during frame handling, and :meth:`Fabric.send`
-    recycles released instances instead of allocating.  Nothing outside
-    the fabric/PML pair may retain a frame past ``Pml.handle_frame`` —
-    inbox inspection (tests, diagnostics) is fine because release happens
-    strictly after the frame leaves the inbox.
+    Frames are *pooled*: :meth:`Fabric.acquire` recycles released shells
+    from the job-wide free list, and each message is released
+    (:meth:`Fabric.release_frame`) exactly once, by whoever consumes it
+    last — the PML's ownership contract (:mod:`repro.mpi.pml`).  Hooks and
+    handlers borrow a frame for the call only and copy out what they need.
     """
 
-    __slots__ = ("src", "dst", "size", "payload", "kind", "sent_at", "arrived_at", "fabric")
+    __slots__ = (
+        "kind", "src", "dst", "size", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
+        "nbytes", "data", "msg_id", "ctrl_key", "sent_at", "arrived_at", "fabric",
+    )  # fmt: skip
 
     cancelled = False  # deliveries are never revoked; crash drops at deliver()
 
     def __init__(
         self,
-        src: int,
-        dst: int,
-        size: int,
-        payload: Any,
-        kind: str = "data",
-        sent_at: float = -1.0,
-        arrived_at: float = -1.0,
+        kind: str = "data",  # 'eager' | 'rts' | 'cts' | 'data' | 'ctrl' | 'svc'
+        src: int = -1,
+        dst: int = -1,
+        size: int = 0,
+        ctx: Any = None,
+        src_rank: int = -1,
+        tag: int = -1,
+        world_src: int = -1,
+        world_dst: int = -1,
+        seq: int = -1,
+        nbytes: int = 0,
+        data: Any = None,
+        msg_id: int = -1,
+        ctrl_key: str = "",
     ) -> None:
+        self.kind = kind
         self.src = src
         self.dst = dst
         self.size = size
-        self.payload = payload
-        self.kind = kind
+        self.ctx = ctx
+        self.src_rank = src_rank
+        self.tag = tag
+        self.world_src = world_src
+        self.world_dst = world_dst
+        self.seq = seq
+        self.nbytes = nbytes
+        self.data = data
+        self.msg_id = msg_id
+        self.ctrl_key = ctrl_key
         #: stamped by the fabric at injection / delivery (virtual seconds)
-        self.sent_at = sent_at
-        self.arrived_at = arrived_at
-        #: owning fabric, stamped at injection (delivery-event plumbing)
+        self.sent_at = -1.0
+        self.arrived_at = -1.0
+        #: owning fabric while the message is live (delivery-event plumbing
+        #: and the strand sites); cleared on release
         self.fabric: Optional["Fabric"] = None
 
     def fire(self) -> None:
@@ -168,8 +197,10 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"Frame(src={self.src}, dst={self.dst}, size={self.size}, "
-            f"kind={self.kind!r}, sent_at={self.sent_at}, arrived_at={self.arrived_at})"
+            f"Frame(kind={self.kind!r}, src={self.src}, dst={self.dst}, size={self.size}, "
+            f"ctx={self.ctx!r}, src_rank={self.src_rank}, tag={self.tag}, "
+            f"world_src={self.world_src}, world_dst={self.world_dst}, seq={self.seq}, "
+            f"nbytes={self.nbytes}, msg_id={self.msg_id}, ctrl_key={self.ctrl_key!r})"
         )
 
 
@@ -240,9 +271,8 @@ class Endpoint:
 
     def deliver(self, frame: Frame) -> None:
         if not self.alive:
-            # Fail-stop drop site: the frame (and any envelope it carries)
-            # is stranded, never released — count it so the arena-balance
-            # proof extends to crashy runs.
+            # Fail-stop drop site: the message is stranded, never
+            # released — count it so the balance proof covers crashy runs.
             fabric = frame.fabric
             if fabric is not None:
                 fabric.strand_frame(frame)
@@ -342,29 +372,25 @@ class Fabric:
         self._last_arrival: Dict[Tuple[int, int], float] = {}
         self._perturbed = jitter is not None
         self.on_crash: List[Callable[[int], None]] = []
-        #: free list of recycled Frame instances (see Frame docstring);
-        #: bounded by POOL_CAP so pathological bursts cannot pin memory forever
+        #: the job-wide free list of released frames (see Frame docstring),
+        #: bounded so pathological bursts cannot pin memory forever
         self._frame_pool: List[Frame] = []
-        #: free-list accounting: every acquired frame must be released
-        #: (checked at end-of-run by the harness on crash-free jobs)
+        self._pool_cap = POOL_CAP * (n_procs // 2048 + 1)
+        #: free-list accounting: every acquired message is released or
+        #: stranded (the harness asserts it at the end of every run)
         self.frames_acquired = 0
         self.frames_allocated = 0  # pool misses (fresh constructions)
         self.frames_released = 0
-        #: most frames ever outstanding at an acquire
+        #: most messages ever outstanding at an acquire
         self.frame_high_water = 0
         #: crashes ever injected (sticky; observability — since the strand
         #: accounting below, crashy runs keep the arena-balance proof)
         self.crashes = 0
-        #: fail-stop strand accounting: frames dropped at the drop sites
-        #: (dead-rank inbox clears, arrivals at dead endpoints, sends by
-        #: dead sources) and the envelopes those frames carried.  The
-        #: harness asserts acquired == released + stranded on every run.
+        #: messages stranded by a fail-stop, on the wire or in a pipeline
         self.frames_stranded = 0
-        self.envs_stranded = 0
-        #: strand *attribution*: {site: (frames, envelopes)} per fail-stop
-        #: drop site (``inbox_clear``, ``dead_endpoint``, ``dead_source``)
-        #: — surfaced in :attr:`JobResult.stranded_by_site` so failover
-        #: experiments can report which mechanism stranded what
+        #: strand *attribution*: {site: [frames, envelopes]} per drop site
+        #: (module docstring) — surfaced in :attr:`JobResult.stranded_by_site`
+        #: so failover experiments can report which mechanism stranded what
         self.strands_by_site: Dict[str, List[int]] = {}
         #: totals for message-complexity ablations (mirror vs parallel)
         self.total_frames = 0
@@ -374,10 +400,6 @@ class Fabric:
         #: default — keeps :meth:`inject` byte-identical to the reliable
         #: wire (one predictable-branch check per frame)
         self._faults: Optional[_FaultRuntime] = None
-        #: envelopes *created* by link duplication: they enter the arena
-        #: without an acquire_env, so the balance proof counts them on the
-        #: acquired side (acquired + duplicated == released + stranded)
-        self.envs_duplicated = 0
         #: fault observability: frames dropped / cloned / delay-spiked by
         #: the fault runtime (drops are also attributed per strand site)
         self.fault_drops = 0
@@ -392,20 +414,13 @@ class Fabric:
         #: owning the destination node can price the shared downlink in
         #: canonical order (see ``shard.py``).
         self.shard_router: Optional[Any] = None
-        #: cross-shard relay accounting: frames (and the envelopes they
-        #: carry) handed to another shard / received from one.  An import
-        #: routes through :meth:`acquire_frame` (so it already counts as
-        #: acquired), an export leaves this arena's custody, making the
-        #: per-shard frame balance
-        #: ``acquired == released + stranded + exported``; imported
-        #: *envelopes* are minted without an acquire_env and join the
-        #: acquired side like :attr:`envs_duplicated`.  Globally exports
-        #: equal imports, and the merged balance reduces to the serial
-        #: ``acquired == released + stranded``.
+        #: cross-shard relay accounting: messages handed to another shard /
+        #: received from one.  An import is a regular acquire, an export
+        #: leaves this fabric's custody, making the per-shard balance
+        #: ``acquired == released + stranded + exported``; globally exports
+        #: equal imports, and the merged balance is the serial one.
         self.frames_exported = 0
         self.frames_imported = 0
-        self.envs_exported = 0
-        self.envs_imported = 0
         #: wildcard receives posted by any PML on this fabric (the sum of
         #: ``Pml.any_source_posts``): a shard worker's O(1) per-window
         #: any-source taint check
@@ -430,10 +445,26 @@ class Fabric:
         return self.endpoints[proc].alive
 
     # ------------------------------------------------------------ transfers
-    def acquire_frame(self, src: int, dst: int, size: int, payload: Any, kind: str = "data") -> Frame:
-        """Pool-backed frame for out-of-band senders (the failure detector's
-        svc frames bypass :meth:`send` — they are not wire traffic — but
-        still recycle through the free list so the accounting balances)."""
+    def acquire(
+        self,
+        kind: str,
+        src: int,
+        dst: int,
+        size: int,
+        ctx: Any = None,
+        src_rank: int = -1,
+        tag: int = -1,
+        world_src: int = -1,
+        world_dst: int = -1,
+        seq: int = -1,
+        nbytes: int = 0,
+        data: Any = None,
+        msg_id: int = -1,
+        ctrl_key: str = "",
+    ) -> Frame:
+        """The one allocation site of a message: a (possibly recycled)
+        frame the caller owns until it injects it (svc notices: delivers
+        it straight to an endpoint) or releases it."""
         acquired = self.frames_acquired + 1
         self.frames_acquired = acquired
         outstanding = acquired - self.frames_released - self.frames_stranded
@@ -442,98 +473,73 @@ class Fabric:
         pool = self._frame_pool
         if pool:
             frame = pool.pop()
+            frame.kind = kind
             frame.src = src
             frame.dst = dst
             frame.size = size
-            frame.payload = payload
-            frame.kind = kind
+            frame.ctx = ctx
+            frame.src_rank = src_rank
+            frame.tag = tag
+            frame.world_src = world_src
+            frame.world_dst = world_dst
+            frame.seq = seq
+            frame.nbytes = nbytes
+            frame.data = data
+            frame.msg_id = msg_id
+            frame.ctrl_key = ctrl_key
             frame.arrived_at = -1.0
         else:
             self.frames_allocated += 1
-            frame = Frame(src, dst, size, payload, kind)
-        # Stamped here as well as in inject(): out-of-band frames are
-        # delivered straight to an endpoint, and the dead-endpoint drop
-        # site needs the owning fabric to account the strand.
+            frame = Frame(
+                kind, src, dst, size, ctx, src_rank, tag, world_src, world_dst, seq, nbytes, data, msg_id,
+                ctrl_key,
+            )  # fmt: skip
         frame.fabric = self
         return frame
 
-    def send(self, src: int, dst: int, size: int, payload: Any, kind: str = "data") -> float:
-        """Acquire a (possibly recycled) frame and put it on the wire.
-
-        The hot-path entry every PML send site uses (acquire_frame's body
-        is inlined here — one call per frame is measurable): one pool pop
-        replaces the per-message Frame allocation once the pool has warmed
-        up.  Returns the arrival time (see :meth:`inject`).
-        """
-        acquired = self.frames_acquired + 1
-        self.frames_acquired = acquired
-        outstanding = acquired - self.frames_released - self.frames_stranded
-        if outstanding > self.frame_high_water:
-            self.frame_high_water = outstanding
-        pool = self._frame_pool
-        if pool:
-            frame = pool.pop()
-            frame.src = src
-            frame.dst = dst
-            frame.size = size
-            frame.payload = payload
-            frame.kind = kind
-            frame.arrived_at = -1.0
-        else:
-            self.frames_allocated += 1
-            frame = Frame(src, dst, size, payload, kind)
-        return self.inject(frame)
-
-    def strand_frame(self, frame: Frame, site: str = "dead_endpoint") -> None:
-        """Account a frame dropped at a fail-stop site (and the envelope it
-        carries, if any).  Stranded objects are *not* pooled — behaviour is
-        byte-identical to the silent drop, only the counters move — and the
-        references are cleared so the dead frame pins nothing.  *site*
-        attributes the drop to its mechanism for per-site reporting.
+    def strand_frame(self, frame: Frame, site: str = "dead_endpoint", on_wire: bool = True) -> None:
+        """Account a message dropped at a fail-stop site.  Stranded shells
+        are *not* pooled — behaviour is byte-identical to the silent drop,
+        only the counters move — and the references are cleared so the
+        dead message pins nothing.  *site* attributes the drop to its
+        mechanism: ``(frames 1, envs 1)`` on the wire (``(1, 0)`` for a svc
+        notice), ``(0, 1)`` for a message abandoned inside a pipeline
+        (*on_wire* false).
         """
         self.frames_stranded += 1
         cell = self.strands_by_site.get(site)
         if cell is None:
             cell = self.strands_by_site[site] = [0, 0]
-        cell[0] += 1
-        payload = frame.payload
-        if payload is not None and frame.kind != "svc":
-            # Application/protocol frames carry exactly one arena-owned
-            # envelope; svc frames carry a plain tuple.
-            self.envs_stranded += 1
+        if on_wire:
+            cell[0] += 1
+        if not on_wire or frame.kind != "svc":
             cell[1] += 1
-        frame.payload = None
-        frame.fabric = None
+        frame.ctx = frame.data = frame.fabric = None
 
     def release_frame(self, frame: Frame) -> None:
-        """Return a fully-consumed frame to the free list (explicit reset:
-        drop the payload and fabric references so recycled frames never
-        keep envelopes or simulators alive)."""
+        """Return a consumed message to the free list (explicit reset: the
+        context, payload and fabric references are dropped so a pooled
+        shell keeps nothing alive)."""
         self.frames_released += 1
-        frame.payload = None
-        frame.fabric = None
+        frame.ctx = frame.data = frame.fabric = None
         pool = self._frame_pool
-        if len(pool) < POOL_CAP:
+        if len(pool) < self._pool_cap:
             pool.append(frame)
 
     def stats(self) -> dict:
-        """Free-list accounting (the harness asserts acquired == released
-        at the end of every crash-free run) plus wire totals."""
+        """Free-list accounting (the harness asserts acquired == released +
+        stranded at the end of every run) plus wire totals."""
         return {
             "frames_acquired": self.frames_acquired,
             "frames_allocated": self.frames_allocated,
             "frames_released": self.frames_released,
             "frames_stranded": self.frames_stranded,
-            "envs_stranded": self.envs_stranded,
-            "envs_duplicated": self.envs_duplicated,
             "fault_drops": self.fault_drops,
             "fault_dups": self.fault_dups,
             "fault_delays": self.fault_delays,
             "strands_by_site": {k: tuple(v) for k, v in self.strands_by_site.items()},
             "frames_exported": self.frames_exported,
             "frames_imported": self.frames_imported,
-            "envs_exported": self.envs_exported,
-            "envs_imported": self.envs_imported,
             "frame_pool_size": len(self._frame_pool),
             "frame_high_water": self.frame_high_water,
             "total_frames": self.total_frames,
@@ -565,16 +571,16 @@ class Fabric:
         if not src_ep.alive:
             # A crashed process cannot send; drop (the process is being
             # torn down and no correctness property may depend on it) —
-            # but the frame was acquired, so account the strand.
+            # but the message was acquired, so account the strand.
             self.strand_frame(frame, "dead_source")
             return self.sim._now
         faults = self._faults
         if faults is not None:
             site, extra_delay, dup = faults.decide(frame, self.sim._now, self._node_of)
             if site is not None:
-                # Lossy-wire drop site: the frame dies on the link, its
-                # envelope is stranded under the fault mechanism's name,
-                # and the sender is none the wiser (that is what the
+                # Lossy-wire drop site: the message dies on the link, is
+                # stranded under the fault mechanism's name, and the sender
+                # is none the wiser (that is what the
                 # replication protocols are for).
                 self.fault_drops += 1
                 self.strand_frame(frame, site)
@@ -678,28 +684,23 @@ class Fabric:
     def _inject_duplicate(self, frame: Frame) -> None:
         """Clone *frame* and put the clone on the wire right behind it.
 
-        The clone carries a *fresh* envelope (same wire identity, shared
-        copy-on-write payload) so both copies can flow through the arena's
-        single-owner release discipline independently; it is counted in
-        :attr:`envs_duplicated` on the acquired side of the balance proof.
-        The fault runtime is disarmed around the nested inject so a
-        duplicate can never itself duplicate (or be dropped — one fault per
-        original frame keeps campaign accounting legible).  Non-envelope
-        payloads (raw-fabric tests, svc tuples) are never duplicated.
+        The clone is a message of its own (same wire identity, shared
+        copy-on-write payload, one acquire), so both copies flow through
+        the single-owner release discipline independently.  The fault
+        runtime is disarmed around the nested inject so a duplicate can
+        never itself duplicate (or be dropped — one fault per original
+        frame keeps campaign accounting legible).
         """
-        from repro.mpi.pml import Envelope  # pml imports this module
-
-        env = frame.payload
-        if frame.kind != "eager" or not isinstance(env, Envelope):
-            return
-        clone = Envelope(*Envelope.wire_values(env))
-        self.envs_duplicated += 1
         self.fault_dups += 1
         faults = self._faults
         self._faults = None
+        f = frame
+        clone = self.acquire(
+            f.kind, f.src, f.dst, f.size, f.ctx, f.src_rank, f.tag, f.world_src, f.world_dst, f.seq,
+            f.nbytes, f.data, f.msg_id, f.ctrl_key,
+        )  # fmt: skip
         try:
-            dup_frame = self.acquire_frame(frame.src, frame.dst, frame.size, clone, frame.kind)
-            self.inject(dup_frame)
+            self.inject(clone)
         finally:
             self._faults = faults
 
@@ -731,29 +732,24 @@ class Fabric:
         return arrival
 
     def export_frame(self, frame: Frame) -> None:
-        """Hand *frame* (and its envelope) to another shard's custody.
+        """Hand *frame* to another shard's custody.
 
-        The local counters record the departure so the per-shard balance
+        The local counter records the departure so the per-shard balance
         ``acquired == released + stranded + exported`` stays exact; the
         shell is recycled locally (the wire record, not the object,
         crosses the process boundary).
         """
         self.frames_exported += 1
-        payload = frame.payload
-        if payload is not None and frame.kind != "svc":
-            self.envs_exported += 1
-        frame.payload = None
-        frame.fabric = None
+        frame.ctx = frame.data = frame.fabric = None
         pool = self._frame_pool
-        if len(pool) < POOL_CAP:
+        if len(pool) < self._pool_cap:
             pool.append(frame)
 
-    def import_frame(self, src: int, dst: int, size: int, payload: Any, kind: str) -> Frame:
-        """Materialize a relayed frame received from another shard."""
+    def import_frame(self, kind: str, src: int, dst: int, size: int, *envelope: Any) -> Frame:
+        """Materialize a message relayed from another shard (a fresh
+        acquire: single ownership never crosses a process boundary)."""
         self.frames_imported += 1
-        if payload is not None and kind != "svc":
-            self.envs_imported += 1
-        return self.acquire_frame(src, dst, size, payload, kind)
+        return self.acquire(kind, src, dst, size, *envelope)
 
     # --------------------------------------------------------------- faults
     def _strand_inbox(self, ep: Endpoint) -> None:

@@ -74,7 +74,6 @@ from dataclasses import dataclass, fields
 from heapq import heappush
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.mpi.pml import Envelope
 from repro.sim.pool import Pool
 
 __all__ = [
@@ -100,8 +99,6 @@ _FINGERPRINT_EXCLUDED_FABRIC = frozenset(
         "frames_allocated",
         "frames_exported",
         "frames_imported",
-        "envs_exported",
-        "envs_imported",
     }
 )
 
@@ -325,28 +322,6 @@ class _ShardRouter:
         )
 
 
-def _encode_payload(payload) -> Optional[tuple]:
-    """Picklable wire form of a frame payload.
-
-    Envelopes are flattened to their value tuple (``ctx`` is already a
-    value-compared tuple, ``data`` an immutable snapshot); anything else
-    crosses as-is.  The dst shard mints a *fresh* envelope — single-owner
-    arena discipline never crosses a process boundary.
-    """
-    if payload is None:
-        return None
-    if isinstance(payload, Envelope):
-        return ("env", Envelope.wire_values(payload))
-    return ("raw", payload)
-
-
-def _decode_payload(enc: Optional[tuple]):
-    if enc is None:
-        return None
-    tag, body = enc
-    return Envelope(*body) if tag == "env" else body
-
-
 class _ShardTaint(Exception):
     """An interleaving the shards cannot replay byte-identically: the run
     is abandoned and re-executed on the serial engine, the reason recorded
@@ -387,8 +362,8 @@ def _merge_deferred(job, local: list, imported: list, marks: list, reseq: dict) 
 
     *local* holds this shard's own deferred records (see
     :class:`_ShardRouter`) with live frame objects; *imported* are wire
-    records ``(inject_time, src_shard, seq, src, dst, size, kind, t_head,
-    ser, extra_delay, payload_enc)``.  Both sort under the canonical key
+    records ``(inject_time, src_shard, seq, kind, src, dst, size, t_head,
+    ser, extra_delay, *envelope fields)``.  Both sort under the canonical key
     ``(inject_time, src_shard, seq)``: for time-distinct injects this is
     the order the serial engine priced the shared downlink in, and for
     same-time injects from one shard the shard-local ``seq`` *is* the
@@ -413,10 +388,10 @@ def _merge_deferred(job, local: list, imported: list, marks: list, reseq: dict) 
         if tie_guard.setdefault((rec[0], node_of[rec[3].dst]), rec[1]) != rec[1]:
             raise _ShardTaint("tied cross-shard downlink contention")
     entries = list(local)
-    for inject_time, src_shard, seq, src, dst, size, kind, t_head, ser, extra_delay, enc in imported:
+    for inject_time, src_shard, seq, kind, src, dst, size, t_head, ser, extra_delay, *envelope in imported:
         if tie_guard.setdefault((inject_time, node_of[dst]), src_shard) != src_shard:
             raise _ShardTaint("tied cross-shard downlink contention")
-        frame = fab.import_frame(src, dst, size, _decode_payload(enc), kind)
+        frame = fab.import_frame(kind, src, dst, size, *envelope)
         entries.append((inject_time, src_shard, seq, frame, t_head, ser, extra_delay, None))
     if not entries:
         return
@@ -560,8 +535,11 @@ def _drain_router(job, plan: ShardPlan, shard_id: int):
         if dst_shard == shard_id:
             local.append(rec)
         else:
-            enc = _encode_payload(frame.payload)
-            wire = (rec[0], shard_id, rec[2], frame.src, frame.dst, frame.size, frame.kind, *rec[4:7], enc)
+            f = frame  # the wire record: routing, pricing, then the envelope
+            wire = (
+                rec[0], shard_id, rec[2], f.kind, f.src, f.dst, f.size, *rec[4:7], f.ctx, f.src_rank, f.tag,
+                f.world_src, f.world_dst, f.seq, f.nbytes, f.data, f.msg_id, f.ctrl_key,
+            )  # fmt: skip
             fab.export_frame(frame)
             exports.setdefault(dst_shard, []).append(wire)
     router.records = []
@@ -973,9 +951,11 @@ def _merge_results(job, plan, parts, meta, until, allow_lost_ranks, release_comp
     result = JobResult.merge(parts, until, allow_lost_ranks, book)
     fab = result.fabric
     # Cross-shard relay conservation: what left one shard entered another.
-    for out_key, in_key in (("frames_exported", "frames_imported"), ("envs_exported", "envs_imported")):
-        if fab[out_key] != fab[in_key]:
-            raise AssertionError(f"relay leak: {out_key} {fab[out_key]} != {in_key} {fab[in_key]}")
+    if fab["frames_exported"] != fab["frames_imported"]:
+        raise AssertionError(
+            f"relay leak: frames_exported {fab['frames_exported']} "
+            f"!= frames_imported {fab['frames_imported']}"
+        )
     if book is not None:
         book.audit()
     # An imported frame is re-acquired in its destination shard; subtract

@@ -70,8 +70,8 @@ def capture_sends(job: Job) -> Callable[[], Dict[int, List[tuple]]]:
 
     def hook(_now: float, event: Any) -> None:
         if type(event) is Frame and event.kind in _SEND_FRAMES:
-            env = event.payload
-            by_proc[env.src_phys][env.msg_id] = (env.ctx, env.src_rank, env.world_dst, env.tag, env.nbytes)
+            sends = by_proc[event.src]
+            sends[event.msg_id] = (event.ctx, event.src_rank, event.world_dst, event.tag, event.nbytes)
 
     job.sim.trace_hook = hook
     return lambda: {proc: [by_id[i] for i in sorted(by_id)] for proc, by_id in by_proc.items()}

@@ -4,7 +4,7 @@ ROADMAP's rule — no new ``Job`` / ``Pml`` / ``Simulator`` / ``MatchEngine``
 parameter without a reason in the PR description — fails a test instead of
 a review: a parameter added, renamed or removed has to be written down here
 too.  So does any attempt to give the completion handles behaviour again,
-or to let anything hold an envelope past the call that borrowed it.
+or to let anything hold a message past the call that borrowed it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import inspect
 import pytest
 
 import repro.core.interpose as interpose
+import repro.mpi
 import repro.trace as trace
 from repro.core.config import ReplicationConfig
 from repro.core.sdr import SdrProtocol
@@ -22,8 +23,8 @@ from repro.harness.runner import Job, cluster_for
 from repro.mpi.api import MpiProcess
 from repro.mpi.handles import RecvHandle, SendHandle
 from repro.mpi.matching import MatchEngine
-from repro.mpi.pml import Envelope, Pml, PmlRecvRequest
-from repro.network.fabric import Endpoint
+from repro.mpi.pml import Pml, PmlRecvRequest
+from repro.network.fabric import Endpoint, Frame
 from repro.sim.kernel import Simulator
 
 SURFACE = {
@@ -34,6 +35,12 @@ SURFACE = {
     Pml: ["sim", "fabric", "proc", "interner"],
     Simulator: ["trace_hook"],
     MatchEngine: [],
+    # One object per message: a frame carries its routing and its envelope
+    # (the matching and replication fields), so no envelope class is left.
+    Frame: [
+        "kind", "src", "dst", "size", "ctx", "src_rank", "tag", "world_src", "world_dst", "seq",
+        "nbytes", "data", "msg_id", "ctrl_key",
+    ],
 }  # fmt: skip
 
 
@@ -54,16 +61,30 @@ def test_handles_are_passive_and_every_wait_has_one_loop():
 
 
 def test_envelopes_are_borrowed_never_held():
-    """One owner, no refcount: an envelope carries its wire fields and
-    nothing else, has no ``retain``/``copy`` escape hatch, a receive request
-    keeps no matched envelope, and hooks are plain lists with no guard."""
-    assert Envelope.__slots__ == Envelope._FIELDS
-    assert not hasattr(Envelope, "retain") and not hasattr(Envelope, "copy")
+    """One owner, no refcount: a message carries its wire fields, two
+    timestamps and its fabric and nothing else, has no ``retain``/``copy``
+    escape hatch, a receive request keeps no matched message, and hooks are
+    plain lists with no guard."""
+    assert Frame.__slots__ == (*SURFACE[Frame], "sent_at", "arrived_at", "fabric")
+    assert not hasattr(Frame, "retain") and not hasattr(Frame, "copy")
     assert not {"matched", "lib_complete"} & set(PmlRecvRequest.__slots__)
     cfg = ReplicationConfig(degree=2, protocol="sdr")
     job = Job(2, cfg=cfg, cluster=cluster_for(2, 2))
     assert type(job.pmls[0].on_match) is list
     assert type(job.pmls[0].on_recv_complete) is list
+
+
+def test_one_object_per_message_surface():
+    """The envelope arena is gone: ``repro.mpi`` exports no ``Envelope``,
+    a PML has no envelope pool or counters, and the fabric's one acquire
+    is the only allocation site (no envelope relay/duplication counters)."""
+    assert not hasattr(repro.mpi, "Envelope")
+    assert not hasattr(importlib.import_module("repro.mpi.pml"), "Envelope")
+    for name in ("acquire_env", "release_env", "strand_env", "_env_pool", "env_acquired", "env_high_water"):
+        assert not hasattr(Pml, name), name
+    fabric = Job(2, cfg=ReplicationConfig(degree=2, protocol="sdr"), cluster=cluster_for(2, 2)).fabric
+    for name in ("acquire_frame", "send", "envs_duplicated", "envs_exported", "envs_imported"):
+        assert not hasattr(fabric, name), name
 
 
 def test_one_ownership_check():

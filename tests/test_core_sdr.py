@@ -162,7 +162,7 @@ class TestAnySource:
 
 class TestOrdering:
     def test_receiver_filter_releases_in_seq_order(self):
-        from repro.mpi.pml import Envelope
+        from repro.network.fabric import Frame
 
         job = _sdr_job()
         proto = job.protocols[0]  # p^0_0
@@ -175,7 +175,7 @@ class TestOrdering:
         proto.pml = DeliverSpy(proto.pml, fake_deliver)
 
         def feed(seq, kind="eager"):
-            env = Envelope(
+            env = Frame(
                 kind=kind,
                 ctx=("w",),
                 src_rank=1,
@@ -185,8 +185,8 @@ class TestOrdering:
                 seq=seq,
                 nbytes=8,
                 data=None,
-                src_phys=1,
-                dst_phys=0,
+                src=1,
+                dst=0,
             )
             gen = proto._filter_incoming(env)
             try:
@@ -200,7 +200,7 @@ class TestOrdering:
         assert released == [0, 1, 2, 3, 4]
 
     def test_duplicates_dropped_and_counted(self):
-        from repro.mpi.pml import Envelope
+        from repro.network.fabric import Frame
 
         job = _sdr_job()
         proto = job.protocols[0]
@@ -213,7 +213,7 @@ class TestOrdering:
         proto.pml = DeliverSpy(proto.pml, fake_deliver)
 
         def feed(seq):
-            env = Envelope(
+            env = Frame(
                 kind="eager",
                 ctx=("w",),
                 src_rank=1,
@@ -223,8 +223,8 @@ class TestOrdering:
                 seq=seq,
                 nbytes=8,
                 data=None,
-                src_phys=1,
-                dst_phys=0,
+                src=1,
+                dst=0,
             )
             gen = proto._filter_incoming(env)
             try:
@@ -244,13 +244,12 @@ class TestOrdering:
         and the end-of-run balance reported it "(1 unaccounted)"."""
         job = _sdr_job()
         proto = job.protocols[0]
-        sender = job.pmls[1]
         for seq in (1, 1, 0):
-            env = sender.acquire_env("eager", ("w",), 1, 0, 1, 0, seq, 8, None, 0)
+            env = job.fabric.acquire("eager", 1, 0, 8, ("w",), 1, 0, 1, 0, seq, 8)
             for _ in proto._filter_incoming(env):
                 pass
         assert [env.seq for env in proto.pml.matching.unexpected] == [0, 1]
-        job.audit()  # raises AssertionError on an unaccounted envelope
+        job.audit()  # raises AssertionError on an unaccounted message
         assert proto.duplicates_dropped == 1
 
     def test_results_identical_native_vs_sdr(self):

@@ -90,7 +90,7 @@ class TestMembership:
             frames = list(fabric.endpoint(proc).inbox)
             assert len(frames) == 1
             assert frames[0].kind == "svc"
-            assert frames[0].payload == ("failure", 3)
+            assert (frames[0].ctrl_key, frames[0].data) == ("failure", 3)
             assert frames[0].arrived_at == -1.0 or True
         assert sim.now == 7e-6
 

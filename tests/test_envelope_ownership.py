@@ -1,7 +1,8 @@
-"""The envelope ownership contract: arenas balance, hooks borrow.
+"""The message ownership contract: the pool balances, hooks borrow.
 
 PR 3's contract (see :mod:`repro.mpi.pml` and :mod:`repro.core.interpose`):
-every envelope has exactly one owner at every point in its lifetime, and
+every message — one frame carrying its envelope — has exactly one owner at
+every point in its lifetime, and
 hooks borrow it for the call (no refcount).  The harness enforces the zero-leak
 property in the teardown of **every** run — since PR 4, crashy runs
 included: fail-stop drop sites and abandoned receive pipelines count what
@@ -23,7 +24,6 @@ from repro.core.recovery import RecoveryManager
 from repro.harness.runner import Job, cluster_for
 from repro.mpi.datatypes import Phantom
 from repro.mpi.errors import DeadlockError
-from repro.mpi.pml import Envelope
 from tests.conftest import run_app
 
 
@@ -76,10 +76,6 @@ class TestArenaBalance:
         job = _job(protocol, n=n)
         job.launch(anysource_fanin, rounds=8).run()  # run() asserts balance…
         # …and the counters are visible and consistent afterwards:
-        env_acquired = sum(p.env_acquired for p in job.pmls.values())
-        env_released = sum(p.env_released for p in job.pmls.values())
-        assert env_acquired > 0
-        assert env_acquired == env_released
         fab = job.fabric.stats()
         assert fab["frames_acquired"] == fab["frames_released"] > 0
 
@@ -88,9 +84,22 @@ class TestArenaBalance:
         acquisitions once the pools are warm."""
         job = _job("sdr", n=4)
         job.launch(anysource_fanin, rounds=30).run()
-        acquired = sum(p.env_acquired for p in job.pmls.values())
-        allocated = sum(p.env_allocated for p in job.pmls.values())
-        assert allocated < acquired / 5  # >80% of acquisitions recycled
+        fab = job.fabric
+        assert fab.frames_allocated < fab.frames_acquired / 5  # >80% recycled
+
+    def test_one_object_per_message(self):
+        """perf's anysource-64 leader job: one job-wide pool allocates no
+        more shells than the job ever holds outstanding.  With a per-PML
+        envelope arena beside the frame pool, fan-in senders' envelopes
+        recycled into the root's pool and the senders kept allocating:
+        6,617 shells for about 130 outstanding."""
+        job = _job("leader", n=64)
+        res = job.launch(anysource_fanin, rounds=100).run()
+        assert res.fabric["frames_acquired"] == 56_700  # perf/expected.json's frame count
+        # every shell constructed: the frame pool's, plus any per-PML
+        # envelope arena's (a PML that reports none allocated none)
+        shells = res.fabric["frames_allocated"] + res.stat_total("env_allocated")
+        assert shells <= res.fabric["frame_high_water"]
 
     def test_rendezvous_path_balances(self):
         def app(mpi):
@@ -101,17 +110,15 @@ class TestArenaBalance:
 
         job = _job()
         job.launch(app).run()
-        assert sum(p.env_acquired for p in job.pmls.values()) == sum(
-            p.env_released for p in job.pmls.values()
-        )
+        assert job.fabric.frames_acquired == job.fabric.frames_released == 3  # rts, cts, data
 
     def test_stats_expose_arena_counters(self):
+        """One pool, one set of counters: the fabric's; a PML keeps none."""
         job = _job("sdr", n=2)
         res = job.launch(pingpong, rounds=4).run()
         some = next(iter(res.stats.values()))
-        for key in ("env_acquired", "env_allocated", "env_released", "env_pool_size"):
-            assert key in some
-        for key in ("frames_acquired", "frames_allocated", "frames_released"):
+        assert not [key for key in some if key.startswith("env_")]
+        for key in ("frames_acquired", "frames_allocated", "frames_released", "frames_stranded"):
             assert key in res.fabric
 
     def test_unreceived_message_is_reaped(self):
@@ -126,59 +133,54 @@ class TestArenaBalance:
 
         job = _job()
         job.launch(app).run()
-        assert sum(p.env_acquired for p in job.pmls.values()) == sum(
-            p.env_released for p in job.pmls.values()
-        )
+        assert job.fabric.frames_acquired == job.fabric.frames_released == 1
 
     def test_crashy_runs_assert_balance_too(self):
         """Crashes strand in-flight objects — and the teardown now proves
         every strand is accounted instead of skipping the check."""
         res = run_app(anysource_fanin, 4, protocol="sdr", crash=(1, 1, 2e-5), rounds=12)
         assert res.runtime > 0  # completed; run() asserted the balance
-        assert "frames_stranded" in res.fabric and "envs_stranded" in res.fabric
+        assert "frames_stranded" in res.fabric and "strands_by_site" in res.fabric
 
 
 def _balance(job):
-    """(acquired, released, stranded) envelope totals, retired stacks included."""
-    pmls = [pml for pml, _proto in job._retired_stacks] + list(job.pmls.values())
-    acquired = sum(p.env_acquired for p in pmls)
-    released = sum(p.env_released for p in pmls)
-    stranded = sum(p.env_stranded for p in pmls) + job.fabric.envs_stranded
-    return acquired, released, stranded
+    """(acquired, released, stranded) message totals, retired stacks included."""
+    fab = job.fabric
+    return fab.frames_acquired, fab.frames_released, fab.frames_stranded
 
 
 class TestDropSiteCounters:
     """The fabric-level fail-stop drop sites account what they strand."""
 
-    def _env(self, dst=1):
-        return Envelope("eager", ("w",), 0, 1, 0, dst, 0, 8, b"x" * 8, 0, dst)
+    def _eager(self, fab, dst=1):
+        return fab.acquire("eager", 0, dst, 8, ("w",), 0, 1, 0, dst, 0, 8, b"x" * 8)
 
     def test_send_by_dead_source_strands(self):
         job = _job(n=2)
         fab = job.fabric
         fab.crash(0)
-        fab.send(0, 1, 8, self._env(), "eager")
+        fab.inject(self._eager(fab))
         assert fab.frames_stranded == 1
-        assert fab.envs_stranded == 1
+        assert fab.strands_by_site == {"dead_source": [1, 1]}
         assert fab.frames_acquired == fab.frames_released + fab.frames_stranded
 
     def test_arrival_at_dead_endpoint_strands(self):
         job = _job(n=2)
         fab = job.fabric
-        frame = fab.acquire_frame(0, 1, 8, self._env(), kind="eager")
+        frame = self._eager(fab)
         fab.crash(1)
         fab.endpoints[1].deliver(frame)
         assert fab.frames_stranded == 1
-        assert fab.envs_stranded == 1
+        assert fab.strands_by_site == {"dead_endpoint": [1, 1]}
 
     def test_dead_rank_inbox_clear_strands(self):
         job = _job(n=2)
         fab = job.fabric
-        fab.endpoints[1].deliver(fab.acquire_frame(0, 1, 8, self._env(), kind="eager"))
-        fab.endpoints[1].deliver(fab.acquire_frame(-1, 1, 0, ("failure", 0), kind="svc"))
+        fab.endpoints[1].deliver(self._eager(fab))
+        fab.endpoints[1].deliver(fab.acquire("svc", -1, 1, 0, data=0, ctrl_key="failure"))
         fab.crash(1)  # clears the two queued frames
         assert fab.frames_stranded == 2
-        assert fab.envs_stranded == 1  # the svc frame carries no envelope
+        assert fab.strands_by_site == {"inbox_clear": [2, 1]}  # a svc notice carries no envelope
         assert len(fab.endpoints[1].inbox) == 0
 
 

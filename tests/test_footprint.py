@@ -207,21 +207,21 @@ class TestRunTimeFootprint:
 class TestStrandAttribution:
     """Per-drop-site stranded counters surfaced in JobResult."""
 
-    def _eager_env(self, pml, dst=1):
-        return pml.acquire_env("eager", ("w",), 0, 1, 0, dst, 0, 8, b"x" * 8, dst)
+    def _eager(self, fab, dst=1):
+        return fab.acquire("eager", 0, dst, 8, ("w",), 0, 1, 0, dst, 0, 8, b"x" * 8)
 
     def test_dead_source_site(self):
         job = _job(n=2)
         fab = job.fabric
-        env = self._eager_env(job.pmls[0])
+        frame = self._eager(fab)
         fab.crash(0)
-        fab.send(0, 1, 8, env, "eager")
+        fab.inject(frame)
         assert fab.strands_by_site == {"dead_source": [1, 1]}
 
     def test_dead_endpoint_site(self):
         job = _job(n=2)
         fab = job.fabric
-        frame = fab.acquire_frame(0, 1, 8, self._eager_env(job.pmls[0]), kind="eager")
+        frame = self._eager(fab)
         fab.crash(1)
         fab.endpoints[1].deliver(frame)
         # crash(1) cleared an (empty) inbox; the in-flight arrival lands at
@@ -231,10 +231,10 @@ class TestStrandAttribution:
     def test_inbox_clear_site(self):
         job = _job(n=2)
         fab = job.fabric
-        fab.endpoints[1].deliver(fab.acquire_frame(0, 1, 8, self._eager_env(job.pmls[0]), kind="eager"))
-        fab.endpoints[1].deliver(fab.acquire_frame(-1, 1, 0, ("failure", 0), kind="svc"))
+        fab.endpoints[1].deliver(self._eager(fab))
+        fab.endpoints[1].deliver(fab.acquire("svc", -1, 1, 0, data=0, ctrl_key="failure"))
         fab.crash(1)  # clears both queued frames
-        # the svc frame carries no envelope: 2 frames, 1 envelope
+        # a svc notice carries no envelope: 2 frames, 1 envelope
         assert fab.strands_by_site == {"inbox_clear": [2, 1]}
 
     def test_abandoned_pipeline_site_in_jobresult(self):
@@ -261,14 +261,13 @@ class TestStrandAttribution:
         res = job.run()
         total_envs = sum(cell["envs"] for cell in res.stranded_by_site.values())
         total_frames = sum(cell["frames"] for cell in res.stranded_by_site.values())
-        # attribution is complete: sites sum to the arena-balance totals
-        assert total_frames == res.fabric["frames_stranded"]
-        assert total_envs == (
-            res.fabric["envs_stranded"]
-            + res.stat_total("env_stranded")
-            + job._reap_sites["reorder_reap"]
-            + job._reap_sites["retired_stack"]
-        )
+        # attribution is complete: every strand at one site — a wire strand
+        # as a frame, a pipeline strand as an envelope — plus the reaps
+        cells = job.fabric.strands_by_site.values()
+        assert sum(map(max, cells)) == res.fabric["frames_stranded"]
+        assert total_frames == sum(cell[0] for cell in cells)
+        assert total_envs == sum(cell[1] for cell in cells) + sum(job._reap_sites.values())
+        assert res.stranded_by_site["abandoned_pipeline"]["frames"] == 0
         assert total_envs > 0
 
     def test_crash_free_run_has_empty_attribution(self):
@@ -291,7 +290,7 @@ class TestStrandAttribution:
         # Park seq 5 while 0 is expected: the filter holds it in the
         # reorder buffer; the sender of 0..4 "never existed", so the gap
         # never fills and teardown must reap it.
-        env = pml.acquire_env("eager", ("w",), 1, 7, 1, 0, 5, 8, b"y" * 8, 0)
+        env = job.fabric.acquire("eager", 1, pml.proc, 8, ("w",), 1, 7, 1, 0, 5, 8, b"y" * 8)
         gen = proto._filter_incoming(env)
         for _ in gen:
             pass
@@ -308,7 +307,7 @@ class TestStrandAttribution:
         job = _job("sdr", n=2)
         proto = job.protocols[0]
         pml = job.pmls[0]
-        env = pml.acquire_env("eager", ("w",), 1, 7, 1, 0, 5, 8, b"y" * 8, 0)
+        env = job.fabric.acquire("eager", 1, pml.proc, 8, ("w",), 1, 7, 1, 0, 5, 8, b"y" * 8)
         gen = proto._filter_incoming(env)
         for _ in gen:
             pass
@@ -352,16 +351,10 @@ class TestStrandAttribution:
         assert job._retired_stacks
         total_frames = sum(cell["frames"] for cell in res.stranded_by_site.values())
         total_envs = sum(cell["envs"] for cell in res.stranded_by_site.values())
-        assert total_frames == res.fabric["frames_stranded"]
-        stranded_pml = sum(
-            pml.env_stranded for pml in list(job.pmls.values()) + [p for p, _ in job._retired_stacks]
-        )
-        assert total_envs == (
-            res.fabric["envs_stranded"]
-            + stranded_pml
-            + job._reap_sites["reorder_reap"]
-            + job._reap_sites["retired_stack"]
-        )
+        cells = job.fabric.strands_by_site.values()
+        assert sum(map(max, cells)) == res.fabric["frames_stranded"]
+        assert total_frames == sum(cell[0] for cell in cells)
+        assert total_envs == sum(cell[1] for cell in cells) + sum(job._reap_sites.values())
 
 
 class UnguardedFilterProtocol(SdrProtocol):
@@ -407,7 +400,7 @@ class TestFilterGuard:
         """The receiver crashes mid-filter-charge: the envelope the filter
         owned is neither released nor stranded, and the end-of-run arena
         balance counts it."""
-        with pytest.raises(AssertionError, match=r"envelope arena leak.*\(1 unaccounted\)"):
+        with pytest.raises(AssertionError, match=r"message arena leak.*\(1 unaccounted\)"):
             self._run(UnguardedFilterProtocol, crash_at=50e-6)
 
     def test_guarded_intree_filter_passes(self):

@@ -17,12 +17,13 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi.matching import LinearMatchEngine, MatchEngine
-from repro.mpi.pml import Envelope, PmlRecvRequest
+from repro.mpi.pml import PmlRecvRequest
+from repro.network.fabric import Frame
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
 
 def make_env(ctx, src, tag, seq):
-    return Envelope(
+    return Frame(
         kind="eager",
         ctx=ctx,
         src_rank=src,
@@ -32,8 +33,8 @@ def make_env(ctx, src, tag, seq):
         seq=seq,
         nbytes=8,
         data=None,
-        src_phys=src,
-        dst_phys=1,
+        src=src,
+        dst=1,
     )
 
 

@@ -3,12 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.mpi.matching import MatchEngine
-from repro.mpi.pml import Envelope, PmlRecvRequest
+from repro.mpi.pml import PmlRecvRequest
+from repro.network.fabric import Frame
 from repro.mpi.status import ANY_SOURCE, ANY_TAG
 
 
 def env(ctx=("w",), src=0, tag=0, seq=0):
-    return Envelope(
+    return Frame(
         kind="eager",
         ctx=ctx,
         src_rank=src,
@@ -18,8 +19,8 @@ def env(ctx=("w",), src=0, tag=0, seq=0):
         seq=seq,
         nbytes=8,
         data=None,
-        src_phys=src,
-        dst_phys=1,
+        src=src,
+        dst=1,
     )
 
 

@@ -90,7 +90,7 @@ class TestFabric:
     def test_delivery_time_matches_model(self):
         sim, fabric = _fabric()
         model = fabric.model_for(0, 1)
-        fabric.inject(Frame(src=0, dst=1, size=1000, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=1000, data="x"))
         sim.run()
         frame = fabric.endpoint(1).inbox[0]
         assert frame.arrived_at == pytest.approx(model.serialization(1000) + model.latency)
@@ -98,16 +98,16 @@ class TestFabric:
     def test_fifo_per_channel(self):
         sim, fabric = _fabric()
         for i in range(10):
-            fabric.inject(Frame(src=0, dst=1, size=100, payload=i))
+            fabric.inject(Frame(src=0, dst=1, size=100, data=i))
         sim.run()
-        assert [f.payload for f in fabric.endpoint(1).inbox] == list(range(10))
+        assert [f.data for f in fabric.endpoint(1).inbox] == list(range(10))
 
     def test_stream_is_bandwidth_limited(self):
         sim, fabric = _fabric()
         model = fabric.model_for(0, 1)
         n, size = 10, 100_000
         for i in range(n):
-            fabric.inject(Frame(src=0, dst=1, size=size, payload=i))
+            fabric.inject(Frame(src=0, dst=1, size=size, data=i))
         sim.run()
         last = fabric.endpoint(1).inbox[-1]
         assert last.arrived_at == pytest.approx(n * model.serialization(size) + model.latency)
@@ -120,10 +120,10 @@ class TestFabric:
         jolts = iter([50e-6, 0.0, 0.0, 0.0])
         sim, fabric = _fabric(nodes=2, cores=1, jitter=lambda: next(jolts, 0.0))
         for i in range(4):
-            fabric.inject(Frame(src=0, dst=1, size=10, payload=i))
+            fabric.inject(Frame(src=0, dst=1, size=10, data=i))
         sim.run()
         arrived = [f.arrived_at for f in fabric.endpoint(1).inbox]
-        assert [f.payload for f in fabric.endpoint(1).inbox] == [0, 1, 2, 3]
+        assert [f.data for f in fabric.endpoint(1).inbox] == [0, 1, 2, 3]
         assert arrived == sorted(arrived)
         # the jolted first frame pushes everything behind it
         assert all(t >= 50e-6 for t in arrived)
@@ -134,15 +134,15 @@ class TestFabric:
         sim, fabric = _fabric(nodes=2, cores=2)
         size = 1_000_000
         model = fabric.model_for(0, 2)
-        fabric.inject(Frame(src=0, dst=2, size=size, payload="a"))
-        fabric.inject(Frame(src=1, dst=3, size=size, payload="b"))
+        fabric.inject(Frame(src=0, dst=2, size=size, data="a"))
+        fabric.inject(Frame(src=1, dst=3, size=size, data="b"))
         sim.run()
         t_b = fabric.endpoint(3).inbox[0].arrived_at
         assert t_b == pytest.approx(2 * model.serialization(size) + model.latency)
 
     def test_intra_node_bypasses_nic(self):
         sim, fabric = _fabric(nodes=1, cores=2)
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x"))
         sim.run()
         model = fabric.model_for(0, 1)
         assert fabric.endpoint(1).inbox[0].arrived_at == pytest.approx(
@@ -152,14 +152,14 @@ class TestFabric:
     def test_crashed_destination_drops_frames(self):
         sim, fabric = _fabric()
         fabric.crash(1)
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x"))
         sim.run()
         assert list(fabric.endpoint(1).inbox) == []
 
     def test_crashed_source_cannot_send(self):
         sim, fabric = _fabric()
         fabric.crash(0)
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x"))
         sim.run()
         assert list(fabric.endpoint(1).inbox) == []
 
@@ -173,16 +173,16 @@ class TestFabric:
 
     def test_in_flight_frames_delivered_after_sender_crash(self):
         sim, fabric = _fabric()
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x"))
         fabric.crash(0)
         sim.run()
-        assert [f.payload for f in fabric.endpoint(1).inbox] == ["x"]
+        assert [f.data for f in fabric.endpoint(1).inbox] == ["x"]
 
     def test_revive_reattaches_endpoint(self):
         sim, fabric = _fabric()
         fabric.crash(1)
         fabric.revive(1)
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x"))
         sim.run()
         assert len(fabric.endpoint(1).inbox) == 1
 
@@ -192,14 +192,14 @@ class TestFabric:
         rng = np.random.default_rng(0)
         sim, fabric = _fabric(jitter=lambda: float(rng.exponential(5e-6)))
         for i in range(50):
-            fabric.inject(Frame(src=0, dst=1, size=10, payload=i))
+            fabric.inject(Frame(src=0, dst=1, size=10, data=i))
         sim.run()
-        assert [f.payload for f in fabric.endpoint(1).inbox] == list(range(50))
+        assert [f.data for f in fabric.endpoint(1).inbox] == list(range(50))
 
     def test_frame_counters(self):
         sim, fabric = _fabric()
-        fabric.inject(Frame(src=0, dst=1, size=10, payload="x", kind="data"))
-        fabric.inject(Frame(src=0, dst=1, size=20, payload="y", kind="ctrl"))
+        fabric.inject(Frame(src=0, dst=1, size=10, data="x", kind="data"))
+        fabric.inject(Frame(src=0, dst=1, size=20, data="y", kind="ctrl"))
         sim.run()
         assert fabric.total_frames == 2
         assert fabric.total_bytes == 30
@@ -209,6 +209,6 @@ class TestFabric:
         sim, fabric = _fabric()
         times = []
         fabric.endpoint(1).wait_for_frame().add_callback(lambda e: times.append(sim.now))
-        sim.call_at(1e-3, lambda: fabric.inject(Frame(src=0, dst=1, size=1, payload="x")))
+        sim.call_at(1e-3, lambda: fabric.inject(Frame(src=0, dst=1, size=1, data="x")))
         sim.run()
         assert len(times) == 1 and times[0] > 1e-3

@@ -17,7 +17,6 @@ from itertools import cycle
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi.pml import Envelope
 from repro.network.fabric import Fabric, Frame
 from repro.network.model import FaultPlan, LinkFaultWindow
 from repro.network.topology import Cluster, round_robin_placement
@@ -89,8 +88,8 @@ class _Router:
         self.records.append((frame, t_head, ser, extra_delay))
 
 
-def _envelope(src, dst, size):
-    return Envelope("eager", ("w", 0), src, 0, src, dst, 0, size, None, src, dst, 0, None)
+def _eager(src, dst, size):
+    return Frame("eager", src, dst, size, ("w", 0), src, 0, src, dst, 0, size)
 
 
 frames_st = st.lists(
@@ -141,7 +140,7 @@ def _run(frames, mode, window, jolts, deferred):
             oracle.append((src, dst, now, reference.price(src, dst, size, now, jit, spike)))
 
         def inject(src=src, dst=dst, size=size):
-            fabric.inject(Frame(src, dst, size, _envelope(src, dst, size), kind="eager"))
+            fabric.inject(_eager(src, dst, size))
 
         sim.call_at(now, inject)
     sim.run()

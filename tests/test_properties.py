@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import ReplicationConfig
 from repro.harness.runner import Job, cluster_for
-from repro.mpi.pml import Envelope
 from repro.network.fabric import Fabric, Frame
 from repro.network.topology import Cluster, round_robin_placement
 from repro.sim.kernel import Simulator
@@ -55,7 +54,7 @@ def test_reorder_filter_releases_in_order_exactly_once(order, dup):
     proto.pml = DeliverSpy(proto.pml, fake_deliver)
 
     def feed(seq):
-        env = Envelope(
+        env = Frame(
             kind="eager",
             ctx=("w",),
             src_rank=1,
@@ -65,8 +64,8 @@ def test_reorder_filter_releases_in_order_exactly_once(order, dup):
             seq=seq,
             nbytes=8,
             data=None,
-            src_phys=1,
-            dst_phys=0,
+            src=1,
+            dst=0,
         )
         gen = proto._filter_incoming(env)
         try:
@@ -131,9 +130,9 @@ def test_fabric_fifo_for_any_size_mix(sizes):
     placement = round_robin_placement(Cluster(nodes=2, cores_per_node=1), 2)
     fabric = Fabric(sim, placement)
     for i, size in enumerate(sizes):
-        fabric.inject(Frame(src=0, dst=1, size=size, payload=i))
+        fabric.inject(Frame(src=0, dst=1, size=size, data=i))
     sim.run()
-    got = [f.payload for f in fabric.endpoint(1).inbox]
+    got = [f.data for f in fabric.endpoint(1).inbox]
     assert got == list(range(len(sizes)))
     arrivals = [f.arrived_at for f in fabric.endpoint(1).inbox]
     assert arrivals == sorted(arrivals)

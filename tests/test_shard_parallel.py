@@ -318,7 +318,6 @@ def test_zero_leak_balance_holds_globally_after_merge():
     assert res.parallel["shards"] >= 2
     fab = res.fabric
     assert fab["frames_exported"] == fab["frames_imported"]
-    assert fab["envs_exported"] == fab["envs_imported"]
     # Same stranded attribution as serial (empty on a clean run).
     assert res.stranded_by_site == _run("sdr", 16, iters=2, nbytes=256).stranded_by_site
 

@@ -56,7 +56,7 @@ class TestRecorder:
 
         def spy(now, event):
             if type(event) is Frame and event.kind in ("eager", "rts"):
-                arrivals.append(event.payload.tag)
+                arrivals.append(event.tag)
             capture(now, event)
 
         job.sim.trace_hook = spy

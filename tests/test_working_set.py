@@ -7,8 +7,8 @@ flag — the implementation before them:
   :class:`~repro.mpi.datatypes.PayloadInterner` collapses the millions of
   size-only ``Phantom`` snapshots (and small immutable bytes/str
   payloads) to one object per distinct value;
-* **capped arenas** — the Frame/Envelope free lists are plain pools
-  bounded by ``repro.network.fabric.POOL_CAP``.  They were once also
+* **a capped pool** — the job-wide frame free list (one object per
+  message) is a plain pool bounded by ``repro.network.fabric.POOL_CAP``.  They were once also
   trimmed to a windowed high-water from the kernel's ``on_advance`` hook;
   that trimmer saved about 1 % of peak RSS once match state and pricing
   tables stopped growing with messages and peers, and was deleted;
@@ -112,25 +112,21 @@ class TestFlagEquivalenceUnderFailover:
 
 # --------------------------------------------------------------- arena cap
 class TestPoolCap:
-    """``POOL_CAP`` is the free lists' only bound."""
+    """``POOL_CAP`` is the free list's only bound."""
 
     @staticmethod
     def _fanin(cap, monkeypatch):
-        # pml imports the constant by name for its inlined release sites
         monkeypatch.setattr("repro.network.fabric.POOL_CAP", cap)
-        monkeypatch.setattr("repro.mpi.pml.POOL_CAP", cap)
         job = _job("leader", n=16)
-        return job, job.launch(anysource_fanin, rounds=20).run()  # run() audits the arenas
+        return job, job.launch(anysource_fanin, rounds=20).run()  # run() audits the pool
 
     def test_cap_bounds_every_pool_under_fan_in(self, monkeypatch):
-        """Leader fan-in recycles the senders' envelopes into the root's
-        pool, so it outgrows any one PML's own burst: capped at 8, every
-        pool stays at 8 or below and the books still balance."""
+        """Leader fan-in parks the senders' messages at the root, so the
+        one job-wide pool outgrows any burst of a single channel: capped at
+        8, it stays at 8 or below and the books still balance."""
         _, uncapped = self._fanin(4096, monkeypatch)
-        assert max(s["env_pool_size"] for s in uncapped.stats.values()) > 8
         assert uncapped.fabric["frame_pool_size"] > 8
         job, res = self._fanin(8, monkeypatch)
-        assert max(s["env_pool_size"] for s in res.stats.values()) <= 8
         assert res.fabric["frame_pool_size"] <= 8
         job._assert_arenas_balanced()
         assert res.app_results == uncapped.app_results and res.events == uncapped.events
@@ -199,14 +195,13 @@ class TestPayloadInterning:
         unexpected queue hold the same canonical object."""
         job = _job("native", n=2)
         sender, receiver = job.pmls[0], job.pmls[1]
-        envs = [
-            sender.acquire_env(
-                "eager", ("w",), 0, i, 0, 1, i, 512, Phantom(512), 1
-            )
-            for i in range(4)
-        ]
+        for i in range(4):
+            sender.post_send(("w",), 0, i, Phantom(512), 0, 1, i, 1, 512)
+        job.sim.run()  # the four eager frames land in the receiver's inbox
+        envs = list(receiver.endpoint.inbox)
+        assert [env.kind for env in envs] == ["eager"] * 4
         datas = {id(env.data) for env in envs}
-        assert datas == {id(envs[0].data)}, "acquire_env did not intern"
+        assert datas == {id(envs[0].data)}, "post_send did not intern"
         # park them all unexpected (no receives posted) and re-check
         for env in envs:
             assert receiver.matching.arrive(env) is None
@@ -273,12 +268,9 @@ class TestLiveOnlyMatching:
 # ------------------------------------------------------------- high-water marks
 class TestHighWaterMarks:
     def test_env_high_water_bounds_pool(self):
+        """One pool for every message (envelopes included): it never
+        retains more shells than were ever outstanding at once."""
         res = _job("sdr", n=4).launch(mixed_traffic, rounds=3).run()
-        for proc, stats in res.stats.items():
-            assert stats["env_high_water"] >= 1
-            assert stats["env_pool_size"] <= stats["env_high_water"], (
-                f"proc {proc}: pool retained beyond its high-water"
-            )
         assert res.fabric["frame_high_water"] >= 1
         assert res.fabric["frame_pool_size"] <= res.fabric["frame_high_water"]
 

@@ -22,7 +22,8 @@
 #   campaign      a quick seeded fault-campaign smoke (sdr-mpi campaign
 #                 --seeds 3): every run is audited for the zero-leak arena
 #                 balance, and any invariant violation fails the gate
-#                 (docs/fault_model.md)
+#                 (docs/fault_model.md); plus the one-call reproducer of
+#                 the parked-duplicate leak (mirror, seed 44)
 #   sweep-smoke   (--sweep-smoke) a tiny 2-axis sweep matrix on a 2-worker
 #                 pool, round-tripping generate -> execute -> store ->
 #                 query -> table, with 2 configs — plus one the run memo
@@ -202,6 +203,11 @@ PY
     # instead of a start event — no per-process closure may come back.
     echo "per-process closure residue in src/ (must be empty):"
     grep -rnE "def body\(|lambda p: self\._on_exit|start = Event\(" src/ || true
+    # One object per message: a frame carries its envelope's fields, so no
+    # envelope class, per-PML envelope arena or envelope relay/duplication
+    # counter may come back.
+    echo "envelope-arena residue in src/ (must be empty):"
+    grep -rnE "\bEnvelope\b|acquire_env|env_acquired|_env_pool|envs_(duplicated|exported|imported)" src/ || true
     # Frozen specs check themselves in __post_init__; only the mutable
     # FaultSchedule builder keeps a validate(), since it needs the horizon.
     echo "spec validate() residue in src/ (must list only FaultSchedule):"
@@ -238,9 +244,12 @@ sys.exit(f"import repro loaded {loaded}" if loaded else 0)'
 
     begin_stage campaign "fault-campaign smoke (3 seeded mixes x 5 protocols, audited)"
     # Exits nonzero on any invariant violation (arena imbalance or a
-    # per-site strand sum that fails to reproduce the scalar counters);
+    # strand no drop site accounts for);
     # the degradation table lands in the log.  See docs/fault_model.md.
     python -m repro campaign --seeds 3
+    # The smallest reproducer of the parked-duplicate leak: a link
+    # duplicate of an early arrival once overwrote the parked copy.
+    python -m repro campaign --protocols mirror --seed-base 44 --seeds 1
     end_stage
 fi
 

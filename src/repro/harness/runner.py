@@ -355,7 +355,7 @@ class Job:
         #: sharded-parallel drain coordination (:mod:`repro.sim.shard`).
         #: In a shard worker `_maybe_all_done` must not flip on *local*
         #: completion — the parent establishes global completion across
-        #: shards and commands `_shard_release_drain`.  `_drain_wakes`
+        #: shards and commands `_release_drain`.  `_drain_wakes`
         #: records frame-wake times inside the finalize drain loop (the
         #: parent's taint check) and `_drain_frame_waits` the currently
         #: armed frame-wait per parked proc (so the release can retire
@@ -461,18 +461,14 @@ class Job:
             return
         if self._unfinished:
             return
-        self._app_all_done = True
-        for ev in self._drain_waiters:
-            if not ev.triggered:
-                ev.succeed(None)
-        self._drain_waiters.clear()
+        self._release_drain()
 
-    def _shard_release_drain(self, last_proc: Optional[int] = None) -> None:
-        """Sharded mode: perform the `_maybe_all_done` flip on parent command.
-
-        Called between lookahead windows once every shard has reported
-        local completion (:mod:`repro.sim.shard`).  *last_proc* is the
-        globally last finisher when the completion trigger was an
+    def _release_drain(self, last_proc: Optional[int] = None) -> None:
+        """The all-done flip: wake every parked drain loop.  Serially the
+        last finish calls it (:meth:`_maybe_all_done`); a shard worker, on
+        parent command between lookahead windows once every shard has
+        reported local completion (:mod:`repro.sim.shard`).  *last_proc* is
+        the globally last finisher when the completion trigger was an
         application finish: serially that process flips the flag inside
         its own finish dispatch and never parks in the drain loop, so its
         pending frame-wait is abandoned here (no stale endpoint waiter)

@@ -190,6 +190,14 @@ class Frame:
         #: and the strand sites); cleared on release
         self.fabric: Optional["Fabric"] = None
 
+    def fields(self) -> tuple:
+        """The message's fields in :meth:`Fabric.acquire`'s argument order:
+        ``acquire(*frame.fields())`` copies it (a duplicate, a relay)."""
+        return (
+            self.kind, self.src, self.dst, self.size, self.ctx, self.src_rank, self.tag, self.world_src,
+            self.world_dst, self.seq, self.nbytes, self.data, self.msg_id, self.ctrl_key,
+        )  # fmt: skip
+
     def fire(self) -> None:
         fabric = self.fabric
         self.arrived_at = fabric.sim._now
@@ -383,9 +391,6 @@ class Fabric:
         self.frames_released = 0
         #: most messages ever outstanding at an acquire
         self.frame_high_water = 0
-        #: crashes ever injected (sticky; observability — since the strand
-        #: accounting below, crashy runs keep the arena-balance proof)
-        self.crashes = 0
         #: messages stranded by a fail-stop, on the wire or in a pipeline
         self.frames_stranded = 0
         #: strand *attribution*: {site: [frames, envelopes]} per drop site
@@ -405,15 +410,16 @@ class Fabric:
         self.fault_drops = 0
         self.fault_dups = 0
         self.fault_delays = 0
-        #: conservative-window shard router (:mod:`repro.sim.shard`).
-        #: ``None`` — the default — keeps :meth:`inject` byte-identical to
-        #: the serial wire.  When set, every inter-node frame's downlink
-        #: pricing and delivery are *deferred* to the window barrier: the
-        #: uplink is priced locally (the source node's procs all live in
-        #: this shard), and the router collects the frame so the shard
-        #: owning the destination node can price the shared downlink in
-        #: canonical order (see ``shard.py``).
-        self.shard_router: Optional[Any] = None
+        #: sharded mode (:mod:`repro.sim.shard`); ``None``, the default, is
+        #: the serial wire.  In a shard worker :meth:`inject` prices an
+        #: inter-node frame's uplink, then appends ``(inject_time, shard_id,
+        #: seq, frame, t_head, ser, extra_delay, sim_seq)`` here for the
+        #: destination node's shard to price the downlink at the barrier
+        #: (:meth:`price_downlink`).  The canonical merge key leads; ``seq``,
+        #: the list position, is inject order within this shard's window;
+        #: ``sim_seq`` is the kernel push counter where serial pushes.
+        self.deferred: Optional[List[tuple]] = None
+        self.shard_id = 0
         #: cross-shard relay accounting: messages handed to another shard /
         #: received from one.  An import is a regular acquire, an export
         #: leaves this fabric's custody, making the per-shard balance
@@ -440,9 +446,6 @@ class Fabric:
     def model_for(self, src: int, dst: int):
         node_of = self._node_of
         return self.cost_table.model(node_of[src], node_of[dst])
-
-    def is_alive(self, proc: int) -> bool:
-        return self.endpoints[proc].alive
 
     # ------------------------------------------------------------ transfers
     def acquire(
@@ -528,7 +531,7 @@ class Fabric:
 
     def stats(self) -> dict:
         """Free-list accounting (the harness asserts acquired == released +
-        stranded at the end of every run) plus wire totals."""
+        stranded + exported at the end of every run) plus wire totals."""
         return {
             "frames_acquired": self.frames_acquired,
             "frames_allocated": self.frames_allocated,
@@ -560,7 +563,9 @@ class Fabric:
         self._perturbed = self._perturbed or bool(plan)  # sticky: arms the FIFO clamp
 
     def inject(self, frame: Frame) -> float:
-        """Put *frame* on the wire now.  Returns the arrival time.
+        """Put *frame* on the wire now.  Returns the arrival time — the
+        current time when the frame is dropped (dead source, fault), -1.0
+        when its downlink is left to the shard barrier (:attr:`deferred`).
 
         The caller (PML) is responsible for charging sender CPU overhead;
         the fabric charges wire serialization and propagation only.
@@ -585,6 +590,8 @@ class Fabric:
                 self.fault_drops += 1
                 self.strand_frame(frame, site)
                 return self.sim._now
+            if extra_delay > 0.0:
+                self.fault_delays += 1
         else:
             extra_delay = 0.0
             dup = False
@@ -597,6 +604,13 @@ class Fabric:
         now = self.sim._now
         size = frame.size
         ser = model.serialization(size)
+        frame.sent_at = now
+        self.total_frames += 1
+        self.total_bytes += size
+        by_kind = self.frames_by_kind
+        kind = frame.kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        frame.fabric = self
         if src_node != dst_node:
             # Uplink occupancy at the source node.
             src_busy = self._node_busy[src_node]
@@ -604,31 +618,18 @@ class Fabric:
             if t_up < now:
                 t_up = now
             src_busy[0] = t_up + ser
-            router = self.shard_router
-            if router is not None:
-                # Sharded-parallel mode: the destination node's downlink
-                # cell may be owned by another shard, and even when it is
-                # local its pricing order must be canonical across shards.
-                # Price the uplink above (exclusively ours), count the
-                # frame as sent, and defer downlink pricing + delivery to
-                # the window barrier.  Lookahead guarantees the arrival
-                # lands strictly after the current window, so deferral is
-                # unobservable.  Callers discard the return value on every
-                # PML send path; -1.0 marks "arrival priced at barrier".
-                frame.sent_at = now
-                self.total_frames += 1
-                self.total_bytes += size
-                by_kind = self.frames_by_kind
-                kind = frame.kind
-                by_kind[kind] = by_kind.get(kind, 0) + 1
-                frame.fabric = self
-                if extra_delay > 0.0:
-                    self.fault_delays += 1
-                router.defer(frame, now, t_up + model.latency, ser, extra_delay, self.sim._seq)
-                return -1.0
             # Head reaches the destination NIC after the wire latency;
             # the frame then drains through the shared downlink.
             t_down = t_up + model.latency
+            deferred = self.deferred
+            if deferred is not None:
+                # Sharded: the downlink and the delivery wait for the
+                # barrier; lookahead puts the arrival strictly after this
+                # window, so the deferral is unobservable.
+                deferred.append(
+                    (now, self.shard_id, len(deferred), frame, t_down, ser, extra_delay, self.sim._seq)
+                )
+                return -1.0
             dst_busy = self._node_busy[dst_node]
             if t_down < dst_busy[1]:
                 t_down = dst_busy[1]
@@ -644,27 +645,7 @@ class Fabric:
             arrival = depart + ser + model.latency
             row[dst] = arrival
         if self._perturbed:
-            if self._jitter is not None:
-                jit = self._jitter()
-                if jit > 0.0:
-                    arrival += jit
-            if extra_delay > 0.0:
-                # Delay spike: added before the FIFO clamp below, so a
-                # spiked frame pushes the channel's arrival floor instead of
-                # being overtaken — degradation never breaks channel order.
-                self.fault_delays += 1
-                arrival += extra_delay
-            # FIFO guarantee per ordered channel, covering the
-            # per-node-priced inter-node path.
-            key = (src, dst)
-            arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
-        frame.sent_at = now
-        self.total_frames += 1
-        self.total_bytes += size
-        by_kind = self.frames_by_kind
-        kind = frame.kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        frame.fabric = self
+            arrival = self._perturb(src, dst, arrival, extra_delay)
         sim = self.sim
         if arrival > now:
             sim._seq += 1
@@ -681,6 +662,22 @@ class Fabric:
             self._inject_duplicate(frame)
         return arrival
 
+    def _perturb(self, src: int, dst: int, arrival: float, extra_delay: float) -> float:
+        """The perturbed tail of every priced frame: jitter, then the fault
+        delay spike, then the per-channel FIFO clamp.  The spike lands
+        before the clamp, so a spiked frame pushes the channel's arrival
+        floor instead of being overtaken — degradation never breaks
+        channel order, whichever path priced the frame."""
+        if self._jitter is not None:
+            jit = self._jitter()
+            if jit > 0.0:
+                arrival += jit
+        if extra_delay > 0.0:
+            arrival += extra_delay
+        key = (src, dst)
+        arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
+        return arrival
+
     def _inject_duplicate(self, frame: Frame) -> None:
         """Clone *frame* and put the clone on the wire right behind it.
 
@@ -694,30 +691,19 @@ class Fabric:
         self.fault_dups += 1
         faults = self._faults
         self._faults = None
-        f = frame
-        clone = self.acquire(
-            f.kind, f.src, f.dst, f.size, f.ctx, f.src_rank, f.tag, f.world_src, f.world_dst, f.seq,
-            f.nbytes, f.data, f.msg_id, f.ctrl_key,
-        )  # fmt: skip
+        clone = self.acquire(*frame.fields())
         try:
             self.inject(clone)
         finally:
             self._faults = faults
 
     # ---------------------------------------------------- shard relay hooks
-    def price_deferred(self, src: int, dst: int, t_head: float, ser: float, extra_delay: float) -> float:
-        """Window-barrier downlink pricing for one deferred inter-node frame.
-
-        Mirrors the tail of :meth:`inject` exactly: the frame's head
-        reached the destination NIC at *t_head* (uplink + latency, priced
-        in the source shard), drains through the shared downlink
-        (``dst_busy[1]`` — owned by this shard, the destination node's
-        owner), then the fault delay spike and the per-channel FIFO clamp
-        apply in that order.  Callers must invoke this in canonical
-        cross-shard order (see :mod:`repro.sim.shard`) so the downlink
-        occupancy evolves exactly as the serial engine's inject-order
-        pricing would.
-        """
+    def price_downlink(self, src: int, dst: int, t_head: float, ser: float, extra_delay: float) -> float:
+        """Barrier pricing of a :attr:`deferred` frame whose head reached
+        the destination NIC at *t_head*: the shared downlink drain (this
+        shard owns the destination node), then :meth:`_perturb`.  Callers
+        go in canonical cross-shard order (:mod:`repro.sim.shard`), so the
+        downlink evolves as under the serial engine's inject order."""
         dst_busy = self._node_busy[self._node_of[dst]]
         t_down = t_head
         if t_down < dst_busy[1]:
@@ -725,10 +711,7 @@ class Fabric:
         arrival = t_down + ser
         dst_busy[1] = arrival
         if self._perturbed:
-            if extra_delay > 0.0:
-                arrival += extra_delay
-            key = (src, dst)
-            arrival = self._last_arrival[key] = max(arrival, self._last_arrival.get(key, 0.0))
+            arrival = self._perturb(src, dst, arrival, extra_delay)
         return arrival
 
     def export_frame(self, frame: Frame) -> None:
@@ -745,11 +728,11 @@ class Fabric:
         if len(pool) < self._pool_cap:
             pool.append(frame)
 
-    def import_frame(self, kind: str, src: int, dst: int, size: int, *envelope: Any) -> Frame:
-        """Materialize a message relayed from another shard (a fresh
-        acquire: single ownership never crosses a process boundary)."""
+    def import_frame(self, *fields: Any) -> Frame:
+        """A message relayed from another shard, as a fresh acquire of its
+        fields: single ownership never crosses a process boundary."""
         self.frames_imported += 1
-        return self.acquire(kind, src, dst, size, *envelope)
+        return self.acquire(*fields)
 
     # --------------------------------------------------------------- faults
     def _strand_inbox(self, ep: Endpoint) -> None:
@@ -764,7 +747,6 @@ class Fabric:
         ep = self.endpoints[proc]
         if not ep.alive:
             return
-        self.crashes += 1
         ep.alive = False
         self._strand_inbox(ep)
         for listener in list(self.on_crash):

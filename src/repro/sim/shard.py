@@ -21,11 +21,11 @@ The window protocol (one parent round-trip per window)::
                 the previous horizon when relayed frames are in flight)
     window k:   every shard dispatches events in [_, T + L) concurrently;
                 inter-node injects are uplink-priced locally and *deferred*
-                (:attr:`Fabric.shard_router`), never delivered directly
+                (:attr:`Fabric.deferred`), never delivered directly
     barrier k+1: deferred frames are routed to the shard owning the
                 destination node, merged in **canonical order**
                 ``(inject_time, src_shard, per-shard seq)``, downlink-priced
-                (:meth:`Fabric.price_deferred` — FIFO clamp intact) and
+                (:meth:`Fabric.price_downlink` — FIFO clamp intact) and
                 scheduled; every arrival provably lands at ``>= T + L``,
                 strictly after anything the window already dispatched.
 
@@ -288,40 +288,6 @@ def classify_hazards(job, plan: ShardPlan) -> List[str]:
     return hazards
 
 
-class _ShardRouter:
-    """Per-window collector of deferred inter-node frames.
-
-    :meth:`Fabric.inject` calls :meth:`defer` instead of downlink-pricing
-    when :attr:`Fabric.shard_router` is set.  A record is the tuple
-    ``(inject_time, src_shard, seq, frame, t_head, ser, extra_delay,
-    sim_seq)``: it leads with the canonical merge key, so a record list
-    sorts as-is and reaches :func:`_merge_deferred` without re-packing.
-    ``src_shard`` is the collecting shard (a proc injects in exactly one
-    shard, its own).  ``seq`` is a shard-local monotone counter: within
-    one source process it preserves inject order, and the merge key never
-    compares seqs from different shards.  ``sim_seq`` snapshots the
-    kernel's push-seq counter at the defer — the serial engine pushes the
-    arrival at this exact moment, so the snapshot is the frame's push-order
-    position among locally-kept same-timestamp cohort entries (imported
-    frames lose it at the wire: counters of different shards do not compare).
-    """
-
-    __slots__ = ("records", "seq", "shard_id")
-
-    def __init__(self, shard_id: int) -> None:
-        self.records: List[tuple] = []
-        self.seq = 0
-        self.shard_id = shard_id
-
-    def defer(
-        self, frame, inject_time: float, t_head: float, ser: float, extra_delay: float, sim_seq: int
-    ) -> None:
-        self.seq += 1
-        self.records.append(
-            (inject_time, self.shard_id, self.seq, frame, t_head, ser, extra_delay, sim_seq)
-        )
-
-
 class _ShardTaint(Exception):
     """An interleaving the shards cannot replay byte-identically: the run
     is abandoned and re-executed on the serial engine, the reason recorded
@@ -360,10 +326,10 @@ def _pushed_at(seq: int, ev, marks: list, reseq: dict, sim) -> float:
 def _merge_deferred(job, local: list, imported: list, marks: list, reseq: dict) -> None:
     """Window barrier: price and schedule every deferred frame.
 
-    *local* holds this shard's own deferred records (see
-    :class:`_ShardRouter`) with live frame objects; *imported* are wire
-    records ``(inject_time, src_shard, seq, kind, src, dst, size, t_head,
-    ser, extra_delay, *envelope fields)``.  Both sort under the canonical key
+    *local* holds this shard's own :attr:`Fabric.deferred` records with
+    live frame objects; *imported* are relay records ``(inject_time,
+    src_shard, seq, t_head, ser, extra_delay, *fields)``, re-acquired here
+    into the local shape.  Both sort under the canonical key
     ``(inject_time, src_shard, seq)``: for time-distinct injects this is
     the order the serial engine priced the shared downlink in, and for
     same-time injects from one shard the shard-local ``seq`` *is* the
@@ -381,28 +347,24 @@ def _merge_deferred(job, local: list, imported: list, marks: list, reseq: dict) 
     fab = job.fabric
     sim = job.sim
     node_of = fab._node_of
+    # An import has no sim_seq: counters of different shards do not compare.
+    entries = local + [(*rec[:3], fab.import_frame(*rec[6:]), *rec[3:6], None) for rec in imported]
+    if not entries:
+        return
     # (inject_time, dst_node) -> src shard; a second distinct shard on the
     # same key is the unorderable downlink tie the docstring describes.
     tie_guard: Dict[Tuple[float, int], int] = {}
-    for rec in local:
+    for rec in entries:
         if tie_guard.setdefault((rec[0], node_of[rec[3].dst]), rec[1]) != rec[1]:
             raise _ShardTaint("tied cross-shard downlink contention")
-    entries = list(local)
-    for inject_time, src_shard, seq, kind, src, dst, size, t_head, ser, extra_delay, *envelope in imported:
-        if tie_guard.setdefault((inject_time, node_of[dst]), src_shard) != src_shard:
-            raise _ShardTaint("tied cross-shard downlink contention")
-        frame = fab.import_frame(kind, src, dst, size, *envelope)
-        entries.append((inject_time, src_shard, seq, frame, t_head, ser, extra_delay, None))
-    if not entries:
-        return
-    # The key prefix is unique (seq is, per shard), so the tuple sort never
+    # The key prefix is unique (seq is, per shard window), so the sort never
     # reaches the frame; the input is a few sorted runs, which timsort
     # merges in linear time.
     entries.sort()
     # Pass 1 — canonical-order pricing: downlink occupancy must evolve in
     # serial inject order regardless of where each frame lands in the queue.
     by_arrival: Dict[float, list] = {}
-    price = fab.price_deferred
+    price = fab.price_downlink
     for rec in entries:
         frame = rec[3]
         arrival = price(frame.src, frame.dst, rec[4], rec[5], rec[6])
@@ -521,28 +483,22 @@ def _place_cohort(sim, arrival: float, news: list, marks: list, reseq: dict) -> 
     row[:] = enumerate(merged, first)
 
 
-def _drain_router(job, plan: ShardPlan, shard_id: int):
+def _drain_deferred(job, plan: ShardPlan, shard_id: int):
     """Split this window's deferred records into the locally-kept ones and
-    per-destination-shard wire records (exporting the latter's frames)."""
+    per-destination-shard relay records (exporting the latter's frames)."""
     fab = job.fabric
-    router = fab.shard_router
     shard_of_proc = plan.shard_of_proc
     local: list = []
     exports: Dict[int, list] = {}
-    for rec in router.records:
+    for rec in fab.deferred:
         frame = rec[3]
         dst_shard = shard_of_proc[frame.dst]
         if dst_shard == shard_id:
             local.append(rec)
         else:
-            f = frame  # the wire record: routing, pricing, then the envelope
-            wire = (
-                rec[0], shard_id, rec[2], f.kind, f.src, f.dst, f.size, *rec[4:7], f.ctx, f.src_rank, f.tag,
-                f.world_src, f.world_dst, f.seq, f.nbytes, f.data, f.msg_id, f.ctrl_key,
-            )  # fmt: skip
+            exports.setdefault(dst_shard, []).append((*rec[:3], *rec[4:7], *frame.fields()))
             fab.export_frame(frame)
-            exports.setdefault(dst_shard, []).append(wire)
-    router.records = []
+    fab.deferred = []
     return local, exports
 
 
@@ -593,7 +549,8 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
     gc.disable()
     sim = job.sim
     fab = job.fabric
-    fab.shard_router = _ShardRouter(shard_id)
+    fab.deferred = []
+    fab.shard_id = shard_id
     local_set = set(plan.local_procs[shard_id])
     job.membership.local_procs = local_set
     job._shard_mode = True
@@ -651,7 +608,7 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
                 # Final window: inclusive of events at the horizon,
                 # clock parked at `until`, exactly like the serial path.
                 sim.run(until)
-            held, exports = _drain_router(job, plan, shard_id)
+            held, exports = _drain_deferred(job, plan, shard_id)
             if fab.any_source_posts:
                 # Wildcard matching is order-sensitive at equal
                 # timestamps: deferred-frame seqs are assigned at the
@@ -683,7 +640,7 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
             # delivered to a finished proc *after* the release would hit a
             # stale endpoint waiter the serial engine's last finisher does
             # not have.
-            job._shard_release_drain(cmd[1])
+            job._release_drain(cmd[1])
             release_rx = finished_rx()
             conn.send(("released", sim.peek()))
         elif op == "finish":

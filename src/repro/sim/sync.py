@@ -102,7 +102,7 @@ class Event:
         ever queued.  No callback will run and no event is dispatched.
         The sharded runner uses this to retire the one drain-loop park
         the serial engine never creates (see
-        :meth:`repro.harness.runner.Job._shard_release_drain`).
+        :meth:`repro.harness.runner.Job._release_drain`).
         """
         if self._value is _PENDING:
             self._value = None

@@ -87,6 +87,21 @@ def test_one_object_per_message_surface():
         assert not hasattr(fabric, name), name
 
 
+def test_one_wire_path():
+    """A frame is priced, counted and deferred in ``Fabric.inject`` alone:
+    the barrier's downlink body is ``price_downlink`` (no mirrored
+    ``price_deferred``), and a shard defers into the plain
+    ``Fabric.deferred`` list (no router object)."""
+    import repro.sim.shard as shard
+    from repro.network.fabric import Fabric
+
+    for name in ("price_deferred", "shard_router"):
+        assert not hasattr(Fabric, name), name
+    fabric = Job(2, cfg=ReplicationConfig(degree=2, protocol="sdr"), cluster=cluster_for(2, 2)).fabric
+    assert fabric.deferred is None and not hasattr(fabric, "shard_router")
+    assert not hasattr(shard, "_ShardRouter")
+
+
 def test_one_ownership_check():
     """The end-of-run arena balance is the only envelope-ownership check:
     no opt-in filter guard, its per-PML ledger or its installing property,

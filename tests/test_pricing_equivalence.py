@@ -9,7 +9,7 @@ now prices per node pair, keeps only the intra-node ``channel_free`` per
 channel and consults the clamp only under perturbation; the properties
 below prove the two agree to the last bit on random frame sequences, with
 and without jitter, delay windows and duplication, through ``inject`` and
-through the shard path (``router.defer`` -> ``price_deferred``).
+through the shard path (``Fabric.deferred`` -> ``price_downlink``).
 """
 
 from itertools import cycle
@@ -78,16 +78,6 @@ class ReferencePricer:
         return arrival
 
 
-class _Router:
-    """The slice of ``sim.shard``'s router ``Fabric.inject`` talks to."""
-
-    def __init__(self):
-        self.records = []
-
-    def defer(self, frame, inject_time, t_head, ser, extra_delay, sim_seq):
-        self.records.append((frame, t_head, ser, extra_delay))
-
-
 def _eager(src, dst, size):
     return Frame("eager", src, dst, size, ("w", 0), src, 0, src, dst, 0, size)
 
@@ -123,8 +113,7 @@ def _run(frames, mode, window, jolts, deferred):
     elif mode == "dup":
         plan = FaultPlan(windows=(LinkFaultWindow(start, end, dup_p=1.0),))
         fabric.install_faults(plan, np.random.default_rng(0))
-    router = _Router() if deferred else None
-    fabric.shard_router = router
+    fabric.deferred = [] if deferred else None  # what a shard worker sets
     reference = ReferencePricer(fabric.cost_table)
     ref_draws = cycle(jolts)
     engine, oracle = [], []
@@ -146,8 +135,8 @@ def _run(frames, mode, window, jolts, deferred):
     sim.run()
     if deferred:
         # Barrier: downlinks priced in inject order (one shard: canonical).
-        for frame, t_head, ser, spike in router.records:
-            arrival = fabric.price_deferred(frame.src, frame.dst, t_head, ser, spike)
+        for _at, _shard, _seq, frame, t_head, ser, spike, _sim_seq in fabric.deferred:
+            arrival = fabric.price_downlink(frame.src, frame.dst, t_head, ser, spike)
             engine.append((frame.src, frame.dst, frame.sent_at, arrival))
     for ep in fabric.endpoints:
         engine.extend((f.src, f.dst, f.sent_at, f.arrived_at) for f in ep.inbox)
@@ -217,3 +206,22 @@ def test_fifo_per_ordered_channel_under_perturbation(frames, mode, window, jolts
             assert f.arrived_at >= last.get((f.src, f.dst), 0.0)
             sent[f.src] = f.sent_at
             last[(f.src, f.dst)] = f.arrived_at
+
+
+def test_same_instant_deferred_keys_are_unique_and_inject_ordered():
+    """Several same-instant inter-node injects from one shard within one
+    window: the merge key ``(inject_time, shard_id, seq)`` is unique, so the
+    barrier's tuple sort never reaches the frame (a Frame does not order),
+    and it sorts in inject order — the serial engine's downlink order."""
+    sim = Simulator()
+    placement = round_robin_placement(Cluster(nodes=NODES, cores_per_node=CORES), N_PROCS)
+    fabric = Fabric(sim, placement)
+    fabric.deferred, fabric.shard_id = [], 1
+    pairs = [(0, 2), (1, 4), (0, 1), (0, 3), (3, 5), (0, 2)]  # (0, 1) is intra-node: never deferred
+    frames = [_eager(src, dst, 64) for src, dst in pairs]
+    for frame in frames:
+        sim.call_at(5e-6, lambda frame=frame: fabric.inject(frame))
+    sim.run()
+    keys = [rec[:3] for rec in fabric.deferred]
+    assert keys == [(5e-6, 1, seq) for seq in range(5)]
+    assert [rec[3] for rec in sorted(fabric.deferred)] == [f for f in frames if f.dst != 1]

@@ -249,6 +249,8 @@ def test_delay_only_fault_plan_shards():
     assert parallel.parallel["fallback"] == []
     assert parallel.parallel["shards"] == 2
     assert fingerprint(parallel) == fingerprint(serial)
+    # Counted once, where the fault runtime decides: non-vacuous on both engines.
+    assert serial.fabric["fault_delays"] == parallel.fabric["fault_delays"] == 224
 
 
 def test_open_loop_traffic_shards_with_balanced_ledger():
@@ -755,7 +757,7 @@ def test_killed_shard_worker_raises_worker_died(monkeypatch):
 
     def killing_merge(job, *args):
         merges[0] += 1
-        if job.fabric.shard_router.shard_id == 1 and merges[0] == 3:
+        if job.fabric.shard_id == 1 and merges[0] == 3:
             os.kill(os.getpid(), signal.SIGKILL)
         return merge(job, *args)
 

@@ -208,6 +208,11 @@ PY
     # counter may come back.
     echo "envelope-arena residue in src/ (must be empty):"
     grep -rnE "\bEnvelope\b|acquire_env|env_acquired|_env_pool|envs_(duplicated|exported|imported)" src/ || true
+    # One wire path: Fabric.inject prices, counts and defers a frame, and
+    # the barrier's downlink body is Fabric.price_downlink, so no mirrored
+    # pricing body or shard router object may come back.
+    echo "wire-path residue in src/ (must be empty):"
+    grep -rnE "price_deferred|_ShardRouter|shard_router|router\.defer" src/ || true
     # Frozen specs check themselves in __post_init__; only the mutable
     # FaultSchedule builder keeps a validate(), since it needs the horizon.
     echo "spec validate() residue in src/ (must list only FaultSchedule):"

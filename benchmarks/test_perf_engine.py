@@ -68,11 +68,12 @@ def test_tier_table_matches_snapshot():
 
 
 def test_fallback_writes_no_parallel_row(capsys):
-    """A sharded run that fell back to serial measures fork + taint + rerun:
-    it gets no row, and the reason is printed."""
-    spec = bench.JobSpec("tiny-anysource", "sdr", 4, bench.anysource_fanin, {"rounds": 2}, workers=2)
+    """A sharded run that fell back to serial measures the serial engine,
+    not sharding: it gets no row, and the reason is printed.  A mirror job
+    falls back on its static ``replica_fanout`` hazard."""
+    spec = bench.JobSpec("tiny-mirror", "mirror", 4, bench.ring_collectives, {"iters": 1, "nbytes": 256}, workers=2)
     assert bench.measure_row(bench.RowWorkload(spec), repeats=1) is None
-    assert "fell back to serial: drain_race: any-source receive posted" in capsys.readouterr().out
+    assert "fell back to serial: replica_fanout" in capsys.readouterr().out
 
 
 def test_update_without_workers_keeps_committed_parallel_rows(tmp_path, monkeypatch, capsys):

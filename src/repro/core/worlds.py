@@ -27,6 +27,10 @@ class ReplicaMap:
     n_ranks: int
     degree: int
 
+    def __post_init__(self) -> None:
+        if self.n_ranks < 1:
+            raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
+
     @property
     def n_procs(self) -> int:
         return self.n_ranks * self.degree

@@ -60,6 +60,8 @@ _PROTOCOL_CLASSES = {
 
 def cluster_for(n_ranks: int, degree: int = 1, cores_per_node: int = 8, **kwargs) -> Cluster:
     """Smallest paper-shaped cluster that fits n_ranks × degree processes."""
+    if cores_per_node < 1:
+        raise ValueError(f"cores_per_node must be >= 1, got {cores_per_node}")
     nodes_per_set = max(1, math.ceil(n_ranks / cores_per_node))
     return Cluster(nodes=nodes_per_set * max(1, degree), cores_per_node=cores_per_node, **kwargs)
 

@@ -77,7 +77,7 @@ import numpy as np
 from repro.mpi.datatypes import PayloadInterner, copy_payload, nbytes_of
 from repro.mpi.errors import MpiError, TruncationError
 from repro.mpi.matching import MatchEngine
-from repro.mpi.status import ANY_SOURCE, Status
+from repro.mpi.status import Status
 from repro.network.fabric import Fabric, Frame
 from repro.sim.kernel import Simulator
 
@@ -187,7 +187,6 @@ class Pml:
         "_recv_row",
         "sends_posted",
         "recvs_posted",
-        "any_source_posts",
         "_interner",
     )
 
@@ -238,11 +237,6 @@ class Pml:
         # counters
         self.sends_posted = 0
         self.recvs_posted = 0
-        #: wildcard receives posted — the sharded engine treats any
-        #: ANY_SOURCE post as a taint (match order under wildcards
-        #: depends on same-timestamp dispatch interleaving that
-        #: shard-local seq assignment cannot reproduce)
-        self.any_source_posts = 0
         #: job-wide payload intern table (shared by every PML of a Job)
         self._interner = interner
 
@@ -418,9 +412,6 @@ class Pml:
         earlier (the leader protocols park a follower's anonymous receive
         unposted and narrow ``source``/``tag`` once the decision arrives)."""
         self.recvs_posted += 1
-        if req.source == ANY_SOURCE:
-            self.any_source_posts += 1
-            self.fabric.any_source_posts += 1
         env = self.matching.post(req)
         if env is not None:
             yield from self._matched(req, env, from_unexpected=True)

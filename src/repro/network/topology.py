@@ -41,6 +41,13 @@ class Cluster:
     #: paper's application-level overhead (cf. rMPI's scale results).
     compute_noise: float = 0.0
 
+    def __post_init__(self) -> None:
+        for knob in ("nodes", "cores_per_node"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
+        if not 0.0 <= self.compute_noise < float("inf"):  # NaN fails it too
+            raise ValueError(f"compute_noise must be a finite sigma >= 0, got {self.compute_noise}")
+
     @property
     def total_cores(self) -> int:
         return self.nodes * self.cores_per_node

@@ -38,7 +38,11 @@ stream, respawn recovery, a protocol whose sends fan out across replica
 sets — is a **hazard**: :func:`classify_hazards` detects them statically
 and the job falls back to the serial path, before any fork, with the
 reasons recorded in ``JobResult.parallel["fallback"]``.  Delay-only
-and partition fault windows draw no rng and stay shardable.
+and partition fault windows draw no rng and stay shardable.  Wildcard
+(``ANY_SOURCE``) receives and probes are no hazard: MPI matching is a pure
+function of each endpoint's arrival order and posting order, and the
+barrier merge either reproduces the serial arrival order at every endpoint
+or taints on the tie it cannot order (:class:`_ShardTaint`).
 
 Crash schedules are replayed in *every* shard (endpoint liveness and
 membership bookkeeping must agree globally); the membership oracle's
@@ -138,8 +142,8 @@ class ParallelConfig:
     workers: int = 2
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not isinstance(self.workers, int) or isinstance(self.workers, bool) or self.workers < 1:
+            raise ValueError(f"workers must be an int >= 1, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -301,6 +305,7 @@ class _ShardTaint(Exception):
     The parent raises it from its checks around the finalize-drain release
     (a frame wake or crash at/after the global completion time, an
     ambiguous completion trigger, relay traffic after the release).
+    Wildcard matching needs no taint: it reads only the arrival order.
     """
 
 
@@ -609,16 +614,6 @@ def _shard_worker(conn, job, plan: ShardPlan, shard_id: int) -> None:
                 # clock parked at `until`, exactly like the serial path.
                 sim.run(until)
             held, exports = _drain_deferred(job, plan, shard_id)
-            if fab.any_source_posts:
-                # Wildcard matching is order-sensitive at equal
-                # timestamps: deferred-frame seqs are assigned at the
-                # merge, not at serial inject dispatch, so an ANY_SOURCE
-                # receive can claim a different message than the serial
-                # engine's.  Report instead of guessing — the parent
-                # reruns serially (sharded state is discarded, so a
-                # window that already diverged costs nothing but time).
-                conn.send(("taint", "any-source receive posted"))
-                continue
             wakes = job._drain_wakes
             job._drain_wakes = []
             conn.send(

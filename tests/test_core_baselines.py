@@ -231,10 +231,12 @@ class TestFollowerPostsAtDecisionTime:
         assert len(followers) == degree - 1
         for proto in job.protocols.values():
             assert not proto._deferred and not proto.decisions
+        # A matching engine indexes a (source is ANY, tag is ANY) class at
+        # its first receive or probe of that shape.
         for p in followers:
-            assert job.pmls[p].any_source_posts == 0  # posted specific-source
+            assert not any(any_src for any_src, _ in job.pmls[p].matching._classes)  # posted specific-source
             assert job.pmls[p].recvs_posted == 1
-        assert job.pmls[job.rmap.phys(0, 0)].any_source_posts == 1
+        assert (True, False) in job.pmls[job.rmap.phys(0, 0)].matching._classes
         return res, followers
 
     def test_decision_after_irecv(self, protocol, degree):

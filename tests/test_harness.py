@@ -33,6 +33,17 @@ class TestRunner:
         job.launch(lambda mpi: iter(()))
         assert len(job.processes) == 8
 
+    @pytest.mark.parametrize("n_ranks", [0, -3])
+    def test_empty_job_refused_when_built(self, n_ranks):
+        # it used to run to a result with 0 events and no app results
+        with pytest.raises(ValueError, match="n_ranks must be >= 1"):
+            Job(n_ranks)
+
+    def test_zero_cores_per_node_refused(self):
+        # cluster_for divided by it: ZeroDivisionError, not a refusal
+        with pytest.raises(ValueError, match="cores_per_node must be >= 1"):
+            cluster_for(16, cores_per_node=0)
+
     def test_result_runtime_is_latest_finish(self):
         def app(mpi):
             yield from mpi.compute((mpi.rank + 1) * 1e-3)

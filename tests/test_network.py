@@ -70,6 +70,22 @@ class TestTopology:
         with pytest.raises(ValueError):
             split_halves_placement(Cluster(nodes=3), n_ranks=2, degree=2)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"nodes": 0}, "nodes must be >= 1"),
+            ({"cores_per_node": 0}, "cores_per_node must be >= 1"),
+            ({"compute_noise": float("nan")}, "compute_noise must be a finite sigma >= 0"),
+            ({"compute_noise": -0.5}, "compute_noise must be a finite sigma >= 0"),
+        ],
+        ids=["no_nodes", "no_cores", "nan_noise", "negative_noise"],
+    )
+    def test_bad_cluster_refused_when_built(self, kwargs, message):
+        # NaN and negative noise used to mean "no noise"; an empty cluster
+        # fitted nothing and said so only at placement
+        with pytest.raises(ValueError, match=message):
+            Cluster(**kwargs)
+
     def test_placement_validate_detects_double_booking(self):
         c = Cluster(nodes=2, cores_per_node=2)
         assert Placement(c, [0, 0, 1]).proc_nodes == [0, 0, 1]

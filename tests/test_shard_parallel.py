@@ -16,7 +16,8 @@ Five layers pinned here:
 * **fingerprint equivalence** — hypothesis-driven serial-vs-sharded runs
   across all five protocols at degree 2 and 3, plus crash/failover,
   run-until horizons, delay-only fault plans, open-loop traffic, a
-  non-paper placement, and the fault-campaign fallback path; the jobs
+  non-paper placement, every wildcard (``ANY_SOURCE``) application and
+  the fault-campaign fallback path; the jobs
   the rank-range plan made shardable are pinned as *truly* sharded;
 * **merge placement** — the linear cohort placement against the
   quadratic scan it replaced (kept here as the reference), on random
@@ -44,9 +45,13 @@ import multiprocessing as mp
 from bisect import bisect_left
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.apps.cm1 import cm1_validate_rank
+from repro.apps.hpccg import hpccg_validate_rank
+from repro.apps.patterns import anysource_reduce, master_worker
 from repro.core.config import ReplicationConfig
 from repro.core.worlds import ReplicaMap
 from repro.harness.campaign import CampaignConfig
@@ -55,7 +60,7 @@ from repro.mpi.errors import DeadlockError, MpiError, TruncationError
 from repro.network.fabric import CostTable
 from repro.network.model import FaultPlan, LinkFaultWindow
 from repro.network.topology import Cluster, round_robin_placement, split_halves_placement
-from repro.scenarios import get_scenario, ring_collectives
+from repro.scenarios import anysource_fanin, get_scenario, ring_collectives
 from repro.sim.kernel import Simulator
 from repro.sim.shard import (
     ParallelConfig,
@@ -81,6 +86,7 @@ def _run(
     until=None,
     fault_plan=None,
     degree=2,
+    app=ring_collectives,
     **kwargs,
 ):
     if protocol == "native":
@@ -94,7 +100,7 @@ def _run(
         fault_plan=fault_plan,
         parallel=ParallelConfig(workers=workers) if workers else None,
     )
-    job.launch(ring_collectives, **kwargs)
+    job.launch(app, **kwargs)
     for rank, rep, at in crash:
         job.crash(rank, rep, at=at)
     return job.run(until=until, allow_lost_ranks=bool(crash))
@@ -209,26 +215,61 @@ def test_non_paper_placement_shards_byte_identical():
     assert fingerprint(parallel) == fingerprint(run(0))
 
 
-def test_anysource_receives_fall_back_serial():
-    """ANY_SOURCE matching is order-sensitive at equal timestamps in ways
-    deferred-frame seqs cannot reproduce: the worker taints and the run
-    falls back — byte-identical by construction, reason recorded."""
-    from repro.scenarios import anysource_fanin
-
-    cfg = ReplicationConfig(degree=2, protocol="sdr")
-    results = []
-    for workers in (0, 2):
-        job = Job(
-            16,
-            cfg=cfg,
-            cluster=cluster_for(16, cfg.degree),
-            parallel=ParallelConfig(workers=workers) if workers else None,
-        )
-        job.launch(anysource_fanin, rounds=4)
-        results.append(job.run())
-    serial, parallel = results
-    assert any("any-source" in r for r in parallel.parallel["fallback"])
+def test_anysource_receives_shard_byte_identical():
+    """ANY_SOURCE matching is a pure function of each endpoint's arrival
+    order and posting order, and the barrier merge reproduces the serial
+    arrival order (serial-true placement) or taints on a tie it cannot
+    order: a wildcard job needs no taint of its own.  This one shards
+    truly."""
+    serial = _run("sdr", 16, app=anysource_fanin, rounds=4)
+    parallel = _run("sdr", 16, workers=2, app=anysource_fanin, rounds=4)
+    assert parallel.parallel["fallback"] == []
     assert fingerprint(parallel) == fingerprint(serial)
+
+
+def probe_fanin(mpi, rounds=3):
+    """Fan-in through ``probe(ANY_SOURCE)``: rank 0 receives each message
+    from the source its wildcard probe names and returns that order."""
+    if mpi.rank == 0:
+        order = []
+        for _ in range(rounds):
+            for _ in range(mpi.size - 1):
+                st = yield from mpi.probe(source=mpi.ANY_SOURCE, tag=2)
+                yield from mpi.recv(source=st.source, tag=2)
+                order.append(st.source)
+            for dst in range(1, mpi.size):
+                yield from mpi.send(np.array([1.0]), dest=dst, tag=3)
+        return order
+    for _ in range(rounds):
+        yield from mpi.send(np.array([float(mpi.rank)]), dest=0, tag=2)
+        yield from mpi.recv(source=0, tag=3)
+    return None
+
+
+#: every in-tree application that receives or probes with ANY_SOURCE, at
+#: a size that keeps the grid below a few seconds
+WILDCARD_APPS = {
+    "anysource_fanin": (anysource_fanin, {"rounds": 4}),
+    "anysource_reduce": (anysource_reduce, {"rounds": 4}),
+    "master_worker": (master_worker, {}),
+    "cm1_validate_rank": (cm1_validate_rank, {"steps": 3}),
+    "hpccg_validate_rank": (hpccg_validate_rank, {"max_iter": 6}),
+    "probe_fanin": (probe_fanin, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WILDCARD_APPS))
+def test_wildcard_receives_shard_byte_identical(name):
+    """Every wildcard application, under sdr and leader at degree 2 on 16
+    ranks and 2 workers, clean and with one crash: the sharded fingerprint
+    equals serial, and no fallback is an any-source one."""
+    app, kwargs = WILDCARD_APPS[name]
+    for protocol in ("sdr", "leader"):
+        for crash in ((), ((1, 1, 20e-6),)):
+            serial = _run(protocol, 16, crash=crash, app=app, **kwargs)
+            parallel = _run(protocol, 16, workers=2, crash=crash, app=app, **kwargs)
+            assert fingerprint(parallel) == fingerprint(serial), (protocol, crash)
+            assert not any("any-source" in reason for reason in parallel.parallel["fallback"])
 
 
 @pytest.mark.parametrize("protocol", ["sdr", "mirror"])
@@ -680,6 +721,14 @@ def test_single_shard_degenerate_falls_back_with_reason():
     assert degenerate.parallel["shards"] == 1
     assert "single_shard" in degenerate.parallel["fallback"]
     assert fingerprint(degenerate) == fingerprint(serial)
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2"])
+def test_non_int_worker_count_refused(workers):
+    """A float used to plan ``int(workers)`` shards and record the float as
+    requested; ``True`` ran as one ``single_shard`` worker."""
+    with pytest.raises(ValueError, match="workers must be an int >= 1"):
+        ParallelConfig(workers=workers)
 
 
 # --------------------------------------------------------- fallback honesty

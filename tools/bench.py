@@ -100,7 +100,7 @@ class RowWorkload(JobWorkload):
     simulated statistics) and the shard shape of its last pass.  A sharded
     spec keeps its serial row's label and reuses that row's warm-up as the
     reference its fingerprint must equal.  A run that fell back to serial
-    measures fork + taint + rerun, not sharding: it writes no row."""
+    measures the serial engine, not sharding: it writes no row."""
 
     def __init__(self, spec: JobSpec, serial: Optional["RowWorkload"] = None) -> None:
         super().__init__(spec.label, [spec])

@@ -213,6 +213,11 @@ PY
     # pricing body or shard router object may come back.
     echo "wire-path residue in src/ (must be empty):"
     grep -rnE "price_deferred|_ShardRouter|shard_router|router\.defer" src/ || true
+    # Wildcard matching reads only per-endpoint arrival order, which the
+    # barrier merge reproduces or taints on: no any-source counter or
+    # runtime taint may come back.
+    echo "any-source taint residue in src/ (must be empty):"
+    grep -rnE "any_source_posts|any-source receive posted" src/ || true
     # Frozen specs check themselves in __post_init__; only the mutable
     # FaultSchedule builder keeps a validate(), since it needs the horizon.
     echo "spec validate() residue in src/ (must list only FaultSchedule):"

@@ -168,8 +168,8 @@ class LeaderProtocol(LeaderDecideMixin, SdrProtocol):
 
     CTRL_HANDLERS = {**SdrProtocol.CTRL_HANDLERS, DECIDE: "_on_decide"}
 
-    def __init__(self, pml, rmap, membership, cfg, shared) -> None:
-        SdrProtocol.__init__(self, pml, rmap, membership, cfg, shared)
+    def __init__(self, pml, rmap, membership, cfg) -> None:
+        SdrProtocol.__init__(self, pml, rmap, membership, cfg)
         self._init_decider()
 
     def app_irecv(self, ctx, source, tag, buf=None) -> Generator[Any, Any, RecvHandle]:

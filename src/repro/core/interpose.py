@@ -83,8 +83,8 @@ class BaseProtocol:
     replica_fanout = False
 
     #: protocols are one-per-physical-process; slots keep the per-instance
-    #: footprint to the mutable residue (see ``ProtocolShared`` in
-    #: :mod:`repro.core.replicated` for the shared read-only half)
+    #: footprint to the mutable residue (the read-only half is the job's
+    #: ``rmap`` and ``cfg``, which every replicated stack references)
     __slots__ = ("pml", "world_rank", "_send_seq", "app_sends", "app_recvs")
 
     #: protocol-private frame handlers: ctrl key -> method name.  A job

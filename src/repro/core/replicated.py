@@ -31,62 +31,7 @@ from repro.core.worlds import ReplicaMap
 from repro.mpi.pml import Pml
 from repro.network.fabric import Frame
 
-__all__ = ["ReplicatedBase", "ProtocolShared"]
-
-
-class ProtocolShared:
-    """Job-wide read-only flyweight of the replica stacks' common state.
-
-    Every replicated protocol instance used to re-derive (and hold) the
-    same handful of values: the replica map, membership service, config
-    object, the cfg cost knobs it cached for its hot paths, and the
-    replica-major base offsets its send/ack fan-outs recompute per message.
-    None of that is per-process — it is immutable after job setup — so one
-    instance per :class:`~repro.harness.runner.Job` is built and every
-    stack references it; the protocol instances keep only their mutable
-    residue (cursors, retention, counters) in ``__slots__``.
-    """
-
-    __slots__ = (
-        "rmap",
-        "membership",
-        "cfg",
-        "n_ranks",
-        "degree",
-        "rep_bases",
-        "ack_bytes",
-        "hash_bytes",
-        "ack_post_overhead",
-        "ack_handle_overhead",
-    )
-
-    def __init__(self, rmap: ReplicaMap, membership: MembershipService, cfg: ReplicationConfig) -> None:
-        self.rmap = rmap
-        self.membership = membership
-        self.cfg = cfg
-        self.n_ranks = rmap.n_ranks
-        self.degree = rmap.degree
-        #: replica-major base offset per replica index: phys(rank, rep) ==
-        #: rep_bases[rep] + rank — the arithmetic table the fan-out loops use
-        self.rep_bases = tuple(rep * rmap.n_ranks for rep in range(rmap.degree))
-        self.ack_bytes = cfg.ack_bytes
-        self.hash_bytes = cfg.hash_bytes
-        self.ack_post_overhead = cfg.ack_post_overhead
-        self.ack_handle_overhead = cfg.ack_handle_overhead
-
-    def rebound(self, membership: MembershipService) -> "ProtocolShared":
-        """Per-job copy bound to a fresh membership service.
-
-        Everything else — rmap, cfg, the rep_bases tuple, the cost knobs —
-        is immutable and shared *by reference*, so a sweep's shape cache
-        can hand one template to every same-shape job and pay only this
-        O(1) rebinding per job instead of re-deriving the table.
-        """
-        new = ProtocolShared.__new__(ProtocolShared)
-        for slot in ProtocolShared.__slots__:
-            setattr(new, slot, getattr(self, slot))
-        new.membership = membership
-        return new
+__all__ = ["ReplicatedBase"]
 
 
 class ReplicatedBase(BaseProtocol):
@@ -97,7 +42,6 @@ class ReplicatedBase(BaseProtocol):
     SVC_HANDLERS = {"failure": "_svc_failure", "suspect": "_svc_suspect", "clear": "_svc_clear"}
 
     __slots__ = (
-        "shared",
         "rmap",
         "membership",
         "cfg",
@@ -116,12 +60,9 @@ class ReplicatedBase(BaseProtocol):
         rmap: ReplicaMap,
         membership: MembershipService,
         cfg: ReplicationConfig,
-        shared: ProtocolShared,
     ) -> None:
         rank = rmap.rank_of(pml.proc)
         super().__init__(pml, world_rank=rank)
-        self.shared = shared
-        # Hot aliases (the same objects the shared table references).
         self.rmap = rmap
         self.membership = membership
         self.cfg = cfg

@@ -41,7 +41,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 from repro.core.config import ReplicationConfig
 from repro.core.interpose import SendHandle, RecvHandle
 from repro.core.membership import MembershipService
-from repro.core.replicated import ProtocolShared, ReplicatedBase
+from repro.core.replicated import ReplicatedBase
 from repro.core.worlds import ReplicaMap
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.pml import Pml, PmlRecvRequest
@@ -82,11 +82,11 @@ class SdrProtocol(ReplicatedBase):
     """Per-physical-process SDR-MPI state machine.
 
     Per-instance state is the slotted mutable residue of the protocol —
-    send cursors, retention, failover scratch — while everything identical
-    across the job's stacks (replica arithmetic, cfg cost knobs) lives in
-    the shared :class:`~repro.core.replicated.ProtocolShared` object.  The
-    failover scratch (``substitute``, ``_early_acks``) is lazy: a
-    crash-free run never materializes it.
+    send cursors, retention, failover scratch — while the replica
+    arithmetic and the cost knobs are read from the job's ``rmap`` and
+    ``cfg``, which every stack shares.  The failover scratch
+    (``substitute``, ``_early_acks``) is lazy: a crash-free run never
+    materializes it.
     """
 
     name = "sdr"
@@ -114,9 +114,8 @@ class SdrProtocol(ReplicatedBase):
         rmap: ReplicaMap,
         membership: MembershipService,
         cfg: ReplicationConfig,
-        shared: ProtocolShared,
     ) -> None:
-        super().__init__(pml, rmap, membership, cfg, shared)
+        super().__init__(pml, rmap, membership, cfg)
         #: physicalDests_p[rank]: replicas of `rank` I send application
         #: messages to (Algorithm 1 line 1) — *exceptions only*.  An absent
         #: entry means "my pair, alive at my first send"; see :meth:`dests_for`.
@@ -189,8 +188,7 @@ class SdrProtocol(ReplicatedBase):
         self.app_sends += 1
         pml = self.pml
         endpoints = pml.fabric.endpoints
-        shared = self.shared
-        rep_bases = shared.rep_bases
+        rep_bases = self.rmap.rep_bases
         # physicalDests: a stored exception or, absent one (every send of a
         # crash-free run), my pair by arithmetic.  A dead pair materializes
         # the entry *before* this send counts as sent, so a first send
@@ -208,7 +206,7 @@ class SdrProtocol(ReplicatedBase):
         # replica of the destination rank.  Posting the ack receive costs
         # CPU (request management) — a real, measurable part of the
         # protocol's small-message overhead.
-        ack_post = shared.ack_post_overhead
+        ack_post = self.cfg.ack_post_overhead
         for base in rep_bases:
             ph = base + world_dst  # rmap.phys, replica-major
             if ph == pair if dests is None else ph in dests:
@@ -247,7 +245,7 @@ class SdrProtocol(ReplicatedBase):
         carried).  Suspects of other replica indices get the message from
         their own pair once its backlog replays; only the forgiveness is
         needed there."""
-        n_ranks = self.shared.n_ranks
+        n_ranks = self.rmap.n_ranks
         for s in list(handle.needs_ack):
             snap = suspended.get(s)
             if snap is None:
@@ -271,17 +269,16 @@ class SdrProtocol(ReplicatedBase):
         every field the acks need is read while the hook runs; nothing
         retains the envelope.
         """
-        shared = self.shared
-        n_ranks = shared.n_ranks
-        sender_rep = env.src // n_ranks  # rmap.rep_of, unchecked
+        rmap = self.rmap
+        sender_rep = env.src // rmap.n_ranks  # rmap.rep_of, unchecked
         pml = self.pml
         endpoints = pml.fabric.endpoints
         send_row = pml._send_row
         node_of = pml._node_of
         src_rank = env.world_src
         seq = env.seq
-        ack_bytes = shared.ack_bytes
-        for rep, base in enumerate(shared.rep_bases):
+        ack_bytes = self.cfg.ack_bytes
+        for rep, base in enumerate(rmap.rep_bases):
             if rep == sender_rep:
                 continue
             ph = base + src_rank  # rmap.phys, replica-major
@@ -306,7 +303,7 @@ class SdrProtocol(ReplicatedBase):
         # up front; the PML recycles it when this generator finishes.
         world_dst, seq = env.data
         self.acks_received += 1
-        overhead = self.shared.ack_handle_overhead
+        overhead = self.cfg.ack_handle_overhead
         if overhead > 0:
             yield overhead
         handle = self.retention.get((world_dst, seq))

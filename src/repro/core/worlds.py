@@ -14,8 +14,10 @@ the two replicas of every rank on different nodes exactly as in §4.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple
+
+from repro.network.topology import positive_count
 
 __all__ = ["ReplicaMap"]
 
@@ -26,10 +28,14 @@ class ReplicaMap:
 
     n_ranks: int
     degree: int
+    #: replica-major base offset per replica index: phys(rank, rep) ==
+    #: rep_bases[rep] + rank — the table the SDR fan-out loops index
+    rep_bases: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_ranks < 1:
-            raise ValueError(f"n_ranks must be >= 1, got {self.n_ranks}")
+        for knob in ("n_ranks", "degree"):
+            object.__setattr__(self, knob, positive_count(knob, getattr(self, knob)))
+        object.__setattr__(self, "rep_bases", tuple(rep * self.n_ranks for rep in range(self.degree)))
 
     @property
     def n_procs(self) -> int:

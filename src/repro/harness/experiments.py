@@ -29,8 +29,6 @@ __all__ = [
     "run_nas",
     "run_hpccg",
     "run_cm1",
-    "table1",
-    "table2",
     "fig7",
     "nas_overhead",
     "app_overhead",
@@ -140,16 +138,6 @@ def app_overhead(which: str, scale: Optional[Scale] = None, protocol: str = "sdr
         "unexpected": res.stat_total("unexpected_count"),
         "acks": res.stat_total("acks_sent"),
     }
-
-
-def table1(scale: Optional[Scale] = None) -> Dict[str, Dict[str, float]]:
-    """Regenerate Table 1 (all five NAS benchmarks)."""
-    return {name: nas_overhead(name, scale) for name in ("BT", "CG", "FT", "MG", "SP")}
-
-
-def table2(scale: Optional[Scale] = None) -> Dict[str, Dict[str, float]]:
-    """Regenerate Table 2 (HPCCG + CM1, the ANY_SOURCE applications)."""
-    return {name: app_overhead(name, scale) for name in ("HPCCG", "CM1")}
 
 
 def fig7(sizes=DEFAULT_SIZES, iters: Optional[int] = None) -> Dict[str, Dict[int, Dict[str, float]]]:

@@ -1,37 +1,8 @@
-"""Run aggregation: the paper reports averages over five executions."""
+"""Run aggregation: the paper's Table 1/2 overhead metric."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-
-__all__ = ["RunStats", "overhead_pct", "summarize"]
-
-
-@dataclass(frozen=True)
-class RunStats:
-    """Summary statistics of repeated runtime measurements."""
-
-    mean: float
-    std: float
-    minimum: float
-    maximum: float
-    n: int
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "RunStats":
-        arr = np.asarray(list(samples), dtype=float)
-        if arr.size == 0:
-            raise ValueError("no samples")
-        return cls(
-            mean=float(arr.mean()),
-            std=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-            minimum=float(arr.min()),
-            maximum=float(arr.max()),
-            n=int(arr.size),
-        )
+__all__ = ["overhead_pct"]
 
 
 def overhead_pct(native: float, replicated: float) -> float:
@@ -39,8 +10,3 @@ def overhead_pct(native: float, replicated: float) -> float:
     if native <= 0:
         raise ValueError("native runtime must be positive")
     return (replicated / native - 1.0) * 100.0
-
-
-def summarize(run: Callable[[int], float], repetitions: int = 1) -> RunStats:
-    """Run *run(seed)* `repetitions` times (seeds 0..n-1) and summarize."""
-    return RunStats.of([run(seed) for seed in range(repetitions)])

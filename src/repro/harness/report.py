@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.harness.metrics import overhead_pct
+
 __all__ = [
     "render_table",
     "render_series",
@@ -69,7 +71,7 @@ def overhead_row(
     paper: Optional[Tuple[float, float, float]] = None,
 ) -> List[object]:
     """One Table 1/2-shaped row: measured plus the paper's reference."""
-    ovh = (replicated_s / native_s - 1.0) * 100.0
+    ovh = overhead_pct(native_s, replicated_s)
     row: List[object] = [name, f"{native_s:.2f}", f"{replicated_s:.2f}", f"{ovh:.2f}"]
     if paper is not None:
         row += [f"{paper[0]:.2f}", f"{paper[1]:.2f}", f"{paper[2]:.2f}"]

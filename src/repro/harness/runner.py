@@ -27,7 +27,6 @@ from repro.core.config import ReplicationConfig
 from repro.core.interpose import NativeProtocol
 from repro.core.io import VirtualFileSystem
 from repro.core.membership import DetectorConfig, MembershipService
-from repro.core.replicated import ProtocolShared
 from repro.core.sdr import SdrProtocol
 from repro.core.worlds import ReplicaMap
 from repro.mpi.api import MpiProcess
@@ -70,13 +69,13 @@ def cluster_for(n_ranks: int, degree: int = 1, cores_per_node: int = 8, **kwargs
 class JobShape:
     """Everything a :class:`Job` constructs that is a pure function of
     ``(n_ranks, cfg, cluster)``: the cluster, validated placement, replica
-    map, shared world (PR 5), memoized cost table, and the protocol-shared
-    template.  All of it is immutable — or, for the cost table, a
-    deterministic memo whose warmth cannot change results — so one shape
-    can back every same-shape job of a sweep.  The sweep executor caches
-    one per ``(protocol, degree, n_ranks)`` with hit/miss accounting
-    (:class:`repro.harness.sweep.ShapeCache`); a plain ``Job(...)`` builds
-    a private shape and behaves exactly as before.
+    map, shared world and memoized cost table.  All of it is immutable —
+    or, for the cost table, a deterministic memo whose warmth cannot
+    change results — so one shape can back every same-shape job of a
+    sweep, and every replica stack of a job references its ``rmap``.
+    The sweep executor caches one per ``(protocol, degree, n_ranks)``
+    with hit/miss accounting (:class:`repro.harness.sweep.ShapeCache`);
+    a plain ``Job(...)`` builds a private shape.
     """
 
     n_ranks: int
@@ -86,8 +85,6 @@ class JobShape:
     rmap: ReplicaMap
     world_shared: Any
     cost_table: CostTable
-    #: membership-less template; each job rebinds it via ``rebound()``
-    proto_shared: Optional[ProtocolShared]
 
     @classmethod
     def build(
@@ -103,9 +100,6 @@ class JobShape:
             placement: Placement = split_halves_placement(cluster, n_ranks, cfg.degree)
         else:
             placement = round_robin_placement(cluster, n_ranks)
-        proto_shared = None
-        if cfg.protocol != "native":
-            proto_shared = ProtocolShared(rmap, None, cfg)  # type: ignore[arg-type]
         return cls(
             n_ranks=n_ranks,
             cfg=cfg,
@@ -114,7 +108,6 @@ class JobShape:
             rmap=rmap,
             world_shared=shared_world(n_ranks),
             cost_table=CostTable(placement),
-            proto_shared=proto_shared,
         )
 
 
@@ -328,12 +321,6 @@ class Job:
             detector=detector,
             rng=self.rng.stream("membership") if detector is not None else None,
         )
-        #: one read-only protocol config shared by every replica stack:
-        #: the shape carries a membership-less template shared across
-        #: same-shape jobs; only the membership binding is per-job
-        self._proto_shared: Optional[ProtocolShared] = None
-        if shape.proto_shared is not None:
-            self._proto_shared = shape.proto_shared.rebound(self.membership)
         #: the protocol class and its ctrl/svc handler tables, resolved by
         #: name once for every stack of the job, respawns included
         native = self.cfg.protocol == "native"
@@ -413,10 +400,10 @@ class Job:
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
         else:
-            protocol = self._protocol_cls(pml, self.rmap, self.membership, self.cfg, self._proto_shared)
+            protocol = self._protocol_cls(pml, self.rmap, self.membership, self.cfg)
         pml.protocol, pml.ctrl_table, pml.svc_table = protocol, self._ctrl_table, self._svc_table
         rank = self.rmap.rank_of(proc)
-        mpi = MpiProcess(self.sim, pml, protocol, rank, self.n_ranks, self.shape.world_shared)
+        mpi = MpiProcess(self.sim, pml, protocol, rank, self.shape.world_shared)
         if self.cluster.compute_noise > 0:
             # Stream keyed by (rank, replica): replica 0 sees the same noise
             # as the native run's rank, replica 1 sees independent noise —

@@ -32,10 +32,10 @@ serially or on a :class:`~repro.sim.pool.Pool` of workers, streamed to a
 Determinism contract: every config's fingerprint is **byte-identical**
 whether the sweep runs serially or on N workers, warm cache or cold —
 each worker's :class:`ShapeCache` only reuses construction that is a pure
-function of ``(protocol, degree, n_ranks)`` (shared world, cost table,
-protocol-shared template — the PR 5 flyweights), with hit/miss
-accounting so the reuse is observable, and its ``RunMemo`` only re-labels
-a run proven blind to its seed (``docs/sweeps.md``).  The pool deals
+function of ``(protocol, degree, n_ranks)`` (replica map, shared world,
+cost table — the flyweights), with hit/miss accounting so the reuse is
+observable, and its ``RunMemo`` only re-labels a run proven blind to its
+seed (``docs/sweeps.md``).  The pool deals
 whole memo cells, so a worker's memo serves what the serial one would.
 Every run is audited by ``run_case`` (``acquired == released +
 stranded``); an invariant violation is a nonzero sweep exit, never a

@@ -53,7 +53,6 @@ class MpiProcess:
         "pml",
         "protocol",
         "world_rank",
-        "world_size",
         "world",
         "app_state",
         "noise",
@@ -70,14 +69,12 @@ class MpiProcess:
         pml: Pml,
         protocol: "BaseProtocol",
         world_rank: int,
-        world_size: int,
         world_shared: Tuple[Tuple[int, ...], Any],
     ) -> None:
         self.sim = sim
         self.pml = pml
         self.protocol = protocol
         self.world_rank = world_rank
-        self.world_size = world_size
         members, rank_map = world_shared
         self.world: Communicator = Communicator(self, WORLD_CTX, members, rank_map=rank_map)
         #: set by workloads that support §3.4 recovery (fork/restore)

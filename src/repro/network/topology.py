@@ -9,6 +9,7 @@ that policy; :func:`round_robin_placement` is the unreplicated default.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import List
@@ -20,7 +21,25 @@ __all__ = [
     "Placement",
     "round_robin_placement",
     "split_halves_placement",
+    "positive_count",
 ]
+
+
+def positive_count(name: str, value: object) -> int:
+    """*value* as a plain ``int`` >= 1, or ``ValueError`` naming *name*.
+
+    Any integral type is accepted (numpy integers included, through
+    ``operator.index``); a bool or a float is refused rather than counted.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        count = operator.index(value)  # type: ignore[arg-type]
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 @dataclass
@@ -43,8 +62,7 @@ class Cluster:
 
     def __post_init__(self) -> None:
         for knob in ("nodes", "cores_per_node"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be >= 1, got {getattr(self, knob)}")
+            setattr(self, knob, positive_count(knob, getattr(self, knob)))
         if not 0.0 <= self.compute_noise < float("inf"):  # NaN fails it too
             raise ValueError(f"compute_noise must be a finite sigma >= 0, got {self.compute_noise}")
 

@@ -17,6 +17,9 @@ import pytest
 import repro.core.interpose as interpose
 import repro.mpi
 import repro.trace as trace
+from repro.core.baselines.leader import LeaderProtocol
+from repro.core.baselines.mirror import MirrorProtocol
+from repro.core.baselines.redmpi import RedMpiProtocol
 from repro.core.config import ReplicationConfig
 from repro.core.sdr import SdrProtocol
 from repro.harness.runner import Job, cluster_for
@@ -33,6 +36,13 @@ SURFACE = {
         "detector", "fault_plan", "shape", "traffic", "parallel",
     ],
     Pml: ["sim", "fabric", "proc", "interner"],
+    MpiProcess: ["sim", "pml", "protocol", "world_rank", "world_shared"],
+    # A replica stack reads the job's replica map and config directly: no
+    # second, per-job copy of them is passed in.
+    SdrProtocol: ["pml", "rmap", "membership", "cfg"],
+    LeaderProtocol: ["pml", "rmap", "membership", "cfg"],
+    MirrorProtocol: ["pml", "rmap", "membership", "cfg"],
+    RedMpiProtocol: ["pml", "rmap", "membership", "cfg"],
     Simulator: ["trace_hook"],
     MatchEngine: [],
     # One object per message: a frame carries its routing and its envelope

@@ -1,5 +1,6 @@
 """ReplicaMap arithmetic, ReplicationConfig validation, membership service."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +43,43 @@ class TestReplicaMap:
             for rep in range(r):
                 seen.add(rmap.phys(rank, rep))
         assert seen == set(range(n * r))
+
+    @given(n=st.integers(1, 50), r=st.integers(1, 4))
+    def test_rep_bases_are_the_phys_arithmetic(self, n, r):
+        rmap = ReplicaMap(n, r)
+        for rank in range(n):
+            for rep in range(r):
+                assert rmap.rep_bases[rep] + rank == rmap.phys(rank, rep)
+
+    def test_rep_bases_outside_equality_and_repr(self):
+        a, b = ReplicaMap(4, 2), ReplicaMap(4, 2)
+        assert a.rep_bases == (0, 4)
+        object.__setattr__(b, "rep_bases", ())
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "ReplicaMap(n_ranks=4, degree=2)"
+
+    @pytest.mark.parametrize(
+        "n_ranks, degree, message",
+        [
+            (True, 2, "n_ranks must be an integer, got True"),
+            (4, 2.0, "degree must be an integer, got 2.0"),
+            (4.0, 2, "n_ranks must be an integer, got 4.0"),
+            (4, False, "degree must be an integer, got False"),
+        ],
+    )
+    def test_non_integral_sizes_refused(self, n_ranks, degree, message):
+        with pytest.raises(ValueError, match=message):
+            ReplicaMap(n_ranks, degree)
+
+    def test_bool_job_size_refused(self):
+        # Job(True) used to run a one-rank job
+        with pytest.raises(ValueError, match="n_ranks must be an integer, got True"):
+            Job(True)
+
+    def test_numpy_integer_sizes_accepted(self):
+        rmap = ReplicaMap(np.int64(4), np.int64(2))
+        assert rmap == ReplicaMap(4, 2) and type(rmap.n_procs) is int
+        assert rmap.rep_bases == (0, 4)
 
 
 class TestConfig:

@@ -3,8 +3,8 @@
 Everything immutable and identical across a job's simulated processes is
 allocated once per :class:`~repro.harness.runner.Job` and shared — the
 world communicator's member tuple and rank map, the fabric's
-:class:`~repro.network.fabric.CostTable` rows, the protocols'
-:class:`~repro.core.replicated.ProtocolShared` config — while the
+:class:`~repro.network.fabric.CostTable` rows, the job's replica map and
+replication config every protocol stack references — while the
 per-process residue is slotted and lazy.  These tests pin three things:
 
 * **equivalence** — until PR 16 ``Job(shared_state=False)`` kept the
@@ -76,7 +76,8 @@ class TestSharedStateEquivalence:
         job = _job("sdr", n=4)
         protos = list(job.protocols.values())
         pmls = list(job.pmls.values())
-        assert all(p.shared is protos[0].shared for p in protos)
+        # every stack references the job's one replica map and config
+        assert all(p.rmap is job.rmap and p.cfg is job.cfg for p in protos)
         # one ctrl/svc handler table per job, of unbound methods
         assert all(p.ctrl_table is pmls[0].ctrl_table and p.svc_table is pmls[0].svc_table for p in pmls)
         assert pmls[0].ctrl_table["sdr.ack"] is SdrProtocol._on_ack

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import ReplicationConfig
 from repro.harness.experiments import SCALES, Scale, app_overhead, fig7, nas_overhead
-from repro.harness.metrics import RunStats, overhead_pct, summarize
+from repro.harness.metrics import overhead_pct
 from repro.harness.report import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -174,29 +174,6 @@ class TestMetrics:
     def test_overhead_requires_positive_native(self):
         with pytest.raises(ValueError):
             overhead_pct(0.0, 1.0)
-
-    def test_runstats(self):
-        s = RunStats.of([1.0, 2.0, 3.0])
-        assert s.mean == 2.0 and s.minimum == 1.0 and s.maximum == 3.0 and s.n == 3
-        assert s.std == pytest.approx(1.0)
-
-    def test_runstats_single_sample(self):
-        assert RunStats.of([5.0]).std == 0.0
-
-    def test_runstats_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RunStats.of([])
-
-    def test_summarize_runs_per_seed(self):
-        seen = []
-
-        def run(seed):
-            seen.append(seed)
-            return float(seed)
-
-        s = summarize(run, repetitions=3)
-        assert seen == [0, 1, 2]
-        assert s.mean == 1.0
 
 
 class TestReport:

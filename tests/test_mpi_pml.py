@@ -138,6 +138,19 @@ class TestHooks:
         job.launch(app).run()
         assert got == [{"x": 1}]
 
+    def test_unserved_ctrl_key_raises(self):
+        job = _job()
+
+        def app(mpi):
+            if mpi.rank == 0:
+                yield from mpi.pml.send_ctrl(1, "test.unserved", None)
+                yield from mpi.send(np.ones(1), dest=1, tag=1)
+            else:
+                yield from mpi.recv(source=0, tag=1)
+
+        with pytest.raises(MpiError, match="proc 1: no handler for ctrl 'test.unserved'"):
+            job.launch(app).run()
+
 
 class TestCancellation:
     def test_cancel_posted_recv(self):

@@ -1,5 +1,6 @@
 """Unit tests for cost models, topology, and the fabric."""
 
+import numpy as np
 import pytest
 
 from repro.network.fabric import Fabric, Frame
@@ -75,16 +76,22 @@ class TestTopology:
         [
             ({"nodes": 0}, "nodes must be >= 1"),
             ({"cores_per_node": 0}, "cores_per_node must be >= 1"),
+            ({"nodes": True}, "nodes must be an integer, got True"),
+            ({"cores_per_node": 2.5}, "cores_per_node must be an integer, got 2.5"),
             ({"compute_noise": float("nan")}, "compute_noise must be a finite sigma >= 0"),
             ({"compute_noise": -0.5}, "compute_noise must be a finite sigma >= 0"),
         ],
-        ids=["no_nodes", "no_cores", "nan_noise", "negative_noise"],
+        ids=["no_nodes", "no_cores", "bool_nodes", "fractional_cores", "nan_noise", "negative_noise"],
     )
     def test_bad_cluster_refused_when_built(self, kwargs, message):
         # NaN and negative noise used to mean "no noise"; an empty cluster
         # fitted nothing and said so only at placement
         with pytest.raises(ValueError, match=message):
             Cluster(**kwargs)
+
+    def test_numpy_integer_cluster_sizes_accepted(self):
+        c = Cluster(nodes=np.int64(4), cores_per_node=np.int64(2))
+        assert c == Cluster(nodes=4, cores_per_node=2) and type(c.total_cores) is int
 
     def test_placement_validate_detects_double_booking(self):
         c = Cluster(nodes=2, cores_per_node=2)

@@ -218,6 +218,10 @@ PY
     # runtime taint may come back.
     echo "any-source taint residue in src/ (must be empty):"
     grep -rnE "any_source_posts|any-source receive posted" src/ || true
+    # Replica stacks read the job's rmap and cfg directly: no second copy of
+    # them, per-job rebind or unread world size may come back.
+    echo "protocol-config copy residue in src/ (must be empty):"
+    grep -rnE "ProtocolShared|proto_shared|\.rebound\(|self\.world_size" src/ || true
     # Frozen specs check themselves in __post_init__; only the mutable
     # FaultSchedule builder keeps a validate(), since it needs the horizon.
     echo "spec validate() residue in src/ (must list only FaultSchedule):"

@@ -381,6 +381,8 @@ def run_case(
                 error = f"wrong results from procs {sorted(wrong)}"
         elif unfinished:
             outcome = "deadlocked"
+            waits = (f"  {name}: {what}" for name, what in sorted(job.blocked.items()))
+            error = "\n".join(["deadlocked: processes blocked at the horizon:", *waits])
         elif (
             metrics["crashes"]
             or metrics["false_suspicions"]

@@ -6,7 +6,7 @@ Scales
 whole bench suite finishes in minutes on a laptop; ``paper`` runs the
 paper's exact configuration (class D, 256 ranks, full iteration counts) —
 select with ``REPRO_SCALE=paper``.  Overheads are ratios, so the shape
-claims survive the scaling; EXPERIMENTS.md records both.
+claims survive the scaling.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every benchmark prints the same rows/series the paper reports, side by
 side with the paper's numbers, so a bench log double-checks the shape
-claims at a glance (and feeds EXPERIMENTS.md).
+claims at a glance.
 """
 
 from __future__ import annotations

@@ -31,7 +31,6 @@ from repro.core.sdr import SdrProtocol
 from repro.core.worlds import ReplicaMap
 from repro.mpi.api import MpiProcess
 from repro.mpi.comm import shared_world
-from repro.mpi.datatypes import PayloadInterner
 from repro.mpi.errors import DeadlockError, MpiError
 from repro.mpi.pml import Pml
 from repro.network.fabric import CostTable, Fabric, Frame
@@ -127,11 +126,8 @@ class JobResult:
     fabric: dict
     #: kernel events dispatched (simulation effort metric)
     events: int
-    #: job-wide payload-intern accounting: how many payload snapshots
-    #: collapsed onto a canonical object vs passed through (uninternable
-    #: type, first sighting, or table full)
-    payload_interned: int = 0
-    payload_misses: int = 0
+    #: always 0 and not fields (no fingerprint key): ``perf/sdrperf`` still reads them
+    payload_interned = payload_misses = 0
     #: open-loop traffic accounting (Job ``traffic`` ledger; all zero for
     #: closed-loop workloads, where no client population exists):
     #: ``offered == admitted + rejected`` and
@@ -203,8 +199,6 @@ class JobResult:
             stats=stats,
             fabric=fabric,
             events=sum(part["events"] for part in parts),
-            payload_interned=sum(part["payload_interned"] for part in parts),
-            payload_misses=sum(part["payload_misses"] for part in parts),
             requests_offered=requests.get("requests_offered", 0),
             requests_admitted=requests.get("requests_admitted", 0),
             requests_rejected=requests.get("requests_rejected", 0),
@@ -304,8 +298,6 @@ class Job:
         self.placement: Placement = shape.placement
         self.sim = Simulator()
         self.rng = RngRegistry(seed)
-        #: job-wide payload intern table, shared by every PML
-        self.interner = PayloadInterner()
         self.fabric = Fabric(self.sim, self.placement, jitter=jitter, cost_table=shape.cost_table)
         if fault_plan is not None:
             # Seeded network adversary (drops/dups/delay windows/partitions);
@@ -334,6 +326,9 @@ class Job:
         self.processes: Dict[int, Process] = {}
         self.finish_times: Dict[int, float] = {}
         self.app_results: Dict[int, Any] = {}
+        #: name -> wait label of each process still blocked when a serial
+        #: run closed, as ``DeadlockError`` lists them (a horizon run keeps it)
+        self.blocked: Dict[str, str] = {}
         self._app_factory: Optional[Callable] = None
         self._app_kwargs: dict = {}
         self._app_all_done = False
@@ -396,7 +391,7 @@ class Job:
             self._retired_stacks.append((old_pml, self.protocols[proc]))
             # The replaced API object dies with its crashed process.
             self.mpis[proc].world.api = None
-        pml = Pml(self.sim, self.fabric, proc, self.interner)
+        pml = Pml(self.sim, self.fabric, proc)
         if self.cfg.protocol == "native":
             protocol = NativeProtocol(pml, world_rank=proc)
         else:
@@ -600,7 +595,7 @@ class Job:
         are ``(proc, exception)`` pairs in proc order.
         """
         lost = sorted(self.membership.lost_ranks)
-        blocked = {
+        blocked = self.blocked = {
             p.name: (p._waiting_on.label if p._waiting_on is not None else "<runnable>")
             for proc, p in self.processes.items()
             if p.alive and proc not in self.finish_times
@@ -629,8 +624,6 @@ class Job:
             },
             "events": self.sim.events_dispatched,
             "now": self.sim.now,
-            "payload_interned": self.interner.hits,
-            "payload_misses": self.interner.misses,
             "stranded_by_site": self._strand_attribution(),
             "traffic_committed": self.traffic._committed if self.traffic is not None else None,
         }

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "Phantom",
-    "PayloadInterner",
     "nbytes_of",
     "copy_payload",
     "writable_copy",
@@ -48,76 +47,6 @@ class Phantom:
 
     def __hash__(self) -> int:
         return hash(("Phantom", self.nbytes))
-
-
-class PayloadInterner:
-    """Job-wide intern table for immutable payload snapshots.
-
-    Collectives and replication fan-out mint millions of size-only
-    :class:`Phantom` markers per run — e.g. every reduction step of every
-    replica produces a fresh ``Phantom(max(...))`` even though only a
-    handful of distinct sizes ever occur.  All of them are immutable and
-    compared by value, so one canonical object per distinct value is
-    observationally equivalent; `copy_payload`/`writable_copy` remain the
-    only mutation gates, and neither ever mutates an interned type.
-
-    Interned types are chosen for *safe* value-keyed identity collapse:
-
-    * ``Phantom`` — keyed by ``nbytes`` (the whole value);
-    * ``bytes``/``str`` — keyed by ``(type, value)``, only up to
-      :data:`SMALL_LIMIT` so a huge one-off blob cannot be pinned by the
-      table for the rest of the job.
-
-    Ints and floats are deliberately **not** interned: ``True == 1`` and
-    ``hash(True) == hash(1)`` would conflate distinct payloads under a
-    value key, and ``-0.0 == 0.0`` would canonicalize away a sign bit.
-
-    The table is bounded (:data:`MAX_ENTRIES` per kind); once full it
-    keeps serving hits for known values but stops admitting new ones
-    (counted as misses), so an adversarial workload degrades to the
-    uninterned baseline instead of leaking.
-    """
-
-    MAX_ENTRIES = 4096
-    SMALL_LIMIT = 256
-
-    __slots__ = ("_phantoms", "_small", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._phantoms: dict = {}
-        self._small: dict = {}
-        #: payloads collapsed onto an existing canonical object
-        self.hits = 0
-        #: payloads passed through unchanged (uninternable type, first
-        #: sighting of a value, or table full)
-        self.misses = 0
-
-    def intern(self, obj: Any) -> Any:
-        """Canonical object for *obj*, or *obj* itself if not internable."""
-        cls = type(obj)
-        if cls is Phantom:
-            table = self._phantoms
-            canon = table.get(obj.nbytes)
-            if canon is not None:
-                self.hits += 1
-                return canon
-            if len(table) < self.MAX_ENTRIES:
-                table[obj.nbytes] = obj
-            self.misses += 1
-            return obj
-        if (cls is bytes or cls is str) and len(obj) <= self.SMALL_LIMIT:
-            table = self._small
-            key = (cls, obj)
-            canon = table.get(key)
-            if canon is not None:
-                self.hits += 1
-                return canon
-            if len(table) < self.MAX_ENTRIES:
-                table[key] = obj
-            self.misses += 1
-            return obj
-        self.misses += 1
-        return obj
 
 
 def nbytes_of(obj: Any) -> int:

@@ -74,7 +74,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mpi.datatypes import PayloadInterner, copy_payload, nbytes_of
+from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.mpi.errors import MpiError, TruncationError
 from repro.mpi.matching import MatchEngine
 from repro.mpi.status import Status
@@ -187,16 +187,9 @@ class Pml:
         "_recv_row",
         "sends_posted",
         "recvs_posted",
-        "_interner",
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        fabric: Fabric,
-        proc: int,
-        interner: PayloadInterner,
-    ) -> None:
+    def __init__(self, sim: Simulator, fabric: Fabric, proc: int) -> None:
         self.sim = sim
         self.fabric = fabric
         self.proc = proc
@@ -237,8 +230,6 @@ class Pml:
         # counters
         self.sends_posted = 0
         self.recvs_posted = 0
-        #: job-wide payload intern table (shared by every PML of a Job)
-        self._interner = interner
 
     # ------------------------------------------------------------ utilities
     def _next_msg_id(self) -> int:
@@ -356,8 +347,6 @@ class Pml:
             cost = self._send_cost_to(dst_phys)
         req = PmlSendRequest(dst_phys, nbytes, msg_id)
         self.sends_posted += 1
-        if payload is not None:
-            payload = self._interner.intern(payload)
         fabric = self.fabric
         if not synchronous and nbytes <= cost[1]:
             eager = fabric.acquire(
@@ -627,8 +616,6 @@ class Pml:
         req, ctx, src_rank, tag, world_src, world_dst, seq, payload = entry
         if req.cancelled:  # pragma: no cover - cancel also removes the entry
             return
-        if payload is not None:  # looked up again: payload_interned counts the DATA send
-            payload = self._interner.intern(payload)
         nbytes = req.nbytes
         data_msg = self.fabric.acquire(
             "data", self.proc, req.dst_phys, nbytes, ctx, src_rank, tag, world_src, world_dst, seq,

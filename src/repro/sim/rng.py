@@ -2,8 +2,8 @@
 
 Every source of randomness in the simulation (network jitter, fault
 schedules, workload data) draws from a named stream derived from a single
-job seed.  Streams are independent: perturbing one (e.g. network jitter for
-the determinism checker) leaves the others bit-identical.
+job seed.  Streams are independent: drawing from one, or adding a new one,
+leaves the others bit-identical.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class RngRegistry:
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
-        self._reseeded = False
 
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for *name*, creating it on first use.
@@ -83,19 +82,12 @@ class RngRegistry:
             self._streams[name] = gen
         return gen
 
-    def reseed(self, name: str, seed: int) -> np.random.Generator:
-        """Force a specific seed for one stream (used to perturb replays)."""
-        gen = np.random.Generator(np.random.PCG64(_seed_words(f"{seed}:{name}")))
-        self._streams[name] = gen
-        self._reseeded = True
-        return gen
-
     def untouched(self) -> bool:
-        """True when no stream has drawn or been reseeded (each bit generator is
-        still in the state a fresh registry derives for its name): the run never
-        read the seed.  Asked once, at end of run — streams and draws pay nothing."""
+        """True when no stream has drawn (each bit generator is still in the
+        state a fresh registry derives for its name): the run never read the
+        seed.  Asked once, at end of run — streams and draws pay nothing."""
         fresh = RngRegistry(self.seed)
-        return not self._reseeded and all(
+        return all(
             gen.bit_generator.state == fresh.stream(name).bit_generator.state
             for name, gen in self._streams.items()
         )

@@ -91,11 +91,8 @@ __all__ = [
 
 #: Observables that describe memory policy or the sharding machinery, not
 #: the simulated execution, and are legitimately engine-dependent: each
-#: shard owns a private frame pool (high-water/pool/allocated differ), the
-#: relay counters are zero by construction on the serial engine, and the
-#: payload interner's hit/miss *split* depends on which shard sees a
-#: payload first (the hit+miss total is preserved and fingerprinted as
-#: ``payload_lookups``).
+#: shard owns a private frame pool (high-water/pool/allocated differ), and
+#: the relay counters are zero by construction on the serial engine.
 _FINGERPRINT_EXCLUDED_FABRIC = frozenset(
     {
         "frame_high_water",
@@ -120,13 +117,12 @@ def fingerprint(result) -> dict:
     """
     out: Dict[str, Any] = {}
     for field in fields(result):
-        if field.name in ("parallel", "payload_interned", "payload_misses"):
+        if field.name == "parallel":
             continue
         value = getattr(result, field.name)
         if field.name == "fabric":
             value = {k: v for k, v in value.items() if k not in _FINGERPRINT_EXCLUDED_FABRIC}
         out[field.name] = value
-    out["payload_lookups"] = result.payload_interned + result.payload_misses
     return out
 
 

@@ -157,8 +157,8 @@ def collective_mix(mpi, iters):
 
 def mixed_traffic(mpi, rounds=3, nbytes=65536):
     """Eager p2p + ANY_SOURCE + rendezvous Phantoms + collectives: every
-    path the memory layers touch (interned Phantom payloads, bursty arena
-    use, wildcard match lanes, shared cost rows and protocol config)."""
+    path the memory layers touch (Phantom payloads, bursty arena use,
+    wildcard match lanes, shared cost rows and protocol config)."""
     right = (mpi.rank + 1) % mpi.size
     left = (mpi.rank - 1) % mpi.size
     acc = 0.0

@@ -35,7 +35,7 @@ SURFACE = {
         "n_ranks", "cfg", "cluster", "seed", "jitter",
         "detector", "fault_plan", "shape", "traffic", "parallel",
     ],
-    Pml: ["sim", "fabric", "proc", "interner"],
+    Pml: ["sim", "fabric", "proc"],
     MpiProcess: ["sim", "pml", "protocol", "world_rank", "world_shared"],
     # A replica stack reads the job's replica map and config directly: no
     # second, per-job copy of them is passed in.
@@ -58,6 +58,17 @@ SURFACE = {
 def test_constructor_parameters_are_pinned(cls):
     params = list(inspect.signature(cls.__init__).parameters)[1:]  # drop self
     assert params == SURFACE[cls]
+
+
+def test_payloads_have_no_job_wide_table():
+    """A payload stays the object its sender posted: no intern table in
+    ``repro.mpi.datatypes`` and none on the job (copy-on-write in
+    ``copy_payload``/``writable_copy`` is the only mutation gate)."""
+    datatypes = importlib.import_module("repro.mpi.datatypes")
+    assert not hasattr(datatypes, "PayloadInterner")
+    assert "PayloadInterner" not in datatypes.__all__
+    job = Job(2, cfg=ReplicationConfig(degree=2, protocol="sdr"), cluster=cluster_for(2, 2))
+    assert not hasattr(job, "interner")
 
 
 def test_handles_are_passive_and_every_wait_has_one_loop():

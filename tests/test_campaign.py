@@ -114,6 +114,34 @@ def test_respawn_window_cells_are_pinned(n_ranks, seed, frames, nbytes, events):
     assert rec.metrics["duplicates_dropped"] == 0
 
 
+# sdr seed 1 at the default config wedges seven processes on their frame
+# waits; this is its fingerprint from before deadlocked runs recorded their
+# wait labels, which must not enter it.
+DEADLOCK_SDR_1 = (
+    '{"bytes":3184,"frames":164,"metrics":{"crashes":1,"detection_latency_max":5.665582323543048e-05,'
+    '"duplicates_dropped":5,"events":873,"false_suspicions":1,"fault_delays":0,"fault_drops":0,'
+    '"fault_dups":4,"lost_ranks":[],"notify_drops":1,"resends":0,"runtime":0.002,'
+    '"speculative_failovers":7,"stranded_envs":4,"stranded_frames":0,"unfinished":7},'
+    '"outcome":"deadlocked","protocol":"sdr","seed":1,"sites":{"abandoned_pipeline":'
+    '{"envs":1,"frames":0},"reorder_reap":{"envs":3,"frames":0}}}'
+)
+
+
+def test_deadlocked_run_records_each_wait_label():
+    """A deadlocked record names every blocked process and what it waits
+    on, one ``  name: label`` line each as ``DeadlockError`` lists them."""
+    rec = _audited_case("sdr", 1)
+    assert rec.outcome == "deadlocked"
+    header, *lines = rec.error.split("\n")
+    assert header == "deadlocked: processes blocked at the horizon:"
+    assert lines == [
+        "  p0_1: frame@1", "  p0_2: frame@2", "  p0_3: frame@3",
+        "  p1_0: frame@4", "  p1_1: frame@5", "  p1_2: frame@6", "  p1_3: frame@7",
+    ]  # fmt: skip
+    assert len(lines) == rec.metrics["unfinished"]
+    assert rec.fingerprint == DEADLOCK_SDR_1
+
+
 # ------------------------------------------------------------ taxonomy edges
 def _outcome_counts(records):
     """{protocol: {outcome: count}} from sweep records."""

@@ -937,12 +937,10 @@ def test_sharded_process_exception_that_cannot_cross_is_named(merges):
 
 def test_fingerprint_excludes_memory_policy_counters():
     """The fingerprint is the *scientific* output: arena/pool machinery
-    counters (high-water marks, pool sizes, relay counts) and the
-    interner hit/miss split are excluded, their engine-invariant sum
-    (`payload_lookups`) kept."""
+    counters (high-water marks, pool sizes, relay counts) are excluded, and
+    no payload counter is in it: payloads have no job-wide table."""
     res = _run("sdr", 8, iters=1, nbytes=256)
     fp = fingerprint(res)
-    assert "payload_lookups" in fp
-    assert "payload_interned" not in fp
+    assert not [key for key in fp if key.startswith("payload_")]
     for key in ("frame_high_water", "frames_exported", "frame_pool_size"):
         assert key not in fp["fabric"]

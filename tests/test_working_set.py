@@ -3,10 +3,6 @@
 Memory layers that replaced — and for a while kept behind a ``Job(...)``
 flag — the implementation before them:
 
-* **payload interning** — a job-wide
-  :class:`~repro.mpi.datatypes.PayloadInterner` collapses the millions of
-  size-only ``Phantom`` snapshots (and small immutable bytes/str
-  payloads) to one object per distinct value;
 * **a capped pool** — the job-wide frame free list (one object per
   message) is a plain pool bounded by ``repro.network.fabric.POOL_CAP``.  They were once also
   trimmed to a windowed high-water from the kernel's ``on_advance`` hook;
@@ -18,12 +14,13 @@ flag — the implementation before them:
 
 All are host-side memory policy and must be *observationally invisible* —
 per-rank results, bit-identical virtual times, dispatched-event and frame
-counts — across all five protocols, crash-free and crashy.  Interning and
+counts — across all five protocols, crash-free and crashy.  Payloads and
 the arenas are asserted against ``tests/data/spec_fingerprints.jsonl``,
-the answers ``interning=False`` and ``arena_trim=False`` (alone, and inside
-the full spec stack) gave on their last run at commit 0e78e89 — provenance
-in ``test_pooling_equivalence``'s docstring.  Matching still has a live
-second side with no production seam: the
+the answers ``interning=False`` and ``arena_trim=False`` (alone, and
+inside the full spec stack) gave on their last run at commit 0e78e89 —
+provenance in ``test_pooling_equivalence``'s docstring; with no intern
+table, a payload stays the object its sender posted.  Matching still has a
+live second side with no production seam: the
 :class:`~repro.mpi.matching.LinearMatchEngine` oracle drives whole jobs
 patched over ``repro.mpi.pml.MatchEngine``.  The zero-leak balance
 (``acquired == released + stranded``) must hold whatever the cap drops.
@@ -36,7 +33,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpi.datatypes import PayloadInterner, Phantom
+from repro.mpi.datatypes import Phantom
 from repro.mpi.matching import LinearMatchEngine
 from repro.scenarios.ablation import anysource_fanin, ring_collectives
 from tests.conftest import (
@@ -138,76 +135,26 @@ class TestPoolCap:
         assert job.sim.on_advance is None
 
 
-# ------------------------------------------------------------------ interning
-class TestPayloadInterning:
-    def test_phantoms_collapse_to_one_object(self):
-        interner = PayloadInterner()
-        a, b = Phantom(4096), Phantom(4096)
-        assert a is not b
-        canon = interner.intern(a)
-        assert interner.intern(b) is canon
-        assert interner.intern(Phantom(4096)) is canon
-        assert interner.hits == 2 and interner.misses == 1
-
-    def test_numeric_payloads_never_interned(self):
-        """``True == 1`` and ``-0.0 == 0.0`` would conflate distinct
-        payloads under a value key — numerics must pass through."""
-        interner = PayloadInterner()
-        for first, second in [(1, True), (0.0, -0.0)]:
-            out = interner.intern(second)
-            assert out is second
-            interner.intern(first)
-            assert interner.intern(second) is second
-        assert interner.hits == 0
-
-    def test_small_immutables_interned_large_not(self):
-        interner = PayloadInterner()
-        # runtime-constructed so no two are the same object
-        small_a, small_b = bytes(bytearray(16)), bytes(bytearray(16))
-        assert small_a is not small_b
-        canon = interner.intern(small_a)
-        assert interner.intern(small_b) is canon
-        assert interner.hits == 1
-        n = PayloadInterner.SMALL_LIMIT + 1
-        big_a, big_b = bytes(bytearray(n)), bytes(bytearray(n))
-        assert interner.intern(big_a) is big_a
-        assert interner.intern(big_b) is big_b  # never tabled
-        assert interner.hits == 1
-
-    def test_table_is_bounded(self):
-        interner = PayloadInterner()
-        for i in range(PayloadInterner.MAX_ENTRIES + 50):
-            interner.intern(Phantom(i))
-        assert len(interner._phantoms) == PayloadInterner.MAX_ENTRIES
-        # known values still hit; overflow values stay misses
-        assert interner.intern(Phantom(0)) is not None
-        before = interner.hits
-        interner.intern(Phantom(PayloadInterner.MAX_ENTRIES + 10))
-        assert interner.hits == before
-
-    def test_job_counters_surface_in_result(self):
-        res = _job("sdr", n=4).launch(mixed_traffic, rounds=3).run()
-        assert res.payload_interned > 0
-        assert res.payload_misses > 0
-
-    def test_unexpected_phantoms_share_one_snapshot(self):
-        """The working-set win itself: distinct Phantom sends parked in an
-        unexpected queue hold the same canonical object."""
+# ------------------------------------------------------------ payload identity
+class TestPayloadIdentity:
+    def test_posted_payloads_arrive_as_posted(self):
+        """No job-wide table stands between sender and receiver: equal
+        Phantom sends stay distinct objects, in the inbox and parked
+        unexpected alike."""
         job = _job("native", n=2)
         sender, receiver = job.pmls[0], job.pmls[1]
-        for i in range(4):
-            sender.post_send(("w",), 0, i, Phantom(512), 0, 1, i, 1, 512)
+        posted = [Phantom(512) for _ in range(4)]
+        for i, payload in enumerate(posted):
+            sender.post_send(("w",), 0, i, payload, 0, 1, i, 1, 512)
         job.sim.run()  # the four eager frames land in the receiver's inbox
         envs = list(receiver.endpoint.inbox)
         assert [env.kind for env in envs] == ["eager"] * 4
-        datas = {id(env.data) for env in envs}
-        assert datas == {id(envs[0].data)}, "post_send did not intern"
-        # park them all unexpected (no receives posted) and re-check
-        for env in envs:
+        assert all(env.data is sent for env, sent in zip(envs, posted))
+        for env in envs:  # no receives posted: all four park unexpected
             assert receiver.matching.arrive(env) is None
         parked = receiver.matching.unexpected
-        assert len(parked) == 4
-        assert all(env.data is parked[0].data for env in parked)
+        assert [env.data for env in parked] == posted
+        assert len({id(env.data) for env in parked}) == 4
 
 
 # ---------------------------------------------------------- live-only matching

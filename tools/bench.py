@@ -172,7 +172,6 @@ def measure_row(workload: RowWorkload, repeats: int, layers: bool = False) -> Op
         # a process high-water mark: later rows of a run inherit earlier peaks
         mem_rss_peak_mb=round(measure.peak_rss_mb(), 2),
         frame_high_water=int(counts["network.fabric.frame_high_water"]),
-        payload_interned=int(counts["mpi.api.payload_interned"]),
     )
     if layers:
         row["layers"] = _layers(workload)

@@ -222,6 +222,10 @@ PY
     # them, per-job rebind or unread world size may come back.
     echo "protocol-config copy residue in src/ (must be empty):"
     grep -rnE "ProtocolShared|proto_shared|\.rebound\(|self\.world_size" src/ || true
+    # A payload stays the object its sender posted: no job-wide intern
+    # table, its per-PML slot or its fingerprint sum may come back.
+    echo "payload-interner residue in src/ (must be empty):"
+    grep -rnE "PayloadInterner|_interner|\.intern\(|payload_lookups" src/ || true
     # Frozen specs check themselves in __post_init__; only the mutable
     # FaultSchedule builder keeps a validate(), since it needs the horizon.
     echo "spec validate() residue in src/ (must list only FaultSchedule):"
